@@ -7,6 +7,10 @@ or the convolution algebra of a finite cyclic group with tau(f) = f(0).
 Elements are immutable coefficient containers and every operation is a
 pure function, so values are safe to share across threads.
 
+Each backend is one ``Descriptor`` subclass implementing the protocol
+listed there; the module-level functions below check their arguments and
+call it, so the rest of the package never asks which backend it holds.
+
 Coefficient layouts (these double as the L^2(tau) coordinate order used by
 the rest of the package):
 
@@ -35,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -70,15 +74,119 @@ class NotRepresentable(AlgebraError):
 
 _SA_RTOL = 1e-10          # scale-invariant self-adjointness tolerance
 _CNT_RTOL = 1e-8          # negative-type eigencheck tolerance
+_FRAME_WEIGHT_TOL = 1e-12
+
+
+# JSON schema of a coefficient list in the wire form of ``to_pairs``
+PAIRS_SCHEMA = {"type": "array", "items": {
+    "type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2}}
+
+
+def to_pairs(arr: np.ndarray) -> list[list[float]]:
+    """Row-major ``[[re, im], ...]`` wire form of a complex array."""
+    flat = np.asarray(arr, dtype=np.complex128).reshape(-1)
+    return [[float(z.real), float(z.imag)] for z in flat]
+
+
+def from_pairs(pairs, shape) -> np.ndarray:
+    flat = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
+    return flat.reshape(shape)
+
+
+class Descriptor:
+    """Base class of the backends.  A backend implements, on coefficient
+    arrays whose row-major flattening is the L^2(tau) coordinate vector:
+    ``shape``, ``to_json``/``from_json`` with the tag ``kind`` and schema
+    ``json_schema``; ``unit_data``, ``mul_data`` (product and truncated L^2
+    mass), ``adjoint_data`` and ``lmul`` (the matrix of x -> A x);
+    ``rep_dim``, ``represent`` and its inverse ``element_from_matrix``;
+    ``generator_matrix``; and the tangent frame: ``frame_size``, ``psis``
+    (derivations as coefficient multipliers) or ``derive``,
+    ``codifferential`` and ``frame_matrices``, and ``involution`` (J).
+    The defaults below serve exact representations, untwisted left
+    actions, supports without a radius and multiplier frames.
+    """
+
+    kind: ClassVar[str]
+    json_schema: ClassVar[dict]
+
+    def l2_dim(self) -> int:
+        return math.prod(self.shape())
+
+    def rep_is_exact(self) -> bool:
+        """False when ``represent`` only witnesses positivity (it is not
+        multiplicative)."""
+        return True
+
+    def rep_semigroup_action(self, t: float, semigroup: Callable[[np.ndarray], np.ndarray]):
+        """Canonical extension of P_t (``semigroup`` maps coefficient arrays)
+        to the representation algebra M_d, as (action, d); (None, 0) when no
+        exact extension exists.  An exact representation with d^2 = dim L^2
+        is a bijection onto M_d, so P_t is transported along it."""
+        d = self.rep_dim()
+        if not self.rep_is_exact() or d * d != self.l2_dim():
+            return None, 0
+        return (lambda X: self.represent(semigroup(self.element_from_matrix(X)))), d
+
+    def spectral_map(self, A: np.ndarray, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+        """fn applied to the self-adjoint A through the representation."""
+        if not self.rep_is_exact():
+            raise NotRepresentable("spectral calculus needs an exact representation")
+        evals, vecs = np.linalg.eigh(self.represent(A))
+        return self.element_from_matrix((vecs * fn(evals)) @ vecs.conj().T)
+
+    def restrict_support(self, data: np.ndarray, radius: int | None) -> np.ndarray:
+        """``data`` restricted to supports of the given radius."""
+        return data
+
+    def default_radius(self) -> int | None:
+        """Battery radius keeping triple products a b b^* leak-free."""
+        return None
+
+    def safe_radius(self) -> int | None:
+        """Battery radius keeping pair products leak-free."""
+        return None
+
+    def left_multipliers(self, A: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Per frame component, the coefficients by which A acts on the left."""
+        return (A,) * self.frame_size()
+
+    def derive(self, A: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Frame components of the gradient of A."""
+        return tuple(psi * A for psi in self.psis())
+
+    def codifferential(self, parts) -> np.ndarray:
+        """Hilbert adjoint of ``derive``."""
+        out = np.zeros(self.shape(), dtype=np.complex128)
+        for psi, P in zip(self.psis(), parts):
+            out = out + np.conj(psi) * P
+        return out
+
+    def frame_matrices(self) -> list[np.ndarray]:
+        """Per frame component, the (D, D) matrix of ``derive`` on L^2
+        coordinates."""
+        return [np.diag(psi.reshape(-1)) for psi in self.psis()]
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class MatrixAlgebra:
+class MatrixAlgebra(Descriptor):
     """M_n with the unnormalized trace; the self-adjoint ``generators``
-    drive the double-commutator Dirichlet structure downstream."""
+    drive the double-commutator Dirichlet structure downstream and give
+    one tangent component each, d_j(a) = [v_j, a], with J(h)_j = -(h_j)^*."""
 
     dim: int
     generators: tuple[np.ndarray, ...]
+    kind = "matrix"
+    json_schema = {
+        "type": "object",
+        "properties": {
+            "kind": {"const": kind},
+            "dim": {"type": "integer", "minimum": 1},
+            "generators": {"type": "array", "items": PAIRS_SCHEMA, "minItems": 1},
+        },
+        "required": ["kind", "dim", "generators"],
+        "additionalProperties": False,
+    }
 
     def __post_init__(self):
         if self.dim < 1:
@@ -89,6 +197,8 @@ class MatrixAlgebra:
         for v in gens:
             if v.shape != (self.dim, self.dim):
                 raise ValueError(f"generator shape {v.shape} != ({self.dim}, {self.dim})")
+            if not np.isfinite(v).all():
+                raise ValueError("matrix generators must be finite")
             scale = max(np.linalg.norm(v), 1.0)
             if np.linalg.norm(v - v.conj().T) > _SA_RTOL * scale:
                 raise NotSelfAdjoint("matrix generators must be self-adjoint")
@@ -97,23 +207,106 @@ class MatrixAlgebra:
     def __repr__(self):
         return f"MatrixAlgebra(dim={self.dim}, k={len(self.generators)})"
 
+    def shape(self) -> tuple[int, ...]:
+        return (self.dim, self.dim)
+
+    def to_json(self) -> dict:
+        return {"kind": self.kind, "dim": self.dim,
+                "generators": [to_pairs(v) for v in self.generators]}
+
+    @classmethod
+    def from_json(cls, obj: dict) -> MatrixAlgebra:
+        n = int(obj["dim"])
+        return cls(n, tuple(from_pairs(g, (n, n)) for g in obj["generators"]))
+
+    def unit_data(self) -> np.ndarray:
+        return np.eye(self.dim, dtype=np.complex128)
+
+    def mul_data(self, A, B) -> tuple[np.ndarray, float]:
+        return A @ B, 0.0
+
+    def adjoint_data(self, A) -> np.ndarray:
+        return A.conj().T
+
+    def lmul(self, A) -> np.ndarray:
+        # row-major vec(AXB) = kron(A, B^T) vec(X)
+        return np.kron(A, np.eye(self.dim))
+
+    def rep_dim(self) -> int:
+        return self.dim
+
+    def represent(self, A) -> np.ndarray:
+        return A.copy()
+
+    def element_from_matrix(self, X, tol: float = 1e-10) -> np.ndarray:
+        return X
+
+    def generator_matrix(self) -> np.ndarray:
+        n = self.dim
+        eye = np.eye(n, dtype=np.complex128)
+        gen = np.zeros((n * n, n * n), dtype=np.complex128)
+        for v in self.generators:
+            v2 = v @ v
+            gen += np.kron(v2, eye) + np.kron(eye, v2.T) - 2.0 * np.kron(v, v.T)
+        return gen
+
+    def frame_size(self) -> int:
+        return len(self.generators)
+
+    def derive(self, A) -> tuple[np.ndarray, ...]:
+        return tuple(v @ A - A @ v for v in self.generators)
+
+    def codifferential(self, parts) -> np.ndarray:
+        # [v, .] is self-adjoint on L^2 because v is
+        out = np.zeros(self.shape(), dtype=np.complex128)
+        for v, P in zip(self.generators, parts):
+            out += v @ P - P @ v
+        return out
+
+    def frame_matrices(self) -> list[np.ndarray]:
+        eye = np.eye(self.dim)
+        return [np.kron(v, eye) - np.kron(eye, v.T) for v in self.generators]
+
+    def involution(self, parts) -> tuple[np.ndarray, ...]:
+        return tuple(-P.conj().T for P in parts)
+
 
 @dataclass(frozen=True, eq=False, repr=False)
-class NCTorus:
+class NCTorus(Descriptor):
     """Coefficient window |n|, |m| <= level of the rotation algebra.
 
     ``rational`` is an explicit (p, q) tag meaning theta == p/q; it is
     stored in lowest terms and is never inferred from the float value.
+    The frame has two components, d_1(U^n V^m) = i n U^n V^m and
+    d_2(U^n V^m) = i m U^n V^m, with J(h)_j = (h_j)^*.
     """
 
     level: int
     theta: float
     rational: tuple[int, int] | None = None
+    kind = "nc_torus"
+    json_schema = {
+        "type": "object",
+        "properties": {
+            "kind": {"const": kind},
+            "level": {"type": "integer", "minimum": 1},
+            "theta": {"type": "number"},
+            "rational": {
+                "oneOf": [
+                    {"type": "null"},
+                    {"type": "array", "items": {"type": "integer"},
+                     "minItems": 2, "maxItems": 2},
+                ]
+            },
+        },
+        "required": ["kind", "level", "theta"],
+        "additionalProperties": False,
+    }
 
     def __post_init__(self):
         if self.level < 1:
             raise ValueError("truncation level must be >= 1")
-        if not (0.0 <= self.theta < 1.0):
+        if not (0.0 <= self.theta < 1.0):      # also rejects NaN
             raise ValueError("theta must lie in [0, 1)")
         if self.rational is not None:
             p, q = self.rational
@@ -127,6 +320,143 @@ class NCTorus:
     def __repr__(self):
         tag = "" if self.rational is None else f", rational={self.rational}"
         return f"NCTorus(level={self.level}, theta={self.theta!r}{tag})"
+
+    def shape(self) -> tuple[int, ...]:
+        w = 2 * self.level + 1
+        return (w, w)
+
+    def to_json(self) -> dict:
+        return {"kind": self.kind, "level": self.level, "theta": self.theta,
+                "rational": list(self.rational) if self.rational else None}
+
+    @classmethod
+    def from_json(cls, obj: dict) -> NCTorus:
+        rat = obj.get("rational")
+        return cls(int(obj["level"]), float(obj["theta"]), tuple(rat) if rat else None)
+
+    def unit_data(self) -> np.ndarray:
+        data = np.zeros(self.shape(), dtype=np.complex128)
+        data[self.level, self.level] = 1.0
+        return data
+
+    def mul_data(self, A, B) -> tuple[np.ndarray, float]:
+        # (U^p V^r)(U^n' V^m') = e^{2 pi i theta r n'} U^{p+n'} V^{r+m'}
+        N = self.level
+        W = 2 * N + 1
+        ns = np.arange(-N, N + 1)
+        out = np.zeros((4 * N + 1, 4 * N + 1), dtype=np.complex128)
+        for ip in range(W):
+            row = A[ip]
+            if not row.any():
+                continue
+            for ir in range(W):
+                coeff = row[ir]
+                if coeff == 0.0:
+                    continue
+                r = ir - N
+                phase = np.exp(2j * np.pi * self.theta * r * ns)[:, None]
+                out[ip : ip + W, ir : ir + W] += coeff * (phase * B)
+        window = out[N : 3 * N + 1, N : 3 * N + 1].copy()
+        total = np.linalg.norm(out)
+        kept = np.linalg.norm(window)
+        return window, math.sqrt(max(total * total - kept * kept, 0.0))
+
+    def adjoint_data(self, A) -> np.ndarray:
+        # (U^n V^m)^* = e^{2 pi i theta n m} U^{-n} V^{-m}
+        ns = np.arange(-self.level, self.level + 1)
+        phase = np.exp(2j * np.pi * self.theta * np.outer(ns, ns))
+        return phase * np.conj(A[::-1, ::-1])
+
+    def lmul(self, A) -> np.ndarray:
+        """Window compression of x -> A x: entry A[p, r] e^{2 pi i theta r n}
+        at ((p+n, r+m), (n, m)) wherever (p+n, r+m) lies in the window."""
+        N = self.level
+        W = 2 * N + 1
+        ns = np.arange(-N, N + 1)
+        p, r, n, m = np.ix_(ns, ns, ns, ns)
+        keep = (np.abs(p + n) <= N) & (np.abs(r + m) <= N)
+        rows = np.broadcast_to((p + n + N) * W + (r + m + N), keep.shape)[keep]
+        cols = np.broadcast_to((n + N) * W + (m + N), keep.shape)[keep]
+        vals = A[:, :, None, None] * np.exp(2j * np.pi * self.theta * r * n)
+        out = np.zeros((W * W, W * W), dtype=np.complex128)
+        out[rows, cols] = np.broadcast_to(vals, keep.shape)[keep]
+        return out
+
+    def rep_dim(self) -> int:
+        return self.l2_dim() if self.rational is None else self.rational[1]
+
+    def rep_is_exact(self) -> bool:
+        return self.rational is not None
+
+    def _clock_phases(self, exps) -> np.ndarray:
+        """w^{j n} for rows j = 0..q-1 and columns n in ``exps``, w = e^{2 pi i p/q}."""
+        p, q = self.rational
+        return np.exp(2j * np.pi * p * np.outer(np.arange(q), exps) / q)
+
+    def represent(self, A) -> np.ndarray:
+        if self.rational is None:
+            return self.lmul(A)
+        # clock and shift: U^n V^m -> w^{j n} at (j, j+m mod q)
+        q = self.rational[1]
+        ns = np.arange(-self.level, self.level + 1)
+        js = np.arange(q)[:, None]
+        out = np.zeros((q, q), dtype=np.complex128)
+        np.add.at(out, (js, (js + ns) % q), self._clock_phases(ns) @ A)
+        return out
+
+    def element_from_matrix(self, X, tol: float = 1e-10) -> np.ndarray:
+        """Rational theta needs an injective window (2N+1 <= q) and raises
+        ``WindowOverflow`` if X carries mass at exponents outside the window;
+        the compressed irrational representation is not invertible."""
+        if self.rational is None:
+            raise NotRepresentable("irrational-theta representation is not invertible")
+        N = self.level
+        q = self.rational[1]
+        if 2 * N + 1 > q:
+            raise NotRepresentable(
+                f"window width {2 * N + 1} exceeds clock-shift period {q}: ambiguous exponents"
+            )
+        # coefficient of U^n V^m: tr((U^n V^m)^* X) / q = sum_j w^{-j n} X[j, j+m mod q] / q
+        rs = np.arange(-(q // 2), q - q // 2)      # one exponent per residue mod q
+        js = np.arange(q)[:, None]
+        coeffs = self._clock_phases(rs).conj().T @ X[js, (js + rs) % q] / q
+        inside = np.abs(rs) <= N
+        dropped = np.linalg.norm(coeffs[~np.outer(inside, inside)])
+        if dropped > tol * max(np.linalg.norm(X), 1e-300):
+            raise WindowOverflow(
+                f"matrix carries mass {dropped:.3e} outside the coefficient window"
+            )
+        return coeffs[np.ix_(inside, inside)]
+
+    def generator_matrix(self) -> np.ndarray:
+        ns = np.arange(-self.level, self.level + 1)
+        mult = (ns[:, None] ** 2 + ns[None, :] ** 2).astype(float)
+        return np.diag(mult.reshape(-1)).astype(np.complex128)
+
+    def frame_size(self) -> int:
+        return 2
+
+    def psis(self) -> list[np.ndarray]:
+        ns = np.arange(-self.level, self.level + 1).astype(float)
+        return [1j * ns[:, None] * np.ones_like(ns)[None, :],
+                1j * np.ones_like(ns)[:, None] * ns[None, :]]
+
+    def involution(self, parts) -> tuple[np.ndarray, ...]:
+        return tuple(self.adjoint_data(P) for P in parts)
+
+    def restrict_support(self, data, radius):
+        if radius is None:
+            return data
+        N = self.level
+        mask = np.zeros(self.shape())
+        mask[N - radius : N + radius + 1, N - radius : N + radius + 1] = 1.0
+        return data * mask
+
+    def default_radius(self) -> int:
+        return self.level // 3
+
+    def safe_radius(self) -> int:
+        return max(self.level // 2, 1)
 
 
 def nc_torus_rational(level: int, p: int, q: int) -> NCTorus:
@@ -145,12 +475,31 @@ def negative_type_defect(lengths: tuple[float, ...] | np.ndarray) -> float:
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class CyclicGroup:
+class CyclicGroup(Descriptor):
     """Convolution algebra of Z_q with a symmetric length function of
-    conditionally negative type (l(0)=0, l(k)=l(q-k), l >= 0)."""
+    conditionally negative type (l(0)=0, l(k)=l(q-k), l >= 0).
+
+    Tangent frame: the length decomposes against characters as
+    l(g) = sum_k mu_k (1 - cos(2 pi k g / q)), mu_k = -lhat(k)/q >= 0 (lhat
+    the DFT of l), with one component per k with mu_k > 0.  Its derivation
+    multiplies coefficients by i sqrt(mu_k/2) (chi_k - 1), the left action
+    twists convolution by the character chi_k(g) = e^{2 pi i k g / q}, the
+    right action is plain convolution and J(h)_k = chi_k * (h_{-k})^*.
+    """
 
     order: int
     lengths: tuple[float, ...]
+    kind = "cyclic"
+    json_schema = {
+        "type": "object",
+        "properties": {
+            "kind": {"const": kind},
+            "order": {"type": "integer", "minimum": 2},
+            "lengths": {"type": "array", "items": {"type": "number"}},
+        },
+        "required": ["kind", "order", "lengths"],
+        "additionalProperties": False,
+    }
 
     def __post_init__(self):
         if self.order < 2:
@@ -158,6 +507,8 @@ class CyclicGroup:
         l = tuple(float(x) for x in self.lengths)
         if len(l) != self.order:
             raise ValueError("need one length per group element")
+        if not all(math.isfinite(x) for x in l):
+            raise ValueError("lengths must be finite")
         if l[0] != 0.0:
             raise ValueError("length of the identity must be 0")
         if any(x < 0 for x in l):
@@ -175,54 +526,93 @@ class CyclicGroup:
     def __repr__(self):
         return f"CyclicGroup(order={self.order}, lengths={self.lengths})"
 
+    def shape(self) -> tuple[int, ...]:
+        return (self.order,)
 
-Descriptor = Union[MatrixAlgebra, NCTorus, CyclicGroup]
+    def to_json(self) -> dict:
+        return {"kind": self.kind, "order": self.order, "lengths": list(self.lengths)}
+
+    @classmethod
+    def from_json(cls, obj: dict) -> CyclicGroup:
+        return cls(int(obj["order"]), tuple(obj["lengths"]))
+
+    def unit_data(self) -> np.ndarray:
+        data = np.zeros(self.order, dtype=np.complex128)
+        data[0] = 1.0
+        return data
+
+    def mul_data(self, A, B) -> tuple[np.ndarray, float]:
+        return self.lmul(A) @ B, 0.0
+
+    def adjoint_data(self, A) -> np.ndarray:
+        return np.conj(np.roll(A[::-1], 1))
+
+    def lmul(self, A) -> np.ndarray:
+        g = np.arange(self.order)
+        return A[(g[:, None] - g[None, :]) % self.order]
+
+    def rep_dim(self) -> int:
+        return self.order
+
+    # the regular representation is left multiplication itself
+    represent = lmul
+
+    def element_from_matrix(self, X, tol: float = 1e-10) -> np.ndarray:
+        return X[:, 0]
+
+    def rep_semigroup_action(self, t, semigroup):
+        # P_t is the Schur multiplier by e^{-t l(g - h)} on M_q
+        g = np.arange(self.order)
+        phi = np.exp(-t * np.asarray(self.lengths))
+        schur = phi[(g[:, None] - g[None, :]) % self.order]
+        return (lambda X: schur * X), self.order
+
+    def generator_matrix(self) -> np.ndarray:
+        return np.diag(np.asarray(self.lengths, dtype=float)).astype(np.complex128)
+
+    def frame(self) -> tuple[list[int], np.ndarray]:
+        """Active dual indices k (mu_k > 0, symmetric under k -> q-k) and the
+        full weight vector mu."""
+        q = self.order
+        mu = -np.fft.fft(np.asarray(self.lengths)).real / q
+        mu[0] = 0.0
+        mu[np.abs(mu) < _FRAME_WEIGHT_TOL * max(1.0, max(self.lengths))] = 0.0
+        return [k for k in range(1, q) if mu[k] > 0.0], mu
+
+    def _characters(self, active) -> list[np.ndarray]:
+        g = np.arange(self.order)
+        return [np.exp(2j * np.pi * k * g / self.order) for k in active]
+
+    def frame_size(self) -> int:
+        return len(self.frame()[0])
+
+    def psis(self) -> list[np.ndarray]:
+        active, mu = self.frame()
+        return [1j * np.sqrt(mu[k] / 2.0) * (chi - 1.0)
+                for k, chi in zip(active, self._characters(active))]
+
+    def left_multipliers(self, A) -> tuple[np.ndarray, ...]:
+        return tuple(chi * A for chi in self._characters(self.frame()[0]))
+
+    def involution(self, parts) -> tuple[np.ndarray, ...]:
+        active = self.frame()[0]
+        pos = {k: i for i, k in enumerate(active)}
+        return tuple(chi * self.adjoint_data(parts[pos[(self.order - k) % self.order]])
+                     for k, chi in zip(active, self._characters(active)))
+
+
+# every backend class; serialization and the CLI schema are built from this
+BACKENDS = (MatrixAlgebra, NCTorus, CyclicGroup)
 
 
 def same_backend(a: Descriptor, b: Descriptor) -> bool:
-    if a is b:
-        return True
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, MatrixAlgebra):
-        return (
-            a.dim == b.dim
-            and len(a.generators) == len(b.generators)
-            and all(np.array_equal(u, v) for u, v in zip(a.generators, b.generators))
-        )
-    if isinstance(a, NCTorus):
-        return a.level == b.level and a.theta == b.theta and a.rational == b.rational
-    return a.order == b.order and a.lengths == b.lengths
-
-
-def l2_dim(desc: Descriptor) -> int:
-    if isinstance(desc, MatrixAlgebra):
-        return desc.dim * desc.dim
-    if isinstance(desc, NCTorus):
-        w = 2 * desc.level + 1
-        return w * w
-    return desc.order
-
-
-def rep_dim(desc: Descriptor) -> int:
-    """Dimension of the matrix representation used for positivity checks."""
-    if isinstance(desc, MatrixAlgebra):
-        return desc.dim
-    if isinstance(desc, NCTorus):
-        if desc.rational is not None:
-            return desc.rational[1]
-        return l2_dim(desc)
-    return desc.order
-
-
-def rep_is_exact(desc: Descriptor) -> bool:
-    """False only for the compressed (irrational-theta) torus representation."""
-    return not (isinstance(desc, NCTorus) and desc.rational is None)
+    """Descriptors are the same backend when their exact wire forms agree."""
+    return a is b or (type(a) is type(b) and a.to_json() == b.to_json())
 
 
 def positivity_tol(desc: Descriptor) -> float:
     # eigensolver noise scales with the representation dimension
-    return 1e-10 * rep_dim(desc)
+    return 1e-10 * desc.rep_dim()
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +627,7 @@ class AlgebraElement:
 
     def __post_init__(self):
         arr = np.array(self.data, dtype=np.complex128)   # always copy, then freeze
-        shape = _data_shape(self.backend)
+        shape = self.backend.shape()
         if arr.shape != shape:
             raise ValueError(f"coefficient shape {arr.shape} != {shape}")
         arr.setflags(write=False)
@@ -267,36 +657,17 @@ class AlgebraElement:
     def __truediv__(self, other):
         return scale(1.0 / other, self)
 
-    def star(self) -> "AlgebraElement":
-        return adjoint(self)
-
-
-def _data_shape(desc: Descriptor) -> tuple[int, ...]:
-    if isinstance(desc, MatrixAlgebra):
-        return (desc.dim, desc.dim)
-    if isinstance(desc, NCTorus):
-        w = 2 * desc.level + 1
-        return (w, w)
-    return (desc.order,)
-
 
 def element(desc: Descriptor, data) -> AlgebraElement:
     return AlgebraElement(desc, np.asarray(data, dtype=np.complex128))
 
 
 def zero(desc: Descriptor) -> AlgebraElement:
-    return AlgebraElement(desc, np.zeros(_data_shape(desc)))
+    return AlgebraElement(desc, np.zeros(desc.shape()))
 
 
 def unit(desc: Descriptor) -> AlgebraElement:
-    data = np.zeros(_data_shape(desc), dtype=np.complex128)
-    if isinstance(desc, MatrixAlgebra):
-        data = np.eye(desc.dim, dtype=np.complex128)
-    elif isinstance(desc, NCTorus):
-        data[desc.level, desc.level] = 1.0
-    else:
-        data[0] = 1.0
-    return AlgebraElement(desc, data)
+    return AlgebraElement(desc, desc.unit_data())
 
 
 def monomial(desc: NCTorus, n: int, m: int, coeff: complex = 1.0) -> AlgebraElement:
@@ -304,7 +675,7 @@ def monomial(desc: NCTorus, n: int, m: int, coeff: complex = 1.0) -> AlgebraElem
     N = desc.level
     if abs(n) > N or abs(m) > N:
         raise WindowOverflow(f"monomial ({n},{m}) outside window +-{N}")
-    data = np.zeros(_data_shape(desc), dtype=np.complex128)
+    data = np.zeros(desc.shape(), dtype=np.complex128)
     data[n + N, m + N] = coeff
     return AlgebraElement(desc, data)
 
@@ -321,7 +692,7 @@ def to_l2(a: AlgebraElement) -> np.ndarray:
 
 
 def from_l2(desc: Descriptor, vec: np.ndarray) -> AlgebraElement:
-    return AlgebraElement(desc, np.asarray(vec, dtype=np.complex128).reshape(_data_shape(desc)))
+    return AlgebraElement(desc, np.asarray(vec, dtype=np.complex128).reshape(desc.shape()))
 
 
 def _check_same(a: AlgebraElement, b: AlgebraElement):
@@ -347,68 +718,21 @@ def mul_with_loss(a: AlgebraElement, b: AlgebraElement) -> tuple[AlgebraElement,
     """Product together with the L^2 mass truncated away (torus only;
     exactly 0.0 for the other backends)."""
     _check_same(a, b)
-    desc = a.backend
-    if isinstance(desc, MatrixAlgebra):
-        return AlgebraElement(desc, a.data @ b.data), 0.0
-    if isinstance(desc, CyclicGroup):
-        q = desc.order
-        out = np.zeros(q, dtype=np.complex128)
-        for y in range(q):
-            if a.data[y] != 0.0:
-                out += a.data[y] * np.roll(b.data, y)
-        return AlgebraElement(desc, out), 0.0
-    return _torus_mul(desc, a.data, b.data)
+    data, loss = a.backend.mul_data(a.data, b.data)
+    return AlgebraElement(a.backend, data), loss
 
 
 def mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     return mul_with_loss(a, b)[0]
 
 
-def _torus_mul(desc: NCTorus, A: np.ndarray, B: np.ndarray) -> tuple[AlgebraElement, float]:
-    # (U^p V^r)(U^n' V^m') = e^{2 pi i theta r n'} U^{p+n'} V^{r+m'}
-    N = desc.level
-    W = 2 * N + 1
-    ns = np.arange(-N, N + 1)
-    out = np.zeros((4 * N + 1, 4 * N + 1), dtype=np.complex128)
-    for ip in range(W):
-        row = A[ip]
-        if not row.any():
-            continue
-        for ir in range(W):
-            coeff = row[ir]
-            if coeff == 0.0:
-                continue
-            r = ir - N
-            phase = np.exp(2j * np.pi * desc.theta * r * ns)[:, None]
-            out[ip : ip + W, ir : ir + W] += coeff * (phase * B)
-    window = out[N : 3 * N + 1, N : 3 * N + 1].copy()
-    total = np.linalg.norm(out)
-    kept = np.linalg.norm(window)
-    dropped = math.sqrt(max(total * total - kept * kept, 0.0))
-    return AlgebraElement(desc, window), dropped
-
-
 def adjoint(a: AlgebraElement) -> AlgebraElement:
-    desc = a.backend
-    if isinstance(desc, MatrixAlgebra):
-        return AlgebraElement(desc, a.data.conj().T)
-    if isinstance(desc, CyclicGroup):
-        return AlgebraElement(desc, np.conj(np.roll(a.data[::-1], 1)))
-    # (U^n V^m)^* = e^{2 pi i theta n m} U^{-n} V^{-m}
-    N = desc.level
-    ns = np.arange(-N, N + 1)
-    phase = np.exp(2j * np.pi * desc.theta * np.outer(ns, ns))
-    flipped = np.conj(a.data[::-1, ::-1])
-    return AlgebraElement(desc, phase * flipped)
+    return AlgebraElement(a.backend, a.backend.adjoint_data(a.data))
 
 
 def trace(a: AlgebraElement) -> complex:
-    desc = a.backend
-    if isinstance(desc, MatrixAlgebra):
-        return complex(np.trace(a.data))
-    if isinstance(desc, CyclicGroup):
-        return complex(a.data[0])
-    return complex(a.data[desc.level, desc.level])
+    """tau(a) = <1, a>: the unit's coordinates pick out the trace."""
+    return complex(np.vdot(a.backend.unit_data(), a.data))
 
 
 def inner_l2(a: AlgebraElement, b: AlgebraElement) -> complex:
@@ -431,83 +755,15 @@ def is_self_adjoint(a: AlgebraElement, rtol: float = _SA_RTOL) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _clock_shift(desc: NCTorus, n: int, m: int) -> np.ndarray:
-    """Image of U^n V^m under U -> diag(1, w, ..., w^{q-1}), V -> the cyclic
-    shift with ones on the (j, j+1 mod q) positions, w = e^{2 pi i p/q}."""
-    p, q = desc.rational
-    js = np.arange(q)
-    clock_n = np.exp(2j * np.pi * p * js * n / q)
-    mat = np.zeros((q, q), dtype=np.complex128)
-    mat[js, (js + m) % q] = clock_n
-    return mat
-
-
 def represent(a: AlgebraElement) -> np.ndarray:
     """Faithful-or-witnessing matrix image of ``a``; see module docstring."""
-    desc = a.backend
-    if isinstance(desc, MatrixAlgebra):
-        return a.data.copy()
-    if isinstance(desc, CyclicGroup):
-        q = desc.order
-        g = np.arange(q)
-        return a.data[(g[:, None] - g[None, :]) % q]
-    N = desc.level
-    if desc.rational is not None:
-        q = desc.rational[1]
-        out = np.zeros((q, q), dtype=np.complex128)
-        for n in range(-N, N + 1):
-            for m in range(-N, N + 1):
-                c = a.data[n + N, m + N]
-                if c != 0.0:
-                    out += c * _clock_shift(desc, n, m)
-        return out
-    # compression of the left regular action onto the coefficient window
-    D = l2_dim(desc)
-    out = np.zeros((D, D), dtype=np.complex128)
-    W = 2 * N + 1
-    basis = np.zeros((W, W), dtype=np.complex128)
-    for col in range(D):
-        basis.reshape(-1)[col] = 1.0
-        out[:, col] = mul(a, AlgebraElement(desc, basis)).data.reshape(-1)
-        basis.reshape(-1)[col] = 0.0
-    return out
+    return a.backend.represent(a.data)
 
 
 def element_from_matrix(desc: Descriptor, X: np.ndarray, tol: float = 1e-10) -> AlgebraElement:
-    """Inverse of ``represent`` where one exists.
-
-    Rational-theta tori need an injective window (2N+1 <= q) and raise
-    ``WindowOverflow`` if the matrix carries mass at exponents outside the
-    window; the compressed irrational representation is not invertible.
-    """
-    if isinstance(desc, MatrixAlgebra):
-        return AlgebraElement(desc, X)
-    if isinstance(desc, CyclicGroup):
-        return AlgebraElement(desc, X[:, 0])
-    if desc.rational is None:
-        raise NotRepresentable("irrational-theta representation is not invertible")
-    N = desc.level
-    p, q = desc.rational
-    if 2 * N + 1 > q:
-        raise NotRepresentable(
-            f"window width {2 * N + 1} exceeds clock-shift period {q}: ambiguous exponents"
-        )
-    scale_ = max(np.linalg.norm(X), 1e-300)
-    data = np.zeros((2 * N + 1, 2 * N + 1), dtype=np.complex128)
-    dropped = 0.0
-    half = q // 2
-    for n in range(-half, q - half):
-        for m in range(-half, q - half):
-            c = np.trace(_clock_shift(desc, n, m).conj().T @ X) / q
-            if abs(n) <= N and abs(m) <= N:
-                data[n + N, m + N] = c
-            else:
-                dropped += abs(c) ** 2
-    if math.sqrt(dropped) > tol * scale_:
-        raise WindowOverflow(
-            f"matrix carries mass {math.sqrt(dropped):.3e} outside the coefficient window"
-        )
-    return AlgebraElement(desc, data)
+    """Inverse of ``represent`` where one exists (see the backend's
+    ``element_from_matrix``)."""
+    return AlgebraElement(desc, desc.element_from_matrix(X, tol))
 
 
 def operator_norm(a: AlgebraElement) -> float:
@@ -567,16 +823,7 @@ def _spectral_map(a: AlgebraElement, fn: Callable[[np.ndarray], np.ndarray]) -> 
     back; requires a self-adjoint input and an invertible representation."""
     if not is_self_adjoint(a):
         raise NotSelfAdjoint("spectral calculus needs a self-adjoint element")
-    desc = a.backend
-    if isinstance(desc, CyclicGroup):
-        evals = np.fft.fft(a.data)           # circulant eigenvalues
-        return AlgebraElement(desc, np.fft.ifft(fn(evals.real)))
-    X = represent(a)
-    if isinstance(desc, NCTorus) and desc.rational is None:
-        raise NotRepresentable("spectral calculus unavailable for irrational theta")
-    evals, vecs = np.linalg.eigh(X)
-    Y = (vecs * fn(evals)) @ vecs.conj().T
-    return element_from_matrix(desc, Y)
+    return AlgebraElement(a.backend, a.backend.spectral_map(a.data, fn))
 
 
 def positive_decompose(a: AlgebraElement) -> tuple[Density, Density]:
@@ -609,15 +856,12 @@ def modulus(a: AlgebraElement) -> AlgebraElement:
 
 def random_element(desc: Descriptor, rng: np.random.Generator, *,
                    radius: int | None = None, self_adjoint: bool = False) -> AlgebraElement:
-    """Seeded random element; for the torus, ``radius`` restricts the
-    support to |n|,|m| <= radius so that products stay leak-free."""
-    shape = _data_shape(desc)
+    """Seeded random element; ``radius`` restricts the support where the
+    backend bounds supports (torus: |n|,|m| <= radius), so that products
+    stay leak-free."""
+    shape = desc.shape()
     data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    if isinstance(desc, NCTorus) and radius is not None:
-        N = desc.level
-        mask = np.zeros(shape)
-        mask[N - radius : N + radius + 1, N - radius : N + radius + 1] = 1.0
-        data = data * mask
+    data = desc.restrict_support(data, radius)
     out = AlgebraElement(desc, data)
     if self_adjoint:
         out = scale(0.5, add(out, adjoint(out)))

@@ -2,24 +2,13 @@
 
 The square-integrable vector fields of a Dirichlet space are realized
 concretely as a finite direct sum of L^2(tau) copies with componentwise
-module actions, and the gradient is written componentwise:
-
-* matrix backend   -- one component per generator v_j, d_j(a) = [v_j, a],
-  plain left/right actions, J(h)_j = -(h_j)^*;
-* torus            -- two components, d_1(U^n V^m) = i n U^n V^m and
-  d_2(U^n V^m) = i m U^n V^m, plain actions, J(h)_j = (h_j)^*;
-* cyclic group     -- one component per dual index k with positive weight
-  in the character decomposition of the length function,
-
-      l(g) = sum_k mu_k (1 - cos(2 pi k g / q)),  mu_k = -lhat(k)/q >= 0,
-
-  where lhat is the DFT of l.  The component derivation multiplies the
-  coefficient function by i sqrt(mu_k/2) (chi_k - 1); the left action on
-  component k twists convolution by the character chi_k(g) = e^{2 pi i
-  k g / q} (the right action is plain convolution) and the involution is
-  J(h)_k = chi_k * (h_{-k})^*.  With these choices the derivation property
-  d(ab) = d(a) b + a d(b) holds exactly and sum_k ||d_k f||^2 reproduces
-  the energy sum_g l(g) |f(g)|^2.
+module actions, and the gradient is written componentwise.  The backend's
+tangent frame fixes the components: one commutator [v_j, .] per matrix
+generator, the two multipliers i n and i m on the torus, and one character
+multiplier per active dual index on a cyclic group, whose left action is
+twisted by that character (see each backend class).  With these choices the
+derivation property d(ab) = d(a) b + a d(b) holds exactly and
+sum_k ||d_k f||^2 reproduces the energy form.
 
 The divergence is the literal Hilbert adjoint of the gradient (fixed by
 the pairing <d a, h> = <a, div h>, not by a sign convention), so the
@@ -39,14 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import backends as bk
-from .backends import (
-    AlgebraElement,
-    CyclicGroup,
-    Density,
-    MatrixAlgebra,
-    NCTorus,
-    NotPositive,
-)
+from .backends import AlgebraElement, Density, NotPositive
 from .dirichlet import DirichletSpace, dirichlet_form
 
 
@@ -92,97 +74,31 @@ def zero_tangent(space: DirichletSpace) -> TangentVector:
 
 
 # ---------------------------------------------------------------------------
-# Frames: per-backend component structure
+# Frame: gradient, divergence and their matrix
 # ---------------------------------------------------------------------------
-
-_FRAME_WEIGHT_TOL = 1e-12
-
-
-def cyclic_frame(desc: CyclicGroup) -> tuple[list[int], np.ndarray]:
-    """Active dual indices k (mu_k > 0, symmetric under k -> q-k) and the
-    full weight vector mu."""
-    q = desc.order
-    lhat = np.fft.fft(np.asarray(desc.lengths)).real
-    mu = -lhat / q
-    mu[0] = 0.0
-    cut = _FRAME_WEIGHT_TOL * max(1.0, max(desc.lengths))
-    mu[np.abs(mu) < cut] = 0.0
-    active = [k for k in range(1, q) if mu[k] > 0.0]
-    return active, mu
 
 
 def tangent_components(space: DirichletSpace) -> int:
-    desc = space.backend
-    if isinstance(desc, MatrixAlgebra):
-        return len(desc.generators)
-    if isinstance(desc, NCTorus):
-        return 2
-    return len(cyclic_frame(desc)[0])
-
-
-def _cyclic_psis(desc: CyclicGroup) -> tuple[list[int], list[np.ndarray]]:
-    active, mu = cyclic_frame(desc)
-    g = np.arange(desc.order)
-    psis = [
-        1j * np.sqrt(mu[k] / 2.0) * (np.exp(2j * np.pi * k * g / desc.order) - 1.0)
-        for k in active
-    ]
-    return active, psis
-
-
-def _torus_psis(desc: NCTorus) -> list[np.ndarray]:
-    ns = np.arange(-desc.level, desc.level + 1).astype(float)
-    return [1j * ns[:, None] * np.ones_like(ns)[None, :],
-            1j * np.ones_like(ns)[:, None] * ns[None, :]]
+    return space.backend.frame_size()
 
 
 def gradient(space: DirichletSpace, a: AlgebraElement) -> TangentVector:
     desc = space.backend
-    if isinstance(desc, MatrixAlgebra):
-        parts = tuple(
-            bk.element(desc, v @ a.data - a.data @ v) for v in desc.generators
-        )
-    elif isinstance(desc, NCTorus):
-        parts = tuple(bk.element(desc, psi * a.data) for psi in _torus_psis(desc))
-    else:
-        _, psis = _cyclic_psis(desc)
-        parts = tuple(bk.element(desc, psi * a.data) for psi in psis)
-    return TangentVector(space, parts)
+    return TangentVector(space, tuple(bk.element(desc, P) for P in desc.derive(a.data)))
 
 
 def divergence(space: DirichletSpace, h: TangentVector) -> AlgebraElement:
     """Hilbert adjoint of the gradient; div o grad equals the generator."""
     desc = space.backend
-    if isinstance(desc, MatrixAlgebra):
-        out = np.zeros((desc.dim, desc.dim), dtype=np.complex128)
-        for v, p in zip(desc.generators, h.parts):
-            out += v @ p.data - p.data @ v
-        return bk.element(desc, out)
-    if isinstance(desc, NCTorus):
-        psis = _torus_psis(desc)
-    else:
-        psis = _cyclic_psis(desc)[1]
-    out = np.zeros_like(h.parts[0].data)
-    for psi, p in zip(psis, h.parts):
-        out = out + np.conj(psi) * p.data
-    return bk.element(desc, out)
+    return bk.element(desc, desc.codifferential([p.data for p in h.parts]))
 
 
 def gradient_matrix(space: DirichletSpace) -> np.ndarray:
     """Stacked matrix of the gradient on L^2 coordinates, shape (k*D, D);
     its conjugate transpose is the divergence, so gm^H @ gm reproduces the
     generator."""
-    D = space.dim
-    k = tangent_components(space)
-    out = np.zeros((k * D, D), dtype=np.complex128)
-    e = np.zeros(D, dtype=np.complex128)
-    for col in range(D):
-        e[col] = 1.0
-        parts = gradient(space, bk.from_l2(space.backend, e)).parts
-        for j, p in enumerate(parts):
-            out[j * D : (j + 1) * D, col] = bk.to_l2(p)
-        e[col] = 0.0
-    return out
+    mats = space.backend.frame_matrices()
+    return np.array(mats, dtype=np.complex128).reshape(len(mats) * space.dim, space.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -190,20 +106,14 @@ def gradient_matrix(space: DirichletSpace) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _twist(desc: CyclicGroup, k: int, x: AlgebraElement) -> AlgebraElement:
-    g = np.arange(desc.order)
-    return bk.element(desc, np.exp(2j * np.pi * k * g / desc.order) * x.data)
-
-
 def left_act(x: AlgebraElement, h: TangentVector) -> TangentVector:
     desc = h.space.backend
-    if isinstance(desc, CyclicGroup):
-        active, _ = cyclic_frame(desc)
-        parts = tuple(
-            bk.mul(_twist(desc, k, x), p) for k, p in zip(active, h.parts)
-        )
-    else:
-        parts = tuple(bk.mul(x, p) for p in h.parts)
+    if not bk.same_backend(x.backend, desc):
+        raise bk.BackendMismatch("element and tangent vector belong to different backends")
+    parts = tuple(
+        bk.mul(bk.AlgebraElement(desc, X), p)
+        for X, p in zip(desc.left_multipliers(x.data), h.parts)
+    )
     return TangentVector(h.space, parts)
 
 
@@ -219,18 +129,8 @@ def module_act(x: AlgebraElement, h: TangentVector, y: AlgebraElement) -> Tangen
 def involution_j(h: TangentVector) -> TangentVector:
     """Antilinear bimodule involution with J(grad a) = grad(a^*)."""
     desc = h.space.backend
-    if isinstance(desc, MatrixAlgebra):
-        parts = tuple(bk.scale(-1.0, bk.adjoint(p)) for p in h.parts)
-    elif isinstance(desc, NCTorus):
-        parts = tuple(bk.adjoint(p) for p in h.parts)
-    else:
-        active, _ = cyclic_frame(desc)
-        pos = {k: i for i, k in enumerate(active)}
-        parts = tuple(
-            _twist(desc, k, bk.adjoint(h.parts[pos[(desc.order - k) % desc.order]]))
-            for k in active
-        )
-    return TangentVector(h.space, parts)
+    parts = desc.involution([p.data for p in h.parts])
+    return TangentVector(h.space, tuple(bk.element(desc, P) for P in parts))
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +201,6 @@ def random_tangent(space: DirichletSpace, rng: np.random.Generator, *,
 
 __all__ = [
     "TangentVector",
-    "cyclic_frame",
     "divergence",
     "gradient",
     "gradient_matrix",

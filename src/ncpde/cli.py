@@ -4,11 +4,13 @@ Usage:  ncpde --config cfg.json [--out DIR] [--seed N] [--tol X] [--quiet]
 
 The JSON config carries the command, the backend descriptor and the
 per-command problem payload; it is validated against a strict schema
-(unknown fields are rejected) before any computation.  All randomized
-batteries are drawn from numpy's PCG64 generator seeded from the config
-(command-line --seed overrides), so identical config + seed reproduces
-bit-identical JSON output.  Exit codes: 0 success with all checks passed,
-2 completed with check failures (reports still written), 1 errors.
+(unknown fields and non-finite numbers are rejected) before any
+computation.  ``COMMANDS`` maps each command to its problem schema and its
+handler.  All randomized batteries are drawn from numpy's PCG64 generator
+seeded from the config (command-line --seed overrides), so identical
+config + seed reproduces bit-identical JSON output on a given
+platform/BLAS.  Exit codes: 0 success with all checks passed, 2 completed
+with check failures (reports still written), 1 errors.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -59,61 +62,8 @@ from .evolution import EvolutionProblem, solve_evolution
 from .reports import Report, check_ge, check_le
 from .serialize import tangent_from_json
 
-COMMANDS = (
-    "describe",
-    "markov-check",
-    "gap",
-    "calculus-check",
-    "solve-poisson",
-    "solve-quasilinear",
-    "evolve",
-    "be-check",
-)
-
-_PAIRS = {"type": "array", "items": {
-    "type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2}}
-
-_BACKEND_SCHEMA = {
-    "oneOf": [
-        {
-            "type": "object",
-            "properties": {
-                "kind": {"const": "matrix"},
-                "dim": {"type": "integer", "minimum": 1},
-                "generators": {"type": "array", "items": _PAIRS, "minItems": 1},
-            },
-            "required": ["kind", "dim", "generators"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {
-                "kind": {"const": "nc_torus"},
-                "level": {"type": "integer", "minimum": 1},
-                "theta": {"type": "number"},
-                "rational": {
-                    "oneOf": [
-                        {"type": "null"},
-                        {"type": "array", "items": {"type": "integer"},
-                         "minItems": 2, "maxItems": 2},
-                    ]
-                },
-            },
-            "required": ["kind", "level", "theta"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {
-                "kind": {"const": "cyclic"},
-                "order": {"type": "integer", "minimum": 2},
-                "lengths": {"type": "array", "items": {"type": "number"}},
-            },
-            "required": ["kind", "order", "lengths"],
-            "additionalProperties": False,
-        },
-    ]
-}
+_PAIRS = bk.PAIRS_SCHEMA
+_BACKEND_SCHEMA = {"oneOf": [cls.json_schema for cls in bk.BACKENDS]}
 
 _FLOW_SCHEMA = {
     "oneOf": [
@@ -139,134 +89,38 @@ _FLOW_SCHEMA = {
     ]
 }
 
-_PROBLEM_SCHEMAS = {
-    "describe": {"type": "object", "properties": {}, "additionalProperties": False},
-    "gap": {
-        "type": "object",
-        "properties": {"battery": {"type": "integer", "minimum": 0}},
-        "additionalProperties": False,
-    },
-    "markov-check": {
-        "type": "object",
-        "properties": {
-            "t_samples": {"type": "array", "items": {"type": "number", "minimum": 0}},
-            "battery": {"type": "integer", "minimum": 1},
-        },
-        "required": ["t_samples"],
-        "additionalProperties": False,
-    },
-    "calculus-check": {
-        "type": "object",
-        "properties": {
-            "battery": {"type": "integer", "minimum": 1},
-            "radius": {"oneOf": [{"type": "null"}, {"type": "integer", "minimum": 0}]},
-        },
-        "additionalProperties": False,
-    },
-    "be-check": {
-        "type": "object",
-        "properties": {
-            "K": {"type": "number"},
-            "t_samples": {"type": "array", "items": {"type": "number", "minimum": 0}},
-            "battery": {"type": "integer", "minimum": 1},
-            "radius": {"oneOf": [{"type": "null"}, {"type": "integer", "minimum": 0}]},
-        },
-        "required": ["K", "t_samples"],
-        "additionalProperties": False,
-    },
-    "solve-poisson": {
-        "type": "object",
-        "properties": {
-            "f": _PAIRS,
-            "method": {"enum": ["both", "spectral", "variational"]},
-            "project_kernel": {"type": "boolean"},
-        },
-        "required": ["f"],
-        "additionalProperties": False,
-    },
-    "solve-quasilinear": {
-        "type": "object",
-        "properties": {
-            "f": _PAIRS,
-            "map": {
-                "type": "object",
-                "properties": {
-                    "name": {"enum": ["identity", "curved", "negated"]},
-                    "beta": {"type": "number"},
-                },
-                "required": ["name"],
-                "additionalProperties": False,
-            },
-            "restarts": {"type": "integer", "minimum": 0},
-            "project_kernel": {"type": "boolean"},
-        },
-        "required": ["f", "map"],
-        "additionalProperties": False,
-    },
-    "evolve": {
-        "type": "object",
-        "properties": {
-            "form": {"enum": ["heat", "continuity"]},
-            "u0": _PAIRS,
-            "horizon": {"type": "number", "exclusiveMinimum": 0},
-            "dt": {"type": "number", "exclusiveMinimum": 0},
-            "scheme": {"enum": ["implicit-euler", "crank-nicolson"]},
-            "epsilon": {"type": "number", "minimum": 0},
-            "flow": _FLOW_SCHEMA,
-            "source": {
-                "oneOf": [
-                    {"type": "null"},
-                    {
-                        "type": "object",
-                        "properties": {
-                            "times": {"type": "array", "items": {"type": "number"}},
-                            "elements": {"type": "array", "items": _PAIRS},
-                        },
-                        "required": ["times", "elements"],
-                        "additionalProperties": False,
-                    },
-                ]
-            },
-            "probes": {"type": "integer", "minimum": 0},
-        },
-        "required": ["form", "u0", "horizon", "dt"],
-        "additionalProperties": False,
-    },
-}
-
-CONFIG_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "command": {"enum": list(COMMANDS)},
-        "backend": _BACKEND_SCHEMA,
-        "problem": {"type": "object"},
-        "tolerances": {
-            "type": "object",
-            "properties": {
-                "check": {"type": "number", "exclusiveMinimum": 0},
-                "gap": {"type": "number", "exclusiveMinimum": 0},
-            },
-            "additionalProperties": False,
-        },
-        "seed": {"type": "integer", "minimum": 0},
-        "out": {"type": "string"},
-    },
-    "required": ["command", "backend"],
-    "additionalProperties": False,
-}
-
 
 class ConfigError(Exception):
     pass
 
 
+def _non_finite_path(obj, path: str = "config") -> str | None:
+    """Path of the first NaN or infinite number in a parsed JSON value."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return path
+    if isinstance(obj, dict):
+        children = [(f"{path}.{key}", value) for key, value in obj.items()]
+    elif isinstance(obj, list):
+        children = [(f"{path}[{i}]", value) for i, value in enumerate(obj)]
+    else:
+        return None
+    for child_path, value in children:
+        found = _non_finite_path(value, child_path)
+        if found is not None:
+            return found
+    return None
+
+
 def validate_config(config: dict) -> None:
     try:
         jsonschema.validate(config, CONFIG_SCHEMA)
-        schema = _PROBLEM_SCHEMAS[config["command"]]
+        schema, _ = COMMANDS[config["command"]]
         jsonschema.validate(config.get("problem", {}), schema)
     except jsonschema.ValidationError as exc:
         raise ConfigError(f"invalid config: {exc.message}") from exc
+    bad = _non_finite_path(config)
+    if bad is not None:
+        raise ConfigError(f"invalid config: {bad} is not a finite number")
 
 
 def _dump_json(obj: dict) -> str:
@@ -307,7 +161,7 @@ def _solution_csv(sol) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_describe(space, problem, rng, tol):
+def _cmd_describe(space, problem, rng, tol, out_dir):
     spectrum = [float(np.round(v, 10)) for v in space.evals]
     result = {
         "backend": sz.descriptor_to_json(space.backend),
@@ -320,7 +174,7 @@ def _cmd_describe(space, problem, rng, tol):
     return result, Report(kind="describe", extra=result)
 
 
-def _cmd_gap(space, problem, rng, tol):
+def _cmd_gap(space, problem, rng, tol, out_dir):
     res = poincare_constant(space, rng, battery=problem.get("battery", 32))
     result = {"C_P": res.c_p, "gap": res.gap, "kernel_dim": res.kernel_dim}
     report = Report(kind="gap", extra=res.to_dict())
@@ -329,26 +183,20 @@ def _cmd_gap(space, problem, rng, tol):
     return result, report
 
 
-def _cmd_markov(space, problem, rng, tol):
+def _cmd_markov(space, problem, rng, tol, out_dir):
     report = markov_check(space, problem["t_samples"], rng,
                           battery=problem.get("battery", 16), tol=tol)
     return report.to_dict(), report
 
 
-def _default_radius(desc) -> int | None:
-    # triple products a * b * b^* must stay inside the torus window
-    if isinstance(desc, bk.NCTorus):
-        return desc.level // 3
-    return None
-
-
-def _cmd_calculus(space, problem, rng, tol):
+def _cmd_calculus(space, problem, rng, tol, out_dir):
     battery = problem.get("battery", 50)
-    radius = problem.get("radius", _default_radius(space.backend))
+    desc = space.backend
+    radius = problem.get("radius", desc.default_radius())
     report = Report(kind="calculus-check",
                     extra={"battery": battery, "radius": radius})
-    desc = space.backend
-    if isinstance(desc, bk.NCTorus) and radius == 0:
+    # a backend with a default radius bounds supports by it; radius 0 leaves constants
+    if radius == 0 and desc.default_radius() is not None:
         report.flags.append(
             "degenerate battery: triple products need level >= 3 for nonconstant supports")
 
@@ -394,8 +242,8 @@ def _cmd_calculus(space, problem, rng, tol):
     return report.to_dict(), report
 
 
-def _cmd_be(space, problem, rng, tol):
-    radius = problem.get("radius", _default_radius(space.backend))
+def _cmd_be(space, problem, rng, tol, out_dir):
+    radius = problem.get("radius", space.backend.default_radius())
     battery = [
         bk.random_element(space.backend, rng, radius=radius, self_adjoint=True)
         for _ in range(problem.get("battery", 4))
@@ -515,15 +363,134 @@ def _cmd_evolve(space, problem, rng, tol, out_dir):
         report.extra["boundedness_ratio_max"] = float(res.boundedness_ratio.max())
     report.flags.extend(res.flags)
     _write_trajectory_csv(out_dir, res.times, res.states)
-    _write(out_dir, "summary.json", _dump_json(report.to_dict()))
     return report.to_dict(), report
+
+
+# command -> (problem schema, handler); every handler takes
+# (space, problem, rng, tol, out_dir) and returns (stdout result, report)
+COMMANDS = {
+    "describe": ({"type": "object", "properties": {}, "additionalProperties": False},
+                 _cmd_describe),
+    "gap": ({
+        "type": "object",
+        "properties": {"battery": {"type": "integer", "minimum": 0}},
+        "additionalProperties": False,
+    }, _cmd_gap),
+    "markov-check": ({
+        "type": "object",
+        "properties": {
+            "t_samples": {"type": "array", "items": {"type": "number", "minimum": 0}},
+            "battery": {"type": "integer", "minimum": 1},
+        },
+        "required": ["t_samples"],
+        "additionalProperties": False,
+    }, _cmd_markov),
+    "calculus-check": ({
+        "type": "object",
+        "properties": {
+            "battery": {"type": "integer", "minimum": 1},
+            "radius": {"oneOf": [{"type": "null"}, {"type": "integer", "minimum": 0}]},
+        },
+        "additionalProperties": False,
+    }, _cmd_calculus),
+    "be-check": ({
+        "type": "object",
+        "properties": {
+            "K": {"type": "number"},
+            "t_samples": {"type": "array", "items": {"type": "number", "minimum": 0}},
+            "battery": {"type": "integer", "minimum": 1},
+            "radius": {"oneOf": [{"type": "null"}, {"type": "integer", "minimum": 0}]},
+        },
+        "required": ["K", "t_samples"],
+        "additionalProperties": False,
+    }, _cmd_be),
+    "solve-poisson": ({
+        "type": "object",
+        "properties": {
+            "f": _PAIRS,
+            "method": {"enum": ["both", "spectral", "variational"]},
+            "project_kernel": {"type": "boolean"},
+        },
+        "required": ["f"],
+        "additionalProperties": False,
+    }, _cmd_poisson),
+    "solve-quasilinear": ({
+        "type": "object",
+        "properties": {
+            "f": _PAIRS,
+            "map": {
+                "type": "object",
+                "properties": {
+                    "name": {"enum": ["identity", "curved", "negated"]},
+                    "beta": {"type": "number"},
+                },
+                "required": ["name"],
+                "additionalProperties": False,
+            },
+            "restarts": {"type": "integer", "minimum": 0},
+            "project_kernel": {"type": "boolean"},
+        },
+        "required": ["f", "map"],
+        "additionalProperties": False,
+    }, _cmd_quasilinear),
+    "evolve": ({
+        "type": "object",
+        "properties": {
+            "form": {"enum": ["heat", "continuity"]},
+            "u0": _PAIRS,
+            "horizon": {"type": "number", "exclusiveMinimum": 0},
+            "dt": {"type": "number", "exclusiveMinimum": 0},
+            "scheme": {"enum": ["implicit-euler", "crank-nicolson"]},
+            "epsilon": {"type": "number", "minimum": 0},
+            "flow": _FLOW_SCHEMA,
+            "source": {
+                "oneOf": [
+                    {"type": "null"},
+                    {
+                        "type": "object",
+                        "properties": {
+                            "times": {"type": "array", "items": {"type": "number"}},
+                            "elements": {"type": "array", "items": _PAIRS},
+                        },
+                        "required": ["times", "elements"],
+                        "additionalProperties": False,
+                    },
+                ]
+            },
+            "probes": {"type": "integer", "minimum": 0},
+        },
+        "required": ["form", "u0", "horizon", "dt"],
+        "additionalProperties": False,
+    }, _cmd_evolve),
+}
+
+
+CONFIG_SCHEMA = {
+    "type": "object",
+    "properties": {
+        "command": {"enum": list(COMMANDS)},
+        "backend": _BACKEND_SCHEMA,
+        "problem": {"type": "object"},
+        "tolerances": {
+            "type": "object",
+            "properties": {
+                "check": {"type": "number", "exclusiveMinimum": 0},
+                "gap": {"type": "number", "exclusiveMinimum": 0},
+            },
+            "additionalProperties": False,
+        },
+        "seed": {"type": "integer", "minimum": 0},
+        "out": {"type": "string"},
+    },
+    "required": ["command", "backend"],
+    "additionalProperties": False,
+}
 
 
 def run(config: dict, out_dir: str | None = None, quiet: bool = False,
         seed_override: int | None = None, tol_override: float | None = None) -> int:
     """Execute one validated config; returns the process exit code."""
     validate_config(config)
-    command = config["command"]
     desc = sz.descriptor_from_json(config["backend"])
     tols = config.get("tolerances", {})
     tol = tol_override if tol_override is not None else tols.get("check", 1e-10)
@@ -532,24 +499,8 @@ def run(config: dict, out_dir: str | None = None, quiet: bool = False,
     rng = np.random.Generator(np.random.PCG64(seed))
     out_path = Path(out_dir) if out_dir else (Path(config["out"]) if "out" in config else None)
     space = build_space(desc, gap_tol=gap_tol)
-    problem = config.get("problem", {})
-
-    if command == "describe":
-        result, report = _cmd_describe(space, problem, rng, tol)
-    elif command == "gap":
-        result, report = _cmd_gap(space, problem, rng, tol)
-    elif command == "markov-check":
-        result, report = _cmd_markov(space, problem, rng, tol)
-    elif command == "calculus-check":
-        result, report = _cmd_calculus(space, problem, rng, tol)
-    elif command == "be-check":
-        result, report = _cmd_be(space, problem, rng, tol)
-    elif command == "solve-poisson":
-        result, report = _cmd_poisson(space, problem, rng, tol, out_path)
-    elif command == "solve-quasilinear":
-        result, report = _cmd_quasilinear(space, problem, rng, tol, out_path)
-    else:
-        result, report = _cmd_evolve(space, problem, rng, tol, out_path)
+    _, handler = COMMANDS[config["command"]]
+    result, report = handler(space, config.get("problem", {}), rng, tol, out_path)
 
     text = _dump_json(result)
     _write(out_path, "report.json", _dump_json(report.to_dict()))

@@ -1,7 +1,7 @@
 """Markov generators, semigroups, Dirichlet forms and their verification.
 
 Each backend carries a canonical conservative, tracially symmetric
-generator acting on L^2(tau) coordinates:
+generator acting on L^2(tau) coordinates (its ``generator_matrix``):
 
 * torus        -- diagonal, U^n V^m -> (n^2 + m^2) U^n V^m;
 * matrix       -- sum of double commutators a -> sum_j [v_j, [v_j, a]]
@@ -16,9 +16,10 @@ is recovered from the diffusion identity
 
 ``markov_check`` verifies unitality, contraction, trace symmetry and
 complete positivity (via the Choi matrix of the semigroup transported to
-the representation); ``bakry_emery_check`` tests the gradient-estimate
-ordering Gamma(P_t a) <= e^{-2 K t} P_t Gamma(a) and locates the largest
-passing curvature bound by bisection.
+the representation by the backend's ``rep_semigroup_action``);
+``bakry_emery_check`` tests the gradient-estimate ordering
+Gamma(P_t a) <= e^{-2 K t} P_t Gamma(a) and locates the largest passing
+curvature bound by bisection.
 """
 
 from __future__ import annotations
@@ -28,15 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import backends as bk
-from .backends import (
-    AlgebraElement,
-    CyclicGroup,
-    Density,
-    Descriptor,
-    MatrixAlgebra,
-    NCTorus,
-    NotPositive,
-)
+from .backends import AlgebraElement, Density, Descriptor, NotPositive
 from .reports import Report, check_ge, check_le
 
 GAP_RTOL = 1e-8   # eigenvalues below GAP_RTOL * lambda_max count as kernel
@@ -73,28 +66,8 @@ class DirichletSpace:
         return self.gap_tol * max(lam_max, 1e-300)
 
 
-def torus_multipliers(desc: NCTorus) -> np.ndarray:
-    ns = np.arange(-desc.level, desc.level + 1)
-    return (ns[:, None] ** 2 + ns[None, :] ** 2).astype(float)
-
-
-def _generator_matrix(desc: Descriptor) -> np.ndarray:
-    if isinstance(desc, NCTorus):
-        return np.diag(torus_multipliers(desc).reshape(-1)).astype(np.complex128)
-    if isinstance(desc, CyclicGroup):
-        return np.diag(np.asarray(desc.lengths, dtype=float)).astype(np.complex128)
-    n = desc.dim
-    eye = np.eye(n, dtype=np.complex128)
-    gen = np.zeros((n * n, n * n), dtype=np.complex128)
-    for v in desc.generators:
-        v2 = v @ v
-        # row-major vec(AXB) = kron(A, B^T) vec(X)
-        gen += np.kron(v2, eye) + np.kron(eye, v2.T) - 2.0 * np.kron(v, v.T)
-    return gen
-
-
 def build_space(desc: Descriptor, gap_tol: float = GAP_RTOL) -> DirichletSpace:
-    gen = _generator_matrix(desc)
+    gen = desc.generator_matrix()
     diag = np.diagonal(gen)
     if np.count_nonzero(gen - np.diag(diag)) == 0:
         # exact eigensystem for diagonal generators (torus, cyclic,
@@ -254,22 +227,8 @@ def _rep_semigroup_action(space: DirichletSpace, t: float):
     None when no exact extension exists (irrational theta; rational theta
     whose window is not in bijection with M_q)."""
     desc = space.backend
-    if isinstance(desc, MatrixAlgebra):
-        def act(X):
-            return bk.represent(semigroup_apply(space, t, bk.element(desc, X)))
-        return act, desc.dim
-    if isinstance(desc, CyclicGroup):
-        q = desc.order
-        g = np.arange(q)
-        phi = np.exp(-t * np.asarray(desc.lengths))
-        schur = phi[(g[:, None] - g[None, :]) % q]
-        return (lambda X: schur * X), q
-    if desc.rational is not None and 2 * desc.level + 1 == desc.rational[1]:
-        def act(X):
-            elem = bk.element_from_matrix(desc, X)
-            return bk.represent(semigroup_apply(space, t, elem))
-        return act, desc.rational[1]
-    return None, 0
+    return desc.rep_semigroup_action(
+        t, lambda X: semigroup_apply(space, t, bk.element(desc, X)).data)
 
 
 def _choi_matrix(act, d: int) -> np.ndarray:
@@ -290,7 +249,7 @@ def markov_check(space: DirichletSpace, t_samples, rng: np.random.Generator,
     desc = space.backend
     report = Report(kind="markov-check")
     one = bk.unit(desc)
-    exact_rep = bk.rep_is_exact(desc)
+    exact_rep = desc.rep_is_exact()
     probes = [bk.random_element(desc, rng) for _ in range(battery)]
     for t in t_samples:
         t = float(t)
@@ -344,7 +303,7 @@ def bakry_emery_check(space: DirichletSpace, K: float, t_samples, battery,
     """Check Gamma(P_t a) <= e^{-2Kt} P_t Gamma(a) on a battery of elements
     and report the largest curvature bound passing on it (bisection)."""
     report = Report(kind="bakry-emery-check", extra={"K": float(K)})
-    if not bk.rep_is_exact(space.backend):
+    if not space.backend.rep_is_exact():
         report.flags.append("skipped: approximate representation cannot order densities")
         return report
     pairs = [(float(t), a) for t in t_samples for a in battery]

@@ -17,7 +17,9 @@ fallback for maps whose Jacobian is unreliable.
 Solvability gate: in finite dimensions a weak solution exists only for
 right-hand sides orthogonal to the generator kernel.  Kernel mass beyond
 tolerance is a hard error unless the caller opts into projection, in
-which case the discarded mass is recorded on the report.
+which case the discarded mass is recorded on the report and the residuals
+are measured against the projected right-hand side.  Residuals are
+relative to ||f|| as given.
 """
 
 from __future__ import annotations
@@ -76,42 +78,45 @@ KERNEL_RTOL = 1e-10
 
 
 def _gate_kernel(space: DirichletSpace, f: AlgebraElement, project: bool,
-                 flags: list[str]) -> tuple[np.ndarray, float]:
+                 flags: list[str]) -> tuple[AlgebraElement, float]:
+    """The right-hand side actually solved for (f itself, or f projected off
+    the kernel when ``project``) and the kernel mass of f."""
     c = bk.to_l2(f)
     mass = co.kernel_component(space, c)
     tol = KERNEL_RTOL * max(np.linalg.norm(c), 1e-300)
-    if mass > tol:
+    if not (mass <= tol):      # NaN mass fails the gate
         if not project:
             raise NoSolution(mass, tol)
-        c = co.project_off_kernel(space, c)
+        f = bk.from_l2(space.backend, co.project_off_kernel(space, c))
         flags.append(f"projected_kernel_mass={mass:.6e}")
-    return c, mass
+    return f, mass
 
 
 def _weak_residual(space: DirichletSpace, Fh: TangentVector, f: AlgebraElement) -> float:
     """max_k |<F(grad u), grad w_k> - <f, w_k>| over the full eigenbasis of
-    the domain (kernel included), normalized by ||f||."""
+    the domain (kernel included)."""
     div_F = divergence(space, Fh)
     r = bk.to_l2(div_F) - bk.to_l2(f)
     # <F(grad u), grad w> = <div F(grad u), w> since div is the adjoint
     proj = space.evecs.conj().T @ r
-    return float(np.abs(proj).max() / max(bk.norm_l2(f), 1e-300))
+    return float(np.abs(proj).max())
 
 
 def solve_poisson(space: DirichletSpace, f: AlgebraElement, *,
                   project_kernel: bool = False) -> SolveReport:
     """Spectral solution of div(grad u) = f on the kernel complement."""
     flags: list[str] = []
-    c, mass = _gate_kernel(space, f, project_kernel, flags)
+    f_solved, mass = _gate_kernel(space, f, project_kernel, flags)
     lam, W = co.perp_eigenbasis(space)
-    coeff = W.conj().T @ c
+    coeff = W.conj().T @ bk.to_l2(f_solved)
     u = W @ (coeff / lam)
     sol = bk.from_l2(space.backend, u)
-    strong = bk.norm_l2(bk.from_l2(space.backend, space.generator @ u) - f)
+    strong = bk.norm_l2(bk.from_l2(space.backend, space.generator @ u) - f_solved)
+    fscale = max(bk.norm_l2(f), 1e-300)
     return SolveReport(
         solution=sol,
-        residual_weak=_weak_residual(space, gradient(space, sol), f),
-        residual_strong=float(strong / max(bk.norm_l2(f), 1e-300)),
+        residual_weak=_weak_residual(space, gradient(space, sol), f_solved) / fscale,
+        residual_strong=float(strong / fscale),
         iterations=0,
         galerkin_dim=int(lam.size),
         kernel_component=mass,
@@ -126,9 +131,9 @@ def minimize_dirichlet_energy(space: DirichletSpace, f: AlgebraElement, *,
     """Conjugate-gradient minimization of I(u) = E[u]/2 - Re<f, u> over real
     coordinates of the kernel complement; independent of the eigensystem."""
     flags: list[str] = []
-    c, mass = _gate_kernel(space, f, project_kernel, flags)
+    f_solved, mass = _gate_kernel(space, f, project_kernel, flags)
     A = co.realify_operator(space.generator)
-    b = co.realify_vector(c)
+    b = co.realify_vector(bk.to_l2(f_solved))
     n = b.size
     max_iter = 4 * n if max_iter is None else max_iter
     x = np.zeros(n)
@@ -153,11 +158,12 @@ def minimize_dirichlet_energy(space: DirichletSpace, f: AlgebraElement, *,
     if any(h2 > h1 + 1e-12 * (1 + abs(h1)) for h1, h2 in zip(history, history[1:])):
         flags.append("energy_not_monotone")
     sol = co.element_from_real(space, x)
-    strong = bk.norm_l2(bk.from_l2(space.backend, space.generator @ bk.to_l2(sol)) - f)
+    strong = bk.norm_l2(bk.from_l2(space.backend, space.generator @ bk.to_l2(sol)) - f_solved)
+    fscale = max(bk.norm_l2(f), 1e-300)
     return SolveReport(
         solution=sol,
-        residual_weak=_weak_residual(space, gradient(space, sol), f),
-        residual_strong=float(strong / max(bk.norm_l2(f), 1e-300)),
+        residual_weak=_weak_residual(space, gradient(space, sol), f_solved) / fscale,
+        residual_strong=float(strong / fscale),
         iterations=iters,
         galerkin_dim=n,
         kernel_component=mass,
@@ -298,14 +304,14 @@ def solve_quasilinear(space: DirichletSpace, F: NonlinearMap, f: AlgebraElement,
     if not opts.force:
         probe_rng = np.random.default_rng(opts.seed_probe)
         probe = probe_map(space, F, probe_rng, samples=opts.probe_samples,
-                          radius=_safe_radius(space))
+                          radius=space.backend.safe_radius())
         if not probe.passed:
             failed = [c.name for c in probe.checks if not c.passed]
             raise ConvergenceFailure(f"map {F.name} failed structure probes: {failed}")
-    c, mass = _gate_kernel(space, f, opts.project_kernel, flags)
+    f_solved, mass = _gate_kernel(space, f, opts.project_kernel, flags)
     lam, B, grads = _galerkin_data(space)
     M = B.shape[1]
-    f_real = co.realify_vector(c)
+    f_real = co.realify_vector(bk.to_l2(f_solved))
     rhs = B.T @ f_real          # Re<f, w_k> on the energy-orthonormal basis
 
     def V(d: np.ndarray) -> np.ndarray:
@@ -336,10 +342,11 @@ def solve_quasilinear(space: DirichletSpace, F: NonlinearMap, f: AlgebraElement,
         )
     sol = co.element_from_real(space, B @ d)
     Fh = F(gradient(space, sol))
-    strong = bk.norm_l2(divergence(space, Fh) - f) / max(bk.norm_l2(f), 1e-300)
+    fscale = max(bk.norm_l2(f), 1e-300)
+    strong = bk.norm_l2(divergence(space, Fh) - f_solved) / fscale
     return SolveReport(
         solution=sol,
-        residual_weak=_weak_residual(space, Fh, f),
+        residual_weak=_weak_residual(space, Fh, f_solved) / fscale,
         residual_strong=float(strong),
         iterations=total_iters,
         galerkin_dim=M,
@@ -348,12 +355,6 @@ def solve_quasilinear(space: DirichletSpace, F: NonlinearMap, f: AlgebraElement,
         flags=flags,
         level_residuals=level_residuals,
     )
-
-
-def _safe_radius(space: DirichletSpace) -> int | None:
-    if isinstance(space.backend, bk.NCTorus):
-        return max(space.backend.level // 2, 1)
-    return None
 
 
 def _newton_masked(V, d0: np.ndarray, mask: np.ndarray, opts: QuasilinearOptions,

@@ -37,7 +37,9 @@ import numpy as np
 from . import backends as bk
 from . import coords as co
 from .backends import AlgebraElement
-from .calculus import TangentVector, gradient, hilbert_norm, right_act, zero_tangent
+# gradient and right_act stay bound here: perfbench/tests/test_tracing.py
+# checks that tracing patches and restores them in this namespace
+from .calculus import TangentVector, gradient, hilbert_norm, right_act, zero_tangent  # noqa: F401
 from .dirichlet import DirichletSpace, semigroup_apply
 
 SCHEMES = ("implicit-euler", "crank-nicolson")
@@ -48,9 +50,7 @@ class TripleMaps:
     """Real-coordinate data of the Gelfand triple."""
 
     dim_real: int
-    m_gram: np.ndarray          # L^2 Gram (identity)
     e_gram: np.ndarray          # V Gram: identity + realified generator
-    condition: float            # conditioning of the V Gram
 
     def v_norm_sq(self, x: np.ndarray) -> float:
         return float(x @ (self.e_gram @ x))
@@ -58,17 +58,10 @@ class TripleMaps:
     def h_norm_sq(self, x: np.ndarray) -> float:
         return float(x @ x)
 
-    def dual_riesz(self, x: np.ndarray) -> np.ndarray:
-        """V-representative of the functional v -> <x, v>_H."""
-        return np.linalg.solve(self.e_gram, self.m_gram @ x)
-
 
 def assemble_triple(space: DirichletSpace) -> TripleMaps:
     D = space.dim
-    gen_r = co.realify_operator(space.generator)
-    e_gram = np.eye(2 * D) + gen_r
-    cond = float((1.0 + space.evals[-1]) / (1.0 + space.evals[0]))
-    return TripleMaps(2 * D, np.eye(2 * D), e_gram, cond)
+    return TripleMaps(2 * D, np.eye(2 * D) + co.realify_operator(space.generator))
 
 
 @dataclass
@@ -141,23 +134,14 @@ def source_real(problem: EvolutionProblem, t: float) -> np.ndarray:
 
 
 def _transport_matrix(space: DirichletSpace, h: TangentVector) -> np.ndarray:
-    """Real matrix of (u, v) -> Re< h . u, grad v > on real coordinates."""
-    D = space.dim
-    k = len(h.parts)
-    HB = np.empty((D, k, D), dtype=np.complex128)   # h . e_l per component
-    GB = np.empty((D, k, D), dtype=np.complex128)   # grad e_k per component
-    e = np.zeros(D, dtype=np.complex128)
-    for col in range(D):
-        e[col] = 1.0
-        basis_el = bk.from_l2(space.backend, e)
-        hu = right_act(h, basis_el)
-        gu = gradient(space, basis_el)
-        for c in range(k):
-            HB[col, c] = bk.to_l2(hu.parts[c])
-            GB[col, c] = bk.to_l2(gu.parts[c])
-        e[col] = 0.0
-    # S[a, b] = < h . e_b, grad e_a >  (antilinear in b)
-    S = np.einsum("bcd,acd->ab", HB.conj(), GB)
+    """Real matrix of (u, v) -> Re< h . u, grad v > on real coordinates.
+    With G_c the frame matrices of the gradient and Lmul(h_c) the matrix of
+    u -> h_c u, S[a, b] = < h . e_b, grad e_a > = sum_c (G_c^T conj(Lmul(h_c)))[a, b]
+    (antilinear in b)."""
+    desc = space.backend
+    S = np.zeros((space.dim, space.dim), dtype=np.complex128)
+    for G, p in zip(desc.frame_matrices(), h.parts):
+        S += G.T @ np.conj(desc.lmul(p.data))
     return np.block([[S.real, S.imag], [-S.imag, S.real]])
 
 
@@ -224,9 +208,6 @@ class EvolutionResult:
     solve_residual_max: float
     terminal_error_vs_oracle: float | None
     flags: list[str] = field(default_factory=list)
-
-    def element_at(self, space: DirichletSpace, k: int) -> AlgebraElement:
-        return co.element_from_real(space, self.states[k])
 
 
 def solve_evolution(problem: EvolutionProblem, rng: np.random.Generator | None = None,

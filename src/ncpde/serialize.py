@@ -5,81 +5,44 @@ Backends and elements follow the wire schema
     {"backend": {...}, "data": [[re, im], ...]}
 
 with coefficients flattened row-major in the layout documented in
-``backends``.  Python's JSON float formatting is shortest-round-trip, so
-encode/decode is exact bit-for-bit.
+``backends``; each backend class writes and reads its own descriptor, and
+``BACKEND_KINDS`` maps the wire tag ``kind`` to the class.  Python's JSON float
+formatting is shortest-round-trip, so encode/decode is exact bit-for-bit.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import backends as bk
-from .backends import (
-    AlgebraElement,
-    CyclicGroup,
-    Descriptor,
-    MatrixAlgebra,
-    NCTorus,
-)
+from .backends import AlgebraElement, Descriptor, from_pairs, to_pairs
 from .calculus import TangentVector
 from .dirichlet import DirichletSpace
 
-
-def _pairs(arr: np.ndarray) -> list[list[float]]:
-    flat = np.asarray(arr, dtype=np.complex128).reshape(-1)
-    return [[float(z.real), float(z.imag)] for z in flat]
-
-
-def _from_pairs(pairs, shape) -> np.ndarray:
-    flat = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
-    return flat.reshape(shape)
+BACKEND_KINDS = {cls.kind: cls for cls in bk.BACKENDS}
 
 
 def descriptor_to_json(desc: Descriptor) -> dict:
-    if isinstance(desc, MatrixAlgebra):
-        return {
-            "kind": "matrix",
-            "dim": desc.dim,
-            "generators": [_pairs(v) for v in desc.generators],
-        }
-    if isinstance(desc, NCTorus):
-        return {
-            "kind": "nc_torus",
-            "level": desc.level,
-            "theta": desc.theta,
-            "rational": list(desc.rational) if desc.rational else None,
-        }
-    return {"kind": "cyclic", "order": desc.order, "lengths": list(desc.lengths)}
+    return desc.to_json()
 
 
 def descriptor_from_json(obj: dict) -> Descriptor:
-    kind = obj["kind"]
-    if kind == "matrix":
-        n = int(obj["dim"])
-        gens = tuple(_from_pairs(g, (n, n)) for g in obj["generators"])
-        return MatrixAlgebra(n, gens)
-    if kind == "nc_torus":
-        rat = obj.get("rational")
-        return NCTorus(int(obj["level"]), float(obj["theta"]),
-                       tuple(rat) if rat else None)
-    if kind == "cyclic":
-        return CyclicGroup(int(obj["order"]), tuple(obj["lengths"]))
-    raise ValueError(f"unknown backend kind {kind!r}")
+    cls = BACKEND_KINDS.get(obj["kind"])
+    if cls is None:
+        raise ValueError(f"unknown backend kind {obj['kind']!r}")
+    return cls.from_json(obj)
 
 
 def element_to_json(a: AlgebraElement) -> dict:
-    return {"backend": descriptor_to_json(a.backend), "data": _pairs(a.data)}
+    return {"backend": descriptor_to_json(a.backend), "data": to_pairs(a.data)}
 
 
 def element_from_json(obj: dict, desc: Descriptor | None = None) -> AlgebraElement:
     backend = desc if desc is not None else descriptor_from_json(obj["backend"])
-    shape = bk._data_shape(backend)
-    return AlgebraElement(backend, _from_pairs(obj["data"], shape))
+    return AlgebraElement(backend, from_pairs(obj["data"], backend.shape()))
 
 
 def element_data_from_json(desc: Descriptor, pairs) -> AlgebraElement:
     """Element from a bare coefficient pair list (backend given separately)."""
-    return AlgebraElement(desc, _from_pairs(pairs, bk._data_shape(desc)))
+    return AlgebraElement(desc, from_pairs(pairs, desc.shape()))
 
 
 def tangent_to_json(h: TangentVector) -> list[dict]:

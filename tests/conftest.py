@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ncpde import backends as bk
+from ncpde import calculus as ca
 from ncpde.dirichlet import build_space
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -97,3 +98,56 @@ def assert_elem_close(a, b, tol=1e-12, scale=None):
     num = bk.norm_l2(a - b)
     ref = scale if scale is not None else max(bk.norm_l2(a), bk.norm_l2(b), 1.0)
     assert num <= tol * ref, f"elements differ by {num:.3e} (allowed {tol * ref:.3e})"
+
+
+# ---------------------------------------------------------------------------
+# Reference implementations: operator matrices built by applying the
+# operator to every L^2 basis vector.  The package builds the same matrices
+# in closed form from the backend's left-multiplication matrix and tangent
+# frame; these loops are the oracle they are tested against.
+# ---------------------------------------------------------------------------
+
+
+def _basis(desc):
+    D = desc.l2_dim()
+    for col in range(D):
+        e = np.zeros(D, dtype=complex)
+        e[col] = 1.0
+        yield col, bk.from_l2(desc, e)
+
+
+def loop_lmul(a):
+    """Matrix of x -> a x on L^2 coordinates (for an irrational-theta torus
+    this is its window-compression ``represent``)."""
+    D = a.backend.l2_dim()
+    out = np.zeros((D, D), dtype=complex)
+    for col, e in _basis(a.backend):
+        out[:, col] = bk.to_l2(bk.mul(a, e))
+    return out
+
+
+def loop_gradient_matrix(space):
+    D = space.dim
+    k = ca.tangent_components(space)
+    out = np.zeros((k * D, D), dtype=complex)
+    for col, e in _basis(space.backend):
+        for j, p in enumerate(ca.gradient(space, e).parts):
+            out[j * D : (j + 1) * D, col] = bk.to_l2(p)
+    return out
+
+
+def loop_transport_matrix(space, h):
+    """Real matrix of (u, v) -> Re< h . u, grad v > on real coordinates."""
+    D = space.dim
+    k = len(h.parts)
+    HB = np.empty((D, k, D), dtype=complex)   # h . e_b per component
+    GB = np.empty((D, k, D), dtype=complex)   # grad e_a per component
+    for col, e in _basis(space.backend):
+        hu = ca.right_act(h, e)
+        gu = ca.gradient(space, e)
+        for c in range(k):
+            HB[col, c] = bk.to_l2(hu.parts[c])
+            GB[col, c] = bk.to_l2(gu.parts[c])
+    # S[a, b] = < h . e_b, grad e_a >  (antilinear in b)
+    S = np.einsum("bcd,acd->ab", HB.conj(), GB)
+    return np.block([[S.real, S.imag], [-S.imag, S.real]])

@@ -45,6 +45,16 @@ def test_length_function_validation():
     bk.CyclicGroup(5, (0.0, 1.0, 2.0, 2.0, 1.0))
 
 
+@pytest.mark.parametrize("make", [
+    lambda x: bk.CyclicGroup(4, (0.0, x, 2.0, x)),
+    lambda x: bk.MatrixAlgebra(2, (np.diag([1.0, x]),)),
+], ids=["cyclic-lengths", "matrix-generator"])
+@pytest.mark.parametrize("x", [float("nan"), float("inf")])
+def test_descriptors_reject_non_finite_numbers(make, x):
+    with pytest.raises(ValueError, match="finite"):
+        make(x)
+
+
 def test_negative_type_eigencheck_rejects_bad_lengths():
     # (0, 0, 1, 0) on Z_4 is symmetric and nonnegative but its DFT has a
     # positive coefficient at k=2, so the restricted kernel has a -1 eigenvalue

@@ -368,7 +368,7 @@ def test_metric_nondegeneracy(qubit_space, z4_space):
 
 def test_cyclic_frame_weights_reproduce_length(z4, z5):
     for desc in (z4, z5):
-        active, mu = ca.cyclic_frame(desc)
+        active, mu = desc.frame()
         g = np.arange(desc.order)
         recon = np.zeros(desc.order)
         for k in range(1, desc.order):

@@ -151,9 +151,50 @@ def test_evolve_writes_trajectory(tmp_path, capsys):
     lines = (out_dir / "trajectory.csv").read_text().strip().splitlines()
     assert lines[0].startswith("t,re_000,im_000")
     assert len(lines) == 1 + 6   # header + n_steps + 1 states
-    summary = json.loads((out_dir / "summary.json").read_text())
-    assert summary["passed"] is True
-    assert "terminal_error_vs_oracle" in summary
+    report = json.loads((out_dir / "report.json").read_text())
+    assert report["passed"] is True
+    assert "terminal_error_vs_oracle" in report
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("solve-poisson", {"method": "both"}),
+    ("solve-quasilinear", {"map": {"name": "identity"}}),
+])
+def test_project_kernel_solve_passes_its_checks(tmp_path, capsys, command, extra):
+    # f = U + 0.3 * 1 has kernel mass 0.3; residuals are measured against
+    # the projected right-hand side
+    t = bk.NCTorus(1, THETA_IRR)
+    f = bk.monomial(t, 1, 0) + bk.scale(0.3, bk.unit(t))
+    config = {
+        "command": command,
+        "backend": sz.descriptor_to_json(t),
+        "problem": {"f": sz.element_to_json(f)["data"], "project_kernel": True, **extra},
+        "seed": 3,
+    }
+    out_dir = tmp_path / "out"
+    assert run_main(tmp_path, config, "--out", str(out_dir), "--quiet") == 0
+    report = json.loads((out_dir / "report.json").read_text())
+    flags = [flag for key, value in report.items() if key.startswith("flags") for flag in value]
+    assert "projected_kernel_mass=3.000000e-01" in flags
+
+
+@pytest.mark.parametrize("config, field", [
+    ({"command": "solve-poisson", "backend": TORUS_BACKEND,
+      "problem": {"f": [[float("nan"), 0.0]] + [[0.0, 0.0]] * 48}},
+     "config.problem.f[0][0]"),
+    ({"command": "gap", "backend": {"kind": "cyclic", "order": 4,
+                                    "lengths": [0.0, float("nan"), 2.0, float("nan")]}},
+     "config.backend.lengths[1]"),
+    ({"command": "evolve", "backend": QUBIT_BACKEND,
+      "problem": {"form": "heat", "u0": [[1.0, 0.0]] * 4, "horizon": 1.0,
+                  "dt": float("nan")}},
+     "config.problem.dt"),
+])
+def test_non_finite_config_exits_1_naming_the_field(tmp_path, capsys, config, field):
+    out_dir = tmp_path / "out"
+    assert run_main(tmp_path, config, "--out", str(out_dir)) == 1
+    assert field in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)

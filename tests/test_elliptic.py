@@ -46,6 +46,12 @@ def test_poisson_kernel_gate(torus2, torus2_space):
     assert rep.kernel_component == pytest.approx(1.0)
 
 
+def test_kernel_gate_rejects_nan_right_hand_side(torus2, torus2_space):
+    f = bk.from_l2(torus2, np.full(torus2.l2_dim(), np.nan, dtype=complex))
+    with pytest.raises(el.NoSolution):
+        el.solve_poisson(torus2_space, f)
+
+
 def test_variational_matches_spectral_on_single_mode(torus2, torus2_space):
     U = bk.monomial(torus2, 1, 0)
     rep = el.minimize_dirichlet_energy(torus2_space, U)

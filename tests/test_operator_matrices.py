@@ -1,0 +1,73 @@
+"""The closed-form operator matrices (left multiplication, irrational-theta
+``represent``, ``gradient_matrix`` and the evolution transport matrix)
+against the basis-vector loops in conftest, at sizes beyond the corpus."""
+
+import numpy as np
+import pytest
+
+from ncpde import backends as bk
+from ncpde import calculus as ca
+from ncpde import evolution as ev
+from ncpde.dirichlet import build_space
+from conftest import (
+    THETA_IRR,
+    loop_gradient_matrix,
+    loop_lmul,
+    loop_transport_matrix,
+    make_rng,
+)
+
+RTOL = 1e-12
+
+
+def _hermitian(rng, n):
+    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return (m + m.conj().T) / 2.0
+
+
+def _backend(spec):
+    kind, size = spec
+    if kind == "torus":
+        return bk.NCTorus(size, THETA_IRR)
+    if kind == "rational":
+        return bk.nc_torus_rational(size, 1, 2 * size + 1)
+    if kind == "cyclic":
+        # word length on Z_q is conditionally of negative type
+        return bk.CyclicGroup(size, tuple(float(min(g, size - g)) for g in range(size)))
+    rng = make_rng(500 + size)
+    return bk.MatrixAlgebra(size, (_hermitian(rng, size), _hermitian(rng, size)))
+
+
+SPECS = ([("torus", n) for n in range(2, 7)] + [("rational", 2)]
+         + [("cyclic", q) for q in (16, 32, 64)]
+         + [("matrix", n) for n in range(2, 6)])
+IDS = [f"{kind}{size}" for kind, size in SPECS]
+
+
+def _rel(got, want):
+    return np.linalg.norm(got - want) / max(np.linalg.norm(want), 1e-300)
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=IDS)
+def test_left_multiplication_matrix_matches_product_loop(spec):
+    desc = _backend(spec)
+    a = bk.random_element(desc, make_rng(510))
+    want = loop_lmul(a)
+    assert _rel(desc.lmul(a.data), want) <= RTOL
+    if not desc.rep_is_exact():
+        assert _rel(bk.represent(a), want) <= RTOL
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=IDS)
+def test_gradient_matrix_matches_loop_and_factorizes_generator(spec):
+    space = build_space(_backend(spec))
+    gm = ca.gradient_matrix(space)
+    assert _rel(gm, loop_gradient_matrix(space)) <= RTOL
+    assert _rel(gm.conj().T @ gm, space.generator) <= RTOL
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=IDS)
+def test_transport_matrix_matches_loop(spec):
+    space = build_space(_backend(spec))
+    h = ca.random_tangent(space, make_rng(520))
+    assert _rel(ev._transport_matrix(space, h), loop_transport_matrix(space, h)) <= RTOL
