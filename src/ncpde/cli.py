@@ -23,6 +23,7 @@ import sys
 from pathlib import Path
 
 import jsonschema
+from jsonschema.exceptions import best_match
 import numpy as np
 
 from . import backends as bk
@@ -112,12 +113,12 @@ def _non_finite_path(obj, path: str = "config") -> str | None:
 
 
 def validate_config(config: dict) -> None:
-    try:
-        jsonschema.validate(config, CONFIG_SCHEMA)
-        schema, _ = COMMANDS[config["command"]]
-        jsonschema.validate(config.get("problem", {}), schema)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"invalid config: {exc.message}") from exc
+    error = best_match(_CONFIG_VALIDATOR.iter_errors(config))
+    if error is None:
+        problem = config.get("problem", {})
+        error = best_match(_PROBLEM_VALIDATORS[config["command"]].iter_errors(problem))
+    if error is not None:
+        raise ConfigError(f"invalid config: {error.message}")
     bad = _non_finite_path(config)
     if bad is not None:
         raise ConfigError(f"invalid config: {bad} is not a finite number")
@@ -152,7 +153,7 @@ def _solution_csv(sol) -> str:
     lines = ["index,re,im"]
     flat = bk.to_l2(sol)
     for i, z in enumerate(flat):
-        lines.append(f"{i},{z.real!r},{z.imag!r}")
+        lines.append(f"{i},{float(z.real)!r},{float(z.imag)!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -486,11 +487,18 @@ CONFIG_SCHEMA = {
     "additionalProperties": False,
 }
 
+# built once: the schemas are constants, checked by the test suite
+_CONFIG_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+_PROBLEM_VALIDATORS = {command: jsonschema.Draft202012Validator(schema)
+                       for command, (schema, _) in COMMANDS.items()}
+
 
 def run(config: dict, out_dir: str | None = None, quiet: bool = False,
         seed_override: int | None = None, tol_override: float | None = None) -> int:
     """Execute one validated config; returns the process exit code."""
     validate_config(config)
+    if tol_override is not None and not 0 < tol_override < math.inf:
+        raise ConfigError(f"invalid --tol: {tol_override!r} is not a finite number > 0")
     desc = sz.descriptor_from_json(config["backend"])
     tols = config.get("tolerances", {})
     tol = tol_override if tol_override is not None else tols.get("check", 1e-10)

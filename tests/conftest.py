@@ -3,7 +3,7 @@ import pytest
 
 from ncpde import backends as bk
 from ncpde import calculus as ca
-from ncpde.dirichlet import build_space
+from ncpde.dirichlet import build_space, carre_du_champ, semigroup_apply
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -151,3 +151,52 @@ def loop_transport_matrix(space, h):
     # S[a, b] = < h . e_b, grad e_a >  (antilinear in b)
     S = np.einsum("bcd,acd->ab", HB.conj(), GB)
     return np.block([[S.real, S.imag], [-S.imag, S.real]])
+
+
+# ---------------------------------------------------------------------------
+# Reference implementation: the largest passing Bakry-Emery curvature bound
+# by doubling and bisection on K against a -tol margin slack.  The package
+# computes the bound exactly as one generalised eigenvalue per (t, a) pair;
+# this search is the oracle it is tested against.
+# ---------------------------------------------------------------------------
+
+
+def be_margin(space, K, t, a):
+    """min eigenvalue of represent(e^{-2Kt} P_t Gamma(a) - Gamma(P_t a))."""
+    gamma_a = carre_du_champ(space, a, enforce=False).element
+    factor = np.exp(min(-2.0 * K * t, 600.0))
+    lhs = bk.scale(factor, semigroup_apply(space, t, gamma_a))
+    rhs = carre_du_champ(space, semigroup_apply(space, t, a), enforce=False).element
+    diff = bk.add(lhs, bk.scale(-1.0, rhs))
+    return float(np.linalg.eigvalsh(bk.represent(diff)).min())
+
+
+def bisect_largest_passing_K(space, K, t_samples, battery, tol=1e-9):
+    """Largest K (to bisection accuracy) at which every scaled margin is
+    >= -tol, searched from K within [-2^20, 2^20]; None when even -2^20
+    fails.  A battery that never binds returns the 2^20 cap."""
+    pairs = [(float(t), a) for t in t_samples for a in battery]
+    scales = [max(bk.norm_l2(carre_du_champ(space, a, enforce=False).element), 1.0)
+              for _, a in pairs]
+
+    def min_margin(k):
+        return min(be_margin(space, k, t, a) / s for (t, a), s in zip(pairs, scales))
+
+    lo, hi = float(K), float(K)
+    if min_margin(lo) < -tol:
+        while min_margin(lo) < -tol and lo > -2.0 ** 20:
+            lo = 2.0 * lo if lo < 0 else -max(1.0, 2.0 * abs(lo))
+        hi = float(K)
+    else:
+        hi = max(1.0, 2.0 * abs(K))
+        while min_margin(hi) >= -tol and hi < 2.0 ** 20:
+            hi *= 2.0
+    if min_margin(lo) < -tol:
+        return None
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        if min_margin(mid) >= -tol:
+            lo = mid
+        else:
+            hi = mid
+    return lo

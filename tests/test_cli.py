@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -202,3 +203,28 @@ def test_corpus_runs_clean(path, capsys):
     config = json.loads(path.read_text())
     code = cli.run(config, quiet=True)
     assert code == 0
+
+
+def test_config_schemas_are_valid_draft_2020_12():
+    # the validators are built at import without checking their schemas
+    jsonschema.Draft202012Validator.check_schema(cli.CONFIG_SCHEMA)
+    for schema, _ in cli.COMMANDS.values():
+        jsonschema.Draft202012Validator.check_schema(schema)
+
+
+@pytest.mark.parametrize("name", ["torus_poisson", "torus_quasilinear"])
+def test_solution_csv_cells_are_numbers(tmp_path, name):
+    config = json.loads((CORPUS[0].parent / f"{name}.json").read_text())
+    assert cli.run(config, out_dir=str(tmp_path), quiet=True) == 0
+    rows = (tmp_path / "solution.csv").read_text().strip().splitlines()
+    assert rows[0] == "index,re,im"
+    for row in rows[1:]:
+        index, re, im = row.split(",")
+        int(index), float(re), float(im)
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-10"])
+def test_tol_override_must_be_finite_and_positive(tmp_path, capsys, tol):
+    config = json.loads((CORPUS[0].parent / "torus_gap.json").read_text())
+    assert run_main(tmp_path, config, "--quiet", f"--tol={tol}") == 1
+    assert "--tol" in capsys.readouterr().err

@@ -1,9 +1,14 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
 from ncpde import backends as bk
+from ncpde import cli
 from ncpde import dirichlet as dr
-from conftest import SIGMA_X, SIGMA_Z, THETA_IRR, assert_elem_close, make_rng
+from conftest import (SIGMA_X, SIGMA_Z, THETA_IRR, assert_elem_close,
+                      bisect_largest_passing_K, make_rng)
 
 
 def commutator(a, b):
@@ -353,3 +358,65 @@ def test_be_skipped_for_irrational_torus(torus2, torus2_space):
     report = dr.bakry_emery_check(torus2_space, 0.0, [0.1],
                                   [bk.monomial(torus2, 1, 0)])
     assert report.flags and "skipped" in report.flags[0]
+
+
+def _be_battery(name):
+    """A space and three self-adjoint battery elements with leak-free products."""
+    rng = make_rng(51)
+    if name == "rational5":
+        desc = bk.nc_torus_rational(2, 2, 5)
+    elif name == "rational7":
+        desc = bk.nc_torus_rational(3, 3, 7)
+    elif name == "cyclic16":
+        desc = bk.CyclicGroup(16, tuple(float(min(g, 16 - g)) for g in range(16)))
+    else:
+        gens = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(2)]
+        desc = bk.MatrixAlgebra(3, tuple((g + g.conj().T) / 2.0 for g in gens))
+    battery = [bk.random_element(desc, rng, radius=desc.safe_radius(), self_adjoint=True)
+               for _ in range(3)]
+    return dr.build_space(desc), battery
+
+
+BE_CASES = [(name, t) for name in ("rational5", "rational7", "cyclic16", "matrix3")
+            for t in (0.1, 1.0)]
+
+
+@pytest.mark.parametrize("name,t", BE_CASES)
+def test_be_bound_is_the_largest_passing_K(name, t):
+    space, battery = _be_battery(name)
+    bound = dr.bakry_emery_check(space, 0.0, [t], battery).extra["largest_passing_K"]
+    assert bound is not None
+    assert dr.bakry_emery_check(space, bound - 1e-3, [t], battery).passed
+    assert not dr.bakry_emery_check(space, bound + 1e-3, [t], battery).passed
+
+
+@pytest.mark.parametrize("name,t", BE_CASES)
+def test_be_bound_agrees_with_bisection(name, t):
+    space, battery = _be_battery(name)
+    report = dr.bakry_emery_check(space, 0.0, [t], battery)
+    reference = bisect_largest_passing_K(space, 0.0, [t], battery)
+    assert abs(report.extra["largest_passing_K"] - reference) <= 1e-6
+
+
+@pytest.mark.parametrize("t,radius", [(1.0, 0), (0.0, 1)])
+def test_be_battery_that_never_binds_is_unbounded(tmp_path, t, radius):
+    # constants (radius 0) have Gamma = 0, and t = 0 leaves K free: no pair bounds K
+    config = {
+        "command": "be-check",
+        "backend": {"kind": "nc_torus", "level": 1, "theta": 1 / 3, "rational": [1, 3]},
+        "problem": {"K": 0.0, "t_samples": [t], "battery": 2, "radius": radius},
+        "seed": 1,
+    }
+    assert cli.run(config, out_dir=str(tmp_path), quiet=True) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["largest_passing_K"] is None
+    assert report["flags"] == ["largest_passing_K=unbounded"]
+
+
+def test_be_failure_at_time_zero_admits_no_K(qubit, qubit_space):
+    # doubled eigenvectors make P_0 = 4 id, so Gamma(P_0 a) = 16 Gamma(a) > P_0 Gamma(a)
+    space = dataclasses.replace(qubit_space, evecs=2.0 * qubit_space.evecs)
+    report = dr.bakry_emery_check(space, 0.0, [0.0], [bk.element(qubit, SIGMA_X)])
+    assert not report.passed
+    assert report.extra["largest_passing_K"] is None
+    assert report.flags == ["largest_passing_K=none"]
