@@ -36,19 +36,12 @@ def perp_eigenbasis(space: DirichletSpace) -> tuple[np.ndarray, np.ndarray]:
     return space.evals[keep].copy(), space.evecs[:, keep].copy()
 
 
-def energy_orthonormal_basis(space: DirichletSpace) -> tuple[np.ndarray, np.ndarray]:
-    """Real basis of the kernel complement, orthonormal in the energy inner
-    product: columns are [w_k / sqrt(l_k), i w_k / sqrt(l_k)] realified.
-    Returns (eigenvalue per column, real (2D, 2m) basis matrix)."""
+def energy_orthonormal_basis(space: DirichletSpace) -> np.ndarray:
+    """Real (2D, 2m) basis of the kernel complement, orthonormal in the
+    energy inner product: columns are [w_k / sqrt(l_k), i w_k / sqrt(l_k)]
+    realified."""
     lam, W = perp_eigenbasis(space)
-    cols = []
-    for k in range(lam.size):
-        w = W[:, k] / np.sqrt(lam[k])
-        cols.append(realify_vector(w))
-    for k in range(lam.size):
-        w = 1j * W[:, k] / np.sqrt(lam[k])
-        cols.append(realify_vector(w))
-    return np.concatenate([lam, lam]), np.column_stack(cols)
+    return realify_vector(np.hstack([W, 1j * W]) / np.sqrt(np.concatenate([lam, lam])))
 
 
 def kernel_component(space: DirichletSpace, c: np.ndarray) -> float:

@@ -8,11 +8,12 @@ gradients on the Dirichlet energy functional
     I(u) = ||grad u||^2 / 2 - Re<f, u>
 
 over real coordinates of the kernel complement.  The quasilinear problem
-is projected onto an energy-orthonormal eigenbasis of the kernel
-complement (Galerkin), and the resulting finite root problem V(d) = 0 is
-solved by damped Newton with a finite-difference Jacobian, warm-started
-through a short hierarchy of Galerkin levels, with a damped fixed-point
-fallback for maps whose Jacobian is unreliable.
+is projected onto an energy-orthonormal eigenbasis w of the kernel
+complement (Galerkin).  With Gb the gradient matrix on that basis, the
+finite root problem V(d) = Re(Gb^H F(Gb d)) - Re<f, w> = 0 is solved by
+damped Newton with a finite-difference Jacobian, warm-started through a
+short hierarchy of Galerkin levels, with a damped fixed-point fallback for
+maps whose Jacobian is unreliable.
 
 Solvability gate: in finite dimensions a weak solution exists only for
 right-hand sides orthogonal to the generator kernel.  Kernel mass beyond
@@ -37,10 +38,10 @@ from .calculus import (
     TangentVector,
     divergence,
     gradient,
+    gradient_matrix,
     hilbert_inner,
     hilbert_norm,
     random_tangent,
-    zero_tangent,
 )
 from .dirichlet import DirichletSpace
 from .reports import Report, check_ge, check_le
@@ -59,6 +60,18 @@ class ConvergenceFailure(bk.AlgebraError):
     pass
 
 
+@dataclass(frozen=True)
+class NewtonStep:
+    """One damped-Newton iteration: Galerkin level (active coefficients),
+    infinity-norm residual before the step, accepted step length, and
+    whether the step came from the fixed-point fallback."""
+
+    level: int
+    residual: float
+    alpha: float
+    fixed_point: bool = False
+
+
 @dataclass
 class SolveReport:
     solution: AlgebraElement
@@ -72,6 +85,7 @@ class SolveReport:
     energy_value: float | None = None
     energy_history: list[float] | None = None
     level_residuals: list[float] | None = None
+    newton_trace: list[NewtonStep] | None = None
 
 
 KERNEL_RTOL = 1e-10
@@ -152,7 +166,7 @@ def minimize_dirichlet_energy(space: DirichletSpace, f: AlgebraElement, *,
         d = r + (rr_new / rr) * d
         rr = rr_new
         iters += 1
-        history.append(float(0.5 * x @ (A @ x) - b @ x))
+        history.append(float(-0.5 * x @ (b + r)))   # I(x) with A x = b - r
     if math.sqrt(rr) > stop:
         raise ConvergenceFailure(f"conjugate gradients stalled at residual {math.sqrt(rr):.3e}")
     if any(h2 > h1 + 1e-12 * (1 + abs(h1)) for h1, h2 in zip(history, history[1:])):
@@ -238,13 +252,14 @@ def probe_map(space: DirichletSpace, F: NonlinearMap, rng: np.random.Generator,
         v = random_tangent(space, rng, radius=radius)
         scale_ = rng.uniform(0.1, 3.0)
         h = scale_ * h
-        dF = F(h) - F(v)
+        Fh = F(h)
+        dF = Fh - F(v)
         dh = h - v
         mono = min(mono, hilbert_inner(dF, dh).real
                    / max(hilbert_norm(dh) ** 2, 1e-300))
         nh = hilbert_norm(h)
-        growth = max(growth, hilbert_norm(F(h)) / (1.0 + nh))
-        pairing = hilbert_inner(F(h), h).real
+        growth = max(growth, hilbert_norm(Fh) / (1.0 + nh))
+        pairing = hilbert_inner(Fh, h).real
         coer_lin = min(coer_lin, pairing - F.c1 * nh + F.c2)
         coer_quad = min(coer_quad, pairing - F.c1 * nh ** 2 + F.c2)
     report.checks.append(check_ge("monotonicity_margin", float(mono), -tol))
@@ -274,22 +289,22 @@ class QuasilinearOptions:
     seed_probe: int = 20_240_101
 
 
-def _galerkin_data(space: DirichletSpace):
-    lam, B = co.energy_orthonormal_basis(space)
-    M = B.shape[1]
-    grads = []
-    for j in range(M):
-        e = co.element_from_real(space, B[:, j])
-        grads.append(gradient(space, e))
-    return lam, B, grads
+def galerkin_residual(space: DirichletSpace, F: NonlinearMap, B: np.ndarray,
+                      rhs: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """V_k(d) = Re<F(sum_j d_j grad w_j), grad w_k> - rhs_k on the real
+    basis B (columns w_j), as Re(Gb^H F(Gb d)) - rhs with Gb the gradient
+    matrix of the basis (column j holds grad w_j on L^2 coordinates)."""
+    D = space.dim
+    Gb = gradient_matrix(space) @ (B[:D] + 1j * B[D:])
 
+    def V(d: np.ndarray) -> np.ndarray:
+        h = TangentVector(space, tuple(bk.from_l2(space.backend, g)
+                                       for g in (Gb @ d).reshape(-1, D)))
+        Fh = np.concatenate([bk.to_l2(p) for p in F(h).parts])
+        # <F, grad w_k> is antilinear in F; Re makes the system real
+        return (Fh.conj() @ Gb).real - rhs
 
-def _tangent_sum(space: DirichletSpace, grads, d: np.ndarray) -> TangentVector:
-    acc = zero_tangent(space)
-    for dj, g in zip(d, grads):
-        if dj != 0.0:
-            acc = acc + float(dj) * g
-    return acc
+    return V
 
 
 def solve_quasilinear(space: DirichletSpace, F: NonlinearMap, f: AlgebraElement,
@@ -298,7 +313,8 @@ def solve_quasilinear(space: DirichletSpace, F: NonlinearMap, f: AlgebraElement,
     """Damped-Newton solve of the Galerkin system
     V_k(d) = Re<F(sum_j d_j grad w_j), grad w_k> - Re<f, w_k> = 0
     over the full energy-orthonormal eigenbasis, warm-started through
-    coarser Galerkin levels."""
+    coarser Galerkin levels; V is Re(Gb^H F(Gb d)) - rhs with the gradient
+    matrix Gb of the basis built once (``galerkin_residual``)."""
     opts = opts or QuasilinearOptions()
     flags: list[str] = []
     if not opts.force:
@@ -309,19 +325,10 @@ def solve_quasilinear(space: DirichletSpace, F: NonlinearMap, f: AlgebraElement,
             failed = [c.name for c in probe.checks if not c.passed]
             raise ConvergenceFailure(f"map {F.name} failed structure probes: {failed}")
     f_solved, mass = _gate_kernel(space, f, opts.project_kernel, flags)
-    lam, B, grads = _galerkin_data(space)
+    B = co.energy_orthonormal_basis(space)
     M = B.shape[1]
-    f_real = co.realify_vector(bk.to_l2(f_solved))
-    rhs = B.T @ f_real          # Re<f, w_k> on the energy-orthonormal basis
-
-    def V(d: np.ndarray) -> np.ndarray:
-        Fh = F(_tangent_sum(space, grads, d))
-        out = np.empty(M)
-        for k in range(M):
-            out[k] = hilbert_inner(Fh, grads[k]).real
-        return out - rhs
-
-    # note <F, grad w_k> is antilinear in F; Re makes the system real
+    rhs = B.T @ co.realify_vector(bk.to_l2(f_solved))   # Re<f, w_k>
+    V = galerkin_residual(space, F, B, rhs)
 
     d = np.zeros(M) if opts.init is None else np.asarray(opts.init, dtype=float).copy()
     if d.size != M:
@@ -330,10 +337,11 @@ def solve_quasilinear(space: DirichletSpace, F: NonlinearMap, f: AlgebraElement,
     levels = sorted({max(2, M // 4), max(2, M // 2), M})
     total_iters = 0
     level_residuals = []
+    trace: list[NewtonStep] = []
     for m in levels:
         mask = np.zeros(M, bool)
         mask[:m] = True
-        d, iters = _newton_masked(V, d, mask, opts, scale_)
+        d, iters = _newton_masked(V, d, mask, opts, scale_, trace)
         total_iters += iters
         level_residuals.append(float(np.linalg.norm(V(d), np.inf)))
     if level_residuals[-1] > opts.tol * scale_:
@@ -354,21 +362,27 @@ def solve_quasilinear(space: DirichletSpace, F: NonlinearMap, f: AlgebraElement,
         method="galerkin-newton",
         flags=flags,
         level_residuals=level_residuals,
+        newton_trace=trace,
     )
 
 
 def _newton_masked(V, d0: np.ndarray, mask: np.ndarray, opts: QuasilinearOptions,
-                   scale_: float) -> tuple[np.ndarray, int]:
+                   scale_: float, trace: list[NewtonStep]) -> tuple[np.ndarray, int]:
     """Damped Newton on the masked coordinates with finite-difference
     Jacobian and Armijo backtracking on ||V||^2; falls back to a damped
-    fixed-point sweep when a step cannot reduce the residual."""
+    fixed-point sweep when a step cannot reduce the residual.  Appends one
+    ``NewtonStep`` per iteration to ``trace``."""
     d = d0.copy()
     idx = np.flatnonzero(mask)
     stop = opts.tol * scale_
-    for it in range(opts.max_newton):
-        rm = V(d)[idx]
-        if np.linalg.norm(rm, np.inf) <= stop:
+    rm = V(d)[idx]
+    for it in range(opts.max_newton + 1):
+        res = float(np.linalg.norm(rm, np.inf))
+        if res <= stop:
             return d, it
+        if it == opts.max_newton:
+            raise ConvergenceFailure(f"Newton did not converge in {opts.max_newton} "
+                                     f"iterations (residual {res:.3e})")
         J = np.empty((idx.size, idx.size))
         for col, j in enumerate(idx):
             h = opts.fd_step * (1.0 + abs(d[j]))
@@ -380,34 +394,25 @@ def _newton_masked(V, d0: np.ndarray, mask: np.ndarray, opts: QuasilinearOptions
         except np.linalg.LinAlgError:
             step = np.linalg.lstsq(J, rm, rcond=None)[0]
         base = float(rm @ rm)
-        alpha = 1.0
+        alpha, fixed_point = 1.0, False
         while alpha >= 1e-10:
             trial = d.copy()
             trial[idx] -= alpha * step
             rt = V(trial)[idx]
             if float(rt @ rt) <= (1.0 - 1e-4 * alpha) * base:
-                d = trial
                 break
             alpha *= 0.5
         else:
             # fixed-point fallback: d <- d - alpha V(d), valid for monotone maps
-            alpha_fp = 0.5
-            improved = False
+            alpha, fixed_point = 0.5, True
             for _ in range(40):
                 trial = d.copy()
-                trial[idx] -= alpha_fp * rm
+                trial[idx] -= alpha * rm
                 rt = V(trial)[idx]
                 if float(rt @ rt) < base:
-                    d = trial
-                    improved = True
                     break
-                alpha_fp *= 0.5
-            if not improved:
+                alpha *= 0.5
+            else:
                 raise ConvergenceFailure("Newton and fixed-point steps both stagnated")
-    rm = V(d)[idx]
-    if np.linalg.norm(rm, np.inf) > stop:
-        raise ConvergenceFailure(
-            f"Newton did not converge in {opts.max_newton} iterations "
-            f"(residual {np.linalg.norm(rm, np.inf):.3e})"
-        )
-    return d, opts.max_newton
+        d, rm = trial, rt      # the accepted residual is the next iteration's
+        trace.append(NewtonStep(idx.size, res, alpha, fixed_point))

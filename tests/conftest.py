@@ -3,6 +3,7 @@ import pytest
 
 from ncpde import backends as bk
 from ncpde import calculus as ca
+from ncpde import coords as co
 from ncpde.dirichlet import build_space, carre_du_champ, semigroup_apply
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -92,6 +93,26 @@ def z5():
 @pytest.fixture
 def z5_space(z5):
     return build_space(z5)
+
+
+def _hermitian(rng, n):
+    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return (m + m.conj().T) / 2.0
+
+
+def backend_from_spec(spec):
+    """Backend named by (kind, size): irrational or rational torus level,
+    cyclic order (word-length lengths) or matrix dim (two generators)."""
+    kind, size = spec
+    if kind == "torus":
+        return bk.NCTorus(size, THETA_IRR)
+    if kind == "rational":
+        return bk.nc_torus_rational(size, 1, 2 * size + 1)
+    if kind == "cyclic":
+        # word length on Z_q is conditionally of negative type
+        return bk.CyclicGroup(size, tuple(float(min(g, size - g)) for g in range(size)))
+    rng = make_rng(500 + size)
+    return bk.MatrixAlgebra(size, (_hermitian(rng, size), _hermitian(rng, size)))
 
 
 def assert_elem_close(a, b, tol=1e-12, scale=None):
@@ -200,3 +221,27 @@ def bisect_largest_passing_K(space, K, t_samples, battery, tol=1e-9):
         else:
             hi = mid
     return lo
+
+
+# ---------------------------------------------------------------------------
+# Reference implementation: the Galerkin residual of the quasilinear solve,
+# V_k(d) = Re<F(sum_j d_j grad w_j), grad w_k> - rhs_k, as a sum of gradient
+# tangent vectors and one Hilbert inner product per basis vector.  The
+# package evaluates it as two products with the gradient matrix of the
+# basis; this loop is the oracle it is tested against.
+# ---------------------------------------------------------------------------
+
+
+def loop_galerkin_residual(space, F, B, rhs):
+    grads = [ca.gradient(space, co.element_from_real(space, B[:, j]))
+             for j in range(B.shape[1])]
+
+    def V(d):
+        acc = ca.zero_tangent(space)
+        for dj, g in zip(d, grads):
+            if dj != 0.0:
+                acc = acc + float(dj) * g
+        Fh = F(acc)
+        return np.array([ca.hilbert_inner(Fh, g).real for g in grads]) - rhs
+
+    return V

@@ -199,10 +199,16 @@ def test_non_finite_config_exits_1_naming_the_field(tmp_path, capsys, config, fi
 
 
 @pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)
-def test_corpus_runs_clean(path, capsys):
+def test_corpus_runs_clean(path, tmp_path):
+    # and a second run in the same process writes byte-identical artifacts
     config = json.loads(path.read_text())
-    code = cli.run(config, quiet=True)
-    assert code == 0
+    artifacts = []
+    for name in ("first", "second"):
+        out = tmp_path / name
+        assert cli.run(config, out_dir=str(out), quiet=True) == 0
+        artifacts.append({f.relative_to(out): f.read_bytes()
+                          for f in sorted(out.rglob("*")) if f.is_file()})
+    assert artifacts[0] == artifacts[1] and artifacts[0]
 
 
 def test_config_schemas_are_valid_draft_2020_12():

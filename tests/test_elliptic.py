@@ -1,10 +1,19 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from ncpde import backends as bk
 from ncpde import coords as co
 from ncpde import elliptic as el
-from conftest import SIGMA_X, assert_elem_close, make_rng
+from ncpde.dirichlet import build_space
+from conftest import (
+    SIGMA_X,
+    assert_elem_close,
+    backend_from_spec,
+    loop_galerkin_residual,
+    make_rng,
+)
 
 
 def perp_random(space, rng):
@@ -82,6 +91,19 @@ def test_variational_first_variation_identity(qubit_space):
     assert np.abs(fv).max() <= 1e-10 * max(bk.norm_l2(f), 1.0)
 
 
+def test_variational_energy_history_is_the_energy_functional(pair3_space, torus2_space):
+    # each entry is I(x) = x.Ax/2 - b.x of the iterate, read off the CG residual
+    rng = make_rng(89)
+    for sp in (pair3_space, torus2_space):
+        f = perp_random(sp, rng)
+        rep = el.minimize_dirichlet_energy(sp, f)
+        x = co.realify_vector(bk.to_l2(rep.solution))
+        A = co.realify_operator(sp.generator)
+        b = co.realify_vector(bk.to_l2(f))
+        want = 0.5 * x @ (A @ x) - b @ x
+        assert abs(rep.energy_value - want) <= 1e-12 * max(abs(want), 1.0)
+
+
 def test_solver_agreement_battery(qubit_space, torus2_space, z4_space):
     rng = make_rng(92)
     for sp in (qubit_space, torus2_space, z4_space):
@@ -123,9 +145,82 @@ def test_probe_negated_map_fails(qubit_space):
     assert by_name["monotonicity_margin"] <= -1.0 + 1e-9
 
 
+def counting(F):
+    """F with the same constants, and the list that records each application."""
+    calls = []
+
+    def func(h):
+        calls.append(1)
+        return F(h)
+
+    return dataclasses.replace(F, func=func), calls
+
+
+def test_probe_applies_the_map_twice_per_sample(torus2_space):
+    F, calls = counting(el.identity_map())
+    report = el.probe_map(torus2_space, F, make_rng(93), samples=100, radius=1)
+    want = el.probe_map(torus2_space, el.identity_map(), make_rng(93), samples=100, radius=1)
+    assert report.to_dict() == want.to_dict()
+    assert len(calls) == 2 * 100
+
+
 # ---------------------------------------------------------------------------
 # Quasilinear solves
 # ---------------------------------------------------------------------------
+
+RESIDUAL_SPECS = [("torus", 2), ("torus", 3), ("rational", 2), ("rational", 3),
+                  ("cyclic", 16), ("cyclic", 32), ("matrix", 3), ("matrix", 4)]
+
+
+@pytest.mark.parametrize("make_map", [el.curved_map, el.identity_map, el.negated_map],
+                         ids=["curved", "identity", "negated"])
+@pytest.mark.parametrize("spec", RESIDUAL_SPECS, ids=[f"{k}{n}" for k, n in RESIDUAL_SPECS])
+def test_galerkin_residual_matches_loop(spec, make_map):
+    space = build_space(backend_from_spec(spec))
+    B = co.energy_orthonormal_basis(space)
+    rng = make_rng(600)
+    rhs = rng.standard_normal(B.shape[1])
+    F = make_map()
+    V = el.galerkin_residual(space, F, B, rhs)
+    V_ref = loop_galerkin_residual(space, F, B, rhs)
+    for _ in range(3):
+        d = rng.standard_normal(B.shape[1])
+        want = V_ref(d)
+        assert np.linalg.norm(V(d) - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("spec", [("torus", 4), ("cyclic", 32), ("matrix", 4)],
+                         ids=["torus4", "cyclic32", "matrix4"])
+def test_quasilinear_identity_equals_poisson_at_scale(spec):
+    space = build_space(backend_from_spec(spec))
+    f = perp_random(space, make_rng(601))
+    lin = el.solve_poisson(space, f)
+    non = el.solve_quasilinear(space, el.identity_map(), f)
+    assert bk.norm_l2(lin.solution - non.solution) <= 1e-10 * max(bk.norm_l2(lin.solution), 1.0)
+
+
+def test_quasilinear_newton_trace(torus2_space):
+    f = perp_random(torus2_space, make_rng(603))
+    rep = el.solve_quasilinear(torus2_space, el.curved_map(1.0), f)
+    trace = rep.newton_trace
+    assert len(trace) == rep.iterations > 0
+    M = rep.galerkin_dim
+    levels = [s.level for s in trace]
+    assert levels == sorted(levels) and set(levels) <= {M // 4, M // 2, M}
+    for s in trace:
+        assert 0.0 < s.alpha <= 1.0 and not s.fixed_point and s.residual > 0.0
+
+
+def test_quasilinear_evaluates_each_accepted_residual_once(torus2_space):
+    # per level: the starting residual and the level residual; per Newton
+    # step: one Jacobian column per active coefficient and one trial per
+    # halving of the step; then F once more for the reported residuals
+    F, calls = counting(el.identity_map())
+    f = perp_random(torus2_space, make_rng(602))
+    rep = el.solve_quasilinear(torus2_space, F, f, el.QuasilinearOptions(force=True))
+    levels = len(rep.level_residuals)
+    steps = sum(s.level + 1 + round(np.log2(1.0 / s.alpha)) for s in rep.newton_trace)
+    assert len(calls) == 2 * levels + steps + 1
 
 
 def test_quasilinear_identity_reduces_to_poisson(torus2, torus2_space):

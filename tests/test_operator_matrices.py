@@ -10,7 +10,7 @@ from ncpde import calculus as ca
 from ncpde import evolution as ev
 from ncpde.dirichlet import build_space
 from conftest import (
-    THETA_IRR,
+    backend_from_spec,
     loop_gradient_matrix,
     loop_lmul,
     loop_transport_matrix,
@@ -18,24 +18,6 @@ from conftest import (
 )
 
 RTOL = 1e-12
-
-
-def _hermitian(rng, n):
-    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return (m + m.conj().T) / 2.0
-
-
-def _backend(spec):
-    kind, size = spec
-    if kind == "torus":
-        return bk.NCTorus(size, THETA_IRR)
-    if kind == "rational":
-        return bk.nc_torus_rational(size, 1, 2 * size + 1)
-    if kind == "cyclic":
-        # word length on Z_q is conditionally of negative type
-        return bk.CyclicGroup(size, tuple(float(min(g, size - g)) for g in range(size)))
-    rng = make_rng(500 + size)
-    return bk.MatrixAlgebra(size, (_hermitian(rng, size), _hermitian(rng, size)))
 
 
 SPECS = ([("torus", n) for n in range(2, 7)] + [("rational", 2)]
@@ -50,7 +32,7 @@ def _rel(got, want):
 
 @pytest.mark.parametrize("spec", SPECS, ids=IDS)
 def test_left_multiplication_matrix_matches_product_loop(spec):
-    desc = _backend(spec)
+    desc = backend_from_spec(spec)
     a = bk.random_element(desc, make_rng(510))
     want = loop_lmul(a)
     assert _rel(desc.lmul(a.data), want) <= RTOL
@@ -60,7 +42,7 @@ def test_left_multiplication_matrix_matches_product_loop(spec):
 
 @pytest.mark.parametrize("spec", SPECS, ids=IDS)
 def test_gradient_matrix_matches_loop_and_factorizes_generator(spec):
-    space = build_space(_backend(spec))
+    space = build_space(backend_from_spec(spec))
     gm = ca.gradient_matrix(space)
     assert _rel(gm, loop_gradient_matrix(space)) <= RTOL
     assert _rel(gm.conj().T @ gm, space.generator) <= RTOL
@@ -68,6 +50,6 @@ def test_gradient_matrix_matches_loop_and_factorizes_generator(spec):
 
 @pytest.mark.parametrize("spec", SPECS, ids=IDS)
 def test_transport_matrix_matches_loop(spec):
-    space = build_space(_backend(spec))
+    space = build_space(backend_from_spec(spec))
     h = ca.random_tangent(space, make_rng(520))
     assert _rel(ev._transport_matrix(space, h), loop_transport_matrix(space, h)) <= RTOL
