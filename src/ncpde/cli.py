@@ -303,8 +303,10 @@ def _cmd_quasilinear(space, problem, rng, tol, out_dir):
     worst = 0.0
     for _ in range(restarts):
         init = rng.standard_normal(base.galerkin_dim)
+        # the base solve's structure probe is the gate: it draws from a fixed
+        # seed, so rerunning it on the same map and space gives the same result
         other = solve_quasilinear(
-            space, F, f, QuasilinearOptions(project_kernel=project, init=init))
+            space, F, f, QuasilinearOptions(project_kernel=project, init=init, force=True))
         worst = max(worst, bk.norm_l2(base.solution - other.solution))
     if restarts:
         report.checks.append(check_le("restart_agreement_l2", worst, 1e-8))

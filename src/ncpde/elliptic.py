@@ -308,8 +308,7 @@ def galerkin_residual(space: DirichletSpace, F: NonlinearMap, B: np.ndarray,
 
 
 def solve_quasilinear(space: DirichletSpace, F: NonlinearMap, f: AlgebraElement,
-                      opts: QuasilinearOptions | None = None,
-                      rng: np.random.Generator | None = None) -> SolveReport:
+                      opts: QuasilinearOptions | None = None) -> SolveReport:
     """Damped-Newton solve of the Galerkin system
     V_k(d) = Re<F(sum_j d_j grad w_j), grad w_k> - Re<f, w_k> = 0
     over the full energy-orthonormal eigenbasis, warm-started through

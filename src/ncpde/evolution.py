@@ -11,8 +11,12 @@ continuity form
 
 with a sampled flow t -> h(t) of tangent vectors (linear interpolation
 between samples) and an optional sampled source t -> b(t) given by L^2
-representatives.  Stepping is implicit Euler or Crank-Nicolson; each step
-is one dense solve whose relative residual is recorded.
+representatives.  Stepping is implicit Euler or Crank-Nicolson.  The form
+depends on t only through the flow's interpolation node, so each distinct
+node's form matrix is assembled once and each distinct step operator is
+inverted once (once per run for the heat form or a constant flow); each
+step is then one product with that inverse, and its relative residual is
+still recorded per step.
 
 The transport form annihilates constant test vectors because the gradient
 of the unit vanishes, so for b = 0 the trace Re<u_k, 1> is conserved to
@@ -24,12 +28,12 @@ bound ||v||_op <= sqrt(D) ||v||_2, giving certificates
 
     c0 = eps / 2,   c1 = eps / 2 + D * max_t ||h(t)||^2 / (2 eps),
 
-whose empirical margins are checked on a probe battery every step.
+whose empirical margins are checked on a probe battery every step (evaluated
+once per distinct form matrix).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,12 +55,6 @@ class TripleMaps:
 
     dim_real: int
     e_gram: np.ndarray          # V Gram: identity + realified generator
-
-    def v_norm_sq(self, x: np.ndarray) -> float:
-        return float(x @ (self.e_gram @ x))
-
-    def h_norm_sq(self, x: np.ndarray) -> float:
-        return float(x @ x)
 
 
 def assemble_triple(space: DirichletSpace) -> TripleMaps:
@@ -156,29 +154,79 @@ def form_matrix(problem: EvolutionProblem, t: float) -> np.ndarray:
     return A
 
 
-def step(problem: EvolutionProblem, x: np.ndarray, t: float) -> tuple[np.ndarray, float]:
+def _memo(cache: dict, key, build):
+    """cache[key], built on first use.  Times only advance during a run, so
+    the oldest entry is dropped once two are held: a step needs its own node
+    and the next one, and a sampled flow never returns to an earlier one."""
+    if key not in cache:
+        if len(cache) == 2:
+            del cache[next(iter(cache))]
+        cache[key] = build()
+    return cache[key]
+
+
+class StepOperators:
+    """Step matrices of one run, memoised by the flow's interpolation node.
+
+    ``form_matrix`` depends on t only through the node
+    ``_interp_weights(flow_times, t)``, a constant for the heat form, so each
+    distinct node is assembled once and each distinct (now, next) pair of
+    nodes gives one step matrix, inverted once.  For a constant flow that is
+    one form matrix and one inverse per run."""
+
+    def __init__(self, problem: EvolutionProblem):
+        self.problem = problem
+        self._forms: dict = {}
+        self._steps: dict = {}
+
+    def node(self, t: float):
+        if self.problem.form == "heat":
+            return None
+        return _interp_weights(self.problem.flow_times, t)
+
+    def form(self, t: float) -> np.ndarray:
+        return _memo(self._forms, self.node(t), lambda: form_matrix(self.problem, t))
+
+    def step_matrices(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """(lhs, its inverse, explicit part) of the step from t; the explicit
+        part is None for implicit Euler, whose right-hand side is x itself."""
+        cn = self.problem.scheme == "crank-nicolson"
+        key = (self.node(t) if cn else None, self.node(t + self.problem.dt))
+        return _memo(self._steps, key, lambda: self._build_step(t, cn))
+
+    def _build_step(self, t: float, cn: bool):
+        dt = self.problem.dt
+        eye = np.eye(2 * self.problem.space.dim)
+        if cn:
+            explicit = eye - 0.5 * dt * self.form(t)
+            lhs = eye + 0.5 * dt * self.form(t + dt)
+        else:
+            explicit = None
+            lhs = eye + dt * self.form(t + dt)
+        try:
+            lhs_inv = np.linalg.inv(lhs)
+        except np.linalg.LinAlgError as exc:
+            cond = float(np.linalg.cond(lhs))
+            raise bk.AlgebraError(
+                f"singular step matrix at t={t + dt:g} (condition {cond:.3e}); "
+                "pure transport with eps=0 can lose coercivity"
+            ) from exc
+        return lhs, lhs_inv, explicit
+
+
+def step(problem: EvolutionProblem, x: np.ndarray, t: float,
+         operators: StepOperators | None = None) -> tuple[np.ndarray, float]:
     """Advance one step from time t; returns (next coordinates, relative
-    residual of the linear solve)."""
+    residual of the linear solve).  ``operators`` carries the step matrices
+    from one step to the next; without it they are built for this step."""
+    ops = operators if operators is not None else StepOperators(problem)
     dt = problem.dt
-    if problem.scheme == "implicit-euler":
-        A_next = form_matrix(problem, t + dt)
-        lhs = np.eye(x.size) + dt * A_next
+    lhs, lhs_inv, explicit = ops.step_matrices(t)
+    if explicit is None:
         rhs = x + dt * source_real(problem, t + dt)
     else:
-        A_now = form_matrix(problem, t)
-        A_next = form_matrix(problem, t + dt)
-        lhs = np.eye(x.size) + 0.5 * dt * A_next
-        rhs = (np.eye(x.size) - 0.5 * dt * A_now) @ x + 0.5 * dt * (
-            source_real(problem, t) + source_real(problem, t + dt)
-        )
-    try:
-        x_next = np.linalg.solve(lhs, rhs)
-    except np.linalg.LinAlgError as exc:
-        cond = float(np.linalg.cond(lhs))
-        raise bk.AlgebraError(
-            f"singular step matrix at t={t + dt:g} (condition {cond:.3e}); "
-            "pure transport with eps=0 can lose coercivity"
-        ) from exc
+        rhs = explicit @ x + 0.5 * dt * (source_real(problem, t) + source_real(problem, t + dt))
+    x_next = lhs_inv @ rhs
     resid = float(np.linalg.norm(lhs @ x_next - rhs) / max(np.linalg.norm(rhs), 1e-300))
     return x_next, resid
 
@@ -205,9 +253,28 @@ class EvolutionResult:
     conservation_defect: np.ndarray    # per recorded time
     coercivity_margin: np.ndarray | None
     boundedness_ratio: np.ndarray | None
-    solve_residual_max: float
+    solve_residuals: np.ndarray        # (n_steps,) relative residual of each step
     terminal_error_vs_oracle: float | None
     flags: list[str] = field(default_factory=list)
+
+    @property
+    def solve_residual_max(self) -> float:
+        return float(self.solve_residuals.max())
+
+
+def _probe_stats(A: np.ndarray, probe_vs: np.ndarray, v_sq: np.ndarray, h_sq: np.ndarray,
+                 certs: tuple[float, float] | None) -> tuple[float | None, float]:
+    """Least coercivity margin  v.A v - c0 |v|_V^2 + c1 |v|_H^2  over the
+    probes (None without certificates) and the largest boundedness ratio
+    |v.A w| / (|v|_V |w|_V) over probe pairs v, w (including v = w)."""
+    M = probe_vs @ A @ probe_vs.T
+    margin = None
+    if certs is not None:
+        c0, c1 = certs
+        margin = float(np.min(np.diag(M) - c0 * v_sq + c1 * h_sq))
+    upper = np.triu_indices(len(probe_vs))
+    denom = np.sqrt(np.outer(v_sq, v_sq))[upper]
+    return margin, float(np.max(np.abs(M[upper]) / np.maximum(denom, 1e-300)))
 
 
 def solve_evolution(problem: EvolutionProblem, rng: np.random.Generator | None = None,
@@ -227,35 +294,28 @@ def solve_evolution(problem: EvolutionProblem, rng: np.random.Generator | None =
     if rng is not None:
         probe_vs = rng.standard_normal((probes, D2))
         probe_vs /= np.linalg.norm(probe_vs, axis=1, keepdims=True)
+        v_sq = np.einsum("ij,jk,ik->i", probe_vs, triple.e_gram, probe_vs)
+        h_sq = np.einsum("ij,ij->i", probe_vs, probe_vs)
 
+    ops = StepOperators(problem)
+    probe_memo: dict = {}
     xs = np.empty((n + 1, D2))
     xs[0] = co.realify_vector(bk.to_l2(problem.u0))
     times = problem.dt * np.arange(n + 1)
     defects = np.zeros(n + 1)
     margins = np.empty(n) if (probe_vs is not None and certs is not None) else None
     bounds = np.empty(n) if probe_vs is not None else None
-    resid_max = 0.0
+    residuals = np.empty(n)
     source_acc = 0.0
     for k in range(n):
         t = float(times[k])
         if probe_vs is not None:
-            A = form_matrix(problem, t + problem.dt)
+            t_next = t + problem.dt
+            margin, bounds[k] = _memo(probe_memo, ops.node(t_next), lambda: _probe_stats(
+                ops.form(t_next), probe_vs, v_sq, h_sq, certs))
             if margins is not None:
-                c0, c1 = certs
-                vals = [
-                    float(v @ (A @ v)) - c0 * triple.v_norm_sq(v) + c1 * triple.h_norm_sq(v)
-                    for v in probe_vs
-                ]
-                margins[k] = min(vals)
-            ratios = []
-            for i in range(probes):
-                for j in range(i, probes):
-                    v, w = probe_vs[i], probe_vs[j]
-                    denom = math.sqrt(triple.v_norm_sq(v) * triple.v_norm_sq(w))
-                    ratios.append(abs(float(v @ (A @ w))) / max(denom, 1e-300))
-            bounds[k] = max(ratios)
-        xs[k + 1], resid = step(problem, xs[k], t)
-        resid_max = max(resid_max, resid)
+                margins[k] = margin
+        xs[k + 1], residuals[k] = step(problem, xs[k], t, ops)
         if problem.scheme == "implicit-euler":
             source_acc += problem.dt * float(source_real(problem, t + problem.dt) @ unit_r)
         else:
@@ -276,7 +336,7 @@ def solve_evolution(problem: EvolutionProblem, rng: np.random.Generator | None =
         conservation_defect=defects,
         coercivity_margin=margins,
         boundedness_ratio=bounds,
-        solve_residual_max=resid_max,
+        solve_residuals=residuals,
         terminal_error_vs_oracle=terminal_error,
         flags=flags,
     )

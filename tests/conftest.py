@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from ncpde import backends as bk
 from ncpde import calculus as ca
 from ncpde import coords as co
+from ncpde import evolution as ev
 from ncpde.dirichlet import build_space, carre_du_champ, semigroup_apply
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -245,3 +248,77 @@ def loop_galerkin_residual(space, F, B, rhs):
         return np.array([ca.hilbert_inner(Fh, g).real for g in grads]) - rhs
 
     return V
+
+
+# ---------------------------------------------------------------------------
+# Reference implementation: the evolution loop that assembles the step
+# operator afresh at every step (a form matrix for the probes, at t and at
+# t + dt), solves each step with its own dense solve and evaluates the probe
+# quadratic forms one pair at a time.  The package assembles and inverts
+# each distinct step operator once; this loop is the oracle it is tested
+# against.
+# ---------------------------------------------------------------------------
+
+
+def loop_step(problem, x, t):
+    dt = problem.dt
+    if problem.scheme == "implicit-euler":
+        A_next = ev.form_matrix(problem, t + dt)
+        lhs = np.eye(x.size) + dt * A_next
+        rhs = x + dt * ev.source_real(problem, t + dt)
+    else:
+        A_now = ev.form_matrix(problem, t)
+        A_next = ev.form_matrix(problem, t + dt)
+        lhs = np.eye(x.size) + 0.5 * dt * A_next
+        rhs = (np.eye(x.size) - 0.5 * dt * A_now) @ x + 0.5 * dt * (
+            ev.source_real(problem, t) + ev.source_real(problem, t + dt)
+        )
+    x_next = np.linalg.solve(lhs, rhs)
+    return x_next, float(np.linalg.norm(lhs @ x_next - rhs) / max(np.linalg.norm(rhs), 1e-300))
+
+
+def loop_solve_evolution(problem, rng=None, probes=8):
+    """dict of states, margins, bounds, defects and residuals."""
+    space = problem.space
+    n = problem.n_steps()
+    D2 = 2 * space.dim
+    e_gram = ev.assemble_triple(space).e_gram
+    unit_r = co.realify_vector(bk.to_l2(bk.unit(space.backend)))
+    certs = ev.default_certificates(problem)
+    probe_vs = None
+    if rng is not None:
+        probe_vs = rng.standard_normal((probes, D2))
+        probe_vs /= np.linalg.norm(probe_vs, axis=1, keepdims=True)
+    xs = np.empty((n + 1, D2))
+    xs[0] = co.realify_vector(bk.to_l2(problem.u0))
+    times = problem.dt * np.arange(n + 1)
+    defects = np.zeros(n + 1)
+    margins = np.empty(n) if (probe_vs is not None and certs is not None) else None
+    bounds = np.empty(n) if probe_vs is not None else None
+    residuals = np.empty(n)
+    source_acc = 0.0
+    for k in range(n):
+        t = float(times[k])
+        if probe_vs is not None:
+            A = ev.form_matrix(problem, t + problem.dt)
+            if margins is not None:
+                c0, c1 = certs
+                margins[k] = min(float(v @ (A @ v)) - c0 * float(v @ (e_gram @ v))
+                                 + c1 * float(v @ v) for v in probe_vs)
+            ratios = []
+            for i in range(probes):
+                for j in range(i, probes):
+                    v, w = probe_vs[i], probe_vs[j]
+                    denom = math.sqrt(float(v @ (e_gram @ v)) * float(w @ (e_gram @ w)))
+                    ratios.append(abs(float(v @ (A @ w))) / max(denom, 1e-300))
+            bounds[k] = max(ratios)
+        xs[k + 1], residuals[k] = loop_step(problem, xs[k], t)
+        if problem.scheme == "implicit-euler":
+            source_acc += problem.dt * float(ev.source_real(problem, t + problem.dt) @ unit_r)
+        else:
+            source_acc += 0.5 * problem.dt * float(
+                (ev.source_real(problem, t) + ev.source_real(problem, t + problem.dt)) @ unit_r
+            )
+        defects[k + 1] = float(xs[k + 1] @ unit_r - xs[0] @ unit_r) - source_acc
+    return {"states": xs, "margins": margins, "bounds": bounds, "defects": defects,
+            "residuals": residuals}

@@ -198,6 +198,10 @@ def test_non_finite_config_exits_1_naming_the_field(tmp_path, capsys, config, fi
     assert not out_dir.exists()
 
 
+def _artifacts(out):
+    return {f.relative_to(out): f.read_bytes() for f in sorted(out.rglob("*")) if f.is_file()}
+
+
 @pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)
 def test_corpus_runs_clean(path, tmp_path):
     # and a second run in the same process writes byte-identical artifacts
@@ -206,9 +210,31 @@ def test_corpus_runs_clean(path, tmp_path):
     for name in ("first", "second"):
         out = tmp_path / name
         assert cli.run(config, out_dir=str(out), quiet=True) == 0
-        artifacts.append({f.relative_to(out): f.read_bytes()
-                          for f in sorted(out.rglob("*")) if f.is_file()})
+        artifacts.append(_artifacts(out))
     assert artifacts[0] == artifacts[1] and artifacts[0]
+
+
+def test_quasilinear_restarts_run_the_structure_probe_once(tmp_path, monkeypatch):
+    config = json.loads((CORPUS[0].parent / "torus_quasilinear.json").read_text())
+    assert config["problem"]["restarts"] == 2
+    calls = []
+    probe_map = el.probe_map
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return probe_map(*args, **kwargs)
+
+    monkeypatch.setattr(el, "probe_map", counted)
+    assert cli.run(config, out_dir=str(tmp_path / "once"), quiet=True) == 0
+    assert len(calls) == 1
+    # probing the restart solves as well, as the base solve does, writes the
+    # same bytes: the probe draws from its own fixed seed
+    options = el.QuasilinearOptions
+    monkeypatch.setattr(cli, "QuasilinearOptions",
+                        lambda **kw: options(**{**kw, "force": False}))
+    assert cli.run(config, out_dir=str(tmp_path / "every"), quiet=True) == 0
+    assert len(calls) == 4
+    assert _artifacts(tmp_path / "once") == _artifacts(tmp_path / "every")
 
 
 def test_config_schemas_are_valid_draft_2020_12():

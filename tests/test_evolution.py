@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from ncpde import calculus as ca
 from ncpde import coords as co
 from ncpde import dirichlet as dr
 from ncpde import evolution as ev
-from conftest import SIGMA_X, THETA_IRR, make_rng
+from conftest import SIGMA_X, THETA_IRR, backend_from_spec, loop_solve_evolution, make_rng
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +163,141 @@ def test_flow_interpolation_is_linear():
     mid = ev.flow_at(prob, 0.5)
     expected = 2.0 * h0
     assert max(bk.norm_l2(a - b) for a, b in zip(mid.parts, expected.parts)) <= 1e-14
+
+
+# ---------------------------------------------------------------------------
+# Step operators assembled once, against the per-step reference loop
+# ---------------------------------------------------------------------------
+
+SPECS = [("torus", 2), ("torus", 3), ("torus", 4), ("cyclic", 32), ("cyclic", 64),
+         ("matrix", 3), ("matrix", 4)]
+
+
+@functools.lru_cache(maxsize=None)
+def _space(spec):
+    return dr.build_space(backend_from_spec(spec))
+
+
+def _problem(spec, form, flow, scheme, source, steps=4, dt=0.05):
+    """An evolution on the space named by spec with seeded random data: the
+    flow is absent, one gradient (constant) or three gradients sampled from
+    dt to horizon - dt (held constant before the first sample and after the
+    last), each of unit Hilbert norm."""
+    sp = _space(spec)
+    rng = make_rng(900)
+    desc = sp.backend
+    horizon = steps * dt
+    kw = {}
+    if form == "continuity":
+        kw["epsilon"] = 0.1
+        count = {"constant": 1, "sampled": 3}[flow]
+        grads = [ca.gradient(sp, bk.random_element(desc, rng)) for _ in range(count)]
+        kw["flow"] = [(1.0 / ca.hilbert_norm(h)) * h for h in grads]
+        kw["flow_times"] = list(np.linspace(dt, horizon - dt, count)) if count > 1 else [0.0]
+    if source:
+        kw["source"] = [bk.random_element(desc, rng) for _ in range(2)]
+        kw["source_times"] = [0.0, horizon]
+    return ev.EvolutionProblem(sp, form, bk.random_element(desc, rng), horizon=horizon,
+                               dt=dt, scheme=scheme, **kw)
+
+
+def _assert_close(a, b, scale=1.0, tol=1e-12):
+    # relative to the reference's largest entry, or to ``scale`` where that
+    # is larger: defects and residuals are themselves rounding-level numbers
+    scale = max(float(np.abs(b).max()), scale)
+    assert float(np.abs(a - b).max()) <= tol * scale
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s[0]}{s[1]}")
+@pytest.mark.parametrize("source", [False, True], ids=["nosource", "source"])
+@pytest.mark.parametrize("scheme", ev.SCHEMES)
+@pytest.mark.parametrize("form,flow", [("heat", None), ("continuity", "constant"),
+                                       ("continuity", "sampled")],
+                         ids=["heat", "constant", "sampled"])
+def test_evolution_matches_per_step_loop(spec, form, flow, scheme, source):
+    prob = _problem(spec, form, flow, scheme, source)
+    res = ev.solve_evolution(prob, rng=make_rng(77), probes=5)
+    ref = loop_solve_evolution(prob, rng=make_rng(77), probes=5)
+    _assert_close(res.states, ref["states"])
+    _assert_close(res.coercivity_margin, ref["margins"])
+    _assert_close(res.boundedness_ratio, ref["bounds"])
+    # a defect is a difference of traces of states, so it has their scale
+    _assert_close(res.conservation_defect, ref["defects"], np.abs(ref["states"]).max())
+    _assert_close(res.solve_residuals, ref["residuals"])
+    assert res.solve_residuals.shape == (prob.n_steps(),)
+    assert res.solve_residual_max == res.solve_residuals.max() <= 1e-12
+
+
+def _count_form_matrix(monkeypatch):
+    calls = []
+    form_matrix = ev.form_matrix
+
+    def counted(problem, t):
+        calls.append(t)
+        return form_matrix(problem, t)
+
+    monkeypatch.setattr(ev, "form_matrix", counted)
+    return calls
+
+
+@pytest.mark.parametrize("scheme", ev.SCHEMES)
+@pytest.mark.parametrize("form", ["heat", "continuity"])
+def test_constant_flow_assembles_one_form_matrix_per_run(monkeypatch, form, scheme):
+    calls = _count_form_matrix(monkeypatch)
+    flow = "constant" if form == "continuity" else None
+    for steps in (1, 7):
+        for probes in (None, 1, 6):
+            prob = _problem(("torus", 2), form, flow, scheme, True, steps=steps)
+            rng = None if probes is None else make_rng(78)
+            ev.solve_evolution(prob, rng=rng, probes=probes or 8)
+            assert len(calls) == 1
+            calls.clear()
+
+
+def test_singular_step_matrix_names_the_time(monkeypatch):
+    prob = _problem(("torus", 2), "heat", None, "implicit-euler", False, dt=0.25)
+    D2 = 2 * prob.space.dim
+    # I + dt * (-I / dt) is exactly zero at dt = 0.25
+    monkeypatch.setattr(ev, "form_matrix", lambda problem, t: -np.eye(D2) / problem.dt)
+    with pytest.raises(bk.AlgebraError, match=r"singular step matrix at t=0\.25 "):
+        ev.solve_evolution(prob)
+
+
+# ---------------------------------------------------------------------------
+# Paper identities at larger sizes: torus level 4 (D = 81), cyclic order 64
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("scheme", ev.SCHEMES)
+@pytest.mark.parametrize("spec", [("torus", 4), ("cyclic", 64)], ids=["torus4", "cyclic64"])
+def test_heat_stepping_against_exact_semigroup_at_scale(spec, scheme):
+    # on the generator's eigenbasis each step multiplies a mode by the
+    # scheme's rational function r(dt lam), and the terminal error against
+    # the exact semigroup is |(r(dt lam)^n - e^{-T lam}) c| mode by mode
+    prob = _problem(spec, "heat", None, scheme, False, steps=20, dt=0.05)
+    sp = prob.space
+    res = ev.solve_evolution(prob)
+    z = prob.dt * sp.evals
+    r = 1.0 / (1.0 + z) if scheme == "implicit-euler" else (1.0 - z / 2) / (1.0 + z / 2)
+    c0 = sp.evecs.conj().T @ bk.to_l2(prob.u0)
+    for k in range(prob.n_steps() + 1):
+        exact_k = co.realify_vector(sp.evecs @ (r ** k * c0))
+        _assert_close(res.states[k], exact_k)
+    err = np.linalg.norm((r ** prob.n_steps() - np.exp(-prob.horizon * sp.evals)) * c0)
+    assert res.terminal_error_vs_oracle == pytest.approx(err, rel=1e-9, abs=1e-13)
+    assert res.solve_residual_max <= 1e-12
+
+
+@pytest.mark.parametrize("flow", ["constant", "sampled"])
+@pytest.mark.parametrize("scheme", ev.SCHEMES)
+@pytest.mark.parametrize("spec", [("torus", 4), ("cyclic", 64)], ids=["torus4", "cyclic64"])
+def test_viscous_continuity_conserves_trace_at_scale(spec, scheme, flow):
+    prob = _problem(spec, "continuity", flow, scheme, False, steps=10)
+    res = ev.solve_evolution(prob, rng=make_rng(79))
+    assert np.abs(res.conservation_defect).max() <= 1e-10
+    assert np.abs(res.states[-1] - res.states[0]).max() > 1e-3
+    assert res.coercivity_margin.min() >= -1e-9
+    assert res.solve_residual_max <= 1e-12
 
 
 # ---------------------------------------------------------------------------
