@@ -11,12 +11,14 @@ continuity form
 
 with a sampled flow t -> h(t) of tangent vectors (linear interpolation
 between samples) and an optional sampled source t -> b(t) given by L^2
-representatives.  Stepping is implicit Euler or Crank-Nicolson.  The form
-depends on t only through the flow's interpolation node, so each distinct
-node's form matrix is assembled once and each distinct step operator is
-inverted once (once per run for the heat form or a constant flow); each
-step is then one product with that inverse, and its relative residual is
-still recorded per step.
+representatives.  Stepping is implicit Euler or Crank-Nicolson on the one
+grid t_k = k dt, k = 0..n.  The form depends on t only through the flow's
+interpolation node, computed once per grid time; since times only advance, a
+form matrix is assembled only where the node differs from the previous
+one, and a step operator is inverted only where the nodes of its end points
+change (once per run for the heat form or a constant flow).  The source is
+evaluated once per grid time.  Each step is then ``step``: one product with
+that inverse, with the relative residual of the solve recorded per step.
 
 The transport form annihilates constant test vectors because the gradient
 of the unit vanishes, so for b = 0 the trace Re<u_k, 1> is conserved to
@@ -29,7 +31,7 @@ bound ||v||_op <= sqrt(D) ||v||_2, giving certificates
     c0 = eps / 2,   c1 = eps / 2 + D * max_t ||h(t)||^2 / (2 eps),
 
 whose empirical margins are checked on a probe battery every step (evaluated
-once per distinct form matrix).
+once per step operator).
 """
 
 from __future__ import annotations
@@ -90,15 +92,18 @@ class EvolutionProblem:
             raise bk.BackendMismatch("initial value backend mismatch")
         if self.form == "continuity" and self.flow is None:
             self.flow = [zero_tangent(self.space)]
-            self.flow_times = [0.0]
-        if self.flow is not None and self.flow_times is None:
-            self.flow_times = [0.0] if len(self.flow) == 1 else list(
-                np.linspace(0.0, self.horizon, len(self.flow))
-            )
-        if self.source is not None and self.source_times is None:
-            self.source_times = [0.0] if len(self.source) == 1 else list(
-                np.linspace(0.0, self.horizon, len(self.source))
-            )
+        # sample times default to an even spread over [0, horizon]
+        for name in ("flow", "source"):
+            samples, times = getattr(self, name), getattr(self, f"{name}_times")
+            if samples is None:
+                continue
+            if times is None:
+                times = list(np.linspace(0.0, self.horizon, len(samples)))
+                setattr(self, f"{name}_times", times)
+            if len(times) == 0 or len(times) != len(samples):
+                raise ValueError(f"{name} has {len(times)} times for {len(samples)} samples")
+            if not np.all(np.diff(times) > 0):
+                raise ValueError(f"{name} times must be strictly increasing")
 
     def n_steps(self) -> int:
         return int(round(self.horizon / self.dt))
@@ -123,9 +128,8 @@ def flow_at(problem: EvolutionProblem, t: float) -> TangentVector:
 
 
 def source_real(problem: EvolutionProblem, t: float) -> np.ndarray:
-    D2 = 2 * problem.space.dim
     if problem.source is None:
-        return np.zeros(D2)
+        return np.zeros(2 * problem.space.dim)
     i, j, w = _interp_weights(problem.source_times, t)
     c = (1.0 - w) * bk.to_l2(problem.source[i]) + w * bk.to_l2(problem.source[j])
     return co.realify_vector(c)
@@ -154,81 +158,11 @@ def form_matrix(problem: EvolutionProblem, t: float) -> np.ndarray:
     return A
 
 
-def _memo(cache: dict, key, build):
-    """cache[key], built on first use.  Times only advance during a run, so
-    the oldest entry is dropped once two are held: a step needs its own node
-    and the next one, and a sampled flow never returns to an earlier one."""
-    if key not in cache:
-        if len(cache) == 2:
-            del cache[next(iter(cache))]
-        cache[key] = build()
-    return cache[key]
-
-
-class StepOperators:
-    """Step matrices of one run, memoised by the flow's interpolation node.
-
-    ``form_matrix`` depends on t only through the node
-    ``_interp_weights(flow_times, t)``, a constant for the heat form, so each
-    distinct node is assembled once and each distinct (now, next) pair of
-    nodes gives one step matrix, inverted once.  For a constant flow that is
-    one form matrix and one inverse per run."""
-
-    def __init__(self, problem: EvolutionProblem):
-        self.problem = problem
-        self._forms: dict = {}
-        self._steps: dict = {}
-
-    def node(self, t: float):
-        if self.problem.form == "heat":
-            return None
-        return _interp_weights(self.problem.flow_times, t)
-
-    def form(self, t: float) -> np.ndarray:
-        return _memo(self._forms, self.node(t), lambda: form_matrix(self.problem, t))
-
-    def step_matrices(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """(lhs, its inverse, explicit part) of the step from t; the explicit
-        part is None for implicit Euler, whose right-hand side is x itself."""
-        cn = self.problem.scheme == "crank-nicolson"
-        key = (self.node(t) if cn else None, self.node(t + self.problem.dt))
-        return _memo(self._steps, key, lambda: self._build_step(t, cn))
-
-    def _build_step(self, t: float, cn: bool):
-        dt = self.problem.dt
-        eye = np.eye(2 * self.problem.space.dim)
-        if cn:
-            explicit = eye - 0.5 * dt * self.form(t)
-            lhs = eye + 0.5 * dt * self.form(t + dt)
-        else:
-            explicit = None
-            lhs = eye + dt * self.form(t + dt)
-        try:
-            lhs_inv = np.linalg.inv(lhs)
-        except np.linalg.LinAlgError as exc:
-            cond = float(np.linalg.cond(lhs))
-            raise bk.AlgebraError(
-                f"singular step matrix at t={t + dt:g} (condition {cond:.3e}); "
-                "pure transport with eps=0 can lose coercivity"
-            ) from exc
-        return lhs, lhs_inv, explicit
-
-
-def step(problem: EvolutionProblem, x: np.ndarray, t: float,
-         operators: StepOperators | None = None) -> tuple[np.ndarray, float]:
-    """Advance one step from time t; returns (next coordinates, relative
-    residual of the linear solve).  ``operators`` carries the step matrices
-    from one step to the next; without it they are built for this step."""
-    ops = operators if operators is not None else StepOperators(problem)
-    dt = problem.dt
-    lhs, lhs_inv, explicit = ops.step_matrices(t)
-    if explicit is None:
-        rhs = x + dt * source_real(problem, t + dt)
-    else:
-        rhs = explicit @ x + 0.5 * dt * (source_real(problem, t) + source_real(problem, t + dt))
-    x_next = lhs_inv @ rhs
-    resid = float(np.linalg.norm(lhs @ x_next - rhs) / max(np.linalg.norm(rhs), 1e-300))
-    return x_next, resid
+def step(lhs: np.ndarray, lhs_inv: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
+    """Solve lhs x = rhs by one product with the inverse of lhs; returns
+    (x, relative residual of the solve)."""
+    x = lhs_inv @ rhs
+    return x, float(np.linalg.norm(lhs @ x - rhs) / max(np.linalg.norm(rhs), 1e-300))
 
 
 def default_certificates(problem: EvolutionProblem) -> tuple[float, float] | None:
@@ -238,12 +172,9 @@ def default_certificates(problem: EvolutionProblem) -> tuple[float, float] | Non
         return (1.0, 1.0)
     if problem.epsilon <= 0.0:
         return None
-    D = problem.space.dim
-    hmax = 0.0
-    for h in problem.flow or []:
-        hmax = max(hmax, hilbert_norm(h))
+    hmax = max(hilbert_norm(h) for h in problem.flow)
     eps = problem.epsilon
-    return (eps / 2.0, eps / 2.0 + D * hmax * hmax / (2.0 * eps))
+    return (eps / 2.0, eps / 2.0 + problem.space.dim * hmax * hmax / (2.0 * eps))
 
 
 @dataclass
@@ -284,7 +215,6 @@ def solve_evolution(problem: EvolutionProblem, rng: np.random.Generator | None =
     if abs(n * problem.dt - problem.horizon) > 1e-9 * problem.horizon:
         raise ValueError("horizon must be an integer number of steps")
     D2 = 2 * space.dim
-    triple = assemble_triple(space)
     unit_r = co.realify_vector(bk.to_l2(bk.unit(space.backend)))
     certs = default_certificates(problem)
     flags: list[str] = []
@@ -294,34 +224,55 @@ def solve_evolution(problem: EvolutionProblem, rng: np.random.Generator | None =
     if rng is not None:
         probe_vs = rng.standard_normal((probes, D2))
         probe_vs /= np.linalg.norm(probe_vs, axis=1, keepdims=True)
-        v_sq = np.einsum("ij,jk,ik->i", probe_vs, triple.e_gram, probe_vs)
+        v_sq = np.einsum("ij,jk,ik->i", probe_vs, assemble_triple(space).e_gram, probe_vs)
         h_sq = np.einsum("ij,ij->i", probe_vs, probe_vs)
 
-    ops = StepOperators(problem)
-    probe_memo: dict = {}
+    dt, cn = problem.dt, problem.scheme == "crank-nicolson"
+    weight = 0.5 * dt if cn else dt         # on each end point of a step
+    times = dt * np.arange(n + 1)
+    # the form depends on t only through the flow's interpolation node (none
+    # for the heat form); times only advance, so a node that has changed
+    # never comes back and one comparison with the previous node suffices
+    nodes = [None] * (n + 1) if problem.form == "heat" else [
+        _interp_weights(problem.flow_times, t) for t in times]
+    # a step operator depends on the nodes of its end points (only the later
+    # one for implicit Euler, whose explicit part is the identity)
+    step_keys = [(nodes[k] if cn else None, nodes[k + 1]) for k in range(n)]
+    sources = np.array([source_real(problem, t) for t in times])
+    # b(t_{k+1}), or b(t_k) + b(t_{k+1}) for Crank-Nicolson, times weight
+    step_sources = sources[:-1] + sources[1:] if cn else sources[1:]
+    eye = np.eye(D2)
     xs = np.empty((n + 1, D2))
     xs[0] = co.realify_vector(bk.to_l2(problem.u0))
-    times = problem.dt * np.arange(n + 1)
     defects = np.zeros(n + 1)
     margins = np.empty(n) if (probe_vs is not None and certs is not None) else None
     bounds = np.empty(n) if probe_vs is not None else None
     residuals = np.empty(n)
     source_acc = 0.0
+    A_next = form_matrix(problem, times[0]) if cn else None
     for k in range(n):
-        t = float(times[k])
+        A_now = A_next
+        if A_next is None or nodes[k + 1] != nodes[k]:
+            A_next = form_matrix(problem, times[k + 1])
+        if k == 0 or step_keys[k] != step_keys[k - 1]:
+            lhs = eye + weight * A_next
+            explicit = eye - weight * A_now if cn else None
+            try:
+                lhs_inv = np.linalg.inv(lhs)
+            except np.linalg.LinAlgError as exc:
+                raise bk.AlgebraError(
+                    f"singular step matrix at t={times[k + 1]:g} (condition "
+                    f"{np.linalg.cond(lhs):.3e}); pure transport with eps=0 can lose coercivity"
+                ) from exc
+            if probe_vs is not None:
+                margin, bound = _probe_stats(A_next, probe_vs, v_sq, h_sq, certs)
         if probe_vs is not None:
-            t_next = t + problem.dt
-            margin, bounds[k] = _memo(probe_memo, ops.node(t_next), lambda: _probe_stats(
-                ops.form(t_next), probe_vs, v_sq, h_sq, certs))
+            bounds[k] = bound
             if margins is not None:
                 margins[k] = margin
-        xs[k + 1], residuals[k] = step(problem, xs[k], t, ops)
-        if problem.scheme == "implicit-euler":
-            source_acc += problem.dt * float(source_real(problem, t + problem.dt) @ unit_r)
-        else:
-            source_acc += 0.5 * problem.dt * float(
-                (source_real(problem, t) + source_real(problem, t + problem.dt)) @ unit_r
-            )
+        rhs = (xs[k] if explicit is None else explicit @ xs[k]) + weight * step_sources[k]
+        xs[k + 1], residuals[k] = step(lhs, lhs_inv, rhs)
+        source_acc += weight * float(step_sources[k] @ unit_r)
         defects[k + 1] = float(xs[k + 1] @ unit_r - xs[0] @ unit_r) - source_acc
 
     terminal_error = None

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import jsonschema
@@ -13,6 +14,12 @@ from ncpde.dirichlet import build_space
 from conftest import THETA_IRR
 
 CORPUS = sorted(Path(__file__).resolve().parent.parent.glob("corpus/*.json"))
+# artifacts of every corpus config, committed: a fresh run must match them
+# with check names, verdicts, flags and every other string, bool and integer
+# equal, and floats within GOLDEN_RTOL relative, or GOLDEN_ATOL absolute for
+# rounding-level numbers such as solve residuals and conservation defects
+GOLDEN = Path(__file__).resolve().parent / "golden"
+GOLDEN_RTOL, GOLDEN_ATOL = 1e-9, 1e-12
 
 TORUS_BACKEND = {"kind": "nc_torus", "level": 3, "theta": THETA_IRR, "rational": None}
 QUBIT_BACKEND = {
@@ -198,13 +205,69 @@ def test_non_finite_config_exits_1_naming_the_field(tmp_path, capsys, config, fi
     assert not out_dir.exists()
 
 
+_ZERO_QUBIT = [[0.0, 0.0]] * 4
+
+
+@pytest.mark.parametrize("grid, field", [
+    ({"flow": {"times": [], "vectors": []}}, "flow"),
+    ({"flow": {"times": [0.2, 0.0, 0.1], "vectors": [[_ZERO_QUBIT]] * 3}}, "flow"),
+    ({"flow": {"times": [0.0, 0.2], "vectors": [[_ZERO_QUBIT]] * 3}}, "flow"),
+    ({"source": {"times": [], "elements": []}}, "source"),
+    ({"source": {"times": [0.1, 0.0], "elements": [_ZERO_QUBIT] * 2}}, "source"),
+    ({"source": {"times": [0.0, 0.1, 0.2], "elements": [_ZERO_QUBIT] * 2}}, "source"),
+], ids=["flow-empty", "flow-unsorted", "flow-count", "source-empty", "source-unsorted",
+        "source-count"])
+def test_malformed_sample_grid_exits_1_naming_the_field(tmp_path, capsys, grid, field):
+    config = {
+        "command": "evolve", "backend": QUBIT_BACKEND,
+        "problem": {"form": "continuity", "u0": [[1.0, 0.0]] * 4, "horizon": 0.2,
+                    "dt": 0.1, "epsilon": 0.1, **grid},
+    }
+    out_dir = tmp_path / "out"
+    assert run_main(tmp_path, config, "--out", str(out_dir)) == 1
+    assert field in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def _artifacts(out):
     return {f.relative_to(out): f.read_bytes() for f in sorted(out.rglob("*")) if f.is_file()}
 
 
+def _csv_cell(text):
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+def _parsed(name, data):
+    text = data.decode("utf-8")
+    if name.suffix == ".json":
+        return json.loads(text)
+    return [[_csv_cell(cell) for cell in line.split(",")] for line in text.splitlines()]
+
+
+def _assert_matches_golden(new, old, where):
+    if isinstance(old, float) and isinstance(new, float):
+        assert math.isclose(new, old, rel_tol=GOLDEN_RTOL, abs_tol=GOLDEN_ATOL), where
+    elif isinstance(old, dict):
+        assert isinstance(new, dict) and new.keys() == old.keys(), where
+        for key in old:
+            _assert_matches_golden(new[key], old[key], f"{where}.{key}")
+    elif isinstance(old, list):
+        assert isinstance(new, list) and len(new) == len(old), where
+        for i, (a, b) in enumerate(zip(new, old)):
+            _assert_matches_golden(a, b, f"{where}[{i}]")
+    else:
+        assert type(new) is type(old) and new == old, where
+
+
 @pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)
 def test_corpus_runs_clean(path, tmp_path):
-    # and a second run in the same process writes byte-identical artifacts
+    # a second run in the same process writes byte-identical artifacts, and
+    # they match the committed golden run
     config = json.loads(path.read_text())
     artifacts = []
     for name in ("first", "second"):
@@ -212,6 +275,11 @@ def test_corpus_runs_clean(path, tmp_path):
         assert cli.run(config, out_dir=str(out), quiet=True) == 0
         artifacts.append(_artifacts(out))
     assert artifacts[0] == artifacts[1] and artifacts[0]
+    golden = _artifacts(GOLDEN / path.stem)
+    assert artifacts[0].keys() == golden.keys()
+    for name, data in golden.items():
+        _assert_matches_golden(_parsed(name, artifacts[0][name]), _parsed(name, data),
+                               f"{path.stem}/{name}")
 
 
 def test_quasilinear_restarts_run_the_structure_probe_once(tmp_path, monkeypatch):

@@ -228,22 +228,23 @@ def test_evolution_matches_per_step_loop(spec, form, flow, scheme, source):
     assert res.solve_residual_max == res.solve_residuals.max() <= 1e-12
 
 
-def _count_form_matrix(monkeypatch):
+def _count_calls(monkeypatch, name="form_matrix"):
+    """The times passed to ``ev.<name>(problem, t)`` from now on, in call order."""
     calls = []
-    form_matrix = ev.form_matrix
+    fn = getattr(ev, name)
 
     def counted(problem, t):
         calls.append(t)
-        return form_matrix(problem, t)
+        return fn(problem, t)
 
-    monkeypatch.setattr(ev, "form_matrix", counted)
+    monkeypatch.setattr(ev, name, counted)
     return calls
 
 
 @pytest.mark.parametrize("scheme", ev.SCHEMES)
 @pytest.mark.parametrize("form", ["heat", "continuity"])
 def test_constant_flow_assembles_one_form_matrix_per_run(monkeypatch, form, scheme):
-    calls = _count_form_matrix(monkeypatch)
+    calls = _count_calls(monkeypatch)
     flow = "constant" if form == "continuity" else None
     for steps in (1, 7):
         for probes in (None, 1, 6):
@@ -252,6 +253,30 @@ def test_constant_flow_assembles_one_form_matrix_per_run(monkeypatch, form, sche
             ev.solve_evolution(prob, rng=rng, probes=probes or 8)
             assert len(calls) == 1
             calls.clear()
+
+
+@pytest.mark.parametrize("scheme", ev.SCHEMES)
+def test_sampled_flow_assembles_one_form_matrix_per_node(monkeypatch, scheme):
+    # the form is needed at t_1..t_n, and at t_0 for Crank-Nicolson; it is
+    # assembled on the grid, once per distinct interpolation node
+    calls = _count_calls(monkeypatch)
+    prob = _problem(("torus", 2), "continuity", "sampled", scheme, True, steps=10, dt=0.02)
+    ev.solve_evolution(prob, rng=make_rng(80), probes=3)
+    grid = list(prob.dt * np.arange(prob.n_steps() + 1))
+    if scheme == "implicit-euler":
+        grid = grid[1:]
+    nodes = {ev._interp_weights(prob.flow_times, t) for t in grid}
+    assert len(calls) == len(nodes)
+    assert set(calls) <= set(grid)
+    assert {ev._interp_weights(prob.flow_times, t) for t in calls} == nodes
+
+
+@pytest.mark.parametrize("scheme", ev.SCHEMES)
+def test_source_is_evaluated_once_per_grid_time(monkeypatch, scheme):
+    calls = _count_calls(monkeypatch, "source_real")
+    prob = _problem(("torus", 2), "heat", None, scheme, True, steps=10)
+    ev.solve_evolution(prob, rng=make_rng(81))
+    assert calls == list(prob.dt * np.arange(prob.n_steps() + 1))
 
 
 def test_singular_step_matrix_names_the_time(monkeypatch):
