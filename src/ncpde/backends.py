@@ -447,7 +447,7 @@ class NCTorus(Descriptor):
     def restrict_support(self, data, radius):
         if radius is None:
             return data
-        N = self.level
+        N, radius = self.level, min(radius, self.level)
         mask = np.zeros(self.shape())
         mask[N - radius : N + radius + 1, N - radius : N + radius + 1] = 1.0
         return data * mask
@@ -795,27 +795,16 @@ class Density:
     def __repr__(self):
         return f"Density(witness={self.witness}, leak={self.leak:.3g})"
 
-    def pair(self, f: AlgebraElement) -> complex:
-        """tau(rho * f)."""
-        return trace(mul(self.element, f))
-
     def trace(self) -> complex:
         return trace(self.element)
 
 
-def as_density(a: AlgebraElement, *, leak: float = 0.0, enforce: bool = True,
-               tol: float | None = None) -> Density:
+def as_density(a: AlgebraElement) -> Density:
+    """``a`` with its positivity witness (None unless self-adjoint)."""
     wit = None
     if is_self_adjoint(a):
         wit = float(np.linalg.eigvalsh(represent(a)).min())
-    if enforce:
-        cut = positivity_tol(a.backend) if tol is None else tol
-        scale_ = max(norm_l2(a), 1.0)
-        if wit is None:
-            raise NotSelfAdjoint("density candidate is not self-adjoint")
-        if leak <= cut * scale_ and wit < -cut * scale_:
-            raise NotPositive(f"density witness {wit:.3e} below -{cut:.1e} * {scale_:.3g}")
-    return Density(a, wit, leak)
+    return Density(a, wit)
 
 
 def _spectral_map(a: AlgebraElement, fn: Callable[[np.ndarray], np.ndarray]) -> AlgebraElement:
@@ -831,7 +820,7 @@ def positive_decompose(a: AlgebraElement) -> tuple[Density, Density]:
     element into positive parts, via eigendecomposition of represent(a)."""
     plus = _spectral_map(a, lambda s: np.clip(s, 0.0, None))
     minus = _spectral_map(a, lambda s: np.clip(-s, 0.0, None))
-    return as_density(plus, enforce=False), as_density(minus, enforce=False)
+    return as_density(plus), as_density(minus)
 
 
 def sqrt_positive(a: AlgebraElement) -> AlgebraElement:

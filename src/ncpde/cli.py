@@ -51,7 +51,6 @@ from .dirichlet import (
 )
 from .elliptic import (
     NoSolution,
-    QuasilinearOptions,
     curved_map,
     identity_map,
     minimize_dirichlet_energy,
@@ -125,7 +124,8 @@ def validate_config(config: dict) -> None:
 
 
 def _dump_json(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    # NaN and Infinity are not JSON: a non-finite number fails the run (exit 1)
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _write(out_dir: Path | None, name: str, text: str) -> None:
@@ -291,8 +291,7 @@ def _cmd_quasilinear(space, problem, rng, tol, out_dir):
     f = sz.element_data_from_json(space.backend, problem["f"])
     F = _make_map(problem["map"])
     project = problem.get("project_kernel", False)
-    opts = QuasilinearOptions(project_kernel=project)
-    base = solve_quasilinear(space, F, f, opts)
+    base = solve_quasilinear(space, F, f, project_kernel=project)
     report = Report(kind="solve-quasilinear", extra={"map": F.name})
     report.checks.append(check_le("weak_residual", base.residual_weak, 1e-8))
     report.checks.append(check_le("strong_residual", base.residual_strong, 1e-8))
@@ -305,8 +304,7 @@ def _cmd_quasilinear(space, problem, rng, tol, out_dir):
         init = rng.standard_normal(base.galerkin_dim)
         # the base solve's structure probe is the gate: it draws from a fixed
         # seed, so rerunning it on the same map and space gives the same result
-        other = solve_quasilinear(
-            space, F, f, QuasilinearOptions(project_kernel=project, init=init, force=True))
+        other = solve_quasilinear(space, F, f, init=init, force=True, project_kernel=project)
         worst = max(worst, bk.norm_l2(base.solution - other.solution))
     if restarts:
         report.checks.append(check_le("restart_agreement_l2", worst, 1e-8))

@@ -196,8 +196,9 @@ class PoincareResult:
 
 def poincare_constant(space: DirichletSpace, rng: np.random.Generator | None = None,
                       battery: int = 32, tol: float = 1e-10) -> PoincareResult:
-    """Spectral gap above the kernel, its inverse, and an optional random
-    verification of ||a||^2 <= (C_P + tol) E[a] on the kernel complement."""
+    """Spectral gap above the kernel, its inverse, and, given an rng and a
+    nonempty battery, a random verification of ||a||^2 <= (C_P + tol) E[a]
+    on the kernel complement."""
     cut = space.kernel_cut()
     above = space.evals[space.evals >= cut]
     if above.size == 0:
@@ -205,7 +206,7 @@ def poincare_constant(space: DirichletSpace, rng: np.random.Generator | None = N
     gap = float(above[0])
     c_p = 1.0 / gap
     margin = None
-    if rng is not None:
+    if rng is not None and battery > 0:
         perp = space.evecs[:, space.kernel_dim:]
         worst = np.inf
         for _ in range(battery):

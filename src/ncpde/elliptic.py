@@ -34,15 +34,7 @@ import numpy as np
 from . import backends as bk
 from . import coords as co
 from .backends import AlgebraElement
-from .calculus import (
-    TangentVector,
-    divergence,
-    gradient,
-    gradient_matrix,
-    hilbert_inner,
-    hilbert_norm,
-    random_tangent,
-)
+from .calculus import divergence, gradient, gradient_matrix, tangent_components
 from .dirichlet import DirichletSpace
 from .reports import Report, check_ge, check_le
 
@@ -89,6 +81,13 @@ class SolveReport:
 
 
 KERNEL_RTOL = 1e-10
+CG_RTOL = 1e-13               # conjugate gradients stop at CG_RTOL * ||f||
+NEWTON_RTOL = 1e-12           # Newton stops at NEWTON_RTOL * ||rhs|| (max norm)
+MAX_NEWTON = 60               # Newton iterations per Galerkin level
+FD_STEP = 1e-6                # Jacobian column step, relative to 1 + |d_j|
+PROBE_SAMPLES = 64            # structure-probe sample pairs per solve
+PROBE_SEED = 20_240_101       # the probes' own seed: equal maps and spaces probe alike
+PROBE_TOL = 1e-9              # slack of every structure-probe check
 
 
 def _gate_kernel(space: DirichletSpace, f: AlgebraElement, project: bool,
@@ -106,13 +105,11 @@ def _gate_kernel(space: DirichletSpace, f: AlgebraElement, project: bool,
     return f, mass
 
 
-def _weak_residual(space: DirichletSpace, Fh: TangentVector, f: AlgebraElement) -> float:
+def _weak_residual(space: DirichletSpace, div_F: np.ndarray, f: AlgebraElement) -> float:
     """max_k |<F(grad u), grad w_k> - <f, w_k>| over the full eigenbasis of
-    the domain (kernel included)."""
-    div_F = divergence(space, Fh)
-    r = bk.to_l2(div_F) - bk.to_l2(f)
+    the domain (kernel included), from div F(grad u) on L^2 coordinates."""
     # <F(grad u), grad w> = <div F(grad u), w> since div is the adjoint
-    proj = space.evecs.conj().T @ r
+    proj = space.evecs.conj().T @ (div_F - bk.to_l2(f))
     return float(np.abs(proj).max())
 
 
@@ -129,7 +126,8 @@ def solve_poisson(space: DirichletSpace, f: AlgebraElement, *,
     fscale = max(bk.norm_l2(f), 1e-300)
     return SolveReport(
         solution=sol,
-        residual_weak=_weak_residual(space, gradient(space, sol), f_solved) / fscale,
+        residual_weak=_weak_residual(
+            space, bk.to_l2(divergence(space, gradient(space, sol))), f_solved) / fscale,
         residual_strong=float(strong / fscale),
         iterations=0,
         galerkin_dim=int(lam.size),
@@ -140,8 +138,7 @@ def solve_poisson(space: DirichletSpace, f: AlgebraElement, *,
 
 
 def minimize_dirichlet_energy(space: DirichletSpace, f: AlgebraElement, *,
-                              project_kernel: bool = False, tol: float = 1e-13,
-                              max_iter: int | None = None) -> SolveReport:
+                              project_kernel: bool = False) -> SolveReport:
     """Conjugate-gradient minimization of I(u) = E[u]/2 - Re<f, u> over real
     coordinates of the kernel complement; independent of the eigensystem."""
     flags: list[str] = []
@@ -149,15 +146,14 @@ def minimize_dirichlet_energy(space: DirichletSpace, f: AlgebraElement, *,
     A = co.realify_operator(space.generator)
     b = co.realify_vector(bk.to_l2(f_solved))
     n = b.size
-    max_iter = 4 * n if max_iter is None else max_iter
     x = np.zeros(n)
     r = b.copy()
     d = r.copy()
     rr = float(r @ r)
     history = [0.0]
-    stop = tol * max(math.sqrt(float(b @ b)), 1e-300)
+    stop = CG_RTOL * max(math.sqrt(float(b @ b)), 1e-300)
     iters = 0
-    while math.sqrt(rr) > stop and iters < max_iter:
+    while math.sqrt(rr) > stop and iters < 4 * n:
         Ad = A @ d
         alpha = rr / float(d @ Ad)
         x = x + alpha * d
@@ -176,7 +172,8 @@ def minimize_dirichlet_energy(space: DirichletSpace, f: AlgebraElement, *,
     fscale = max(bk.norm_l2(f), 1e-300)
     return SolveReport(
         solution=sol,
-        residual_weak=_weak_residual(space, gradient(space, sol), f_solved) / fscale,
+        residual_weak=_weak_residual(
+            space, bk.to_l2(divergence(space, gradient(space, sol))), f_solved) / fscale,
         residual_strong=float(strong / fscale),
         iterations=iters,
         galerkin_dim=n,
@@ -197,16 +194,20 @@ def minimize_dirichlet_energy(space: DirichletSpace, f: AlgebraElement, *,
 class NonlinearMap:
     """A map F on tangent vectors with its declared structure constants:
     growth ||F(h)|| <= c0 (1 + ||h||), coercivity Re<F(h), h> >= c1 ||h|| - c2,
-    and strong monotonicity modulus theta (None if only plain monotone)."""
+    and strong monotonicity modulus theta (None if only plain monotone).
 
-    func: Callable[[TangentVector], TangentVector]
+    ``func`` acts on the stacked complex L^2 coordinates of tangent vectors:
+    the last axis has length k*D (the k frame components in order), and any
+    leading axes are a batch of vectors mapped independently."""
+
+    func: Callable[[np.ndarray], np.ndarray]
     name: str
     c0: float
     c1: float
     c2: float
     theta: float | None = None
 
-    def __call__(self, h: TangentVector) -> TangentVector:
+    def __call__(self, h: np.ndarray) -> np.ndarray:
         return self.func(h)
 
 
@@ -221,9 +222,9 @@ def curved_map(beta: float = 1.0) -> NonlinearMap:
     if beta < 0:
         raise ValueError("beta must be nonnegative")
 
-    def f(h: TangentVector) -> TangentVector:
-        s = 1.0 + beta / math.sqrt(1.0 + hilbert_norm(h) ** 2)
-        return s * h
+    def f(h: np.ndarray) -> np.ndarray:
+        norm = np.linalg.norm(h, axis=-1, keepdims=True)
+        return (1.0 + beta / np.sqrt(1.0 + norm ** 2)) * h
 
     return NonlinearMap(f, f"curved(beta={beta:g})", c0=1.0 + beta, c1=1.0, c2=0.25, theta=1.0)
 
@@ -234,59 +235,49 @@ def negated_map() -> NonlinearMap:
 
 
 def probe_map(space: DirichletSpace, F: NonlinearMap, rng: np.random.Generator,
-              samples: int = 200, *, radius: int | None = None,
-              tol: float = 1e-9) -> Report:
+              samples: int = 200, *, radius: int | None = None) -> Report:
     """Statistical verification of monotonicity, growth and coercivity.
 
-    Coercivity is probed in the declared linear form Re<F(h), h> >=
-    c1 ||h|| - c2 and, additionally, in the quadratic form with the same
-    constants; both margins are reported.
+    Each sample draws h and v (componentwise ``random_element`` draws) and a
+    scale for h, in that order.  Coercivity is probed in the declared linear
+    form Re<F(h), h> >= c1 ||h|| - c2 and, additionally, in the quadratic
+    form with the same constants; both margins are reported.
     """
     report = Report(kind="probe-map", extra={"map": F.name, "samples": samples})
-    mono = np.inf
-    growth = 0.0
-    coer_lin = np.inf
-    coer_quad = np.inf
-    for _ in range(samples):
-        h = random_tangent(space, rng, radius=radius)
-        v = random_tangent(space, rng, radius=radius)
-        scale_ = rng.uniform(0.1, 3.0)
-        h = scale_ * h
-        Fh = F(h)
-        dF = Fh - F(v)
-        dh = h - v
-        mono = min(mono, hilbert_inner(dF, dh).real
-                   / max(hilbert_norm(dh) ** 2, 1e-300))
-        nh = hilbert_norm(h)
-        growth = max(growth, hilbert_norm(Fh) / (1.0 + nh))
-        pairing = hilbert_inner(Fh, h).real
-        coer_lin = min(coer_lin, pairing - F.c1 * nh + F.c2)
-        coer_quad = min(coer_quad, pairing - F.c1 * nh ** 2 + F.c2)
-    report.checks.append(check_ge("monotonicity_margin", float(mono), -tol))
-    report.checks.append(check_le("growth_ratio", float(growth), F.c0 + tol))
-    report.checks.append(check_ge("coercivity_margin_linear", float(coer_lin), -tol))
+    k = tangent_components(space)
+
+    def draw() -> np.ndarray:
+        return np.concatenate([bk.to_l2(bk.random_element(space.backend, rng, radius=radius))
+                               for _ in range(k)])
+
+    h = np.empty((samples, k * space.dim), dtype=np.complex128)
+    v = np.empty_like(h)
+    scales = np.empty((samples, 1))
+    for i in range(samples):
+        h[i], v[i], scales[i] = draw(), draw(), rng.uniform(0.1, 3.0)
+    h *= scales
+    Fh = F(h)
+    dF, dh = Fh - F(v), h - v
+    mono = (np.einsum("ij,ij->i", dF.conj(), dh).real
+            / np.maximum(np.linalg.norm(dh, axis=1) ** 2, 1e-300)).min(initial=np.inf)
+    nh = np.linalg.norm(h, axis=1)
+    growth = (np.linalg.norm(Fh, axis=1) / (1.0 + nh)).max(initial=0.0)
+    pairing = np.einsum("ij,ij->i", Fh.conj(), h).real
+    coer_lin = (pairing - F.c1 * nh + F.c2).min(initial=np.inf)
+    coer_quad = (pairing - F.c1 * nh ** 2 + F.c2).min(initial=np.inf)
+    report.checks.append(check_ge("monotonicity_margin", float(mono), -PROBE_TOL))
+    report.checks.append(check_le("growth_ratio", float(growth), F.c0 + PROBE_TOL))
+    report.checks.append(check_ge("coercivity_margin_linear", float(coer_lin), -PROBE_TOL))
     report.extra["coercivity_margin_quadratic"] = float(coer_quad)
     if F.theta is not None:
         report.checks.append(check_ge("strong_monotonicity_margin",
-                                      float(mono) - F.theta, -tol))
+                                      float(mono) - F.theta, -PROBE_TOL))
     return report
 
 
 # ---------------------------------------------------------------------------
 # Quasilinear Galerkin solve
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class QuasilinearOptions:
-    tol: float = 1e-12
-    max_newton: int = 60
-    fd_step: float = 1e-6
-    probe_samples: int = 64
-    force: bool = False               # skip the structure probes
-    project_kernel: bool = False
-    init: np.ndarray | None = None    # initial real coefficients (full level)
-    seed_probe: int = 20_240_101
 
 
 def galerkin_residual(space: DirichletSpace, F: NonlinearMap, B: np.ndarray,
@@ -298,38 +289,37 @@ def galerkin_residual(space: DirichletSpace, F: NonlinearMap, B: np.ndarray,
     Gb = gradient_matrix(space) @ (B[:D] + 1j * B[D:])
 
     def V(d: np.ndarray) -> np.ndarray:
-        h = TangentVector(space, tuple(bk.from_l2(space.backend, g)
-                                       for g in (Gb @ d).reshape(-1, D)))
-        Fh = np.concatenate([bk.to_l2(p) for p in F(h).parts])
         # <F, grad w_k> is antilinear in F; Re makes the system real
-        return (Fh.conj() @ Gb).real - rhs
+        return (F(Gb @ d).conj() @ Gb).real - rhs
 
     return V
 
 
-def solve_quasilinear(space: DirichletSpace, F: NonlinearMap, f: AlgebraElement,
-                      opts: QuasilinearOptions | None = None) -> SolveReport:
+def solve_quasilinear(space: DirichletSpace, F: NonlinearMap, f: AlgebraElement, *,
+                      init: np.ndarray | None = None, force: bool = False,
+                      project_kernel: bool = False) -> SolveReport:
     """Damped-Newton solve of the Galerkin system
     V_k(d) = Re<F(sum_j d_j grad w_j), grad w_k> - Re<f, w_k> = 0
     over the full energy-orthonormal eigenbasis, warm-started through
     coarser Galerkin levels; V is Re(Gb^H F(Gb d)) - rhs with the gradient
-    matrix Gb of the basis built once (``galerkin_residual``)."""
-    opts = opts or QuasilinearOptions()
+    matrix Gb of the basis built once (``galerkin_residual``).
+
+    ``init`` holds initial real coefficients on the full basis; ``force``
+    skips the structure probes of F."""
     flags: list[str] = []
-    if not opts.force:
-        probe_rng = np.random.default_rng(opts.seed_probe)
-        probe = probe_map(space, F, probe_rng, samples=opts.probe_samples,
+    if not force:
+        probe = probe_map(space, F, np.random.default_rng(PROBE_SEED), samples=PROBE_SAMPLES,
                           radius=space.backend.safe_radius())
         if not probe.passed:
             failed = [c.name for c in probe.checks if not c.passed]
             raise ConvergenceFailure(f"map {F.name} failed structure probes: {failed}")
-    f_solved, mass = _gate_kernel(space, f, opts.project_kernel, flags)
+    f_solved, mass = _gate_kernel(space, f, project_kernel, flags)
     B = co.energy_orthonormal_basis(space)
     M = B.shape[1]
     rhs = B.T @ co.realify_vector(bk.to_l2(f_solved))   # Re<f, w_k>
     V = galerkin_residual(space, F, B, rhs)
 
-    d = np.zeros(M) if opts.init is None else np.asarray(opts.init, dtype=float).copy()
+    d = np.zeros(M) if init is None else np.asarray(init, dtype=float).copy()
     if d.size != M:
         raise ValueError(f"initial guess has {d.size} coefficients, expected {M}")
     scale_ = max(np.linalg.norm(rhs), 1e-300)
@@ -340,20 +330,21 @@ def solve_quasilinear(space: DirichletSpace, F: NonlinearMap, f: AlgebraElement,
     for m in levels:
         mask = np.zeros(M, bool)
         mask[:m] = True
-        d, iters = _newton_masked(V, d, mask, opts, scale_, trace)
+        d, iters = _newton_masked(V, d, mask, scale_, trace)
         total_iters += iters
         level_residuals.append(float(np.linalg.norm(V(d), np.inf)))
-    if level_residuals[-1] > opts.tol * scale_:
+    if level_residuals[-1] > NEWTON_RTOL * scale_:
         raise ConvergenceFailure(
             f"quasilinear solve stalled at residual {level_residuals[-1]:.3e}"
         )
-    sol = co.element_from_real(space, B @ d)
-    Fh = F(gradient(space, sol))
+    u = co.complexify_vector(B @ d)
+    gm = gradient_matrix(space)
+    div_F = gm.conj().T @ F(gm @ u)
     fscale = max(bk.norm_l2(f), 1e-300)
-    strong = bk.norm_l2(divergence(space, Fh) - f_solved) / fscale
+    strong = np.linalg.norm(div_F - bk.to_l2(f_solved)) / fscale
     return SolveReport(
-        solution=sol,
-        residual_weak=_weak_residual(space, Fh, f_solved) / fscale,
+        solution=bk.from_l2(space.backend, u),
+        residual_weak=_weak_residual(space, div_F, f_solved) / fscale,
         residual_strong=float(strong),
         iterations=total_iters,
         galerkin_dim=M,
@@ -365,26 +356,26 @@ def solve_quasilinear(space: DirichletSpace, F: NonlinearMap, f: AlgebraElement,
     )
 
 
-def _newton_masked(V, d0: np.ndarray, mask: np.ndarray, opts: QuasilinearOptions,
-                   scale_: float, trace: list[NewtonStep]) -> tuple[np.ndarray, int]:
+def _newton_masked(V, d0: np.ndarray, mask: np.ndarray, scale_: float,
+                   trace: list[NewtonStep]) -> tuple[np.ndarray, int]:
     """Damped Newton on the masked coordinates with finite-difference
     Jacobian and Armijo backtracking on ||V||^2; falls back to a damped
     fixed-point sweep when a step cannot reduce the residual.  Appends one
     ``NewtonStep`` per iteration to ``trace``."""
     d = d0.copy()
     idx = np.flatnonzero(mask)
-    stop = opts.tol * scale_
+    stop = NEWTON_RTOL * scale_
     rm = V(d)[idx]
-    for it in range(opts.max_newton + 1):
+    for it in range(MAX_NEWTON + 1):
         res = float(np.linalg.norm(rm, np.inf))
         if res <= stop:
             return d, it
-        if it == opts.max_newton:
-            raise ConvergenceFailure(f"Newton did not converge in {opts.max_newton} "
+        if it == MAX_NEWTON:
+            raise ConvergenceFailure(f"Newton did not converge in {MAX_NEWTON} "
                                      f"iterations (residual {res:.3e})")
         J = np.empty((idx.size, idx.size))
         for col, j in enumerate(idx):
-            h = opts.fd_step * (1.0 + abs(d[j]))
+            h = FD_STEP * (1.0 + abs(d[j]))
             dp = d.copy()
             dp[j] += h
             J[:, col] = (V(dp)[idx] - rm) / h

@@ -221,7 +221,7 @@ def solve_evolution(problem: EvolutionProblem, rng: np.random.Generator | None =
     if certs is None:
         flags.append("epsilon=0: coercivity hypotheses unverified")
     probe_vs = None
-    if rng is not None:
+    if rng is not None and probes > 0:
         probe_vs = rng.standard_normal((probes, D2))
         probe_vs /= np.linalg.norm(probe_vs, axis=1, keepdims=True)
         v_sq = np.einsum("ij,jk,ik->i", probe_vs, assemble_triple(space).e_gram, probe_vs)

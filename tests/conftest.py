@@ -229,9 +229,10 @@ def bisect_largest_passing_K(space, K, t_samples, battery, tol=1e-9):
 # ---------------------------------------------------------------------------
 # Reference implementation: the Galerkin residual of the quasilinear solve,
 # V_k(d) = Re<F(sum_j d_j grad w_j), grad w_k> - rhs_k, as a sum of gradient
-# tangent vectors and one Hilbert inner product per basis vector.  The
-# package evaluates it as two products with the gradient matrix of the
-# basis; this loop is the oracle it is tested against.
+# tangent vectors and one Hilbert inner product per basis vector; F maps the
+# stacked L^2 coordinates of the sum, and its image is wrapped back as a
+# tangent vector.  The package evaluates it as two products with the
+# gradient matrix of the basis; this loop is the oracle it is tested against.
 # ---------------------------------------------------------------------------
 
 
@@ -244,7 +245,8 @@ def loop_galerkin_residual(space, F, B, rhs):
         for dj, g in zip(d, grads):
             if dj != 0.0:
                 acc = acc + float(dj) * g
-        Fh = F(acc)
+        Fc = F(np.concatenate([bk.to_l2(p) for p in acc.parts])).reshape(len(acc.parts), -1)
+        Fh = ca.TangentVector(space, tuple(bk.from_l2(space.backend, c) for c in Fc))
         return np.array([ca.hilbert_inner(Fh, g).real for g in grads]) - rhs
 
     return V

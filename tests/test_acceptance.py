@@ -161,8 +161,7 @@ def test_criterion_8_quasilinear_scalar_benchmark():
         rng = make_rng(801)
         for _ in range(5):
             init = rng.standard_normal(base.galerkin_dim)
-            other = el.solve_quasilinear(sp, el.curved_map(1.0), U,
-                                         el.QuasilinearOptions(init=init))
+            other = el.solve_quasilinear(sp, el.curved_map(1.0), U, init=init)
             assert bk.norm_l2(base.solution - other.solution) <= 1e-8
 
 

@@ -246,6 +246,14 @@ def test_representation_is_star_preserving(any_backend):
         assert np.allclose(bk.represent(bk.adjoint(a)), bk.represent(a).conj().T)
 
 
+def test_torus_support_radius_beyond_the_level_keeps_the_window():
+    t = bk.NCTorus(2, THETA_IRR)
+    rng = make_rng(12)
+    data = rng.standard_normal(t.shape()) + 1j * rng.standard_normal(t.shape())
+    assert np.array_equal(t.restrict_support(data, t.level), data)
+    assert np.array_equal(t.restrict_support(data, t.level + 1), data)
+
+
 def test_cyclic_convolution_diagonalizes_under_dft(z4):
     rng = make_rng(8)
     for _ in range(10):

@@ -229,6 +229,37 @@ def test_malformed_sample_grid_exits_1_naming_the_field(tmp_path, capsys, grid, 
     assert not out_dir.exists()
 
 
+def test_evolve_without_probes_writes_no_probe_diagnostics(tmp_path):
+    config = json.loads((CORPUS[0].parent / "qubit_heat.json").read_text())
+    config["problem"]["probes"] = 0
+    assert cli.run(config, out_dir=str(tmp_path), quiet=True) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert "coercivity_margins" not in report and "boundedness_ratio_max" not in report
+    assert [c["name"] for c in report["checks"]] == ["linear_solve_residual"]
+
+
+def test_gap_with_empty_battery_writes_no_battery_check(tmp_path):
+    config = json.loads((CORPUS[0].parent / "torus_gap.json").read_text())
+    config["problem"] = {"battery": 0}
+    assert cli.run(config, out_dir=str(tmp_path), quiet=True) == 0
+    report = json.loads((tmp_path / "report.json").read_text(), parse_constant=_not_json)
+    assert report["battery_margin"] is None and report["checks"] == []
+
+
+def test_non_finite_output_exits_1(tmp_path, capsys, monkeypatch):
+    from ncpde.dirichlet import PoincareResult
+
+    monkeypatch.setattr(cli, "poincare_constant",
+                        lambda *args, **kwargs: PoincareResult(1.0, 1.0, 1, math.inf))
+    config = json.loads((CORPUS[0].parent / "torus_gap.json").read_text())
+    assert run_main(tmp_path, config, "--quiet") == 1
+    assert "JSON" in capsys.readouterr().err
+
+
+def _not_json(constant):
+    raise ValueError(f"{constant} is not a JSON number")
+
+
 def _artifacts(out):
     return {f.relative_to(out): f.read_bytes() for f in sorted(out.rglob("*")) if f.is_file()}
 
@@ -245,7 +276,7 @@ def _csv_cell(text):
 def _parsed(name, data):
     text = data.decode("utf-8")
     if name.suffix == ".json":
-        return json.loads(text)
+        return json.loads(text, parse_constant=_not_json)
     return [[_csv_cell(cell) for cell in line.split(",")] for line in text.splitlines()]
 
 
@@ -297,9 +328,9 @@ def test_quasilinear_restarts_run_the_structure_probe_once(tmp_path, monkeypatch
     assert len(calls) == 1
     # probing the restart solves as well, as the base solve does, writes the
     # same bytes: the probe draws from its own fixed seed
-    options = el.QuasilinearOptions
-    monkeypatch.setattr(cli, "QuasilinearOptions",
-                        lambda **kw: options(**{**kw, "force": False}))
+    solve = el.solve_quasilinear
+    monkeypatch.setattr(cli, "solve_quasilinear",
+                        lambda *args, **kw: solve(*args, **{**kw, "force": False}))
     assert cli.run(config, out_dir=str(tmp_path / "every"), quiet=True) == 0
     assert len(calls) == 4
     assert _artifacts(tmp_path / "once") == _artifacts(tmp_path / "every")

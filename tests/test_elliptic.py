@@ -6,6 +6,7 @@ import pytest
 from ncpde import backends as bk
 from ncpde import coords as co
 from ncpde import elliptic as el
+from ncpde.calculus import tangent_components
 from ncpde.dirichlet import build_space
 from conftest import (
     SIGMA_X,
@@ -146,11 +147,12 @@ def test_probe_negated_map_fails(qubit_space):
 
 
 def counting(F):
-    """F with the same constants, and the list that records each application."""
+    """F with the same constants, and the list that records the shape of the
+    array each application maps."""
     calls = []
 
     def func(h):
-        calls.append(1)
+        calls.append(h.shape)
         return F(h)
 
     return dataclasses.replace(F, func=func), calls
@@ -161,7 +163,9 @@ def test_probe_applies_the_map_twice_per_sample(torus2_space):
     report = el.probe_map(torus2_space, F, make_rng(93), samples=100, radius=1)
     want = el.probe_map(torus2_space, el.identity_map(), make_rng(93), samples=100, radius=1)
     assert report.to_dict() == want.to_dict()
-    assert len(calls) == 2 * 100
+    # once on all h and once on all v, each stacked as (samples, k*D)
+    k_dim = tangent_components(torus2_space) * torus2_space.dim
+    assert calls == [(100, k_dim)] * 2
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +221,7 @@ def test_quasilinear_evaluates_each_accepted_residual_once(torus2_space):
     # halving of the step; then F once more for the reported residuals
     F, calls = counting(el.identity_map())
     f = perp_random(torus2_space, make_rng(602))
-    rep = el.solve_quasilinear(torus2_space, F, f, el.QuasilinearOptions(force=True))
+    rep = el.solve_quasilinear(torus2_space, F, f, force=True)
     levels = len(rep.level_residuals)
     steps = sum(s.level + 1 + round(np.log2(1.0 / s.alpha)) for s in rep.newton_trace)
     assert len(calls) == 2 * levels + steps + 1
@@ -261,8 +265,7 @@ def test_quasilinear_uniqueness_across_restarts(torus2, torus2_space):
     rng = make_rng(96)
     for _ in range(5):
         init = rng.standard_normal(base.galerkin_dim)
-        other = el.solve_quasilinear(
-            torus2_space, el.curved_map(1.0), U, el.QuasilinearOptions(init=init))
+        other = el.solve_quasilinear(torus2_space, el.curved_map(1.0), U, init=init)
         diff = base.solution - other.solution
         assert bk.norm_l2(diff) <= 1e-8
         assert np.sqrt(dirichlet_form(torus2_space, diff).real) <= 1e-8
@@ -303,6 +306,5 @@ def test_quasilinear_force_skips_probes(qubit_space):
     # the solve itself may still succeed since -Delta u = f has a solution
     rng = make_rng(99)
     f = perp_random(qubit_space, rng)
-    rep = el.solve_quasilinear(qubit_space, el.negated_map(), f,
-                               el.QuasilinearOptions(force=True))
+    rep = el.solve_quasilinear(qubit_space, el.negated_map(), f, force=True)
     assert rep.residual_weak <= 1e-8
