@@ -73,6 +73,7 @@ class NotRepresentable(AlgebraError):
 # ---------------------------------------------------------------------------
 
 _SA_RTOL = 1e-10          # scale-invariant self-adjointness tolerance
+_REP_RTOL = 1e-10         # mass a matrix may carry outside the coefficient window
 _CNT_RTOL = 1e-8          # negative-type eigencheck tolerance
 _FRAME_WEIGHT_TOL = 1e-12
 
@@ -127,13 +128,6 @@ class Descriptor:
         if not self.rep_is_exact() or d * d != self.l2_dim():
             return None, 0
         return (lambda X: self.represent(semigroup(self.element_from_matrix(X)))), d
-
-    def spectral_map(self, A: np.ndarray, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-        """fn applied to the self-adjoint A through the representation."""
-        if not self.rep_is_exact():
-            raise NotRepresentable("spectral calculus needs an exact representation")
-        evals, vecs = np.linalg.eigh(self.represent(A))
-        return self.element_from_matrix((vecs * fn(evals)) @ vecs.conj().T)
 
     def restrict_support(self, data: np.ndarray, radius: int | None) -> np.ndarray:
         """``data`` restricted to supports of the given radius."""
@@ -238,7 +232,7 @@ class MatrixAlgebra(Descriptor):
     def represent(self, A) -> np.ndarray:
         return A.copy()
 
-    def element_from_matrix(self, X, tol: float = 1e-10) -> np.ndarray:
+    def element_from_matrix(self, X) -> np.ndarray:
         return X
 
     def generator_matrix(self) -> np.ndarray:
@@ -404,7 +398,7 @@ class NCTorus(Descriptor):
         np.add.at(out, (js, (js + ns) % q), self._clock_phases(ns) @ A)
         return out
 
-    def element_from_matrix(self, X, tol: float = 1e-10) -> np.ndarray:
+    def element_from_matrix(self, X) -> np.ndarray:
         """Rational theta needs an injective window (2N+1 <= q) and raises
         ``WindowOverflow`` if X carries mass at exponents outside the window;
         the compressed irrational representation is not invertible."""
@@ -422,7 +416,7 @@ class NCTorus(Descriptor):
         coeffs = self._clock_phases(rs).conj().T @ X[js, (js + rs) % q] / q
         inside = np.abs(rs) <= N
         dropped = np.linalg.norm(coeffs[~np.outer(inside, inside)])
-        if dropped > tol * max(np.linalg.norm(X), 1e-300):
+        if dropped > _REP_RTOL * max(np.linalg.norm(X), 1e-300):
             raise WindowOverflow(
                 f"matrix carries mass {dropped:.3e} outside the coefficient window"
             )
@@ -522,6 +516,11 @@ class CyclicGroup(Descriptor):
                 f"length function is not conditionally of negative type (defect {defect:.3e})"
             )
         object.__setattr__(self, "lengths", l)
+        mu = -np.fft.fft(np.asarray(l)).real / self.order
+        mu[0] = 0.0
+        mu[np.abs(mu) < _FRAME_WEIGHT_TOL * max(1.0, max(l))] = 0.0
+        mu.setflags(write=False)
+        object.__setattr__(self, "_frame", (tuple(np.flatnonzero(mu > 0.0).tolist()), mu))
 
     def __repr__(self):
         return f"CyclicGroup(order={self.order}, lengths={self.lengths})"
@@ -557,7 +556,7 @@ class CyclicGroup(Descriptor):
     # the regular representation is left multiplication itself
     represent = lmul
 
-    def element_from_matrix(self, X, tol: float = 1e-10) -> np.ndarray:
+    def element_from_matrix(self, X) -> np.ndarray:
         return X[:, 0]
 
     def rep_semigroup_action(self, t, semigroup):
@@ -570,14 +569,10 @@ class CyclicGroup(Descriptor):
     def generator_matrix(self) -> np.ndarray:
         return np.diag(np.asarray(self.lengths, dtype=float)).astype(np.complex128)
 
-    def frame(self) -> tuple[list[int], np.ndarray]:
+    def frame(self) -> tuple[tuple[int, ...], np.ndarray]:
         """Active dual indices k (mu_k > 0, symmetric under k -> q-k) and the
-        full weight vector mu."""
-        q = self.order
-        mu = -np.fft.fft(np.asarray(self.lengths)).real / q
-        mu[0] = 0.0
-        mu[np.abs(mu) < _FRAME_WEIGHT_TOL * max(1.0, max(self.lengths))] = 0.0
-        return [k for k in range(1, q) if mu[k] > 0.0], mu
+        full weight vector mu (read-only), computed once at construction."""
+        return self._frame
 
     def _characters(self, active) -> list[np.ndarray]:
         g = np.arange(self.order)
@@ -746,8 +741,8 @@ def norm_l2(a: AlgebraElement) -> float:
     return float(np.linalg.norm(to_l2(a)))
 
 
-def is_self_adjoint(a: AlgebraElement, rtol: float = _SA_RTOL) -> bool:
-    return norm_l2(a - adjoint(a)) <= rtol * max(norm_l2(a), 1e-300)
+def is_self_adjoint(a: AlgebraElement) -> bool:
+    return norm_l2(a - adjoint(a)) <= _SA_RTOL * max(norm_l2(a), 1e-300)
 
 
 # ---------------------------------------------------------------------------
@@ -760,10 +755,10 @@ def represent(a: AlgebraElement) -> np.ndarray:
     return a.backend.represent(a.data)
 
 
-def element_from_matrix(desc: Descriptor, X: np.ndarray, tol: float = 1e-10) -> AlgebraElement:
+def element_from_matrix(desc: Descriptor, X: np.ndarray) -> AlgebraElement:
     """Inverse of ``represent`` where one exists (see the backend's
     ``element_from_matrix``)."""
-    return AlgebraElement(desc, desc.element_from_matrix(X, tol))
+    return AlgebraElement(desc, desc.element_from_matrix(X))
 
 
 def operator_norm(a: AlgebraElement) -> float:
@@ -784,8 +779,9 @@ class Density:
 
     ``witness`` is the smallest eigenvalue of ``represent(element)`` (None
     when the element is not self-adjoint, e.g. polarized off-diagonal
-    values).  ``leak`` records any L^2 mass truncated while assembling the
-    element; positivity is only enforced on leak-free densities.
+    values), computed only by ``as_density``.  ``leak`` records any L^2 mass
+    truncated while assembling the element; ``require_positive``, the one
+    positivity gate, checks leak-free densities only.
     """
 
     element: AlgebraElement
@@ -799,42 +795,54 @@ class Density:
         return trace(self.element)
 
 
-def as_density(a: AlgebraElement) -> Density:
+def as_density(a: AlgebraElement, leak: float = 0.0) -> Density:
     """``a`` with its positivity witness (None unless self-adjoint)."""
     wit = None
     if is_self_adjoint(a):
         wit = float(np.linalg.eigvalsh(represent(a)).min())
-    return Density(a, wit)
+    return Density(a, wit, leak)
 
 
-def _spectral_map(a: AlgebraElement, fn: Callable[[np.ndarray], np.ndarray]) -> AlgebraElement:
-    """Apply a real spectral function through the representation and map
-    back; requires a self-adjoint input and an invertible representation."""
+def require_positive(rho: Density, what: str) -> None:
+    """Raise ``NotPositive`` when ``rho`` is leak-free and its witness lies
+    below -positivity_tol * max(||rho||_2, 1)."""
+    tol = positivity_tol(rho.element.backend)
+    scale_ = max(norm_l2(rho.element), 1.0)
+    if rho.leak <= tol * scale_ and rho.witness is not None and rho.witness < -tol * scale_:
+        raise NotPositive(f"{what}: negative witness {rho.witness:.3e}")
+
+
+def _spectral(a: AlgebraElement) -> tuple[np.ndarray, Callable]:
+    """Ascending eigenvalues of ``represent(a)`` and the map fn -> fn(a) for
+    real spectral functions fn, both from one eigendecomposition; needs a
+    self-adjoint ``a`` and an invertible representation."""
     if not is_self_adjoint(a):
         raise NotSelfAdjoint("spectral calculus needs a self-adjoint element")
-    return AlgebraElement(a.backend, a.backend.spectral_map(a.data, fn))
+    if not a.backend.rep_is_exact():
+        raise NotRepresentable("spectral calculus needs an exact representation")
+    evals, vecs = np.linalg.eigh(represent(a))
+    return evals, lambda fn: element_from_matrix(a.backend, (vecs * fn(evals)) @ vecs.conj().T)
 
 
 def positive_decompose(a: AlgebraElement) -> tuple[Density, Density]:
     """Orthogonal decomposition a = a_plus - a_minus of a self-adjoint
     element into positive parts, via eigendecomposition of represent(a)."""
-    plus = _spectral_map(a, lambda s: np.clip(s, 0.0, None))
-    minus = _spectral_map(a, lambda s: np.clip(-s, 0.0, None))
-    return as_density(plus), as_density(minus)
+    apply = _spectral(a)[1]
+    return (as_density(apply(lambda s: np.clip(s, 0.0, None))),
+            as_density(apply(lambda s: np.clip(-s, 0.0, None))))
 
 
 def sqrt_positive(a: AlgebraElement) -> AlgebraElement:
-    out = _spectral_map(a, lambda s: np.sqrt(np.clip(s, 0.0, None)))
-    scale_ = max(norm_l2(a), 1.0)
-    if float(np.linalg.eigvalsh(represent(a)).min()) < -positivity_tol(a.backend) * scale_:
+    evals, apply = _spectral(a)
+    if float(evals[0]) < -positivity_tol(a.backend) * max(norm_l2(a), 1.0):
         raise NotPositive("square root of a non-positive element")
-    return out
+    return apply(lambda s: np.sqrt(np.clip(s, 0.0, None)))
 
 
 def modulus(a: AlgebraElement) -> AlgebraElement:
     """|a| = (a^* a)^{1/2}; for self-adjoint a this is |spectrum|."""
     if is_self_adjoint(a):
-        return _spectral_map(a, np.abs)
+        return _spectral(a)[1](np.abs)
     return sqrt_positive(mul(adjoint(a), a))
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import backends as bk
-from .backends import AlgebraElement, Density, NotPositive
+from .backends import AlgebraElement, Density
 from .dirichlet import DirichletSpace, dirichlet_form
 
 
@@ -167,27 +167,21 @@ def simple_tensor_norm_sq(space: DirichletSpace, a: AlgebraElement,
     return float(0.5 * val.real)
 
 
-def riemannian_metric(space: DirichletSpace, h: TangentVector, g: TangentVector, *,
-                      enforce: bool = True) -> Density:
+def riemannian_metric(space: DirichletSpace, h: TangentVector, g: TangentVector) -> Density:
     """Density rho(h, g) = sum_j h_j^* g_j; tau(rho(h, g)) = <h, g>, and on
-    gradients rho(grad a, grad b) is the carre du champ density."""
+    gradients rho(grad a, grad b) is the carre du champ density.  The
+    diagonal pairing rho(h, h) passes ``bk.require_positive``."""
     _check_space(h, g)
-    diagonal = all(np.array_equal(p.data, q.data) for p, q in zip(h.parts, g.parts))
     acc = bk.zero(space.backend)
     leak = 0.0
     for p, q in zip(h.parts, g.parts):
         term, l = bk.mul_with_loss(bk.adjoint(p), q)
         acc = bk.add(acc, term)
         leak += l
-    witness = None
-    if bk.is_self_adjoint(acc):
-        witness = float(np.linalg.eigvalsh(bk.represent(acc)).min())
-    if diagonal and enforce:
-        tol = bk.positivity_tol(space.backend)
-        scale_ = max(bk.norm_l2(acc), 1.0)
-        if leak <= tol * scale_ and witness is not None and witness < -tol * scale_:
-            raise NotPositive(f"metric witness {witness:.3e} on a diagonal pairing")
-    return Density(acc, witness, leak)
+    rho = bk.as_density(acc, leak)
+    if all(np.array_equal(p.data, q.data) for p, q in zip(h.parts, g.parts)):
+        bk.require_positive(rho, "metric rho(h, h)")
+    return rho
 
 
 def random_tangent(space: DirichletSpace, rng: np.random.Generator, *,

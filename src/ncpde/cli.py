@@ -113,11 +113,14 @@ def _non_finite_path(obj, path: str = "config") -> str | None:
 
 def validate_config(config: dict) -> None:
     error = best_match(_CONFIG_VALIDATOR.iter_errors(config))
+    where = "config"
     if error is None:
         problem = config.get("problem", {})
         error = best_match(_PROBLEM_VALIDATORS[config["command"]].iter_errors(problem))
+        where = "config.problem"
     if error is not None:
-        raise ConfigError(f"invalid config: {error.message}")
+        path = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in error.absolute_path)
+        raise ConfigError(f"invalid config: {where}{path}: {error.message}")
     bad = _non_finite_path(config)
     if bad is not None:
         raise ConfigError(f"invalid config: {bad} is not a finite number")
@@ -381,7 +384,7 @@ COMMANDS = {
         "type": "object",
         "properties": {
             "t_samples": {"type": "array", "items": {"type": "number", "minimum": 0}},
-            "battery": {"type": "integer", "minimum": 1},
+            "battery": {"type": "integer", "minimum": 2},   # trace symmetry takes pairs
         },
         "required": ["t_samples"],
         "additionalProperties": False,

@@ -29,10 +29,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import backends as bk
-from .backends import AlgebraElement, Density, Descriptor, NotPositive
+from .backends import AlgebraElement, Density, Descriptor
 from .reports import Report, check_ge, check_le
 
-GAP_RTOL = 1e-8   # eigenvalues below GAP_RTOL * lambda_max count as kernel
+GAP_RTOL = 1e-8       # eigenvalues below GAP_RTOL * lambda_max count as kernel
+POINCARE_TOL = 1e-10  # slack on C_P in the Poincare battery
+BE_TOL = 1e-9         # slack of the Bakry-Emery ordering, relative to ||Gamma(a)||
 
 
 class GeneratorError(bk.AlgebraError):
@@ -90,8 +92,8 @@ def build_space(desc: Descriptor, gap_tol: float = GAP_RTOL) -> DirichletSpace:
     return DirichletSpace(desc, gen, evals, evecs, kernel_dim, gap_tol)
 
 
-def space_from_matrix(desc: Descriptor, gen: np.ndarray, *, validate: bool = True,
-                      gap_tol: float = GAP_RTOL) -> DirichletSpace:
+def space_from_matrix(desc: Descriptor, gen: np.ndarray, *,
+                      validate: bool = True) -> DirichletSpace:
     """Build a space around an explicit generator matrix (mainly for
     negative tests; ``validate=False`` skips the PSD/conservativity gates)."""
     gen = np.asarray(gen, dtype=np.complex128)
@@ -103,8 +105,8 @@ def space_from_matrix(desc: Descriptor, gen: np.ndarray, *, validate: bool = Tru
         unit_coords = bk.to_l2(bk.unit(desc))
         if np.linalg.norm(gen @ unit_coords) > 1e-10 * lam_max:
             raise GeneratorError("generator does not annihilate the unit")
-    kernel_dim = int(np.sum(np.abs(evals) < gap_tol * lam_max))
-    return DirichletSpace(desc, gen, evals, evecs, kernel_dim, gap_tol)
+    kernel_dim = int(np.sum(np.abs(evals) < GAP_RTOL * lam_max))
+    return DirichletSpace(desc, gen, evals, evecs, kernel_dim, GAP_RTOL)
 
 
 def _coords(space: DirichletSpace, a: AlgebraElement) -> np.ndarray:
@@ -141,36 +143,29 @@ def energy(space: DirichletSpace, a: AlgebraElement) -> float:
 # ---------------------------------------------------------------------------
 
 
-def carre_du_champ(space: DirichletSpace, a: AlgebraElement,
-                   b: AlgebraElement | None = None, *,
-                   enforce: bool = True) -> Density:
-    """Density of Gamma(a, b) via the polarized diffusion identity
-    2 Gamma(a, b) = L(a^*) b + a^* L(b) - L(a^* b).
-
-    For the diagonal call Gamma(a) := Gamma(a, a) the result must be a
-    positive (leak-free) density; a witness failure there means the
-    generator lost its Markov structure, so it raises.
-    """
-    diagonal = b is None or np.array_equal(a.data, b.data)
-    bb = a if b is None else b
+def _gamma(space: DirichletSpace, a: AlgebraElement,
+           b: AlgebraElement | None = None) -> tuple[AlgebraElement, float]:
+    """Gamma(a, b) from 2 Gamma(a, b) = L(a^*) b + a^* L(b) - L(a^* b), and
+    the L^2 mass its products truncated."""
+    b = a if b is None else b
     astar = bk.adjoint(a)
-    t1, l1 = bk.mul_with_loss(generator_apply(space, astar), bb)
-    t2, l2 = bk.mul_with_loss(astar, generator_apply(space, bb))
-    prod, l3 = bk.mul_with_loss(astar, bb)
+    t1, l1 = bk.mul_with_loss(generator_apply(space, astar), b)
+    t2, l2 = bk.mul_with_loss(astar, generator_apply(space, b))
+    prod, l3 = bk.mul_with_loss(astar, b)
     t3 = generator_apply(space, prod)
-    gamma = bk.scale(0.5, bk.add(bk.add(t1, t2), bk.scale(-1.0, t3)))
-    leak = l1 + l2 + l3
-    witness = None
-    if bk.is_self_adjoint(gamma):
-        witness = float(np.linalg.eigvalsh(bk.represent(gamma)).min())
-    if diagonal and enforce:
-        tol = bk.positivity_tol(space.backend)
-        scale_ = max(bk.norm_l2(gamma), 1.0)
-        if leak <= tol * scale_ and witness is not None and witness < -tol * scale_:
-            raise NotPositive(
-                f"carre du champ witness {witness:.3e}: generator is not a diffusion"
-            )
-    return Density(gamma, witness, leak)
+    return bk.scale(0.5, bk.add(bk.add(t1, t2), bk.scale(-1.0, t3))), l1 + l2 + l3
+
+
+def carre_du_champ(space: DirichletSpace, a: AlgebraElement,
+                   b: AlgebraElement | None = None) -> Density:
+    """Density of Gamma(a, b) via the polarized diffusion identity
+    2 Gamma(a, b) = L(a^*) b + a^* L(b) - L(a^* b).  The diagonal call
+    Gamma(a) := Gamma(a, a) passes ``bk.require_positive``: a negative
+    witness there means the generator is not a diffusion."""
+    rho = bk.as_density(*_gamma(space, a, b))
+    if b is None or np.array_equal(a.data, b.data):
+        bk.require_positive(rho, "carre du champ Gamma(a) (generator is not a diffusion)")
+    return rho
 
 
 # ---------------------------------------------------------------------------
@@ -195,9 +190,9 @@ class PoincareResult:
 
 
 def poincare_constant(space: DirichletSpace, rng: np.random.Generator | None = None,
-                      battery: int = 32, tol: float = 1e-10) -> PoincareResult:
+                      battery: int = 32) -> PoincareResult:
     """Spectral gap above the kernel, its inverse, and, given an rng and a
-    nonempty battery, a random verification of ||a||^2 <= (C_P + tol) E[a]
+    nonempty battery, a random check of ||a||^2 <= (C_P + POINCARE_TOL) E[a]
     on the kernel complement."""
     cut = space.kernel_cut()
     above = space.evals[space.evals >= cut]
@@ -213,7 +208,7 @@ def poincare_constant(space: DirichletSpace, rng: np.random.Generator | None = N
             c = rng.standard_normal(perp.shape[1]) + 1j * rng.standard_normal(perp.shape[1])
             a = bk.from_l2(space.backend, perp @ c)
             e = energy(space, a)
-            worst = min(worst, (c_p + tol) * e - bk.norm_l2(a) ** 2)
+            worst = min(worst, (c_p + POINCARE_TOL) * e - bk.norm_l2(a) ** 2)
         margin = float(worst)
     return PoincareResult(gap, c_p, space.kernel_dim, margin)
 
@@ -246,7 +241,10 @@ def _choi_matrix(act, d: int) -> np.ndarray:
 def markov_check(space: DirichletSpace, t_samples, rng: np.random.Generator,
                  battery: int = 16, tol: float = 1e-10) -> Report:
     """Unitality, operator-norm contraction, complete positivity (Choi)
-    and trace symmetry of P_t at each sampled time."""
+    and trace symmetry of P_t at each sampled time.  Trace symmetry
+    compares disjoint pairs of probes, so ``battery`` must be at least 2."""
+    if battery < 2:
+        raise ValueError(f"markov-check battery must be >= 2 (got {battery})")
     desc = space.backend
     report = Report(kind="markov-check")
     one = bk.unit(desc)
@@ -302,8 +300,7 @@ def _largest_passing_K(X: np.ndarray, Y: np.ndarray, t: float, cut: float) -> fl
     return -np.log(c) / (2.0 * t) if c > 0 else np.inf
 
 
-def bakry_emery_check(space: DirichletSpace, K: float, t_samples, battery,
-                      tol: float = 1e-9) -> Report:
+def bakry_emery_check(space: DirichletSpace, K: float, t_samples, battery) -> Report:
     """Check Gamma(P_t a) <= e^{-2Kt} P_t Gamma(a) on a battery of elements
     and report the largest curvature bound passing on it: the least
     ``_largest_passing_K`` over the (t, a) pairs; a pair at t = 0 does not
@@ -317,15 +314,14 @@ def bakry_emery_check(space: DirichletSpace, K: float, t_samples, battery,
     for t in map(float, t_samples):
         factor = np.exp(min(-2.0 * K * t, 600.0))   # clamp: huge factors pass anyway
         for a in battery:
-            gamma_a = carre_du_champ(space, a, enforce=False).element
+            gamma_a = _gamma(space, a)[0]
             s = max(bk.norm_l2(gamma_a), 1.0)
             X = bk.represent(semigroup_apply(space, t, gamma_a))
-            Y = bk.represent(carre_du_champ(space, semigroup_apply(space, t, a),
-                                            enforce=False).element)
+            Y = bk.represent(_gamma(space, semigroup_apply(space, t, a))[0])
             margin = float(np.linalg.eigvalsh(factor * X - Y).min()) / s
-            check = check_ge(f"ordering[K={K:g},t={t:g}]", margin, -tol)
+            check = check_ge(f"ordering[K={K:g},t={t:g}]", margin, -BE_TOL)
             report.checks.append(check)
-            bounds.append(_largest_passing_K(X, Y, t, tol * s) if t > 0
+            bounds.append(_largest_passing_K(X, Y, t, BE_TOL * s) if t > 0
                           else (np.inf if check.passed else -np.inf))
     bound = min(bounds, default=np.inf)
     report.extra["largest_passing_K"] = float(bound) if np.isfinite(bound) else None

@@ -280,13 +280,13 @@ def probe_map(space: DirichletSpace, F: NonlinearMap, rng: np.random.Generator,
 # ---------------------------------------------------------------------------
 
 
-def galerkin_residual(space: DirichletSpace, F: NonlinearMap, B: np.ndarray,
+def galerkin_residual(gm: np.ndarray, F: NonlinearMap, B: np.ndarray,
                       rhs: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """V_k(d) = Re<F(sum_j d_j grad w_j), grad w_k> - rhs_k on the real
-    basis B (columns w_j), as Re(Gb^H F(Gb d)) - rhs with Gb the gradient
-    matrix of the basis (column j holds grad w_j on L^2 coordinates)."""
-    D = space.dim
-    Gb = gradient_matrix(space) @ (B[:D] + 1j * B[D:])
+    basis B (columns w_j), as Re(Gb^H F(Gb d)) - rhs with Gb = gm @ w, gm
+    the ``gradient_matrix`` (column j of Gb holds grad w_j)."""
+    D = gm.shape[1]
+    Gb = gm @ (B[:D] + 1j * B[D:])
 
     def V(d: np.ndarray) -> np.ndarray:
         # <F, grad w_k> is antilinear in F; Re makes the system real
@@ -302,7 +302,7 @@ def solve_quasilinear(space: DirichletSpace, F: NonlinearMap, f: AlgebraElement,
     V_k(d) = Re<F(sum_j d_j grad w_j), grad w_k> - Re<f, w_k> = 0
     over the full energy-orthonormal eigenbasis, warm-started through
     coarser Galerkin levels; V is Re(Gb^H F(Gb d)) - rhs with the gradient
-    matrix Gb of the basis built once (``galerkin_residual``).
+    matrix Gb of the basis (``galerkin_residual``), one per solve.
 
     ``init`` holds initial real coefficients on the full basis; ``force``
     skips the structure probes of F."""
@@ -317,7 +317,8 @@ def solve_quasilinear(space: DirichletSpace, F: NonlinearMap, f: AlgebraElement,
     B = co.energy_orthonormal_basis(space)
     M = B.shape[1]
     rhs = B.T @ co.realify_vector(bk.to_l2(f_solved))   # Re<f, w_k>
-    V = galerkin_residual(space, F, B, rhs)
+    gm = gradient_matrix(space)
+    V = galerkin_residual(gm, F, B, rhs)
 
     d = np.zeros(M) if init is None else np.asarray(init, dtype=float).copy()
     if d.size != M:
@@ -338,7 +339,6 @@ def solve_quasilinear(space: DirichletSpace, F: NonlinearMap, f: AlgebraElement,
             f"quasilinear solve stalled at residual {level_residuals[-1]:.3e}"
         )
     u = co.complexify_vector(B @ d)
-    gm = gradient_matrix(space)
     div_F = gm.conj().T @ F(gm @ u)
     fscale = max(bk.norm_l2(f), 1e-300)
     strong = np.linalg.norm(div_F - bk.to_l2(f_solved)) / fscale

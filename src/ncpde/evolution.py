@@ -77,7 +77,6 @@ class EvolutionProblem:
     flow: list[TangentVector] | None = None
     source_times: list[float] | None = None
     source: list[AlgebraElement] | None = None
-    certificates: tuple[float, float] | None = None   # (c0, c1) override
 
     def __post_init__(self):
         if self.form not in ("heat", "continuity"):
@@ -166,8 +165,6 @@ def step(lhs: np.ndarray, lhs_inv: np.ndarray, rhs: np.ndarray) -> tuple[np.ndar
 
 
 def default_certificates(problem: EvolutionProblem) -> tuple[float, float] | None:
-    if problem.certificates is not None:
-        return problem.certificates
     if problem.form == "heat":
         return (1.0, 1.0)
     if problem.epsilon <= 0.0:

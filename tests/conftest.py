@@ -187,10 +187,10 @@ def loop_transport_matrix(space, h):
 
 def be_margin(space, K, t, a):
     """min eigenvalue of represent(e^{-2Kt} P_t Gamma(a) - Gamma(P_t a))."""
-    gamma_a = carre_du_champ(space, a, enforce=False).element
+    gamma_a = carre_du_champ(space, a).element
     factor = np.exp(min(-2.0 * K * t, 600.0))
     lhs = bk.scale(factor, semigroup_apply(space, t, gamma_a))
-    rhs = carre_du_champ(space, semigroup_apply(space, t, a), enforce=False).element
+    rhs = carre_du_champ(space, semigroup_apply(space, t, a)).element
     diff = bk.add(lhs, bk.scale(-1.0, rhs))
     return float(np.linalg.eigvalsh(bk.represent(diff)).min())
 
@@ -200,7 +200,7 @@ def bisect_largest_passing_K(space, K, t_samples, battery, tol=1e-9):
     >= -tol, searched from K within [-2^20, 2^20]; None when even -2^20
     fails.  A battery that never binds returns the 2^20 cap."""
     pairs = [(float(t), a) for t in t_samples for a in battery]
-    scales = [max(bk.norm_l2(carre_du_champ(space, a, enforce=False).element), 1.0)
+    scales = [max(bk.norm_l2(carre_du_champ(space, a).element), 1.0)
               for _, a in pairs]
 
     def min_margin(k):

@@ -88,7 +88,7 @@ def test_criterion_4_carre_du_champ_consistency(pair3_space):
         for name, sp in three_backends().items():
             for _ in range(25):
                 a = bk.random_element(sp.backend, rng)
-                g = dr.carre_du_champ(sp, a, enforce=False)
+                g = dr.carre_du_champ(sp, a)
                 e = dr.dirichlet_form(sp, a).real
                 assert abs(g.trace().real - e) <= 1e-10 * (1.0 + abs(e)), name
         qubit_space = three_backends()["matrix"]
@@ -99,7 +99,7 @@ def test_criterion_4_carre_du_champ_consistency(pair3_space):
                 acc = bk.zero(sp.backend)
                 for j in range(3):
                     for k in range(3):
-                        gjk = dr.carre_du_champ(sp, As[j], As[k], enforce=False).element
+                        gjk = dr.carre_du_champ(sp, As[j], As[k]).element
                         acc = acc + bk.mul(bk.mul(bk.adjoint(Bs[j]), gjk), Bs[k])
                 wit = float(np.linalg.eigvalsh(bk.represent(acc)).min())
                 assert wit >= -1e-9 * max(bk.norm_l2(acc), 1.0)

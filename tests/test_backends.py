@@ -364,6 +364,50 @@ def test_sqrt_and_modulus(qubit):
         bk.sqrt_positive(bk.element(qubit, SIGMA_Z))
 
 
+def test_require_positive_raises_below_minus_tol_times_scale(qubit):
+    tol = bk.positivity_tol(qubit)          # scale max(||a||, 1) is 1 here
+    bk.require_positive(bk.as_density(bk.element(qubit, np.diag([-0.5 * tol, 0.0]))), "a")
+    with pytest.raises(bk.NotPositive):
+        bk.require_positive(bk.as_density(bk.element(qubit, np.diag([-2.0 * tol, 0.0]))), "a")
+    # scale 100: a witness below -tol but above -100 tol passes
+    bk.require_positive(bk.as_density(bk.element(qubit, np.diag([-50.0 * tol, 100.0]))), "b")
+
+
+def test_require_positive_exempts_leaky_and_witnessless_densities(qubit):
+    a = bk.element(qubit, SIGMA_Z)                  # witness -1
+    bk.require_positive(bk.as_density(a, leak=10.0 * bk.positivity_tol(qubit)), "leaky")
+    offdiag = bk.as_density(bk.element(qubit, [[-1.0, 1.0], [0.0, -1.0]]))
+    assert offdiag.witness is None                  # not self-adjoint
+    bk.require_positive(offdiag, "offdiag")
+
+
+@pytest.mark.parametrize("fn", [bk.sqrt_positive, bk.positive_decompose])
+def test_spectral_calculus_makes_one_eigendecomposition(qubit, monkeypatch, fn):
+    rng = make_rng(16)
+    a = bk.random_element(qubit, rng)
+    pos = bk.mul(bk.adjoint(a), a)
+    calls = {"eigh": [], "eigvalsh": []}
+    for name in calls:
+        original = getattr(np.linalg, name)
+
+        def spy(M, *args, _original=original, _name=name, **kwargs):
+            calls[_name].append(np.array(M))
+            return _original(M, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    fn(pos)
+    rep = bk.represent(pos)
+    assert len(calls["eigh"]) == 1 and np.array_equal(calls["eigh"][0], rep)
+    assert not any(M.shape == rep.shape and np.array_equal(M, rep) for M in calls["eigvalsh"])
+
+
+def test_cyclic_frame_is_computed_once_and_read_only(z5):
+    active, mu = z5.frame()
+    assert z5.frame()[1] is mu and isinstance(active, tuple)
+    with pytest.raises(ValueError):
+        mu[1] = -1.0
+
+
 # ---------------------------------------------------------------------------
 # Truncation semantics
 # ---------------------------------------------------------------------------

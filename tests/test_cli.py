@@ -229,6 +229,15 @@ def test_malformed_sample_grid_exits_1_naming_the_field(tmp_path, capsys, grid, 
     assert not out_dir.exists()
 
 
+def test_markov_battery_below_two_exits_1_naming_battery(tmp_path, capsys):
+    config = json.loads((CORPUS[0].parent / "qubit_markov.json").read_text())
+    config["problem"]["battery"] = 1
+    out_dir = tmp_path / "out"
+    assert run_main(tmp_path, config, "--out", str(out_dir)) == 1
+    assert "config.problem.battery" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_evolve_without_probes_writes_no_probe_diagnostics(tmp_path):
     config = json.loads((CORPUS[0].parent / "qubit_heat.json").read_text())
     config["problem"]["probes"] = 0

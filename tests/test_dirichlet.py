@@ -156,6 +156,13 @@ def test_markov_check_passes(qubit_space, z4_space, torus13_space):
         assert not report.flags
 
 
+def test_markov_check_needs_a_battery_of_pairs(qubit_space):
+    # trace symmetry compares disjoint probe pairs: one probe forms none
+    with pytest.raises(ValueError, match="battery"):
+        dr.markov_check(qubit_space, [1.0], make_rng(38), battery=1)
+    assert dr.markov_check(qubit_space, [1.0], make_rng(38), battery=2).passed
+
+
 def test_choi_at_time_zero_is_maximally_entangled_projector(qubit_space):
     act, d = dr._rep_semigroup_action(qubit_space, 0.0)
     choi = dr._choi_matrix(act, d)
@@ -239,7 +246,7 @@ def test_trace_of_gamma_equals_energy(torus2_space, qubit_space, pair3_space, z4
     for sp in (torus2_space, qubit_space, pair3_space, z4_space):
         for _ in range(20):
             a = bk.random_element(sp.backend, rng)   # full window: traces stay exact
-            g = dr.carre_du_champ(sp, a, enforce=False)
+            g = dr.carre_du_champ(sp, a)
             e = dr.dirichlet_form(sp, a).real
             assert abs(g.trace().real - e) <= 1e-10 * (1.0 + abs(e))
 
@@ -249,8 +256,8 @@ def test_gamma_sigma_symmetry(qubit_space, z4_space):
     for sp in (qubit_space, z4_space):
         a = bk.random_element(sp.backend, rng)
         b = bk.random_element(sp.backend, rng)
-        lhs = bk.adjoint(dr.carre_du_champ(sp, a, b, enforce=False).element)
-        rhs = dr.carre_du_champ(sp, b, a, enforce=False).element
+        lhs = bk.adjoint(dr.carre_du_champ(sp, a, b).element)
+        rhs = dr.carre_du_champ(sp, b, a).element
         assert_elem_close(lhs, rhs, tol=1e-12)
 
 
@@ -258,8 +265,8 @@ def test_gamma_reality_on_self_adjoint_elements(qubit_space):
     rng = make_rng(45)
     a = bk.random_element(qubit_space.backend, rng, self_adjoint=True)
     b = bk.random_element(qubit_space.backend, rng, self_adjoint=True)
-    lhs = dr.carre_du_champ(qubit_space, a, b, enforce=False).element
-    rhs = dr.carre_du_champ(qubit_space, bk.adjoint(a), bk.adjoint(b), enforce=False).element
+    lhs = dr.carre_du_champ(qubit_space, a, b).element
+    rhs = dr.carre_du_champ(qubit_space, bk.adjoint(a), bk.adjoint(b)).element
     assert_elem_close(lhs, rhs, tol=1e-12)
 
 
@@ -272,7 +279,7 @@ def test_gamma_complete_positivity_battery(qubit_space, pair3_space):
             acc = bk.zero(sp.backend)
             for j in range(3):
                 for k in range(3):
-                    gjk = dr.carre_du_champ(sp, As[j], As[k], enforce=False).element
+                    gjk = dr.carre_du_champ(sp, As[j], As[k]).element
                     acc = acc + bk.mul(bk.mul(bk.adjoint(Bs[j]), gjk), Bs[k])
             wit = np.linalg.eigvalsh(bk.represent(acc)).min()
             assert wit >= -1e-9 * max(bk.norm_l2(acc), 1.0)
