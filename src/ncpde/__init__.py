@@ -76,7 +76,6 @@ from .elliptic import (
 from .evolution import (
     EvolutionProblem,
     EvolutionResult,
-    assemble_triple,
     solve_evolution,
     step,
 )

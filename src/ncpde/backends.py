@@ -106,6 +106,11 @@ class Descriptor:
     ``codifferential`` and ``frame_matrices``, and ``involution`` (J).
     The defaults below serve exact representations, untwisted left
     actions, supports without a radius and multiplier frames.
+
+    The frame methods work on stacks: arrays of shape ``(k,) + shape()``,
+    k = ``frame_size()``, one coefficient array per frame component (the
+    layout of a tangent vector, see ``calculus``).  ``frame_matrices`` is
+    (k, D, D), and ``adjoint_data`` maps a stack componentwise.
     """
 
     kind: ClassVar[str]
@@ -141,35 +146,37 @@ class Descriptor:
         """Battery radius keeping pair products leak-free."""
         return None
 
-    def left_multipliers(self, A: np.ndarray) -> tuple[np.ndarray, ...]:
+    def left_multipliers(self, A: np.ndarray) -> np.ndarray:
         """Per frame component, the coefficients by which A acts on the left."""
-        return (A,) * self.frame_size()
+        return np.broadcast_to(A, (self.frame_size(),) + A.shape)
 
-    def derive(self, A: np.ndarray) -> tuple[np.ndarray, ...]:
+    def derive(self, A: np.ndarray) -> np.ndarray:
         """Frame components of the gradient of A."""
-        return tuple(psi * A for psi in self.psis())
+        return self.psis() * A
 
-    def codifferential(self, parts) -> np.ndarray:
+    def codifferential(self, H: np.ndarray) -> np.ndarray:
         """Hilbert adjoint of ``derive``."""
-        out = np.zeros(self.shape(), dtype=np.complex128)
-        for psi, P in zip(self.psis(), parts):
-            out = out + np.conj(psi) * P
-        return out
+        return (np.conj(self.psis()) * H).sum(0)
 
-    def frame_matrices(self) -> list[np.ndarray]:
+    def frame_matrices(self) -> np.ndarray:
         """Per frame component, the (D, D) matrix of ``derive`` on L^2
         coordinates."""
-        return [np.diag(psi.reshape(-1)) for psi in self.psis()]
+        psis = self.psis().reshape(self.frame_size(), -1)
+        diag = np.arange(psis.shape[1])
+        out = np.zeros(psis.shape + psis.shape[1:], dtype=np.complex128)
+        out[:, diag, diag] = psis
+        return out
 
 
 @dataclass(frozen=True, eq=False, repr=False)
 class MatrixAlgebra(Descriptor):
     """M_n with the unnormalized trace; the self-adjoint ``generators``
     drive the double-commutator Dirichlet structure downstream and give
-    one tangent component each, d_j(a) = [v_j, a], with J(h)_j = -(h_j)^*."""
+    one tangent component each, d_j(a) = [v_j, a], with J(h)_j = -(h_j)^*.
+    The generators are stored as one read-only (k, n, n) stack."""
 
     dim: int
-    generators: tuple[np.ndarray, ...]
+    generators: np.ndarray
     kind = "matrix"
     json_schema = {
         "type": "object",
@@ -185,7 +192,7 @@ class MatrixAlgebra(Descriptor):
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("matrix dimension must be >= 1")
-        gens = tuple(np.asarray(v, dtype=np.complex128) for v in self.generators)
+        gens = [np.asarray(v, dtype=np.complex128) for v in self.generators]
         if not gens:
             raise ValueError("at least one generator is required")
         for v in gens:
@@ -196,6 +203,8 @@ class MatrixAlgebra(Descriptor):
             scale = max(np.linalg.norm(v), 1.0)
             if np.linalg.norm(v - v.conj().T) > _SA_RTOL * scale:
                 raise NotSelfAdjoint("matrix generators must be self-adjoint")
+        gens = np.array(gens)
+        gens.setflags(write=False)
         object.__setattr__(self, "generators", gens)
 
     def __repr__(self):
@@ -220,7 +229,7 @@ class MatrixAlgebra(Descriptor):
         return A @ B, 0.0
 
     def adjoint_data(self, A) -> np.ndarray:
-        return A.conj().T
+        return A.conj().swapaxes(-1, -2)
 
     def lmul(self, A) -> np.ndarray:
         # row-major vec(AXB) = kron(A, B^T) vec(X)
@@ -247,22 +256,21 @@ class MatrixAlgebra(Descriptor):
     def frame_size(self) -> int:
         return len(self.generators)
 
-    def derive(self, A) -> tuple[np.ndarray, ...]:
-        return tuple(v @ A - A @ v for v in self.generators)
+    def derive(self, A) -> np.ndarray:
+        V = self.generators
+        return V @ A - A @ V
 
-    def codifferential(self, parts) -> np.ndarray:
+    def codifferential(self, H) -> np.ndarray:
         # [v, .] is self-adjoint on L^2 because v is
-        out = np.zeros(self.shape(), dtype=np.complex128)
-        for v, P in zip(self.generators, parts):
-            out += v @ P - P @ v
-        return out
+        V = self.generators
+        return (V @ H - H @ V).sum(0)
 
-    def frame_matrices(self) -> list[np.ndarray]:
+    def frame_matrices(self) -> np.ndarray:
         eye = np.eye(self.dim)
-        return [np.kron(v, eye) - np.kron(eye, v.T) for v in self.generators]
+        return np.array([np.kron(v, eye) - np.kron(eye, v.T) for v in self.generators])
 
-    def involution(self, parts) -> tuple[np.ndarray, ...]:
-        return tuple(-P.conj().T for P in parts)
+    def involution(self, H) -> np.ndarray:
+        return -self.adjoint_data(H)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -359,7 +367,7 @@ class NCTorus(Descriptor):
         # (U^n V^m)^* = e^{2 pi i theta n m} U^{-n} V^{-m}
         ns = np.arange(-self.level, self.level + 1)
         phase = np.exp(2j * np.pi * self.theta * np.outer(ns, ns))
-        return phase * np.conj(A[::-1, ::-1])
+        return phase * np.conj(A[..., ::-1, ::-1])
 
     def lmul(self, A) -> np.ndarray:
         """Window compression of x -> A x: entry A[p, r] e^{2 pi i theta r n}
@@ -430,13 +438,13 @@ class NCTorus(Descriptor):
     def frame_size(self) -> int:
         return 2
 
-    def psis(self) -> list[np.ndarray]:
+    def psis(self) -> np.ndarray:
         ns = np.arange(-self.level, self.level + 1).astype(float)
-        return [1j * ns[:, None] * np.ones_like(ns)[None, :],
-                1j * np.ones_like(ns)[:, None] * ns[None, :]]
+        return np.stack([1j * ns[:, None] * np.ones_like(ns)[None, :],
+                         1j * np.ones_like(ns)[:, None] * ns[None, :]])
 
-    def involution(self, parts) -> tuple[np.ndarray, ...]:
-        return tuple(self.adjoint_data(P) for P in parts)
+    def involution(self, H) -> np.ndarray:
+        return self.adjoint_data(H)
 
     def restrict_support(self, data, radius):
         if radius is None:
@@ -479,6 +487,8 @@ class CyclicGroup(Descriptor):
     multiplies coefficients by i sqrt(mu_k/2) (chi_k - 1), the left action
     twists convolution by the character chi_k(g) = e^{2 pi i k g / q}, the
     right action is plain convolution and J(h)_k = chi_k * (h_{-k})^*.
+    The characters, the psis, the index of each component's J partner
+    q - k and the circulant index (g - h) mod q are built once, read-only.
     """
 
     order: int
@@ -520,7 +530,19 @@ class CyclicGroup(Descriptor):
         mu[0] = 0.0
         mu[np.abs(mu) < _FRAME_WEIGHT_TOL * max(1.0, max(l))] = 0.0
         mu.setflags(write=False)
-        object.__setattr__(self, "_frame", (tuple(np.flatnonzero(mu > 0.0).tolist()), mu))
+        active = tuple(np.flatnonzero(mu > 0.0).tolist())
+        ks, g = np.array(active, dtype=int), np.arange(self.order)
+        chars = np.exp(2j * np.pi * ks[:, None] * g / self.order)
+        object.__setattr__(self, "_frame", (active, mu))
+        for name, arr in (
+            ("_chars", chars),
+            ("_psis", 1j * np.sqrt(mu[ks] / 2.0)[:, None] * (chars - 1.0)),
+            ("_partner", np.array([active.index((self.order - k) % self.order)
+                                   for k in active], dtype=int)),
+            ("_circulant", (g[:, None] - g[None, :]) % self.order),
+        ):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     def __repr__(self):
         return f"CyclicGroup(order={self.order}, lengths={self.lengths})"
@@ -544,11 +566,10 @@ class CyclicGroup(Descriptor):
         return self.lmul(A) @ B, 0.0
 
     def adjoint_data(self, A) -> np.ndarray:
-        return np.conj(np.roll(A[::-1], 1))
+        return np.conj(np.roll(A[..., ::-1], 1, axis=-1))
 
     def lmul(self, A) -> np.ndarray:
-        g = np.arange(self.order)
-        return A[(g[:, None] - g[None, :]) % self.order]
+        return A[self._circulant]
 
     def rep_dim(self) -> int:
         return self.order
@@ -561,9 +582,7 @@ class CyclicGroup(Descriptor):
 
     def rep_semigroup_action(self, t, semigroup):
         # P_t is the Schur multiplier by e^{-t l(g - h)} on M_q
-        g = np.arange(self.order)
-        phi = np.exp(-t * np.asarray(self.lengths))
-        schur = phi[(g[:, None] - g[None, :]) % self.order]
+        schur = np.exp(-t * np.asarray(self.lengths))[self._circulant]
         return (lambda X: schur * X), self.order
 
     def generator_matrix(self) -> np.ndarray:
@@ -574,26 +593,17 @@ class CyclicGroup(Descriptor):
         full weight vector mu (read-only), computed once at construction."""
         return self._frame
 
-    def _characters(self, active) -> list[np.ndarray]:
-        g = np.arange(self.order)
-        return [np.exp(2j * np.pi * k * g / self.order) for k in active]
-
     def frame_size(self) -> int:
         return len(self.frame()[0])
 
-    def psis(self) -> list[np.ndarray]:
-        active, mu = self.frame()
-        return [1j * np.sqrt(mu[k] / 2.0) * (chi - 1.0)
-                for k, chi in zip(active, self._characters(active))]
+    def psis(self) -> np.ndarray:
+        return self._psis
 
-    def left_multipliers(self, A) -> tuple[np.ndarray, ...]:
-        return tuple(chi * A for chi in self._characters(self.frame()[0]))
+    def left_multipliers(self, A) -> np.ndarray:
+        return self._chars * A
 
-    def involution(self, parts) -> tuple[np.ndarray, ...]:
-        active = self.frame()[0]
-        pos = {k: i for i, k in enumerate(active)}
-        return tuple(chi * self.adjoint_data(parts[pos[(self.order - k) % self.order]])
-                     for k, chi in zip(active, self._characters(active)))
+    def involution(self, H) -> np.ndarray:
+        return self._chars * self.adjoint_data(H[self._partner])
 
 
 # every backend class; serialization and the CLI schema are built from this
@@ -851,15 +861,20 @@ def modulus(a: AlgebraElement) -> AlgebraElement:
 # ---------------------------------------------------------------------------
 
 
-def random_element(desc: Descriptor, rng: np.random.Generator, *,
-                   radius: int | None = None, self_adjoint: bool = False) -> AlgebraElement:
-    """Seeded random element; ``radius`` restricts the support where the
-    backend bounds supports (torus: |n|,|m| <= radius), so that products
-    stay leak-free."""
+def random_data(desc: Descriptor, rng: np.random.Generator, *,
+                radius: int | None = None) -> np.ndarray:
+    """Seeded random coefficient array (real parts drawn before imaginary
+    parts); ``radius`` restricts the support where the backend bounds
+    supports (torus: |n|,|m| <= radius), so that products stay leak-free."""
     shape = desc.shape()
     data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    data = desc.restrict_support(data, radius)
-    out = AlgebraElement(desc, data)
+    return desc.restrict_support(data, radius)
+
+
+def random_element(desc: Descriptor, rng: np.random.Generator, *,
+                   radius: int | None = None, self_adjoint: bool = False) -> AlgebraElement:
+    """Seeded random element drawn by ``random_data``."""
+    out = AlgebraElement(desc, random_data(desc, rng, radius=radius))
     if self_adjoint:
         out = scale(0.5, add(out, adjoint(out)))
     return out

@@ -10,6 +10,11 @@ twisted by that character (see each backend class).  With these choices the
 derivation property d(ab) = d(a) b + a d(b) holds exactly and
 sum_k ||d_k f||^2 reproduces the energy form.
 
+A tangent vector is one complex array of shape (k,) + backend.shape(), the
+coefficients of its k frame components in frame order.  Flattened row-major
+it is the stacked L^2 coordinate vector of length k*D: the row order of
+``gradient_matrix`` and the last axis of ``elliptic.NonlinearMap.func``.
+
 The divergence is the literal Hilbert adjoint of the gradient (fixed by
 the pairing <d a, h> = <a, div h>, not by a sign convention), so the
 generator factorization L = div o grad holds to rounding by construction
@@ -34,30 +39,33 @@ from .dirichlet import DirichletSpace, dirichlet_form
 
 @dataclass(frozen=True, eq=False, repr=False)
 class TangentVector:
+    """A tangent vector over ``space``; ``data`` is its read-only coefficient
+    stack in the layout of the module docstring."""
+
     space: DirichletSpace
-    parts: tuple[AlgebraElement, ...]
+    data: np.ndarray
 
     def __post_init__(self):
-        expected = tangent_components(self.space)
-        if len(self.parts) != expected:
-            raise ValueError(f"expected {expected} components, got {len(self.parts)}")
-        for p in self.parts:
-            if not bk.same_backend(p.backend, self.space.backend):
-                raise bk.BackendMismatch("component belongs to a different backend")
+        arr = np.array(self.data, dtype=np.complex128)   # always copy, then freeze
+        shape = (tangent_components(self.space),) + self.space.backend.shape()
+        if arr.shape != shape:
+            raise ValueError(f"tangent coefficient shape {arr.shape} != {shape}")
+        arr.setflags(write=False)
+        object.__setattr__(self, "data", arr)
 
     def __repr__(self):
-        return f"TangentVector(k={len(self.parts)}, norm={hilbert_norm(self):.4g})"
+        return f"TangentVector(k={len(self.data)}, norm={hilbert_norm(self):.4g})"
 
     def __add__(self, other):
         _check_space(self, other)
-        return TangentVector(self.space, tuple(a + b for a, b in zip(self.parts, other.parts)))
+        return TangentVector(self.space, self.data + other.data)
 
     def __sub__(self, other):
         _check_space(self, other)
-        return TangentVector(self.space, tuple(a - b for a, b in zip(self.parts, other.parts)))
+        return TangentVector(self.space, self.data - other.data)
 
     def __rmul__(self, t):
-        return TangentVector(self.space, tuple(bk.scale(t, p) for p in self.parts))
+        return TangentVector(self.space, complex(t) * self.data)
 
     def __neg__(self):
         return (-1.0) * self
@@ -68,9 +76,13 @@ def _check_space(h: TangentVector, g: TangentVector):
         raise bk.BackendMismatch("tangent vectors over different spaces")
 
 
+def _check_element(x: AlgebraElement, h: TangentVector):
+    if not bk.same_backend(x.backend, h.space.backend):
+        raise bk.BackendMismatch("element and tangent vector belong to different backends")
+
+
 def zero_tangent(space: DirichletSpace) -> TangentVector:
-    z = bk.zero(space.backend)
-    return TangentVector(space, tuple(z for _ in range(tangent_components(space))))
+    return TangentVector(space, np.zeros((tangent_components(space),) + space.backend.shape()))
 
 
 # ---------------------------------------------------------------------------
@@ -83,22 +95,19 @@ def tangent_components(space: DirichletSpace) -> int:
 
 
 def gradient(space: DirichletSpace, a: AlgebraElement) -> TangentVector:
-    desc = space.backend
-    return TangentVector(space, tuple(bk.element(desc, P) for P in desc.derive(a.data)))
+    return TangentVector(space, space.backend.derive(a.data))
 
 
 def divergence(space: DirichletSpace, h: TangentVector) -> AlgebraElement:
     """Hilbert adjoint of the gradient; div o grad equals the generator."""
-    desc = space.backend
-    return bk.element(desc, desc.codifferential([p.data for p in h.parts]))
+    return bk.element(space.backend, space.backend.codifferential(h.data))
 
 
 def gradient_matrix(space: DirichletSpace) -> np.ndarray:
     """Stacked matrix of the gradient on L^2 coordinates, shape (k*D, D);
     its conjugate transpose is the divergence, so gm^H @ gm reproduces the
     generator."""
-    mats = space.backend.frame_matrices()
-    return np.array(mats, dtype=np.complex128).reshape(len(mats) * space.dim, space.dim)
+    return space.backend.frame_matrices().reshape(-1, space.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -107,18 +116,16 @@ def gradient_matrix(space: DirichletSpace) -> np.ndarray:
 
 
 def left_act(x: AlgebraElement, h: TangentVector) -> TangentVector:
+    _check_element(x, h)
     desc = h.space.backend
-    if not bk.same_backend(x.backend, desc):
-        raise bk.BackendMismatch("element and tangent vector belong to different backends")
-    parts = tuple(
-        bk.mul(bk.AlgebraElement(desc, X), p)
-        for X, p in zip(desc.left_multipliers(x.data), h.parts)
-    )
-    return TangentVector(h.space, parts)
+    return TangentVector(h.space, [desc.mul_data(X, H)[0] for X, H
+                                   in zip(desc.left_multipliers(x.data), h.data)])
 
 
 def right_act(h: TangentVector, y: AlgebraElement) -> TangentVector:
-    return TangentVector(h.space, tuple(bk.mul(p, y) for p in h.parts))
+    _check_element(y, h)
+    desc = h.space.backend
+    return TangentVector(h.space, [desc.mul_data(H, y.data)[0] for H in h.data])
 
 
 def module_act(x: AlgebraElement, h: TangentVector, y: AlgebraElement) -> TangentVector:
@@ -128,9 +135,7 @@ def module_act(x: AlgebraElement, h: TangentVector, y: AlgebraElement) -> Tangen
 
 def involution_j(h: TangentVector) -> TangentVector:
     """Antilinear bimodule involution with J(grad a) = grad(a^*)."""
-    desc = h.space.backend
-    parts = desc.involution([p.data for p in h.parts])
-    return TangentVector(h.space, tuple(bk.element(desc, P) for P in parts))
+    return TangentVector(h.space, h.space.backend.involution(h.data))
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +146,7 @@ def involution_j(h: TangentVector) -> TangentVector:
 def hilbert_inner(h: TangentVector, g: TangentVector) -> complex:
     """<h, g> = sum_j tau(h_j^* g_j); antilinear in the first slot."""
     _check_space(h, g)
-    return complex(sum(bk.inner_l2(a, b) for a, b in zip(h.parts, g.parts)))
+    return complex(np.vdot(h.data, g.data))
 
 
 def hilbert_norm(h: TangentVector) -> float:
@@ -172,25 +177,20 @@ def riemannian_metric(space: DirichletSpace, h: TangentVector, g: TangentVector)
     gradients rho(grad a, grad b) is the carre du champ density.  The
     diagonal pairing rho(h, h) passes ``bk.require_positive``."""
     _check_space(h, g)
-    acc = bk.zero(space.backend)
-    leak = 0.0
-    for p, q in zip(h.parts, g.parts):
-        term, l = bk.mul_with_loss(bk.adjoint(p), q)
-        acc = bk.add(acc, term)
-        leak += l
-    rho = bk.as_density(acc, leak)
-    if all(np.array_equal(p.data, q.data) for p, q in zip(h.parts, g.parts)):
+    desc = space.backend
+    terms = [desc.mul_data(P, Q) for P, Q in zip(desc.adjoint_data(h.data), g.data)]
+    rho = bk.as_density(bk.element(desc, sum((t for t, _ in terms), np.zeros(desc.shape()))),
+                        sum(leak for _, leak in terms))
+    if np.array_equal(h.data, g.data):
         bk.require_positive(rho, "metric rho(h, h)")
     return rho
 
 
 def random_tangent(space: DirichletSpace, rng: np.random.Generator, *,
                    radius: int | None = None) -> TangentVector:
-    parts = tuple(
-        bk.random_element(space.backend, rng, radius=radius)
-        for _ in range(tangent_components(space))
-    )
-    return TangentVector(space, parts)
+    """One ``random_data`` draw per frame component, in frame order."""
+    return TangentVector(space, [bk.random_data(space.backend, rng, radius=radius)
+                                 for _ in range(tangent_components(space))])
 
 
 __all__ = [

@@ -69,44 +69,36 @@ class DirichletSpace:
 
 
 def build_space(desc: Descriptor, gap_tol: float = GAP_RTOL) -> DirichletSpace:
-    gen = desc.generator_matrix()
+    return space_from_matrix(desc, desc.generator_matrix(), gap_tol)
+
+
+def space_from_matrix(desc: Descriptor, gen: np.ndarray,
+                      gap_tol: float = GAP_RTOL) -> DirichletSpace:
+    """Space around an explicit generator matrix, which must be PSD and
+    annihilate the unit; eigenvalues below ``gap_tol`` times the largest
+    count as kernel."""
+    gen = np.asarray(gen, dtype=np.complex128)
     diag = np.diagonal(gen)
     if np.count_nonzero(gen - np.diag(diag)) == 0:
         # exact eigensystem for diagonal generators (torus, cyclic,
-        # commuting matrix generators): sorted diagonal + permutation
+        # commuting matrix generators): sorted diagonal + permutation, which
+        # reconstructs the generator exactly
         order = np.argsort(diag.real, kind="stable")
         evals = diag.real[order].copy()
         evecs = np.eye(gen.shape[0], dtype=np.complex128)[:, order]
     else:
         evals, evecs = np.linalg.eigh(gen)
+        recon = (evecs * evals) @ evecs.conj().T
+        if np.linalg.norm(recon - gen) > 1e-10 * max(np.linalg.norm(gen), 1e-300):
+            raise GeneratorError("eigensystem does not reconstruct the generator")
     lam_max = max(float(evals[-1]), 0.0)
     if float(evals[0]) < -1e-10 * max(lam_max, 1e-300):
         raise GeneratorError(f"generator is not PSD (min eigenvalue {evals[0]:.3e})")
-    recon = (evecs * evals) @ evecs.conj().T
-    if np.linalg.norm(recon - gen) > 1e-10 * max(np.linalg.norm(gen), 1e-300):
-        raise GeneratorError("eigensystem does not reconstruct the generator")
     unit_coords = bk.to_l2(bk.unit(desc))
     if np.linalg.norm(gen @ unit_coords) > 1e-10 * max(lam_max, 1e-300):
         raise GeneratorError("generator does not annihilate the unit")
     kernel_dim = int(np.sum(evals < gap_tol * max(lam_max, 1e-300)))
     return DirichletSpace(desc, gen, evals, evecs, kernel_dim, gap_tol)
-
-
-def space_from_matrix(desc: Descriptor, gen: np.ndarray, *,
-                      validate: bool = True) -> DirichletSpace:
-    """Build a space around an explicit generator matrix (mainly for
-    negative tests; ``validate=False`` skips the PSD/conservativity gates)."""
-    gen = np.asarray(gen, dtype=np.complex128)
-    evals, evecs = np.linalg.eigh(gen)
-    lam_max = max(float(np.abs(evals).max()), 1e-300)
-    if validate:
-        if float(evals[0]) < -1e-10 * lam_max:
-            raise GeneratorError("generator is not PSD")
-        unit_coords = bk.to_l2(bk.unit(desc))
-        if np.linalg.norm(gen @ unit_coords) > 1e-10 * lam_max:
-            raise GeneratorError("generator does not annihilate the unit")
-    kernel_dim = int(np.sum(np.abs(evals) < GAP_RTOL * lam_max))
-    return DirichletSpace(desc, gen, evals, evecs, kernel_dim, GAP_RTOL)
 
 
 def _coords(space: DirichletSpace, a: AlgebraElement) -> np.ndarray:

@@ -238,7 +238,7 @@ def probe_map(space: DirichletSpace, F: NonlinearMap, rng: np.random.Generator,
               samples: int = 200, *, radius: int | None = None) -> Report:
     """Statistical verification of monotonicity, growth and coercivity.
 
-    Each sample draws h and v (componentwise ``random_element`` draws) and a
+    Each sample draws h and v (componentwise ``random_data`` draws) and a
     scale for h, in that order.  Coercivity is probed in the declared linear
     form Re<F(h), h> >= c1 ||h|| - c2 and, additionally, in the quadratic
     form with the same constants; both margins are reported.
@@ -247,7 +247,7 @@ def probe_map(space: DirichletSpace, F: NonlinearMap, rng: np.random.Generator,
     k = tangent_components(space)
 
     def draw() -> np.ndarray:
-        return np.concatenate([bk.to_l2(bk.random_element(space.backend, rng, radius=radius))
+        return np.concatenate([bk.random_data(space.backend, rng, radius=radius).reshape(-1)
                                for _ in range(k)])
 
     h = np.empty((samples, k * space.dim), dtype=np.complex128)

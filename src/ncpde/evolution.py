@@ -51,19 +51,6 @@ from .dirichlet import DirichletSpace, semigroup_apply
 SCHEMES = ("implicit-euler", "crank-nicolson")
 
 
-@dataclass(frozen=True)
-class TripleMaps:
-    """Real-coordinate data of the Gelfand triple."""
-
-    dim_real: int
-    e_gram: np.ndarray          # V Gram: identity + realified generator
-
-
-def assemble_triple(space: DirichletSpace) -> TripleMaps:
-    D = space.dim
-    return TripleMaps(2 * D, np.eye(2 * D) + co.realify_operator(space.generator))
-
-
 @dataclass
 class EvolutionProblem:
     space: DirichletSpace
@@ -141,8 +128,8 @@ def _transport_matrix(space: DirichletSpace, h: TangentVector) -> np.ndarray:
     (antilinear in b)."""
     desc = space.backend
     S = np.zeros((space.dim, space.dim), dtype=np.complex128)
-    for G, p in zip(desc.frame_matrices(), h.parts):
-        S += G.T @ np.conj(desc.lmul(p.data))
+    for G, P in zip(desc.frame_matrices(), h.data):
+        S += G.T @ np.conj(desc.lmul(P))
     return np.block([[S.real, S.imag], [-S.imag, S.real]])
 
 
@@ -152,7 +139,7 @@ def form_matrix(problem: EvolutionProblem, t: float) -> np.ndarray:
         return gen_r
     A = problem.epsilon * gen_r
     h = flow_at(problem, t)
-    if any(bk.norm_l2(p) > 0 for p in h.parts):
+    if h.data.any():
         A = A + _transport_matrix(problem.space, h)
     return A
 
@@ -221,7 +208,8 @@ def solve_evolution(problem: EvolutionProblem, rng: np.random.Generator | None =
     if rng is not None and probes > 0:
         probe_vs = rng.standard_normal((probes, D2))
         probe_vs /= np.linalg.norm(probe_vs, axis=1, keepdims=True)
-        v_sq = np.einsum("ij,jk,ik->i", probe_vs, assemble_triple(space).e_gram, probe_vs)
+        e_gram = np.eye(D2) + co.realify_operator(space.generator)   # V Gram matrix
+        v_sq = np.einsum("ij,jk,ik->i", probe_vs, e_gram, probe_vs)
         h_sq = np.einsum("ij,ij->i", probe_vs, probe_vs)
 
     dt, cn = problem.dt, problem.scheme == "crank-nicolson"

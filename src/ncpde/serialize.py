@@ -35,9 +35,8 @@ def element_to_json(a: AlgebraElement) -> dict:
     return {"backend": descriptor_to_json(a.backend), "data": to_pairs(a.data)}
 
 
-def element_from_json(obj: dict, desc: Descriptor | None = None) -> AlgebraElement:
-    backend = desc if desc is not None else descriptor_from_json(obj["backend"])
-    return AlgebraElement(backend, from_pairs(obj["data"], backend.shape()))
+def element_from_json(obj: dict) -> AlgebraElement:
+    return element_data_from_json(descriptor_from_json(obj["backend"]), obj["data"])
 
 
 def element_data_from_json(desc: Descriptor, pairs) -> AlgebraElement:
@@ -46,9 +45,11 @@ def element_data_from_json(desc: Descriptor, pairs) -> AlgebraElement:
 
 
 def tangent_to_json(h: TangentVector) -> list[dict]:
-    return [element_to_json(p) for p in h.parts]
+    """One element blob per frame component."""
+    backend = descriptor_to_json(h.space.backend)
+    return [{"backend": backend, "data": to_pairs(P)} for P in h.data]
 
 
 def tangent_from_json(space: DirichletSpace, blobs) -> TangentVector:
-    parts = tuple(element_from_json(b, space.backend) for b in blobs)
-    return TangentVector(space, parts)
+    shape = space.backend.shape()
+    return TangentVector(space, [from_pairs(b["data"], shape) for b in blobs])

@@ -7,7 +7,8 @@ from ncpde import backends as bk
 from ncpde import calculus as ca
 from ncpde import coords as co
 from ncpde import evolution as ev
-from ncpde.dirichlet import build_space, carre_du_champ, semigroup_apply
+from ncpde.dirichlet import (GAP_RTOL, DirichletSpace, build_space, carre_du_champ,
+                             semigroup_apply)
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -118,6 +119,16 @@ def backend_from_spec(spec):
     return bk.MatrixAlgebra(size, (_hermitian(rng, size), _hermitian(rng, size)))
 
 
+def corrupted_space(desc, gen):
+    """DirichletSpace around ``gen`` without the generator gates of
+    ``space_from_matrix``, for negative tests of the checks downstream."""
+    gen = np.asarray(gen, dtype=complex)
+    evals, evecs = np.linalg.eigh(gen)
+    lam_max = max(float(np.abs(evals).max()), 1e-300)
+    kernel_dim = int(np.sum(np.abs(evals) < GAP_RTOL * lam_max))
+    return DirichletSpace(desc, gen, evals, evecs, kernel_dim, GAP_RTOL)
+
+
 def assert_elem_close(a, b, tol=1e-12, scale=None):
     num = bk.norm_l2(a - b)
     ref = scale if scale is not None else max(bk.norm_l2(a), bk.norm_l2(b), 1.0)
@@ -155,23 +166,23 @@ def loop_gradient_matrix(space):
     k = ca.tangent_components(space)
     out = np.zeros((k * D, D), dtype=complex)
     for col, e in _basis(space.backend):
-        for j, p in enumerate(ca.gradient(space, e).parts):
-            out[j * D : (j + 1) * D, col] = bk.to_l2(p)
+        for j, p in enumerate(ca.gradient(space, e).data):
+            out[j * D : (j + 1) * D, col] = p.reshape(-1)
     return out
 
 
 def loop_transport_matrix(space, h):
     """Real matrix of (u, v) -> Re< h . u, grad v > on real coordinates."""
     D = space.dim
-    k = len(h.parts)
+    k = len(h.data)
     HB = np.empty((D, k, D), dtype=complex)   # h . e_b per component
     GB = np.empty((D, k, D), dtype=complex)   # grad e_a per component
     for col, e in _basis(space.backend):
         hu = ca.right_act(h, e)
         gu = ca.gradient(space, e)
         for c in range(k):
-            HB[col, c] = bk.to_l2(hu.parts[c])
-            GB[col, c] = bk.to_l2(gu.parts[c])
+            HB[col, c] = hu.data[c].reshape(-1)
+            GB[col, c] = gu.data[c].reshape(-1)
     # S[a, b] = < h . e_b, grad e_a >  (antilinear in b)
     S = np.einsum("bcd,acd->ab", HB.conj(), GB)
     return np.block([[S.real, S.imag], [-S.imag, S.real]])
@@ -245,8 +256,8 @@ def loop_galerkin_residual(space, F, B, rhs):
         for dj, g in zip(d, grads):
             if dj != 0.0:
                 acc = acc + float(dj) * g
-        Fc = F(np.concatenate([bk.to_l2(p) for p in acc.parts])).reshape(len(acc.parts), -1)
-        Fh = ca.TangentVector(space, tuple(bk.from_l2(space.backend, c) for c in Fc))
+        Fc = F(np.concatenate([p.reshape(-1) for p in acc.data])).reshape(acc.data.shape)
+        Fh = ca.TangentVector(space, Fc)
         return np.array([ca.hilbert_inner(Fh, g).real for g in grads]) - rhs
 
     return V
@@ -287,7 +298,7 @@ def loop_solve_evolution(problem, rng=None, probes=8):
     space = problem.space
     n = problem.n_steps()
     D2 = 2 * space.dim
-    e_gram = ev.assemble_triple(space).e_gram
+    e_gram = np.eye(D2) + co.realify_operator(space.generator)
     unit_r = co.realify_vector(bk.to_l2(bk.unit(space.backend)))
     certs = ev.default_certificates(problem)
     probe_vs = None

@@ -229,6 +229,23 @@ def test_malformed_sample_grid_exits_1_naming_the_field(tmp_path, capsys, grid, 
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("vectors", [
+    [[_ZERO_QUBIT, _ZERO_QUBIT]] * 2,     # two components; the qubit frame has one
+    [[_ZERO_QUBIT[:3]]] * 2,              # three coefficient pairs; the qubit has four
+], ids=["component-count", "pair-count"])
+def test_malformed_flow_vector_exits_1(tmp_path, capsys, vectors):
+    config = {
+        "command": "evolve", "backend": QUBIT_BACKEND,
+        "problem": {"form": "continuity", "u0": [[1.0, 0.0]] * 4, "horizon": 0.2,
+                    "dt": 0.1, "epsilon": 0.1,
+                    "flow": {"times": [0.0, 0.2], "vectors": vectors}},
+    }
+    out_dir = tmp_path / "out"
+    assert run_main(tmp_path, config, "--out", str(out_dir)) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out_dir.exists()
+
+
 def test_markov_battery_below_two_exits_1_naming_battery(tmp_path, capsys):
     config = json.loads((CORPUS[0].parent / "qubit_markov.json").read_text())
     config["problem"]["battery"] = 1

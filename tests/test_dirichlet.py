@@ -8,7 +8,7 @@ from ncpde import backends as bk
 from ncpde import cli
 from ncpde import dirichlet as dr
 from conftest import (SIGMA_X, SIGMA_Z, THETA_IRR, assert_elem_close,
-                      bisect_largest_passing_K, make_rng)
+                      bisect_largest_passing_K, corrupted_space, make_rng)
 
 
 def commutator(a, b):
@@ -81,7 +81,6 @@ def test_space_from_matrix_validation(qubit, qubit_space):
     bad = (evecs * evals) @ evecs.conj().T
     with pytest.raises(dr.GeneratorError):
         dr.space_from_matrix(qubit, bad)
-    dr.space_from_matrix(qubit, bad, validate=False)   # negative-test hatch
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +175,7 @@ def test_markov_check_fails_for_corrupted_generator(qubit):
     gen = dr.build_space(qubit).generator.copy()
     evals, evecs = np.linalg.eigh(gen)
     evals[-1] = -evals[-1]
-    bad = dr.space_from_matrix(qubit, (evecs * evals) @ evecs.conj().T, validate=False)
+    bad = corrupted_space(qubit, (evecs * evals) @ evecs.conj().T)
     report = dr.markov_check(bad, [1.0], make_rng(39))
     failed = {c.name for c in report.checks if not c.passed}
     assert any(name.startswith("contraction") for name in failed)
@@ -288,7 +287,7 @@ def test_gamma_complete_positivity_battery(qubit_space, pair3_space):
 def test_gamma_positivity_enforced(qubit):
     # corrupt generator (not a diffusion generator): Gamma picks up negativity
     gen = -dr.build_space(qubit).generator
-    bad = dr.space_from_matrix(qubit, gen, validate=False)
+    bad = corrupted_space(qubit, gen)
     with pytest.raises(bk.NotPositive):
         dr.carre_du_champ(bad, bk.element(qubit, SIGMA_X))
 

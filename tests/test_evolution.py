@@ -12,28 +12,6 @@ from conftest import SIGMA_X, THETA_IRR, backend_from_spec, loop_solve_evolution
 
 
 # ---------------------------------------------------------------------------
-# Gelfand triple assembly
-# ---------------------------------------------------------------------------
-
-
-def test_triple_dimensions_and_gram_torus():
-    sp = dr.build_space(bk.NCTorus(1, THETA_IRR))
-    tr = ev.assemble_triple(sp)
-    assert tr.dim_real == 18
-    diag = sorted(np.diag(tr.e_gram))
-    ns = range(-1, 2)
-    expected = sorted(1.0 + n * n + m * m for n in ns for m in ns) * 2
-    assert np.allclose(sorted(diag), sorted(expected))
-
-
-def test_triple_qubit_v_gram_spectrum(qubit_space):
-    tr = ev.assemble_triple(qubit_space)
-    evals = np.linalg.eigvalsh(tr.e_gram)
-    # complex spectrum {1, 1, 5, 5}, doubled by the real coordinates
-    assert np.allclose(sorted(evals), [1, 1, 1, 1, 5, 5, 5, 5])
-
-
-# ---------------------------------------------------------------------------
 # Stepping
 # ---------------------------------------------------------------------------
 
@@ -162,7 +140,7 @@ def test_flow_interpolation_is_linear():
                                flow=[h0, h1], flow_times=[0.0, 1.0])
     mid = ev.flow_at(prob, 0.5)
     expected = 2.0 * h0
-    assert max(bk.norm_l2(a - b) for a, b in zip(mid.parts, expected.parts)) <= 1e-14
+    assert max(np.linalg.norm(a - b) for a, b in zip(mid.data, expected.data)) <= 1e-14
 
 
 # ---------------------------------------------------------------------------

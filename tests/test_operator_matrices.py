@@ -1,6 +1,7 @@
 """The closed-form operator matrices (left multiplication, irrational-theta
 ``represent``, ``gradient_matrix`` and the evolution transport matrix)
-against the basis-vector loops in conftest, at sizes beyond the corpus."""
+against the basis-vector loops in conftest, and the tangent layout against
+the rows of ``gradient_matrix``, at sizes beyond the corpus."""
 
 import numpy as np
 import pytest
@@ -46,6 +47,17 @@ def test_gradient_matrix_matches_loop_and_factorizes_generator(spec):
     gm = ca.gradient_matrix(space)
     assert _rel(gm, loop_gradient_matrix(space)) <= RTOL
     assert _rel(gm.conj().T @ gm, space.generator) <= RTOL
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=IDS)
+def test_tangent_layout_is_gradient_matrix_row_order(spec):
+    space = build_space(backend_from_spec(spec))
+    rng = make_rng(530)
+    a = bk.random_element(space.backend, rng)
+    h = ca.random_tangent(space, rng)
+    gm = ca.gradient_matrix(space)
+    assert _rel(ca.gradient(space, a).data.reshape(-1), gm @ bk.to_l2(a)) <= 1e-14
+    assert _rel(bk.to_l2(ca.divergence(space, h)), gm.conj().T @ h.data.reshape(-1)) <= 1e-14
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=IDS)

@@ -50,8 +50,8 @@ def test_tangent_round_trip():
     h = random_tangent(space, make_rng(111))
     blobs = json.loads(json.dumps(sz.tangent_to_json(h)))
     back = sz.tangent_from_json(space, blobs)
-    for p, q in zip(h.parts, back.parts):
-        assert np.array_equal(p.data, q.data)
+    for p, q in zip(h.data, back.data):
+        assert np.array_equal(p, q)
 
 
 def test_element_json_shape_is_flat_row_major():
