@@ -107,10 +107,12 @@ class Descriptor:
     The defaults below serve exact representations, untwisted left
     actions, supports without a radius and multiplier frames.
 
-    The frame methods work on stacks: arrays of shape ``(k,) + shape()``,
-    k = ``frame_size()``, one coefficient array per frame component (the
-    layout of a tangent vector, see ``calculus``).  ``frame_matrices`` is
-    (k, D, D), and ``adjoint_data`` maps a stack componentwise.
+    Every method acts on the trailing ``shape()`` axes and broadcasts over
+    leading ones: ``mul_data`` gives products and truncated L^2 masses (0.0
+    unless truncated) over the broadcast leading shape.  The frame methods
+    take stacks ``(k,) + shape()``, k = ``frame_size()``, one array per frame
+    component (a tangent vector, see ``calculus``); ``frame_matrices`` is
+    (k, D, D) and ``left_multipliers(A)`` is A unless a backend twists it.
     """
 
     kind: ClassVar[str]
@@ -147,8 +149,9 @@ class Descriptor:
         return None
 
     def left_multipliers(self, A: np.ndarray) -> np.ndarray:
-        """Per frame component, the coefficients by which A acts on the left."""
-        return np.broadcast_to(A, (self.frame_size(),) + A.shape)
+        """Per frame component, the coefficients by which A acts on the left;
+        untwisted actions use A itself, which broadcasts over the components."""
+        return A
 
     def derive(self, A: np.ndarray) -> np.ndarray:
         """Frame components of the gradient of A."""
@@ -225,15 +228,18 @@ class MatrixAlgebra(Descriptor):
     def unit_data(self) -> np.ndarray:
         return np.eye(self.dim, dtype=np.complex128)
 
-    def mul_data(self, A, B) -> tuple[np.ndarray, float]:
-        return A @ B, 0.0
+    def mul_data(self, A, B) -> tuple[np.ndarray, np.ndarray]:
+        P = A @ B
+        return P, np.zeros(P.shape[:-2])
 
     def adjoint_data(self, A) -> np.ndarray:
         return A.conj().swapaxes(-1, -2)
 
     def lmul(self, A) -> np.ndarray:
-        # row-major vec(AXB) = kron(A, B^T) vec(X)
-        return np.kron(A, np.eye(self.dim))
+        # row-major vec(AX) = kron(A, 1) vec(X): entry A[i, k] at (i n + j, k n + j)
+        n = self.dim
+        out = A[..., :, None, :, None] * np.eye(n)[:, None, :]
+        return out.reshape(A.shape[:-2] + (n * n, n * n))
 
     def rep_dim(self) -> int:
         return self.dim
@@ -341,27 +347,21 @@ class NCTorus(Descriptor):
         data[self.level, self.level] = 1.0
         return data
 
-    def mul_data(self, A, B) -> tuple[np.ndarray, float]:
-        # (U^p V^r)(U^n' V^m') = e^{2 pi i theta r n'} U^{p+n'} V^{r+m'}
+    def mul_data(self, A, B) -> tuple[np.ndarray, np.ndarray]:
+        # (U^p V^r)(U^n' V^m') = e^{2 pi i theta r n'} U^{p+n'} V^{r+m'}, one
+        # shifted block per mode (p, r) in the union of the supports of A
         N = self.level
         W = 2 * N + 1
         ns = np.arange(-N, N + 1)
-        out = np.zeros((4 * N + 1, 4 * N + 1), dtype=np.complex128)
-        for ip in range(W):
-            row = A[ip]
-            if not row.any():
-                continue
-            for ir in range(W):
-                coeff = row[ir]
-                if coeff == 0.0:
-                    continue
-                r = ir - N
-                phase = np.exp(2j * np.pi * self.theta * r * ns)[:, None]
-                out[ip : ip + W, ir : ir + W] += coeff * (phase * B)
-        window = out[N : 3 * N + 1, N : 3 * N + 1].copy()
-        total = np.linalg.norm(out)
-        kept = np.linalg.norm(window)
-        return window, math.sqrt(max(total * total - kept * kept, 0.0))
+        phase = np.exp(2j * np.pi * self.theta * ns[:, None] * ns)[:, :, None]   # [r, n', 1]
+        lead = np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
+        out = np.zeros(lead + (4 * N + 1, 4 * N + 1), dtype=np.complex128)
+        support = np.any(A != 0.0, axis=tuple(range(A.ndim - 2)))
+        for ip, ir in zip(*np.nonzero(support)):
+            out[..., ip : ip + W, ir : ir + W] += A[..., ip, ir, None, None] * (phase[ir] * B)
+        window = out[..., N : 3 * N + 1, N : 3 * N + 1].copy()
+        out[..., N : 3 * N + 1, N : 3 * N + 1] = 0.0
+        return window, np.linalg.norm(out, axis=(-2, -1))
 
     def adjoint_data(self, A) -> np.ndarray:
         # (U^n V^m)^* = e^{2 pi i theta n m} U^{-n} V^{-m}
@@ -379,9 +379,9 @@ class NCTorus(Descriptor):
         keep = (np.abs(p + n) <= N) & (np.abs(r + m) <= N)
         rows = np.broadcast_to((p + n + N) * W + (r + m + N), keep.shape)[keep]
         cols = np.broadcast_to((n + N) * W + (m + N), keep.shape)[keep]
-        vals = A[:, :, None, None] * np.exp(2j * np.pi * self.theta * r * n)
-        out = np.zeros((W * W, W * W), dtype=np.complex128)
-        out[rows, cols] = np.broadcast_to(vals, keep.shape)[keep]
+        vals = A[..., :, :, None, None] * np.exp(2j * np.pi * self.theta * r * n)
+        out = np.zeros(A.shape[:-2] + (W * W, W * W), dtype=np.complex128)
+        out[..., rows, cols] = np.broadcast_to(vals, A.shape[:-2] + keep.shape)[..., keep]
         return out
 
     def rep_dim(self) -> int:
@@ -562,14 +562,16 @@ class CyclicGroup(Descriptor):
         data[0] = 1.0
         return data
 
-    def mul_data(self, A, B) -> tuple[np.ndarray, float]:
-        return self.lmul(A) @ B, 0.0
+    def mul_data(self, A, B) -> tuple[np.ndarray, np.ndarray]:
+        # convolution commutes: A * B is the circulant of B applied to A
+        P = (self.lmul(B) @ A[..., None])[..., 0]
+        return P, np.zeros(P.shape[:-1])
 
     def adjoint_data(self, A) -> np.ndarray:
         return np.conj(np.roll(A[..., ::-1], 1, axis=-1))
 
     def lmul(self, A) -> np.ndarray:
-        return A[self._circulant]
+        return A[..., self._circulant]
 
     def rep_dim(self) -> int:
         return self.order
@@ -724,7 +726,7 @@ def mul_with_loss(a: AlgebraElement, b: AlgebraElement) -> tuple[AlgebraElement,
     exactly 0.0 for the other backends)."""
     _check_same(a, b)
     data, loss = a.backend.mul_data(a.data, b.data)
-    return AlgebraElement(a.backend, data), loss
+    return AlgebraElement(a.backend, data), float(loss)
 
 
 def mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:

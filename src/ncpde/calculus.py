@@ -118,14 +118,12 @@ def gradient_matrix(space: DirichletSpace) -> np.ndarray:
 def left_act(x: AlgebraElement, h: TangentVector) -> TangentVector:
     _check_element(x, h)
     desc = h.space.backend
-    return TangentVector(h.space, [desc.mul_data(X, H)[0] for X, H
-                                   in zip(desc.left_multipliers(x.data), h.data)])
+    return TangentVector(h.space, desc.mul_data(desc.left_multipliers(x.data), h.data)[0])
 
 
 def right_act(h: TangentVector, y: AlgebraElement) -> TangentVector:
     _check_element(y, h)
-    desc = h.space.backend
-    return TangentVector(h.space, [desc.mul_data(H, y.data)[0] for H in h.data])
+    return TangentVector(h.space, h.space.backend.mul_data(h.data, y.data)[0])
 
 
 def module_act(x: AlgebraElement, h: TangentVector, y: AlgebraElement) -> TangentVector:
@@ -178,9 +176,8 @@ def riemannian_metric(space: DirichletSpace, h: TangentVector, g: TangentVector)
     diagonal pairing rho(h, h) passes ``bk.require_positive``."""
     _check_space(h, g)
     desc = space.backend
-    terms = [desc.mul_data(P, Q) for P, Q in zip(desc.adjoint_data(h.data), g.data)]
-    rho = bk.as_density(bk.element(desc, sum((t for t, _ in terms), np.zeros(desc.shape()))),
-                        sum(leak for _, leak in terms))
+    terms, leaks = desc.mul_data(desc.adjoint_data(h.data), g.data)
+    rho = bk.as_density(bk.element(desc, terms.sum(0)), float(np.sum(leaks)))
     if np.array_equal(h.data, g.data):
         bk.require_positive(rho, "metric rho(h, h)")
     return rho

@@ -218,7 +218,8 @@ def _cmd_calculus(space, problem, rng, tol, out_dir):
         scale_ = max(bk.norm_l2(a) * bk.norm_l2(b), 1.0)
         lhs = gradient(space, bk.mul(a, b))
         rhs = right_act(gradient(space, a), b) + module_act(a, gradient(space, b), bk.unit(desc))
-        leib = max(leib, max(np.linalg.norm(x - y) for x, y in zip(lhs.data, rhs.data)) / scale_)
+        d = (lhs - rhs).data
+        leib = max(leib, np.linalg.norm(d.reshape(len(d), -1), axis=1).max() / scale_)
         ip1 = hilbert_inner(gradient(space, a), h)
         ip2 = bk.inner_l2(a, divergence(space, h))
         adj = max(adj, abs(ip1 - ip2) / max(abs(ip1), 1.0))
@@ -233,8 +234,9 @@ def _cmd_calculus(space, problem, rng, tol, out_dir):
                       / (1.0 + hilbert_norm(h) ** 2))
         if rho.witness is not None:
             witness_min = min(witness_min, rho.witness / max(bk.norm_l2(rho.element), 1.0))
-        dj = involution_j(gradient(space, a)) - gradient(space, bk.adjoint(a))
-        jgrad = max(jgrad, max(np.linalg.norm(p) for p in dj.data) / max(bk.norm_l2(a), 1.0))
+        dj = (involution_j(gradient(space, a)) - gradient(space, bk.adjoint(a))).data
+        jgrad = max(jgrad, np.linalg.norm(dj.reshape(len(dj), -1), axis=1).max()
+                    / max(bk.norm_l2(a), 1.0))
     report.checks.append(check_le("leibniz", leib, 1e-10))
     report.checks.append(check_le("gradient_divergence_adjointness", adj, 1e-10))
     report.checks.append(check_le("energy_identity", energy, 1e-10))

@@ -30,10 +30,9 @@ def realify_operator(H: np.ndarray) -> np.ndarray:
 
 def perp_eigenbasis(space: DirichletSpace) -> tuple[np.ndarray, np.ndarray]:
     """(positive eigenvalues, matching orthonormal complex eigenvectors) of
-    the generator above the kernel cut, ascending."""
-    cut = space.kernel_cut()
-    keep = space.evals >= cut
-    return space.evals[keep].copy(), space.evecs[:, keep].copy()
+    the generator off its kernel, ascending."""
+    k = space.kernel_dim
+    return space.evals[k:].copy(), space.evecs[:, k:].copy()
 
 
 def energy_orthonormal_basis(space: DirichletSpace) -> np.ndarray:

@@ -63,10 +63,6 @@ class DirichletSpace:
     def dim(self) -> int:
         return self.evals.size
 
-    def kernel_cut(self) -> float:
-        lam_max = float(self.evals[-1]) if self.evals.size else 0.0
-        return self.gap_tol * max(lam_max, 1e-300)
-
 
 def build_space(desc: Descriptor, gap_tol: float = GAP_RTOL) -> DirichletSpace:
     return space_from_matrix(desc, desc.generator_matrix(), gap_tol)
@@ -186,11 +182,9 @@ def poincare_constant(space: DirichletSpace, rng: np.random.Generator | None = N
     """Spectral gap above the kernel, its inverse, and, given an rng and a
     nonempty battery, a random check of ||a||^2 <= (C_P + POINCARE_TOL) E[a]
     on the kernel complement."""
-    cut = space.kernel_cut()
-    above = space.evals[space.evals >= cut]
-    if above.size == 0:
+    if space.kernel_dim == space.dim:
         raise GeneratorError("all eigenvalues sit in the kernel: no spectral gap")
-    gap = float(above[0])
+    gap = float(space.evals[space.kernel_dim])
     c_p = 1.0 / gap
     margin = None
     if rng is not None and battery > 0:

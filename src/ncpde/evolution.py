@@ -127,9 +127,7 @@ def _transport_matrix(space: DirichletSpace, h: TangentVector) -> np.ndarray:
     u -> h_c u, S[a, b] = < h . e_b, grad e_a > = sum_c (G_c^T conj(Lmul(h_c)))[a, b]
     (antilinear in b)."""
     desc = space.backend
-    S = np.zeros((space.dim, space.dim), dtype=np.complex128)
-    for G, P in zip(desc.frame_matrices(), h.data):
-        S += G.T @ np.conj(desc.lmul(P))
+    S = (desc.frame_matrices().swapaxes(-1, -2) @ np.conj(desc.lmul(h.data))).sum(0)
     return np.block([[S.real, S.imag], [-S.imag, S.real]])
 
 

@@ -161,6 +161,25 @@ def loop_lmul(a):
     return out
 
 
+def loop_torus_mul(desc, A, B):
+    """Torus product of two coefficient grids by the full twisted sum
+    (U^p V^r)(U^n V^m) = e^{2 pi i theta r n} U^{p+n} V^{r+m}, one shifted
+    block per nonzero coefficient of A, on the (4N+1)^2 grid of all
+    exponents; returns the window and the L^2 norm of the modes outside it."""
+    N = desc.level
+    W = 2 * N + 1
+    ns = np.arange(-N, N + 1)
+    full = np.zeros((4 * N + 1, 4 * N + 1), dtype=complex)
+    for ip in range(W):
+        for ir in range(W):
+            if A[ip, ir] != 0.0:
+                phase = np.exp(2j * np.pi * desc.theta * (ir - N) * ns)[:, None]
+                full[ip : ip + W, ir : ir + W] += A[ip, ir] * (phase * B)
+    inside = np.zeros(full.shape, dtype=bool)
+    inside[N : 3 * N + 1, N : 3 * N + 1] = True
+    return full[inside].reshape(W, W), float(np.linalg.norm(full[~inside]))
+
+
 def loop_gradient_matrix(space):
     D = space.dim
     k = ca.tangent_components(space)

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncpde import backends as bk
-from conftest import SIGMA_X, SIGMA_Z, THETA_IRR, assert_elem_close, make_rng
+from conftest import (SIGMA_X, SIGMA_Z, THETA_IRR, assert_elem_close, backend_from_spec,
+                      loop_torus_mul, make_rng)
 
 BACKENDS = {
     "qubit": lambda: bk.MatrixAlgebra(2, (SIGMA_Z,)),
@@ -429,6 +430,35 @@ def test_window_safe_products_are_leak_free():
         b = bk.random_element(t, rng, radius=1)
         _, loss = bk.mul_with_loss(a, b)
         assert loss == 0.0
+
+
+@pytest.mark.parametrize("radius", [None, 1], ids=["dense", "radius1"])
+@pytest.mark.parametrize("kind", ["torus", "rational"])
+@pytest.mark.parametrize("level", range(1, 9))
+def test_torus_product_matches_twisted_sum(level, kind, radius):
+    t = backend_from_spec((kind, level))
+    rng = make_rng(18)
+    A = bk.random_data(t, rng, radius=radius)
+    B = bk.random_data(t, rng, radius=radius)
+    window, loss = t.mul_data(A, B)
+    want, want_loss = loop_torus_mul(t, A, B)
+    assert np.linalg.norm(window - want) <= 1e-14 * np.linalg.norm(want)
+    assert abs(loss - want_loss) <= 1e-12 * want_loss
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-8, 1e-10, 1e-12])
+def test_small_truncated_mass_is_reported(eps):
+    # a U^2 coefficient eps pushes a sliver of a radius-1 product out of the
+    # level-2 window; its mass must not cancel away against the kept mass
+    t = bk.NCTorus(2, THETA_IRR)
+    rng = make_rng(19)
+    a = bk.random_data(t, rng, radius=1)
+    a[4, 2] += eps
+    b = bk.random_element(t, rng, radius=1)
+    _, loss = bk.mul_with_loss(bk.element(t, a), b)
+    want = loop_torus_mul(t, a, b.data)[1]
+    assert want > 0.0
+    assert abs(loss - want) <= 1e-12 * want
 
 
 def test_trace_and_inner_product_ignore_truncation():

@@ -1,7 +1,11 @@
 """The closed-form operator matrices (left multiplication, irrational-theta
 ``represent``, ``gradient_matrix`` and the evolution transport matrix)
-against the basis-vector loops in conftest, and the tangent layout against
-the rows of ``gradient_matrix``, at sizes beyond the corpus."""
+against the basis-vector loops in conftest, the tangent layout against
+the rows of ``gradient_matrix``, and the backend products and left
+multiplication on stacks against one call per entry, at sizes beyond the
+corpus."""
+
+import math
 
 import numpy as np
 import pytest
@@ -39,6 +43,34 @@ def test_left_multiplication_matrix_matches_product_loop(spec):
     assert _rel(desc.lmul(a.data), want) <= RTOL
     if not desc.rep_is_exact():
         assert _rel(bk.represent(a), want) <= RTOL
+
+
+# leading shapes of A and B in mul_data: stack x single, single x stack,
+# stack x stack and a broadcast grid x stack
+LEADS = [((3,), ()), ((), (3,)), ((3,), (3,)), ((2, 1), (3,))]
+
+
+def _draws(desc, rng, lead):
+    return np.array([bk.random_data(desc, rng) for _ in range(math.prod(lead))]
+                    ).reshape(lead + desc.shape())
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=IDS)
+def test_products_and_left_multiplication_act_on_stacks(spec):
+    desc = backend_from_spec(spec)
+    rng = make_rng(540)
+    for lead_a, lead_b in LEADS:
+        A, B = _draws(desc, rng, lead_a), _draws(desc, rng, lead_b)
+        lead = np.broadcast_shapes(lead_a, lead_b)
+        prods, losses = desc.mul_data(A, B)
+        assert prods.shape == lead + desc.shape() and np.shape(losses) == lead
+        A, B = np.broadcast_to(A, prods.shape), np.broadcast_to(B, prods.shape)
+        for idx in np.ndindex(lead):
+            want, want_loss = desc.mul_data(A[idx], B[idx])
+            assert _rel(prods[idx], want) <= 1e-14
+            assert abs(losses[idx] - want_loss) <= 1e-14 * want_loss
+    S = _draws(desc, rng, (3,))
+    assert _rel(desc.lmul(S), np.array([desc.lmul(X) for X in S])) <= 1e-14
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=IDS)
