@@ -51,7 +51,6 @@ class DirichletSpace:
     evals: np.ndarray            # ascending, real
     evecs: np.ndarray            # orthonormal columns
     kernel_dim: int
-    gap_tol: float
 
     def __repr__(self):
         return (
@@ -94,7 +93,7 @@ def space_from_matrix(desc: Descriptor, gen: np.ndarray,
     if np.linalg.norm(gen @ unit_coords) > 1e-10 * max(lam_max, 1e-300):
         raise GeneratorError("generator does not annihilate the unit")
     kernel_dim = int(np.sum(evals < gap_tol * max(lam_max, 1e-300)))
-    return DirichletSpace(desc, gen, evals, evecs, kernel_dim, gap_tol)
+    return DirichletSpace(desc, gen, evals, evecs, kernel_dim)
 
 
 def _coords(space: DirichletSpace, a: AlgebraElement) -> np.ndarray:

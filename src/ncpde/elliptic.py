@@ -11,9 +11,10 @@ over real coordinates of the kernel complement.  The quasilinear problem
 is projected onto an energy-orthonormal eigenbasis w of the kernel
 complement (Galerkin).  With Gb the gradient matrix on that basis, the
 finite root problem V(d) = Re(Gb^H F(Gb d)) - Re<f, w> = 0 is solved by
-damped Newton with a finite-difference Jacobian, warm-started through a
-short hierarchy of Galerkin levels, with a damped fixed-point fallback for
-maps whose Jacobian is unreliable.
+damped Newton on all coefficients at once, with a finite-difference
+Jacobian and a damped fixed-point fallback for maps whose Jacobian is
+unreliable.  For a monotone, coercive F the root is unique, so the start
+decides only how many iterations Newton takes.
 
 Solvability gate: in finite dimensions a weak solution exists only for
 right-hand sides orthogonal to the generator kernel.  Kernel mass beyond
@@ -54,11 +55,10 @@ class ConvergenceFailure(bk.AlgebraError):
 
 @dataclass(frozen=True)
 class NewtonStep:
-    """One damped-Newton iteration: Galerkin level (active coefficients),
-    infinity-norm residual before the step, accepted step length, and
-    whether the step came from the fixed-point fallback."""
+    """One damped-Newton iteration: infinity-norm residual before the step,
+    accepted step length, and whether the step came from the fixed-point
+    fallback."""
 
-    level: int
     residual: float
     alpha: float
     fixed_point: bool = False
@@ -76,14 +76,13 @@ class SolveReport:
     flags: list[str] = field(default_factory=list)
     energy_value: float | None = None
     energy_history: list[float] | None = None
-    level_residuals: list[float] | None = None
     newton_trace: list[NewtonStep] | None = None
 
 
 KERNEL_RTOL = 1e-10
 CG_RTOL = 1e-13               # conjugate gradients stop at CG_RTOL * ||f||
 NEWTON_RTOL = 1e-12           # Newton stops at NEWTON_RTOL * ||rhs|| (max norm)
-MAX_NEWTON = 60               # Newton iterations per Galerkin level
+MAX_NEWTON = 60               # Newton iterations per solve
 FD_STEP = 1e-6                # Jacobian column step, relative to 1 + |d_j|
 PROBE_SAMPLES = 64            # structure-probe sample pairs per solve
 PROBE_SEED = 20_240_101       # the probes' own seed: equal maps and spaces probe alike
@@ -238,24 +237,21 @@ def probe_map(space: DirichletSpace, F: NonlinearMap, rng: np.random.Generator,
               samples: int = 200, *, radius: int | None = None) -> Report:
     """Statistical verification of monotonicity, growth and coercivity.
 
-    Each sample draws h and v (componentwise ``random_data`` draws) and a
-    scale for h, in that order.  Coercivity is probed in the declared linear
-    form Re<F(h), h> >= c1 ||h|| - c2 and, additionally, in the quadratic
-    form with the same constants; both margins are reported.
+    Each sample draws h and v and then a scale for h.  h and v take their
+    k frame components as ``random_data`` would draw them one by one, in
+    one ``standard_normal`` call of shape (2, k, 2) + shape.  Coercivity is
+    probed in the declared linear form Re<F(h), h> >= c1 ||h|| - c2 and,
+    additionally, in the quadratic form with the same constants; both
+    margins are reported.
     """
     report = Report(kind="probe-map", extra={"map": F.name, "samples": samples})
-    k = tangent_components(space)
-
-    def draw() -> np.ndarray:
-        return np.concatenate([bk.random_data(space.backend, rng, radius=radius).reshape(-1)
-                               for _ in range(k)])
-
-    h = np.empty((samples, k * space.dim), dtype=np.complex128)
-    v = np.empty_like(h)
+    desc = space.backend
+    z = np.empty((samples, 2, tangent_components(space), 2) + desc.shape())
     scales = np.empty((samples, 1))
     for i in range(samples):
-        h[i], v[i], scales[i] = draw(), draw(), rng.uniform(0.1, 3.0)
-    h *= scales
+        z[i], scales[i] = rng.standard_normal(z.shape[1:]), rng.uniform(0.1, 3.0)
+    hv = desc.restrict_support(z[:, :, :, 0] + 1j * z[:, :, :, 1], radius).reshape(samples, 2, -1)
+    h, v = hv[:, 0] * scales, hv[:, 1]
     Fh = F(h)
     dF, dh = Fh - F(v), h - v
     mono = (np.einsum("ij,ij->i", dF.conj(), dh).real
@@ -284,13 +280,14 @@ def galerkin_residual(gm: np.ndarray, F: NonlinearMap, B: np.ndarray,
                       rhs: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """V_k(d) = Re<F(sum_j d_j grad w_j), grad w_k> - rhs_k on the real
     basis B (columns w_j), as Re(Gb^H F(Gb d)) - rhs with Gb = gm @ w, gm
-    the ``gradient_matrix`` (column j of Gb holds grad w_j)."""
+    the ``gradient_matrix`` (column j of Gb holds grad w_j).  ``d`` may be
+    a batch (..., M) of coefficient vectors, mapped independently."""
     D = gm.shape[1]
     Gb = gm @ (B[:D] + 1j * B[D:])
 
     def V(d: np.ndarray) -> np.ndarray:
         # <F, grad w_k> is antilinear in F; Re makes the system real
-        return (F(Gb @ d).conj() @ Gb).real - rhs
+        return (F(d @ Gb.T).conj() @ Gb).real - rhs
 
     return V
 
@@ -300,9 +297,9 @@ def solve_quasilinear(space: DirichletSpace, F: NonlinearMap, f: AlgebraElement,
                       project_kernel: bool = False) -> SolveReport:
     """Damped-Newton solve of the Galerkin system
     V_k(d) = Re<F(sum_j d_j grad w_j), grad w_k> - Re<f, w_k> = 0
-    over the full energy-orthonormal eigenbasis, warm-started through
-    coarser Galerkin levels; V is Re(Gb^H F(Gb d)) - rhs with the gradient
-    matrix Gb of the basis (``galerkin_residual``), one per solve.
+    over the full energy-orthonormal eigenbasis; V is Re(Gb^H F(Gb d)) - rhs
+    with the gradient matrix Gb of the basis (``galerkin_residual``), one
+    per solve.
 
     ``init`` holds initial real coefficients on the full basis; ``force``
     skips the structure probes of F."""
@@ -320,24 +317,11 @@ def solve_quasilinear(space: DirichletSpace, F: NonlinearMap, f: AlgebraElement,
     gm = gradient_matrix(space)
     V = galerkin_residual(gm, F, B, rhs)
 
-    d = np.zeros(M) if init is None else np.asarray(init, dtype=float).copy()
+    d = np.zeros(M) if init is None else np.asarray(init, dtype=float)
     if d.size != M:
         raise ValueError(f"initial guess has {d.size} coefficients, expected {M}")
-    scale_ = max(np.linalg.norm(rhs), 1e-300)
-    levels = sorted({max(2, M // 4), max(2, M // 2), M})
-    total_iters = 0
-    level_residuals = []
     trace: list[NewtonStep] = []
-    for m in levels:
-        mask = np.zeros(M, bool)
-        mask[:m] = True
-        d, iters = _newton_masked(V, d, mask, scale_, trace)
-        total_iters += iters
-        level_residuals.append(float(np.linalg.norm(V(d), np.inf)))
-    if level_residuals[-1] > NEWTON_RTOL * scale_:
-        raise ConvergenceFailure(
-            f"quasilinear solve stalled at residual {level_residuals[-1]:.3e}"
-        )
+    d = _newton(V, d, max(np.linalg.norm(rhs), 1e-300), trace)
     u = co.complexify_vector(B @ d)
     div_F = gm.conj().T @ F(gm @ u)
     fscale = max(bk.norm_l2(f), 1e-300)
@@ -346,49 +330,41 @@ def solve_quasilinear(space: DirichletSpace, F: NonlinearMap, f: AlgebraElement,
         solution=bk.from_l2(space.backend, u),
         residual_weak=_weak_residual(space, div_F, f_solved) / fscale,
         residual_strong=float(strong),
-        iterations=total_iters,
+        iterations=len(trace),
         galerkin_dim=M,
         kernel_component=mass,
         method="galerkin-newton",
         flags=flags,
-        level_residuals=level_residuals,
         newton_trace=trace,
     )
 
 
-def _newton_masked(V, d0: np.ndarray, mask: np.ndarray, scale_: float,
-                   trace: list[NewtonStep]) -> tuple[np.ndarray, int]:
-    """Damped Newton on the masked coordinates with finite-difference
-    Jacobian and Armijo backtracking on ||V||^2; falls back to a damped
-    fixed-point sweep when a step cannot reduce the residual.  Appends one
-    ``NewtonStep`` per iteration to ``trace``."""
-    d = d0.copy()
-    idx = np.flatnonzero(mask)
+def _newton(V, d: np.ndarray, scale_: float, trace: list[NewtonStep]) -> np.ndarray:
+    """Damped Newton from ``d`` with a finite-difference Jacobian and Armijo
+    backtracking on ||V||^2; falls back to a damped fixed-point step when a
+    Newton step cannot reduce the residual.  Appends one ``NewtonStep`` per
+    iteration to ``trace``."""
     stop = NEWTON_RTOL * scale_
-    rm = V(d)[idx]
+    r = V(d)
     for it in range(MAX_NEWTON + 1):
-        res = float(np.linalg.norm(rm, np.inf))
+        res = float(np.linalg.norm(r, np.inf))
         if res <= stop:
-            return d, it
+            return d
         if it == MAX_NEWTON:
             raise ConvergenceFailure(f"Newton did not converge in {MAX_NEWTON} "
                                      f"iterations (residual {res:.3e})")
-        J = np.empty((idx.size, idx.size))
-        for col, j in enumerate(idx):
-            h = FD_STEP * (1.0 + abs(d[j]))
-            dp = d.copy()
-            dp[j] += h
-            J[:, col] = (V(dp)[idx] - rm) / h
+        # row j of V(d + diag(h)) is V at d + h_j e_j: column j of J
+        h = FD_STEP * (1.0 + np.abs(d))
+        J = ((V(d + np.diag(h)) - r) / h[:, None]).T
         try:
-            step = np.linalg.solve(J, rm)
+            step = np.linalg.solve(J, r)
         except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(J, rm, rcond=None)[0]
-        base = float(rm @ rm)
+            step = np.linalg.lstsq(J, r, rcond=None)[0]
+        base = float(r @ r)
         alpha, fixed_point = 1.0, False
         while alpha >= 1e-10:
-            trial = d.copy()
-            trial[idx] -= alpha * step
-            rt = V(trial)[idx]
+            trial = d - alpha * step
+            rt = V(trial)
             if float(rt @ rt) <= (1.0 - 1e-4 * alpha) * base:
                 break
             alpha *= 0.5
@@ -396,13 +372,12 @@ def _newton_masked(V, d0: np.ndarray, mask: np.ndarray, scale_: float,
             # fixed-point fallback: d <- d - alpha V(d), valid for monotone maps
             alpha, fixed_point = 0.5, True
             for _ in range(40):
-                trial = d.copy()
-                trial[idx] -= alpha * rm
-                rt = V(trial)[idx]
+                trial = d - alpha * r
+                rt = V(trial)
                 if float(rt @ rt) < base:
                     break
                 alpha *= 0.5
             else:
                 raise ConvergenceFailure("Newton and fixed-point steps both stagnated")
-        d, rm = trial, rt      # the accepted residual is the next iteration's
-        trace.append(NewtonStep(idx.size, res, alpha, fixed_point))
+        d, r = trial, rt      # the accepted residual is the next iteration's
+        trace.append(NewtonStep(res, alpha, fixed_point))

@@ -126,7 +126,7 @@ def corrupted_space(desc, gen):
     evals, evecs = np.linalg.eigh(gen)
     lam_max = max(float(np.abs(evals).max()), 1e-300)
     kernel_dim = int(np.sum(np.abs(evals) < GAP_RTOL * lam_max))
-    return DirichletSpace(desc, gen, evals, evecs, kernel_dim, GAP_RTOL)
+    return DirichletSpace(desc, gen, evals, evecs, kernel_dim)
 
 
 def assert_elem_close(a, b, tol=1e-12, scale=None):
