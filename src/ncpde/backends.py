@@ -108,11 +108,11 @@ class Descriptor:
     actions, supports without a radius and multiplier frames.
 
     Every method acts on the trailing ``shape()`` axes and broadcasts over
-    leading ones: ``mul_data`` gives products and truncated L^2 masses (0.0
-    unless truncated) over the broadcast leading shape.  The frame methods
-    take stacks ``(k,) + shape()``, k = ``frame_size()``, one array per frame
-    component (a tangent vector, see ``calculus``); ``frame_matrices`` is
-    (k, D, D) and ``left_multipliers(A)`` is A unless a backend twists it.
+    leading ones (``mul_data`` also gives the truncated L^2 masses, 0.0
+    unless truncated).  Tangent stacks (see ``calculus``) carry their k =
+    ``frame_size()`` components on ``frame_axis()`` = -1 - len(shape()):
+    ``derive`` and ``left_multipliers`` map (..., *shape) to (..., k, *shape)
+    and ``codifferential`` sums that axis away; ``frame_matrices`` is (k, D, D).
     """
 
     kind: ClassVar[str]
@@ -121,16 +121,19 @@ class Descriptor:
     def l2_dim(self) -> int:
         return math.prod(self.shape())
 
+    def frame_axis(self) -> int:
+        return -1 - len(self.shape())
+
     def rep_is_exact(self) -> bool:
         """False when ``represent`` only witnesses positivity (it is not
         multiplicative)."""
         return True
 
     def rep_semigroup_action(self, t: float, semigroup: Callable[[np.ndarray], np.ndarray]):
-        """Canonical extension of P_t (``semigroup`` maps coefficient arrays)
-        to the representation algebra M_d, as (action, d); (None, 0) when no
-        exact extension exists.  An exact representation with d^2 = dim L^2
-        is a bijection onto M_d, so P_t is transported along it."""
+        """Canonical extension of P_t (``semigroup`` maps coefficient stacks)
+        to the representation algebra M_d, as (action on stacks, d); (None, 0)
+        when no exact extension exists.  An exact representation with d^2 =
+        dim L^2 is a bijection onto M_d, so P_t is transported along it."""
         d = self.rep_dim()
         if not self.rep_is_exact() or d * d != self.l2_dim():
             return None, 0
@@ -150,25 +153,22 @@ class Descriptor:
 
     def left_multipliers(self, A: np.ndarray) -> np.ndarray:
         """Per frame component, the coefficients by which A acts on the left;
-        untwisted actions use A itself, which broadcasts over the components."""
-        return A
+        untwisted actions use A itself, broadcast over the frame axis."""
+        return np.expand_dims(A, self.frame_axis())
 
     def derive(self, A: np.ndarray) -> np.ndarray:
         """Frame components of the gradient of A."""
-        return self.psis() * A
+        return self.psis() * np.expand_dims(A, self.frame_axis())
 
     def codifferential(self, H: np.ndarray) -> np.ndarray:
         """Hilbert adjoint of ``derive``."""
-        return (np.conj(self.psis()) * H).sum(0)
+        return (np.conj(self.psis()) * H).sum(self.frame_axis())
 
     def frame_matrices(self) -> np.ndarray:
         """Per frame component, the (D, D) matrix of ``derive`` on L^2
         coordinates."""
         psis = self.psis().reshape(self.frame_size(), -1)
-        diag = np.arange(psis.shape[1])
-        out = np.zeros(psis.shape + psis.shape[1:], dtype=np.complex128)
-        out[:, diag, diag] = psis
-        return out
+        return psis[:, :, None] * np.eye(psis.shape[1])
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -251,25 +251,21 @@ class MatrixAlgebra(Descriptor):
         return X
 
     def generator_matrix(self) -> np.ndarray:
-        n = self.dim
-        eye = np.eye(n, dtype=np.complex128)
-        gen = np.zeros((n * n, n * n), dtype=np.complex128)
-        for v in self.generators:
-            v2 = v @ v
-            gen += np.kron(v2, eye) + np.kron(eye, v2.T) - 2.0 * np.kron(v, v.T)
-        return gen
+        eye, V = np.eye(self.dim, dtype=np.complex128), self.generators
+        return sum(np.kron(v2, eye) + np.kron(eye, v2.T) - 2.0 * np.kron(v, v.T)
+                   for v, v2 in zip(V, V @ V))
 
     def frame_size(self) -> int:
         return len(self.generators)
 
     def derive(self, A) -> np.ndarray:
-        V = self.generators
+        V, A = self.generators, A[..., None, :, :]
         return V @ A - A @ V
 
     def codifferential(self, H) -> np.ndarray:
         # [v, .] is self-adjoint on L^2 because v is
         V = self.generators
-        return (V @ H - H @ V).sum(0)
+        return (V @ H - H @ V).sum(-3)
 
     def frame_matrices(self) -> np.ndarray:
         eye = np.eye(self.dim)
@@ -286,7 +282,8 @@ class NCTorus(Descriptor):
     ``rational`` is an explicit (p, q) tag meaning theta == p/q; it is
     stored in lowest terms and is never inferred from the float value.
     The frame has two components, d_1(U^n V^m) = i n U^n V^m and
-    d_2(U^n V^m) = i m U^n V^m, with J(h)_j = (h_j)^*.
+    d_2(U^n V^m) = i m U^n V^m (psis built once, read-only), with
+    J(h)_j = (h_j)^*.
     """
 
     level: int
@@ -324,6 +321,10 @@ class NCTorus(Descriptor):
                 raise ValueError("rational tag disagrees with theta")
             g = math.gcd(p, q) or 1
             object.__setattr__(self, "rational", (p // g, q // g))
+        ns = 1j * np.arange(-self.level, self.level + 1)
+        psis = np.stack(np.broadcast_arrays(ns[:, None], ns[None, :]))
+        psis.setflags(write=False)
+        object.__setattr__(self, "_psis", psis)
 
     def __repr__(self):
         tag = "" if self.rational is None else f", rational={self.rational}"
@@ -402,14 +403,14 @@ class NCTorus(Descriptor):
         q = self.rational[1]
         ns = np.arange(-self.level, self.level + 1)
         js = np.arange(q)[:, None]
-        out = np.zeros((q, q), dtype=np.complex128)
-        np.add.at(out, (js, (js + ns) % q), self._clock_phases(ns) @ A)
+        out = np.zeros(A.shape[:-2] + (q, q), dtype=np.complex128)
+        np.add.at(out, (..., js, (js + ns) % q), self._clock_phases(ns) @ A)
         return out
 
     def element_from_matrix(self, X) -> np.ndarray:
         """Rational theta needs an injective window (2N+1 <= q) and raises
-        ``WindowOverflow`` if X carries mass at exponents outside the window;
-        the compressed irrational representation is not invertible."""
+        ``WindowOverflow`` if any X carries mass at exponents outside the
+        window; the compressed irrational representation is not invertible."""
         if self.rational is None:
             raise NotRepresentable("irrational-theta representation is not invertible")
         N = self.level
@@ -421,14 +422,13 @@ class NCTorus(Descriptor):
         # coefficient of U^n V^m: tr((U^n V^m)^* X) / q = sum_j w^{-j n} X[j, j+m mod q] / q
         rs = np.arange(-(q // 2), q - q // 2)      # one exponent per residue mod q
         js = np.arange(q)[:, None]
-        coeffs = self._clock_phases(rs).conj().T @ X[js, (js + rs) % q] / q
+        coeffs = self._clock_phases(rs).conj().T @ X[..., js, (js + rs) % q] / q
         inside = np.abs(rs) <= N
-        dropped = np.linalg.norm(coeffs[~np.outer(inside, inside)])
-        if dropped > _REP_RTOL * max(np.linalg.norm(X), 1e-300):
+        dropped = np.linalg.norm(coeffs[..., ~np.outer(inside, inside)], axis=-1)
+        if np.any(dropped > _REP_RTOL * np.maximum(np.linalg.norm(X, axis=(-2, -1)), 1e-300)):
             raise WindowOverflow(
-                f"matrix carries mass {dropped:.3e} outside the coefficient window"
-            )
-        return coeffs[np.ix_(inside, inside)]
+                f"matrix carries mass {np.max(dropped):.3e} outside the coefficient window")
+        return coeffs[..., inside, :][..., inside]
 
     def generator_matrix(self) -> np.ndarray:
         ns = np.arange(-self.level, self.level + 1)
@@ -439,9 +439,7 @@ class NCTorus(Descriptor):
         return 2
 
     def psis(self) -> np.ndarray:
-        ns = np.arange(-self.level, self.level + 1).astype(float)
-        return np.stack([1j * ns[:, None] * np.ones_like(ns)[None, :],
-                         1j * np.ones_like(ns)[:, None] * ns[None, :]])
+        return self._psis
 
     def involution(self, H) -> np.ndarray:
         return self.adjoint_data(H)
@@ -449,10 +447,8 @@ class NCTorus(Descriptor):
     def restrict_support(self, data, radius):
         if radius is None:
             return data
-        N, radius = self.level, min(radius, self.level)
-        mask = np.zeros(self.shape())
-        mask[N - radius : N + radius + 1, N - radius : N + radius + 1] = 1.0
-        return data * mask
+        inside = np.abs(np.arange(-self.level, self.level + 1)) <= radius
+        return data * np.outer(inside, inside)
 
     def default_radius(self) -> int:
         return self.level // 3
@@ -580,7 +576,7 @@ class CyclicGroup(Descriptor):
     represent = lmul
 
     def element_from_matrix(self, X) -> np.ndarray:
-        return X[:, 0]
+        return X[..., :, 0]
 
     def rep_semigroup_action(self, t, semigroup):
         # P_t is the Schur multiplier by e^{-t l(g - h)} on M_q
@@ -602,10 +598,10 @@ class CyclicGroup(Descriptor):
         return self._psis
 
     def left_multipliers(self, A) -> np.ndarray:
-        return self._chars * A
+        return self._chars * A[..., None, :]
 
     def involution(self, H) -> np.ndarray:
-        return self._chars * self.adjoint_data(H[self._partner])
+        return self._chars * self.adjoint_data(H[..., self._partner, :])
 
 
 # every backend class; serialization and the CLI schema are built from this
@@ -698,6 +694,16 @@ def to_l2(a: AlgebraElement) -> np.ndarray:
     return a.data.reshape(-1)
 
 
+def l2_coords(desc: Descriptor, A: np.ndarray) -> np.ndarray:
+    """``to_l2`` of each entry of a coefficient stack: (..., *shape) -> (..., D)."""
+    return A.reshape(A.shape[:A.ndim - len(desc.shape())] + (-1,))
+
+
+def norm_data(desc: Descriptor, A: np.ndarray) -> np.ndarray:
+    """L^2 norm of each entry of a coefficient stack."""
+    return np.linalg.norm(l2_coords(desc, A), axis=-1)
+
+
 def from_l2(desc: Descriptor, vec: np.ndarray) -> AlgebraElement:
     return AlgebraElement(desc, np.asarray(vec, dtype=np.complex128).reshape(desc.shape()))
 
@@ -737,9 +743,14 @@ def adjoint(a: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(a.backend, a.backend.adjoint_data(a.data))
 
 
+def trace_data(desc: Descriptor, A: np.ndarray) -> np.ndarray:
+    """tau of each entry of a coefficient stack: tau(a) = <1, a>, the unit's
+    coordinates pick out the trace."""
+    return l2_coords(desc, A) @ desc.unit_data().reshape(-1).conj()
+
+
 def trace(a: AlgebraElement) -> complex:
-    """tau(a) = <1, a>: the unit's coordinates pick out the trace."""
-    return complex(np.vdot(a.backend.unit_data(), a.data))
+    return complex(trace_data(a.backend, a.data))
 
 
 def inner_l2(a: AlgebraElement, b: AlgebraElement) -> complex:
@@ -753,8 +764,10 @@ def norm_l2(a: AlgebraElement) -> float:
     return float(np.linalg.norm(to_l2(a)))
 
 
-def is_self_adjoint(a: AlgebraElement) -> bool:
-    return norm_l2(a - adjoint(a)) <= _SA_RTOL * max(norm_l2(a), 1e-300)
+def self_adjoint_data(desc: Descriptor, A: np.ndarray) -> np.ndarray:
+    """Whether each entry of a coefficient stack is self-adjoint."""
+    return (norm_data(desc, A - desc.adjoint_data(A))
+            <= _SA_RTOL * np.maximum(norm_data(desc, A), 1e-300))
 
 
 # ---------------------------------------------------------------------------
@@ -791,9 +804,9 @@ class Density:
 
     ``witness`` is the smallest eigenvalue of ``represent(element)`` (None
     when the element is not self-adjoint, e.g. polarized off-diagonal
-    values), computed only by ``as_density``.  ``leak`` records any L^2 mass
-    truncated while assembling the element; ``require_positive``, the one
-    positivity gate, checks leak-free densities only.
+    values), computed only by ``witness_data``.  ``leak`` records any L^2
+    mass truncated while assembling the element; ``require_positive_data``,
+    the one positivity gate, checks leak-free densities only.
     """
 
     element: AlgebraElement
@@ -807,28 +820,41 @@ class Density:
         return trace(self.element)
 
 
+def witness_data(desc: Descriptor, A: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of ``represent`` of each entry of a coefficient
+    stack; NaN for an entry that is not self-adjoint."""
+    sa = self_adjoint_data(desc, A)
+    wit = np.full(sa.shape, np.nan)
+    wit[sa] = np.linalg.eigvalsh(desc.represent(A[sa]))[..., 0]
+    return wit
+
+
 def as_density(a: AlgebraElement, leak: float = 0.0) -> Density:
     """``a`` with its positivity witness (None unless self-adjoint)."""
-    wit = None
-    if is_self_adjoint(a):
-        wit = float(np.linalg.eigvalsh(represent(a)).min())
-    return Density(a, wit, leak)
+    wit = float(witness_data(a.backend, a.data))
+    return Density(a, None if math.isnan(wit) else wit, leak)
+
+
+def require_positive_data(desc: Descriptor, A: np.ndarray, witness, leak, what: str) -> None:
+    """Raise ``NotPositive`` when an entry of the stack A is leak-free and its
+    witness lies below -positivity_tol * max(||A||_2, 1); NaN witnesses pass."""
+    tol = positivity_tol(desc)
+    scale_ = np.maximum(norm_data(desc, A), 1.0)
+    bad = (leak <= tol * scale_) & (witness < -tol * scale_)
+    if np.any(bad):
+        raise NotPositive(f"{what}: negative witness {np.min(np.where(bad, witness, np.inf)):.3e}")
 
 
 def require_positive(rho: Density, what: str) -> None:
-    """Raise ``NotPositive`` when ``rho`` is leak-free and its witness lies
-    below -positivity_tol * max(||rho||_2, 1)."""
-    tol = positivity_tol(rho.element.backend)
-    scale_ = max(norm_l2(rho.element), 1.0)
-    if rho.leak <= tol * scale_ and rho.witness is not None and rho.witness < -tol * scale_:
-        raise NotPositive(f"{what}: negative witness {rho.witness:.3e}")
+    witness = np.nan if rho.witness is None else rho.witness
+    require_positive_data(rho.element.backend, rho.element.data, witness, rho.leak, what)
 
 
 def _spectral(a: AlgebraElement) -> tuple[np.ndarray, Callable]:
     """Ascending eigenvalues of ``represent(a)`` and the map fn -> fn(a) for
     real spectral functions fn, both from one eigendecomposition; needs a
     self-adjoint ``a`` and an invertible representation."""
-    if not is_self_adjoint(a):
+    if not self_adjoint_data(a.backend, a.data):
         raise NotSelfAdjoint("spectral calculus needs a self-adjoint element")
     if not a.backend.rep_is_exact():
         raise NotRepresentable("spectral calculus needs an exact representation")
@@ -853,7 +879,7 @@ def sqrt_positive(a: AlgebraElement) -> AlgebraElement:
 
 def modulus(a: AlgebraElement) -> AlgebraElement:
     """|a| = (a^* a)^{1/2}; for self-adjoint a this is |spectrum|."""
-    if is_self_adjoint(a):
+    if self_adjoint_data(a.backend, a.data):
         return _spectral(a)[1](np.abs)
     return sqrt_positive(mul(adjoint(a), a))
 
@@ -863,20 +889,23 @@ def modulus(a: AlgebraElement) -> AlgebraElement:
 # ---------------------------------------------------------------------------
 
 
-def random_data(desc: Descriptor, rng: np.random.Generator, *,
-                radius: int | None = None) -> np.ndarray:
-    """Seeded random coefficient array (real parts drawn before imaginary
-    parts); ``radius`` restricts the support where the backend bounds
-    supports (torus: |n|,|m| <= radius), so that products stay leak-free."""
-    shape = desc.shape()
-    data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return desc.restrict_support(data, radius)
+def random_data(desc: Descriptor, rng: np.random.Generator, lead: tuple[int, ...] = (), *,
+                radius: int | None = None, self_adjoint: bool = False) -> np.ndarray:
+    """Seeded random coefficient stack lead + shape from one ``standard_normal``
+    call, real parts of each entry before its imaginary parts, so it follows
+    the stream of one call per entry; ``radius`` restricts the support where
+    the backend bounds supports (torus: |n|,|m| <= radius), so that products
+    stay leak-free, and ``self_adjoint`` maps each entry a to (a + a^*) / 2."""
+    z = rng.standard_normal(tuple(lead) + (2,) + desc.shape())
+    # copying the parts in place is cheaper than re + 1j * im on small draws
+    data = np.empty(tuple(lead) + desc.shape(), dtype=np.complex128)
+    ix = (slice(None),) * len(lead)
+    data.real, data.imag = z[ix + (0,)], z[ix + (1,)]
+    data = desc.restrict_support(data, radius)
+    return 0.5 * (data + desc.adjoint_data(data)) if self_adjoint else data
 
 
 def random_element(desc: Descriptor, rng: np.random.Generator, *,
                    radius: int | None = None, self_adjoint: bool = False) -> AlgebraElement:
     """Seeded random element drawn by ``random_data``."""
-    out = AlgebraElement(desc, random_data(desc, rng, radius=radius))
-    if self_adjoint:
-        out = scale(0.5, add(out, adjoint(out)))
-    return out
+    return AlgebraElement(desc, random_data(desc, rng, radius=radius, self_adjoint=self_adjoint))

@@ -14,6 +14,8 @@ A tangent vector is one complex array of shape (k,) + backend.shape(), the
 coefficients of its k frame components in frame order.  Flattened row-major
 it is the stacked L^2 coordinate vector of length k*D: the row order of
 ``gradient_matrix`` and the last axis of ``elliptic.NonlinearMap.func``.
+The metric and the tensor norm act on stacks of such arrays; the functions
+on single vectors wrap them, and ``calculus_check`` runs them on a battery.
 
 The divergence is the literal Hilbert adjoint of the gradient (fixed by
 the pairing <d a, h> = <a, div h>, not by a sign convention), so the
@@ -28,13 +30,15 @@ is positive.  On gradients it coincides with the carre du champ.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import backends as bk
 from .backends import AlgebraElement, Density
-from .dirichlet import DirichletSpace, dirichlet_form
+from .dirichlet import DirichletSpace, element_data, form_data
+from .reports import Report, check_ge, check_le
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -76,11 +80,6 @@ def _check_space(h: TangentVector, g: TangentVector):
         raise bk.BackendMismatch("tangent vectors over different spaces")
 
 
-def _check_element(x: AlgebraElement, h: TangentVector):
-    if not bk.same_backend(x.backend, h.space.backend):
-        raise bk.BackendMismatch("element and tangent vector belong to different backends")
-
-
 def zero_tangent(space: DirichletSpace) -> TangentVector:
     return TangentVector(space, np.zeros((tangent_components(space),) + space.backend.shape()))
 
@@ -116,14 +115,13 @@ def gradient_matrix(space: DirichletSpace) -> np.ndarray:
 
 
 def left_act(x: AlgebraElement, h: TangentVector) -> TangentVector:
-    _check_element(x, h)
     desc = h.space.backend
-    return TangentVector(h.space, desc.mul_data(desc.left_multipliers(x.data), h.data)[0])
+    X = desc.left_multipliers(element_data(h.space, x))
+    return TangentVector(h.space, desc.mul_data(X, h.data)[0])
 
 
 def right_act(h: TangentVector, y: AlgebraElement) -> TangentVector:
-    _check_element(y, h)
-    return TangentVector(h.space, h.space.backend.mul_data(h.data, y.data)[0])
+    return TangentVector(h.space, h.space.backend.mul_data(h.data, element_data(h.space, y))[0])
 
 
 def module_act(x: AlgebraElement, h: TangentVector, y: AlgebraElement) -> TangentVector:
@@ -151,6 +149,16 @@ def hilbert_norm(h: TangentVector) -> float:
     return float(np.sqrt(max(hilbert_inner(h, h).real, 0.0)))
 
 
+def _tensor_norm_sq(space: DirichletSpace, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``simple_tensor_norm_sq`` on coefficient stacks."""
+    desc = space.backend
+    bbs = desc.mul_data(B, desc.adjoint_data(B))[0]
+    abbs = desc.mul_data(A, bbs)[0]
+    asa = desc.mul_data(desc.adjoint_data(A), A)[0]
+    val = form_data(space, A, abbs) + form_data(space, abbs, A) - form_data(space, bbs, asa)
+    return 0.5 * val.real
+
+
 def simple_tensor_norm_sq(space: DirichletSpace, a: AlgebraElement,
                           b: AlgebraElement) -> float:
     """Norm^2 of the elementary tensor a (x) b expressed through the energy
@@ -159,15 +167,13 @@ def simple_tensor_norm_sq(space: DirichletSpace, a: AlgebraElement,
     Equals ||grad(a) . b||^2 in the componentwise realization; agreement of
     the two evaluation routes is this module's central cross-check.
     """
-    bbs = bk.mul(b, bk.adjoint(b))
-    abbs = bk.mul(a, bbs)
-    asa = bk.mul(bk.adjoint(a), a)
-    val = (
-        dirichlet_form(space, a, abbs)
-        + dirichlet_form(space, abbs, a)
-        - dirichlet_form(space, bbs, asa)
-    )
-    return float(0.5 * val.real)
+    return float(_tensor_norm_sq(space, element_data(space, a), element_data(space, b)))
+
+
+def _metric(desc: bk.Descriptor, H: np.ndarray, G: np.ndarray):
+    """rho(h, g) and the L^2 mass its products truncated, on tangent stacks."""
+    terms, leaks = desc.mul_data(desc.adjoint_data(H), G)
+    return terms.sum(desc.frame_axis()), leaks.sum(-1)
 
 
 def riemannian_metric(space: DirichletSpace, h: TangentVector, g: TangentVector) -> Density:
@@ -175,9 +181,8 @@ def riemannian_metric(space: DirichletSpace, h: TangentVector, g: TangentVector)
     gradients rho(grad a, grad b) is the carre du champ density.  The
     diagonal pairing rho(h, h) passes ``bk.require_positive``."""
     _check_space(h, g)
-    desc = space.backend
-    terms, leaks = desc.mul_data(desc.adjoint_data(h.data), g.data)
-    rho = bk.as_density(bk.element(desc, terms.sum(0)), float(np.sum(leaks)))
+    rho, leak = _metric(space.backend, h.data, g.data)
+    rho = bk.as_density(bk.element(space.backend, rho), float(leak))
     if np.array_equal(h.data, g.data):
         bk.require_positive(rho, "metric rho(h, h)")
     return rho
@@ -185,25 +190,59 @@ def riemannian_metric(space: DirichletSpace, h: TangentVector, g: TangentVector)
 
 def random_tangent(space: DirichletSpace, rng: np.random.Generator, *,
                    radius: int | None = None) -> TangentVector:
-    """One ``random_data`` draw per frame component, in frame order."""
-    return TangentVector(space, [bk.random_data(space.backend, rng, radius=radius)
-                                 for _ in range(tangent_components(space))])
+    """One ``random_data`` stack of the k frame components, in frame order."""
+    k = tangent_components(space)
+    return TangentVector(space, bk.random_data(space.backend, rng, (k,), radius=radius))
 
 
-__all__ = [
-    "TangentVector",
-    "divergence",
-    "gradient",
-    "gradient_matrix",
-    "hilbert_inner",
-    "hilbert_norm",
-    "involution_j",
-    "left_act",
-    "module_act",
-    "random_tangent",
-    "riemannian_metric",
-    "right_act",
-    "simple_tensor_norm_sq",
-    "tangent_components",
-    "zero_tangent",
-]
+# ---------------------------------------------------------------------------
+# Verification battery
+# ---------------------------------------------------------------------------
+
+
+def calculus_check(space: DirichletSpace, rng: np.random.Generator, battery: int = 50,
+                   radius: int | None = None, tol: float = 1e-10) -> Report:
+    """The identities of this module, each as its worst case over ``battery``
+    random triples (a, b, h) drawn as one ``random_data`` stack
+    (battery, 2 + k) + shape: a, b, then the k components of h.  The metric
+    rho(h, h) of the whole stack passes ``bk.require_positive_data``."""
+    desc = space.backend
+    norm = functools.partial(bk.norm_data, desc)
+    report = Report(kind="calculus-check", extra={"battery": battery, "radius": radius})
+    # a backend with a default radius bounds supports by it; radius 0 leaves constants
+    if radius == 0 and desc.default_radius() is not None:
+        report.flags.append(
+            "degenerate battery: triple products need level >= 3 for nonconstant supports")
+    gm = gradient_matrix(space)
+    z = bk.random_data(desc, rng, (battery, 2 + tangent_components(space)), radius=radius)
+    A, B, H = z[:, 0], z[:, 1], z[:, 2:]
+
+    def inner(X, Y):   # per battery entry
+        return np.sum(X.conj() * Y, axis=tuple(range(1, X.ndim)))
+
+    grad_a, grad_b = desc.derive(A), desc.derive(B)
+    grad_a_b = desc.mul_data(grad_a, np.expand_dims(B, desc.frame_axis()))[0]
+    rhs = grad_a_b + desc.mul_data(desc.left_multipliers(A), grad_b)[0]
+    ip, e = inner(grad_a, H), form_data(space, A, B)
+    tb, nh2 = inner(grad_a_b, grad_a_b).real, inner(H, H).real
+    rho, leak = _metric(desc, H, H)
+    witness = bk.witness_data(desc, rho)
+    bk.require_positive_data(desc, rho, witness, leak, "metric rho(h, h)")
+    checks = [
+        ("generator_factorization", np.linalg.norm(gm.conj().T @ gm - space.generator)
+         / max(np.linalg.norm(space.generator), 1e-300), 1e-10),
+        ("leibniz", norm(desc.derive(desc.mul_data(A, B)[0]) - rhs).max(-1)
+         / np.maximum(norm(A) * norm(B), 1.0), 1e-10),
+        ("gradient_divergence_adjointness",
+         abs(ip - inner(A, desc.codifferential(H))) / np.maximum(abs(ip), 1.0), 1e-10),
+        ("energy_identity", abs(inner(grad_a, grad_b) - e) / np.maximum(abs(e), 1.0), 1e-10),
+        ("tensor_norm_agreement", abs(_tensor_norm_sq(space, A, B) - tb) / (1.0 + tb), 1e-9),
+        ("metric_trace_pairing", abs(bk.trace_data(desc, rho).real - nh2) / (1.0 + nh2), 1e-10),
+        ("involution_vs_gradient", norm(desc.involution(grad_a) - desc.derive(
+            desc.adjoint_data(A))).max(-1) / np.maximum(norm(A), 1.0), 1e-10),
+    ]
+    report.checks += [check_le(name, np.max(v, initial=0.0), bound) for name, v, bound in checks]
+    scaled = witness / np.maximum(norm(rho), 1.0)
+    if not np.all(np.isnan(scaled)):   # reported before the involution check
+        report.checks.insert(-1, check_ge("metric_psd_witness", np.nanmin(scaled), -tol))
+    return report

@@ -28,27 +28,8 @@ import numpy as np
 
 from . import backends as bk
 from . import serialize as sz
-from .calculus import (
-    divergence,
-    gradient,
-    gradient_matrix,
-    hilbert_inner,
-    hilbert_norm,
-    involution_j,
-    module_act,
-    random_tangent,
-    riemannian_metric,
-    right_act,
-    simple_tensor_norm_sq,
-    tangent_components,
-)
-from .dirichlet import (
-    bakry_emery_check,
-    build_space,
-    dirichlet_form,
-    markov_check,
-    poincare_constant,
-)
+from .calculus import calculus_check, gradient, tangent_components
+from .dirichlet import bakry_emery_check, build_space, markov_check, poincare_constant
 from .elliptic import (
     NoSolution,
     curved_map,
@@ -194,66 +175,14 @@ def _cmd_markov(space, problem, rng, tol, out_dir):
 
 
 def _cmd_calculus(space, problem, rng, tol, out_dir):
-    battery = problem.get("battery", 50)
-    desc = space.backend
-    radius = problem.get("radius", desc.default_radius())
-    report = Report(kind="calculus-check",
-                    extra={"battery": battery, "radius": radius})
-    # a backend with a default radius bounds supports by it; radius 0 leaves constants
-    if radius == 0 and desc.default_radius() is not None:
-        report.flags.append(
-            "degenerate battery: triple products need level >= 3 for nonconstant supports")
-
-    gm = gradient_matrix(space)
-    fact = np.linalg.norm(gm.conj().T @ gm - space.generator) / max(
-        np.linalg.norm(space.generator), 1e-300)
-    report.checks.append(check_le("generator_factorization", fact, 1e-10))
-
-    leib = adj = energy = tensor = pairing = jgrad = 0.0
-    witness_min = np.inf
-    for _ in range(battery):
-        a = bk.random_element(desc, rng, radius=radius)
-        b = bk.random_element(desc, rng, radius=radius)
-        h = random_tangent(space, rng, radius=radius)
-        scale_ = max(bk.norm_l2(a) * bk.norm_l2(b), 1.0)
-        lhs = gradient(space, bk.mul(a, b))
-        rhs = right_act(gradient(space, a), b) + module_act(a, gradient(space, b), bk.unit(desc))
-        d = (lhs - rhs).data
-        leib = max(leib, np.linalg.norm(d.reshape(len(d), -1), axis=1).max() / scale_)
-        ip1 = hilbert_inner(gradient(space, a), h)
-        ip2 = bk.inner_l2(a, divergence(space, h))
-        adj = max(adj, abs(ip1 - ip2) / max(abs(ip1), 1.0))
-        e1 = hilbert_inner(gradient(space, a), gradient(space, b))
-        e2 = dirichlet_form(space, a, b)
-        energy = max(energy, abs(e1 - e2) / max(abs(e2), 1.0))
-        tn = simple_tensor_norm_sq(space, a, b)
-        tb = hilbert_norm(right_act(gradient(space, a), b)) ** 2
-        tensor = max(tensor, abs(tn - tb) / (1.0 + tb))
-        rho = riemannian_metric(space, h, h)
-        pairing = max(pairing, abs(rho.trace().real - hilbert_norm(h) ** 2)
-                      / (1.0 + hilbert_norm(h) ** 2))
-        if rho.witness is not None:
-            witness_min = min(witness_min, rho.witness / max(bk.norm_l2(rho.element), 1.0))
-        dj = (involution_j(gradient(space, a)) - gradient(space, bk.adjoint(a))).data
-        jgrad = max(jgrad, np.linalg.norm(dj.reshape(len(dj), -1), axis=1).max()
-                    / max(bk.norm_l2(a), 1.0))
-    report.checks.append(check_le("leibniz", leib, 1e-10))
-    report.checks.append(check_le("gradient_divergence_adjointness", adj, 1e-10))
-    report.checks.append(check_le("energy_identity", energy, 1e-10))
-    report.checks.append(check_le("tensor_norm_agreement", tensor, 1e-9))
-    report.checks.append(check_le("metric_trace_pairing", pairing, 1e-10))
-    if np.isfinite(witness_min):
-        report.checks.append(check_ge("metric_psd_witness", witness_min, -tol))
-    report.checks.append(check_le("involution_vs_gradient", jgrad, 1e-10))
+    radius = problem.get("radius", space.backend.default_radius())
+    report = calculus_check(space, rng, problem.get("battery", 50), radius, tol)
     return report.to_dict(), report
 
 
 def _cmd_be(space, problem, rng, tol, out_dir):
-    radius = problem.get("radius", space.backend.default_radius())
-    battery = [
-        bk.random_element(space.backend, rng, radius=radius, self_adjoint=True)
-        for _ in range(problem.get("battery", 4))
-    ]
+    battery = bk.random_data(space.backend, rng, (problem.get("battery", 4),), self_adjoint=True,
+                             radius=problem.get("radius", space.backend.default_radius()))
     report = bakry_emery_check(space, problem["K"], problem["t_samples"], battery)
     return report.to_dict(), report
 
@@ -385,7 +314,8 @@ COMMANDS = {
     "markov-check": ({
         "type": "object",
         "properties": {
-            "t_samples": {"type": "array", "items": {"type": "number", "minimum": 0}},
+            "t_samples": {"type": "array", "items": {"type": "number", "minimum": 0},
+                          "minItems": 1},
             "battery": {"type": "integer", "minimum": 2},   # trace symmetry takes pairs
         },
         "required": ["t_samples"],
@@ -403,7 +333,8 @@ COMMANDS = {
         "type": "object",
         "properties": {
             "K": {"type": "number"},
-            "t_samples": {"type": "array", "items": {"type": "number", "minimum": 0}},
+            "t_samples": {"type": "array", "items": {"type": "number", "minimum": 0},
+                          "minItems": 1},
             "battery": {"type": "integer", "minimum": 1},
             "radius": {"oneOf": [{"type": "null"}, {"type": "integer", "minimum": 0}]},
         },

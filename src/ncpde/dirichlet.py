@@ -12,11 +12,12 @@ generator acting on L^2(tau) coordinates (its ``generator_matrix``):
 The associated quadratic form is E(a, b) = <a, L b>, the semigroup is
 exp(-t L) through the cached eigensystem, and the carre du champ density
 is recovered from the diffusion identity
-2 Gamma(a, b) = L(a^*) b + a^* L(b) - L(a^* b).
+2 Gamma(a, b) = L(a^*) b + a^* L(b) - L(a^* b); each acts on coefficient
+stacks (..., *shape), and the functions on elements wrap it.
 
-``markov_check`` verifies unitality, contraction, trace symmetry and
-complete positivity (via the Choi matrix of the semigroup transported to
-the representation by the backend's ``rep_semigroup_action``);
+Each verification battery is drawn and checked as one stack: ``markov_check``
+verifies unitality, contraction, trace symmetry and complete positivity
+(``choi_matrix``, one action of ``rep_semigroup_action`` on the matrix units);
 ``bakry_emery_check`` tests the gradient-estimate ordering
 Gamma(P_t a) <= e^{-2 K t} P_t Gamma(a) and computes the largest passing
 curvature bound exactly, as one generalised eigenvalue per (t, a) pair.
@@ -96,33 +97,45 @@ def space_from_matrix(desc: Descriptor, gen: np.ndarray,
     return DirichletSpace(desc, gen, evals, evecs, kernel_dim)
 
 
-def _coords(space: DirichletSpace, a: AlgebraElement) -> np.ndarray:
+def element_data(space: DirichletSpace, a: AlgebraElement) -> np.ndarray:
+    """The coefficients of ``a``, which must belong to ``space``'s backend."""
     if not bk.same_backend(space.backend, a.backend):
         raise bk.BackendMismatch("element does not belong to this space")
-    return bk.to_l2(a)
+    return a.data
+
+
+def _generator(space: DirichletSpace, X: np.ndarray) -> np.ndarray:
+    """L on a coefficient stack."""
+    return (bk.l2_coords(space.backend, X) @ space.generator.T).reshape(X.shape)
+
+
+def _semigroup(space: DirichletSpace, t: float, X: np.ndarray) -> np.ndarray:
+    """P_t = exp(-t L) on a coefficient stack, through the eigensystem."""
+    c = (bk.l2_coords(space.backend, X) @ space.evecs.conj()) * np.exp(-t * space.evals)
+    return (c @ space.evecs.T).reshape(X.shape)
+
+
+def form_data(space: DirichletSpace, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """E(x, y) = <x, L y> for each pair of entries of two coefficient stacks."""
+    desc = space.backend
+    return np.sum(bk.l2_coords(desc, X).conj() * bk.l2_coords(desc, _generator(space, Y)), -1)
 
 
 def generator_apply(space: DirichletSpace, a: AlgebraElement) -> AlgebraElement:
-    return bk.from_l2(space.backend, space.generator @ _coords(space, a))
+    return bk.element(space.backend, _generator(space, element_data(space, a)))
 
 
 def semigroup_apply(space: DirichletSpace, t: float, a: AlgebraElement) -> AlgebraElement:
     if t < 0:
         raise ValueError("semigroup time must be nonnegative")
-    c = space.evecs.conj().T @ _coords(space, a)
-    c = np.exp(-t * space.evals) * c
-    return bk.from_l2(space.backend, space.evecs @ c)
+    return bk.element(space.backend, _semigroup(space, t, element_data(space, a)))
 
 
 def dirichlet_form(space: DirichletSpace, a: AlgebraElement,
                    b: AlgebraElement | None = None) -> complex:
     """E(a, b) = <a, L b>; antilinear in the first slot.  E(a) := E(a, a)."""
-    cb = _coords(space, a if b is None else b)
-    return complex(np.vdot(_coords(space, a), space.generator @ cb))
-
-
-def energy(space: DirichletSpace, a: AlgebraElement) -> float:
-    return float(dirichlet_form(space, a).real)
+    A = element_data(space, a)
+    return complex(form_data(space, A, A if b is None else element_data(space, b)))
 
 
 # ---------------------------------------------------------------------------
@@ -130,17 +143,16 @@ def energy(space: DirichletSpace, a: AlgebraElement) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _gamma(space: DirichletSpace, a: AlgebraElement,
-           b: AlgebraElement | None = None) -> tuple[AlgebraElement, float]:
+def _gamma(space: DirichletSpace, A: np.ndarray, B: np.ndarray | None = None):
     """Gamma(a, b) from 2 Gamma(a, b) = L(a^*) b + a^* L(b) - L(a^* b), and
-    the L^2 mass its products truncated."""
-    b = a if b is None else b
-    astar = bk.adjoint(a)
-    t1, l1 = bk.mul_with_loss(generator_apply(space, astar), b)
-    t2, l2 = bk.mul_with_loss(astar, generator_apply(space, b))
-    prod, l3 = bk.mul_with_loss(astar, b)
-    t3 = generator_apply(space, prod)
-    return bk.scale(0.5, bk.add(bk.add(t1, t2), bk.scale(-1.0, t3))), l1 + l2 + l3
+    the L^2 mass its products truncated, on coefficient stacks."""
+    desc = space.backend
+    B = A if B is None else B
+    As = desc.adjoint_data(A)
+    t1, l1 = desc.mul_data(_generator(space, As), B)
+    t2, l2 = desc.mul_data(As, _generator(space, B))
+    prod, l3 = desc.mul_data(As, B)
+    return 0.5 * (t1 + t2 - _generator(space, prod)), l1 + l2 + l3
 
 
 def carre_du_champ(space: DirichletSpace, a: AlgebraElement,
@@ -149,7 +161,9 @@ def carre_du_champ(space: DirichletSpace, a: AlgebraElement,
     2 Gamma(a, b) = L(a^*) b + a^* L(b) - L(a^* b).  The diagonal call
     Gamma(a) := Gamma(a, a) passes ``bk.require_positive``: a negative
     witness there means the generator is not a diffusion."""
-    rho = bk.as_density(*_gamma(space, a, b))
+    B = None if b is None else element_data(space, b)
+    gamma, leak = _gamma(space, element_data(space, a), B)
+    rho = bk.as_density(bk.element(space.backend, gamma), float(leak))
     if b is None or np.array_equal(a.data, b.data):
         bk.require_positive(rho, "carre du champ Gamma(a) (generator is not a diffusion)")
     return rho
@@ -180,7 +194,7 @@ def poincare_constant(space: DirichletSpace, rng: np.random.Generator | None = N
                       battery: int = 32) -> PoincareResult:
     """Spectral gap above the kernel, its inverse, and, given an rng and a
     nonempty battery, a random check of ||a||^2 <= (C_P + POINCARE_TOL) E[a]
-    on the kernel complement."""
+    on the kernel complement (one draw of the battery's coordinates)."""
     if space.kernel_dim == space.dim:
         raise GeneratorError("all eigenvalues sit in the kernel: no spectral gap")
     gap = float(space.evals[space.kernel_dim])
@@ -188,13 +202,10 @@ def poincare_constant(space: DirichletSpace, rng: np.random.Generator | None = N
     margin = None
     if rng is not None and battery > 0:
         perp = space.evecs[:, space.kernel_dim:]
-        worst = np.inf
-        for _ in range(battery):
-            c = rng.standard_normal(perp.shape[1]) + 1j * rng.standard_normal(perp.shape[1])
-            a = bk.from_l2(space.backend, perp @ c)
-            e = energy(space, a)
-            worst = min(worst, (c_p + POINCARE_TOL) * e - bk.norm_l2(a) ** 2)
-        margin = float(worst)
+        z = rng.standard_normal((battery, 2, perp.shape[1]))
+        A = ((z[:, 0] + 1j * z[:, 1]) @ perp.T).reshape((battery,) + space.backend.shape())
+        e = form_data(space, A, A).real
+        margin = float(np.min((c_p + POINCARE_TOL) * e - bk.norm_data(space.backend, A) ** 2))
     return PoincareResult(gap, c_p, space.kernel_dim, margin)
 
 
@@ -203,66 +214,53 @@ def poincare_constant(space: DirichletSpace, rng: np.random.Generator | None = N
 # ---------------------------------------------------------------------------
 
 
-def _rep_semigroup_action(space: DirichletSpace, t: float):
-    """Canonical extension of P_t to the representation algebra M_d, or
-    None when no exact extension exists (irrational theta; rational theta
-    whose window is not in bijection with M_q)."""
-    desc = space.backend
-    return desc.rep_semigroup_action(
-        t, lambda X: semigroup_apply(space, t, bk.element(desc, X)).data)
-
-
-def _choi_matrix(act, d: int) -> np.ndarray:
-    choi = np.zeros((d * d, d * d), dtype=np.complex128)
-    E = np.zeros((d, d), dtype=np.complex128)
-    for i in range(d):
-        for j in range(d):
-            E[i, j] = 1.0
-            choi[i * d : (i + 1) * d, j * d : (j + 1) * d] = act(E)
-            E[i, j] = 0.0
-    return choi
+def choi_matrix(space: DirichletSpace, t: float) -> np.ndarray | None:
+    """Choi matrix of the extension of P_t to M_d, block (i, j) the image of
+    the matrix unit e_ij, from one action on the stack of units; None when no
+    exact extension exists (irrational theta; rational theta whose window is
+    not in bijection with M_q)."""
+    act, d = space.backend.rep_semigroup_action(t, lambda X: _semigroup(space, t, X))
+    if act is None:
+        return None
+    units = np.eye(d * d, dtype=np.complex128).reshape(d, d, d, d)
+    return act(units).swapaxes(1, 2).reshape(d * d, d * d)
 
 
 def markov_check(space: DirichletSpace, t_samples, rng: np.random.Generator,
                  battery: int = 16, tol: float = 1e-10) -> Report:
     """Unitality, operator-norm contraction, complete positivity (Choi)
     and trace symmetry of P_t at each sampled time.  Trace symmetry
-    compares disjoint pairs of probes, so ``battery`` must be at least 2."""
+    compares the probe pairs (0, 1), (2, 3), ..., so ``battery`` must be at
+    least 2."""
     if battery < 2:
         raise ValueError(f"markov-check battery must be >= 2 (got {battery})")
     desc = space.backend
     report = Report(kind="markov-check")
-    one = bk.unit(desc)
-    exact_rep = desc.rep_is_exact()
-    probes = [bk.random_element(desc, rng) for _ in range(battery)]
-    for t in t_samples:
-        t = float(t)
-        unitality = bk.norm_l2(semigroup_apply(space, t, one) - one)
+    one, probes = desc.unit_data(), bk.random_data(desc, rng, (battery,))
+    even, odd = probes[: battery - 1 : 2], probes[1::2]
+    pair_scale = np.maximum(bk.norm_data(desc, even) * bk.norm_data(desc, odd), 1e-300)
+    for t in map(float, t_samples):
+        unitality = np.linalg.norm(_semigroup(space, t, one) - one)
         report.checks.append(check_le(f"unitality[t={t:g}]", unitality, tol))
 
-        if exact_rep:
-            ratio = 0.0
-            for a in probes:
-                na = bk.operator_norm(a)
-                if na > 0:
-                    ratio = max(ratio, bk.operator_norm(semigroup_apply(space, t, a)) / na)
+        moved = _semigroup(space, t, probes)
+
+        if desc.rep_is_exact():
+            na, nt = np.linalg.norm(desc.represent(np.stack([probes, moved])), 2, axis=(-2, -1))
+            ratio = np.max(nt[na > 0] / na[na > 0], initial=0.0)   # zero probes are skipped
             report.checks.append(check_le(f"contraction[t={t:g}]", ratio - 1.0, tol))
         else:
             report.flags.append(f"contraction[t={t:g}] skipped: approximate representation")
 
-        act, d = _rep_semigroup_action(space, t)
-        if act is None:
+        choi = choi_matrix(space, t)
+        if choi is None:
             report.flags.append(f"choi_cp[t={t:g}] skipped: no exact representation of P_t")
         else:
-            wit = float(np.linalg.eigvalsh(_choi_matrix(act, d)).min())
-            report.checks.append(check_ge(f"choi_cp[t={t:g}]", wit, -tol))
+            report.checks.append(check_ge(f"choi_cp[t={t:g}]", np.linalg.eigvalsh(choi)[0], -tol))
 
-        sym = 0.0
-        for i in range(0, len(probes) - 1, 2):
-            a, b = probes[i], probes[i + 1]
-            lhs = bk.trace(bk.mul(a, semigroup_apply(space, t, b)))
-            rhs = bk.trace(bk.mul(semigroup_apply(space, t, a), b))
-            sym = max(sym, abs(lhs - rhs) / max(bk.norm_l2(a) * bk.norm_l2(b), 1e-300))
+        lhs = bk.trace_data(desc, desc.mul_data(even, moved[1::2])[0])
+        rhs = bk.trace_data(desc, desc.mul_data(moved[: battery - 1 : 2], odd)[0])
+        sym = np.max(np.abs(lhs - rhs) / pair_scale)
         report.checks.append(check_le(f"trace_symmetry[t={t:g}]", sym, tol))
     return report
 
@@ -286,27 +284,28 @@ def _largest_passing_K(X: np.ndarray, Y: np.ndarray, t: float, cut: float) -> fl
 
 
 def bakry_emery_check(space: DirichletSpace, K: float, t_samples, battery) -> Report:
-    """Check Gamma(P_t a) <= e^{-2Kt} P_t Gamma(a) on a battery of elements
+    """Check Gamma(P_t a) <= e^{-2Kt} P_t Gamma(a) on a battery (n, *shape)
     and report the largest curvature bound passing on it: the least
     ``_largest_passing_K`` over the (t, a) pairs; a pair at t = 0 does not
     depend on K.  It is null, flagged ``largest_passing_K=unbounded`` when no
     pair bounds K and ``largest_passing_K=none`` when no K passes."""
+    desc = space.backend
     report = Report(kind="bakry-emery-check", extra={"K": float(K)})
-    if not space.backend.rep_is_exact():
+    if not desc.rep_is_exact():
         report.flags.append("skipped: approximate representation cannot order densities")
         return report
+    gamma = _gamma(space, battery)[0]
+    scales = np.maximum(bk.norm_data(desc, gamma), 1.0)
     bounds = []
     for t in map(float, t_samples):
         factor = np.exp(min(-2.0 * K * t, 600.0))   # clamp: huge factors pass anyway
-        for a in battery:
-            gamma_a = _gamma(space, a)[0]
-            s = max(bk.norm_l2(gamma_a), 1.0)
-            X = bk.represent(semigroup_apply(space, t, gamma_a))
-            Y = bk.represent(_gamma(space, semigroup_apply(space, t, a))[0])
-            margin = float(np.linalg.eigvalsh(factor * X - Y).min()) / s
+        X = desc.represent(_semigroup(space, t, gamma))
+        Y = desc.represent(_gamma(space, _semigroup(space, t, battery))[0])
+        margins = np.linalg.eigvalsh(factor * X - Y)[..., 0] / scales
+        for x, y, s, margin in zip(X, Y, scales, margins):
             check = check_ge(f"ordering[K={K:g},t={t:g}]", margin, -BE_TOL)
             report.checks.append(check)
-            bounds.append(_largest_passing_K(X, Y, t, BE_TOL * s) if t > 0
+            bounds.append(_largest_passing_K(x, y, t, BE_TOL * s) if t > 0
                           else (np.inf if check.passed else -np.inf))
     bound = min(bounds, default=np.inf)
     report.extra["largest_passing_K"] = float(bound) if np.isfinite(bound) else None

@@ -237,21 +237,20 @@ def probe_map(space: DirichletSpace, F: NonlinearMap, rng: np.random.Generator,
               samples: int = 200, *, radius: int | None = None) -> Report:
     """Statistical verification of monotonicity, growth and coercivity.
 
-    Each sample draws h and v and then a scale for h.  h and v take their
-    k frame components as ``random_data`` would draw them one by one, in
-    one ``standard_normal`` call of shape (2, k, 2) + shape.  Coercivity is
+    Each sample draws h and v, one ``random_data`` stack (2, k) + shape,
+    and then a scale for h.  Coercivity is
     probed in the declared linear form Re<F(h), h> >= c1 ||h|| - c2 and,
     additionally, in the quadratic form with the same constants; both
     margins are reported.
     """
     report = Report(kind="probe-map", extra={"map": F.name, "samples": samples})
     desc = space.backend
-    z = np.empty((samples, 2, tangent_components(space), 2) + desc.shape())
+    hv = np.empty((samples, 2, tangent_components(space)) + desc.shape(), dtype=np.complex128)
     scales = np.empty((samples, 1))
     for i in range(samples):
-        z[i], scales[i] = rng.standard_normal(z.shape[1:]), rng.uniform(0.1, 3.0)
-    hv = desc.restrict_support(z[:, :, :, 0] + 1j * z[:, :, :, 1], radius).reshape(samples, 2, -1)
-    h, v = hv[:, 0] * scales, hv[:, 1]
+        hv[i] = bk.random_data(desc, rng, hv.shape[1:3], radius=radius)
+        scales[i] = rng.uniform(0.1, 3.0)
+    h, v = hv[:, 0].reshape(samples, -1) * scales, hv[:, 1].reshape(samples, -1)
     Fh = F(h)
     dF, dh = Fh - F(v), h - v
     mono = (np.einsum("ij,ij->i", dF.conj(), dh).real

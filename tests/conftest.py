@@ -119,6 +119,16 @@ def backend_from_spec(spec):
     return bk.MatrixAlgebra(size, (_hermitian(rng, size), _hermitian(rng, size)))
 
 
+def loop_random_data(desc, rng, radius=None, self_adjoint=False):
+    """One coefficient array drawn as two ``standard_normal`` calls, real
+    parts then imaginary parts: the reference for ``bk.random_data``, whose
+    stacks must follow the same stream."""
+    shape = desc.shape()
+    a = bk.element(desc, desc.restrict_support(
+        rng.standard_normal(shape) + 1j * rng.standard_normal(shape), radius))
+    return (bk.scale(0.5, bk.add(a, bk.adjoint(a))) if self_adjoint else a).data
+
+
 def corrupted_space(desc, gen):
     """DirichletSpace around ``gen`` without the generator gates of
     ``space_from_matrix``, for negative tests of the checks downstream."""

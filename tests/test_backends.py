@@ -352,6 +352,10 @@ def test_element_from_matrix_window_overflow():
     clock2 = X @ X                      # image of U^2, outside the window
     with pytest.raises(bk.WindowOverflow):
         bk.element_from_matrix(t, clock2)
+    # a stack overflows when any of its entries does
+    assert t.element_from_matrix(np.stack([X, X])).shape == (2,) + t.shape()
+    with pytest.raises(bk.WindowOverflow):
+        t.element_from_matrix(np.stack([X, clock2]))
 
 
 def test_sqrt_and_modulus(qubit):
@@ -407,6 +411,16 @@ def test_cyclic_frame_is_computed_once_and_read_only(z5):
     assert z5.frame()[1] is mu and isinstance(active, tuple)
     with pytest.raises(ValueError):
         mu[1] = -1.0
+    # the torus multipliers too
+    torus = bk.NCTorus(2, THETA_IRR)
+    for desc in (z5, torus):
+        psis = desc.psis()
+        assert desc.psis() is psis
+        with pytest.raises(ValueError):
+            psis[0, 0] = 1.0
+    ns = np.arange(-2, 3)
+    assert np.array_equal(torus.psis()[0], 1j * np.broadcast_to(ns[:, None], (5, 5)))
+    assert np.array_equal(torus.psis()[1], 1j * np.broadcast_to(ns, (5, 5)))
 
 
 # ---------------------------------------------------------------------------

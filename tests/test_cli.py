@@ -10,8 +10,9 @@ from ncpde import backends as bk
 from ncpde import cli
 from ncpde import elliptic as el
 from ncpde import serialize as sz
+from ncpde.calculus import tangent_components
 from ncpde.dirichlet import build_space
-from conftest import THETA_IRR
+from conftest import THETA_IRR, backend_from_spec, loop_random_data
 
 CORPUS = sorted(Path(__file__).resolve().parent.parent.glob("corpus/*.json"))
 # artifacts of every corpus config, committed: a fresh run must match them
@@ -253,6 +254,64 @@ def test_markov_battery_below_two_exits_1_naming_battery(tmp_path, capsys):
     assert run_main(tmp_path, config, "--out", str(out_dir)) == 1
     assert "config.problem.battery" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("name", ["qubit_markov", "torus13_be"])
+def test_empty_time_grid_exits_1_naming_t_samples(tmp_path, capsys, name):
+    # no sampled time would leave no check to fail
+    config = json.loads((CORPUS[0].parent / f"{name}.json").read_text())
+    config["problem"]["t_samples"] = []
+    out_dir = tmp_path / "out"
+    assert run_main(tmp_path, config, "--out", str(out_dir)) == 1
+    assert "config.problem.t_samples" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def loop_batteries(space, seed, radius):
+    """The calculus, markov and be batteries drawn one element (one frame
+    component for h) at a time, as three successive runs seeded ``seed``."""
+    desc, k = space.backend, tangent_components(space)
+
+    def draw(rad=None, self_adjoint=False):
+        return loop_random_data(desc, rng, rad, self_adjoint)
+
+    rng = np.random.Generator(np.random.PCG64(seed))
+    calculus = [[draw(radius), draw(radius)] + [draw(radius) for _ in range(k)]
+                for _ in range(5)]
+    rng = np.random.Generator(np.random.PCG64(seed))
+    markov = [draw() for _ in range(4)]
+    rng = np.random.Generator(np.random.PCG64(seed))
+    be = [draw(radius, self_adjoint=True) for _ in range(3)]
+    return np.array(calculus), np.array(markov), np.array(be)
+
+
+@pytest.mark.parametrize("spec,radius", [(("torus", 3), 1), (("torus", 3), None),
+                                         (("rational", 2), 1), (("cyclic", 16), None),
+                                         (("matrix", 3), None)],
+                         ids=["torus3-r1", "torus3", "rational2", "cyclic16", "matrix3"])
+def test_battery_draws_match_per_call_loop(tmp_path, monkeypatch, spec, radius):
+    # each battery is one stacked draw that must equal the per-element loop
+    # bit for bit, so the checks see the batteries they saw one by one
+    desc = backend_from_spec(spec)
+    drawn = []
+
+    def record(*args, **kwargs):
+        drawn.append(random_data(*args, **kwargs))
+        return drawn[-1]
+
+    random_data = bk.random_data
+    monkeypatch.setattr(bk, "random_data", record)
+    backend = sz.descriptor_to_json(desc)
+    # radius None is an explicit null: dense supports, not the default radius
+    for command, problem in (("calculus-check", {"battery": 5, "radius": radius}),
+                             ("markov-check", {"battery": 4, "t_samples": [0.5]}),
+                             ("be-check", {"battery": 3, "K": 0.0, "t_samples": [0.5],
+                                           "radius": radius})):
+        config = {"command": command, "backend": backend, "problem": problem, "seed": 7}
+        cli.run(config, out_dir=str(tmp_path / command), quiet=True)
+    assert len(drawn) == 3
+    for got, want in zip(drawn, loop_batteries(build_space(desc), 7, radius)):
+        assert got.shape == want.shape and np.array_equal(got, want)
 
 
 def test_evolve_without_probes_writes_no_probe_diagnostics(tmp_path):

@@ -163,8 +163,8 @@ def test_markov_check_needs_a_battery_of_pairs(qubit_space):
 
 
 def test_choi_at_time_zero_is_maximally_entangled_projector(qubit_space):
-    act, d = dr._rep_semigroup_action(qubit_space, 0.0)
-    choi = dr._choi_matrix(act, d)
+    choi = dr.choi_matrix(qubit_space, 0.0)
+    d = qubit_space.backend.rep_dim()
     # identity channel: Choi = d * |Omega><Omega|
     omega = np.eye(d, dtype=complex).reshape(-1) / np.sqrt(d)
     assert np.allclose(choi, d * np.outer(omega, omega.conj()))
@@ -332,9 +332,14 @@ def test_poincare_degenerate_space_raises(qubit):
 # ---------------------------------------------------------------------------
 
 
+def _stack(battery):
+    """A battery of elements as the coefficient stack ``bakry_emery_check`` takes."""
+    return np.array([a.data for a in battery])
+
+
 def test_be_time_zero_passes_any_K(qubit, qubit_space):
     battery = [bk.element(qubit, SIGMA_X)]
-    report = dr.bakry_emery_check(qubit_space, 25.0, [0.0], battery)
+    report = dr.bakry_emery_check(qubit_space, 25.0, [0.0], _stack(battery))
     ordering = [c for c in report.checks if c.name.startswith("ordering")]
     assert all(c.passed for c in ordering)
 
@@ -345,7 +350,7 @@ def test_be_torus_rational_nonnegative_curvature(torus13, torus13_space):
         bk.monomial(torus13, 0, 1),
         bk.random_element(torus13, make_rng(49), self_adjoint=True),
     ]
-    report = dr.bakry_emery_check(torus13_space, 0.0, [0.1, 1.0], battery)
+    report = dr.bakry_emery_check(torus13_space, 0.0, [0.1, 1.0], _stack(battery))
     assert report.passed
     assert report.extra["largest_passing_K"] >= 0.0
 
@@ -353,16 +358,16 @@ def test_be_torus_rational_nonnegative_curvature(torus13, torus13_space):
 def test_be_qubit_fails_above_supremum(qubit, qubit_space):
     battery = [bk.element(qubit, SIGMA_X), bk.random_element(qubit, make_rng(50))]
     t_samples = [0.1, 1.0, 5.0]
-    base = dr.bakry_emery_check(qubit_space, 0.0, t_samples, battery)
+    base = dr.bakry_emery_check(qubit_space, 0.0, t_samples, _stack(battery))
     assert base.passed
     k_sup = base.extra["largest_passing_K"]
-    above = dr.bakry_emery_check(qubit_space, k_sup + 0.5, t_samples, battery)
+    above = dr.bakry_emery_check(qubit_space, k_sup + 0.5, t_samples, _stack(battery))
     assert not above.passed
 
 
 def test_be_skipped_for_irrational_torus(torus2, torus2_space):
     report = dr.bakry_emery_check(torus2_space, 0.0, [0.1],
-                                  [bk.monomial(torus2, 1, 0)])
+                                  _stack([bk.monomial(torus2, 1, 0)]))
     assert report.flags and "skipped" in report.flags[0]
 
 
@@ -390,16 +395,16 @@ BE_CASES = [(name, t) for name in ("rational5", "rational7", "cyclic16", "matrix
 @pytest.mark.parametrize("name,t", BE_CASES)
 def test_be_bound_is_the_largest_passing_K(name, t):
     space, battery = _be_battery(name)
-    bound = dr.bakry_emery_check(space, 0.0, [t], battery).extra["largest_passing_K"]
+    bound = dr.bakry_emery_check(space, 0.0, [t], _stack(battery)).extra["largest_passing_K"]
     assert bound is not None
-    assert dr.bakry_emery_check(space, bound - 1e-3, [t], battery).passed
-    assert not dr.bakry_emery_check(space, bound + 1e-3, [t], battery).passed
+    assert dr.bakry_emery_check(space, bound - 1e-3, [t], _stack(battery)).passed
+    assert not dr.bakry_emery_check(space, bound + 1e-3, [t], _stack(battery)).passed
 
 
 @pytest.mark.parametrize("name,t", BE_CASES)
 def test_be_bound_agrees_with_bisection(name, t):
     space, battery = _be_battery(name)
-    report = dr.bakry_emery_check(space, 0.0, [t], battery)
+    report = dr.bakry_emery_check(space, 0.0, [t], _stack(battery))
     reference = bisect_largest_passing_K(space, 0.0, [t], battery)
     assert abs(report.extra["largest_passing_K"] - reference) <= 1e-6
 
@@ -422,7 +427,7 @@ def test_be_battery_that_never_binds_is_unbounded(tmp_path, t, radius):
 def test_be_failure_at_time_zero_admits_no_K(qubit, qubit_space):
     # doubled eigenvectors make P_0 = 4 id, so Gamma(P_0 a) = 16 Gamma(a) > P_0 Gamma(a)
     space = dataclasses.replace(qubit_space, evecs=2.0 * qubit_space.evecs)
-    report = dr.bakry_emery_check(space, 0.0, [0.0], [bk.element(qubit, SIGMA_X)])
+    report = dr.bakry_emery_check(space, 0.0, [0.0], _stack([bk.element(qubit, SIGMA_X)]))
     assert not report.passed
     assert report.extra["largest_passing_K"] is None
     assert report.flags == ["largest_passing_K=none"]

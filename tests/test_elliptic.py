@@ -13,6 +13,7 @@ from conftest import (
     assert_elem_close,
     backend_from_spec,
     loop_galerkin_residual,
+    loop_random_data,
     make_rng,
 )
 
@@ -169,13 +170,13 @@ def test_probe_applies_the_map_twice_per_sample(torus2_space):
 
 
 def loop_probe_draws(space, rng, samples, radius):
-    """The probe's h and v drawn one ``random_data`` call per frame component,
-    h and v of a sample before its scale: the reference for the probe's
-    stacked draw."""
+    """The probe's h and v drawn one ``loop_random_data`` call per frame
+    component, h and v of a sample before its scale: the reference for the
+    probe's stacked draw."""
     k = tangent_components(space)
 
     def draw():
-        return np.concatenate([bk.random_data(space.backend, rng, radius=radius).reshape(-1)
+        return np.concatenate([loop_random_data(space.backend, rng, radius).reshape(-1)
                                for _ in range(k)])
 
     h = np.empty((samples, k * space.dim), dtype=np.complex128)

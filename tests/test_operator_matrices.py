@@ -1,9 +1,9 @@
 """The closed-form operator matrices (left multiplication, irrational-theta
 ``represent``, ``gradient_matrix`` and the evolution transport matrix)
 against the basis-vector loops in conftest, the tangent layout against
-the rows of ``gradient_matrix``, and the backend products and left
-multiplication on stacks against one call per entry, at sizes beyond the
-corpus."""
+the rows of ``gradient_matrix``, and the backend products, left
+multiplication, representation and frame on stacks against one call per
+entry, at sizes beyond the corpus."""
 
 import math
 
@@ -71,6 +71,23 @@ def test_products_and_left_multiplication_act_on_stacks(spec):
             assert abs(losses[idx] - want_loss) <= 1e-14 * want_loss
     S = _draws(desc, rng, (3,))
     assert _rel(desc.lmul(S), np.array([desc.lmul(X) for X in S])) <= 1e-14
+    # representation, its inverse and the frame: one call on a stack is one
+    # call per entry, the frame axis sitting just before the coefficient axes
+    reps = desc.represent(S)
+    assert _rel(reps, np.array([desc.represent(X) for X in S])) <= 1e-14
+    if desc.rep_is_exact():
+        assert _rel(desc.element_from_matrix(reps),
+                    np.array([desc.element_from_matrix(R) for R in reps])) <= 1e-14
+    k = desc.frame_size()
+    grads = desc.derive(S)
+    assert grads.shape == (3, k) + desc.shape()
+    assert _rel(grads, np.array([desc.derive(X) for X in S])) <= 1e-14
+    T = _draws(desc, rng, (2, 3, k))
+    for name in ("codifferential", "involution"):
+        got, op = getattr(desc, name)(T), getattr(desc, name)
+        want = np.array([op(H) for H in T.reshape((-1, k) + desc.shape())])
+        assert _rel(got, want.reshape(got.shape)) <= 1e-14
+    assert desc.codifferential(T).shape == (2, 3) + desc.shape()
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=IDS)
