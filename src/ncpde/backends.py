@@ -85,13 +85,12 @@ PAIRS_SCHEMA = {"type": "array", "items": {
 
 def to_pairs(arr: np.ndarray) -> list[list[float]]:
     """Row-major ``[[re, im], ...]`` wire form of a complex array."""
-    flat = np.asarray(arr, dtype=np.complex128).reshape(-1)
-    return [[float(z.real), float(z.imag)] for z in flat]
+    flat = np.ascontiguousarray(arr, dtype=np.complex128).reshape(-1)
+    return flat.view(np.float64).reshape(-1, 2).tolist()
 
 
 def from_pairs(pairs, shape) -> np.ndarray:
-    flat = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
-    return flat.reshape(shape)
+    return np.array(pairs, dtype=np.float64).reshape(-1, 2).view(np.complex128).reshape(shape)
 
 
 class Descriptor:

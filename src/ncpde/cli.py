@@ -4,9 +4,9 @@ Usage:  ncpde --config cfg.json [--out DIR] [--seed N] [--tol X] [--quiet]
 
 The JSON config carries the command, the backend descriptor and the
 per-command problem payload; it is validated against a strict schema
-(unknown fields and non-finite numbers are rejected) before any
-computation.  ``COMMANDS`` maps each command to its problem schema and its
-handler.  All randomized batteries are drawn from numpy's PCG64 generator
+(unknown fields, non-finite numbers and integers beyond float range are
+rejected) before any computation.  ``COMMANDS`` maps each command to its
+problem schema and its handler.  All randomized batteries are drawn from numpy's PCG64 generator
 seeded from the config (command-line --seed overrides), so identical
 config + seed reproduces bit-identical JSON output on a given
 platform/BLAS.  Exit codes: 0 success with all checks passed, 2 completed
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import sys
@@ -75,13 +76,45 @@ class ConfigError(Exception):
     pass
 
 
+def _finite_pair_list(obj) -> bool:
+    """Whether ``obj`` is a list of ``[re, im]`` lists of JSON numbers (bools
+    and strings are not) that are finite as one float64 array: one array pass
+    instead of a schema step per number."""
+    if (type(obj) is not list or not set(map(type, obj)) <= {list}
+            or not set(map(len, obj)) <= {2}
+            or not set(map(type, itertools.chain.from_iterable(obj))) <= {float, int}):
+        return False
+    try:
+        return bool(np.isfinite(np.array(obj, dtype=np.float64)).all())
+    except OverflowError:   # an int beyond float range
+        return False
+
+
+_STOCK_ITEMS = jsonschema.Draft202012Validator.VALIDATORS["items"]
+
+
+def _items(validator, items, instance, schema):
+    # a valid pair list is accepted at once; anything else takes the stock
+    # keyword, so every rejection carries jsonschema's own message
+    if items is _PAIRS["items"] and _finite_pair_list(instance):
+        return
+    yield from _STOCK_ITEMS(validator, items, instance, schema)
+
+
+_Validator = jsonschema.validators.extend(jsonschema.Draft202012Validator, {"items": _items})
+
+
 def _non_finite_path(obj, path: str = "config") -> str | None:
-    """Path of the first NaN or infinite number in a parsed JSON value."""
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return path
+    """Path of the first NaN, infinite or beyond-float-range number in a
+    parsed JSON value."""
+    if isinstance(obj, (float, int)):
+        try:
+            return None if math.isfinite(obj) else path
+        except OverflowError:   # an int no float can hold
+            return path
     if isinstance(obj, dict):
         children = [(f"{path}.{key}", value) for key, value in obj.items()]
-    elif isinstance(obj, list):
+    elif isinstance(obj, list) and not _finite_pair_list(obj):
         children = [(f"{path}[{i}]", value) for i, value in enumerate(obj)]
     else:
         return None
@@ -123,14 +156,13 @@ def _write_trajectory_csv(out_dir: Path | None, times, states) -> None:
         return
     out_dir.mkdir(parents=True, exist_ok=True)
     D = states.shape[1] // 2
+    # one row per time: t, then re_i, im_i interleaved; csv writes floats by repr
+    pairs = np.stack([states[:, :D], states[:, D:]], -1).reshape(len(states), 2 * D)
+    cells = np.column_stack([times, pairs])
     with open(out_dir / "trajectory.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t"] + [f"{p}_{i:03d}" for i in range(D) for p in ("re", "im")])
-        for t, x in zip(times, states):
-            row = [repr(float(t))]
-            for i in range(D):
-                row += [repr(float(x[i])), repr(float(x[D + i]))]
-            writer.writerow(row)
+        writer.writerows(cells.tolist())
 
 
 def _solution_csv(sol) -> str:
@@ -424,8 +456,8 @@ CONFIG_SCHEMA = {
 }
 
 # built once: the schemas are constants, checked by the test suite
-_CONFIG_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
-_PROBLEM_VALIDATORS = {command: jsonschema.Draft202012Validator(schema)
+_CONFIG_VALIDATOR = _Validator(CONFIG_SCHEMA)
+_PROBLEM_VALIDATORS = {command: _Validator(schema)
                        for command, (schema, _) in COMMANDS.items()}
 
 

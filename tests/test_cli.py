@@ -5,6 +5,9 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from jsonschema.exceptions import best_match
 
 from ncpde import backends as bk
 from ncpde import cli
@@ -165,6 +168,32 @@ def test_evolve_writes_trajectory(tmp_path, capsys):
     assert "terminal_error_vs_oracle" in report
 
 
+def test_trajectory_csv_and_pairs_bytes(tmp_path):
+    # floats are written by repr: -0.0, subnormals and exact large integers
+    # keep their form, and the pairs of a transposed array are row-major
+    times = np.array([0.0, 0.1, 0.30000000000000004])
+    states = np.array([[1.0, -0.0, 1e-300, 123456789.0],          # (re_0, re_1, im_0, im_1)
+                       [0.1 + 0.2, 5e-324, -1.5, 2.0 ** 60],
+                       [1.0000000000000002, -1e300, -0.0, 1 / 3]])
+    cli._write_trajectory_csv(tmp_path, times, states)
+    assert (tmp_path / "trajectory.csv").read_bytes() == (
+        b"t,re_000,im_000,re_001,im_001\r\n"
+        b"0.0,1.0,1e-300,-0.0,123456789.0\r\n"
+        b"0.1,0.30000000000000004,-1.5,5e-324,1.152921504606847e+18\r\n"
+        b"0.30000000000000004,1.0000000000000002,-0.0,-1e+300,0.3333333333333333\r\n")
+    z = np.empty((3, 2), dtype=np.complex128)
+    z.real, z.imag = states[:, :2], states[:, 2:]
+    assert json.dumps(bk.to_pairs(z)) == (
+        "[[1.0, 1e-300], [-0.0, 123456789.0], [0.30000000000000004, -1.5], "
+        "[5e-324, 1.152921504606847e+18], [1.0000000000000002, -0.0], "
+        "[-1e+300, 0.3333333333333333]]")
+    assert json.dumps(bk.to_pairs(z.T)) == (
+        "[[1.0, 1e-300], [0.30000000000000004, -1.5], [1.0000000000000002, -0.0], "
+        "[-0.0, 123456789.0], [5e-324, 1.152921504606847e+18], "
+        "[-1e+300, 0.3333333333333333]]")
+    assert bk.from_pairs(bk.to_pairs(z), z.shape).tobytes() == z.tobytes()
+
+
 @pytest.mark.parametrize("command, extra", [
     ("solve-poisson", {"method": "both"}),
     ("solve-quasilinear", {"map": {"name": "identity"}}),
@@ -198,12 +227,193 @@ def test_project_kernel_solve_passes_its_checks(tmp_path, capsys, command, extra
       "problem": {"form": "heat", "u0": [[1.0, 0.0]] * 4, "horizon": 1.0,
                   "dt": float("nan")}},
      "config.problem.dt"),
+    # an integer no float can hold is as unusable as NaN
+    ({"command": "solve-poisson", "backend": {"kind": "cyclic", "order": 4,
+                                              "lengths": [0.0, 1.0, 2.0, 1.0]},
+      "problem": {"f": [[10**400, 0.0]] + [[0.0, 0.0]] * 3}},
+     "config.problem.f[0][0]"),
+    ({"command": "gap", "backend": {"kind": "cyclic", "order": 4,
+                                    "lengths": [0.0, -10**400, 2.0, 1.0]}},
+     "config.backend.lengths[1]"),
 ])
 def test_non_finite_config_exits_1_naming_the_field(tmp_path, capsys, config, field):
     out_dir = tmp_path / "out"
     assert run_main(tmp_path, config, "--out", str(out_dir)) == 1
-    assert field in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: invalid config: {field} is not a finite number\n"
     assert not out_dir.exists()
+
+
+_GOOD_QUBIT = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
+
+
+def _with_pair(value):
+    return [_GOOD_QUBIT[0], value, *_GOOD_QUBIT[2:]]
+
+
+_BAD_PAIRS = {
+    "ragged": [[1.0, 0.0], [0.0], [0.0, 0.0, 0.0], [1.0, 0.0]],
+    "short": _with_pair([1.0]),
+    "long": _with_pair([0.0, 0.0, 0.0]),
+    "string": _with_pair(["1.0", 0.0]),
+    "bool": _with_pair([True, 0.0]),
+    "null": _with_pair([None, 0.0]),
+    "nan": _with_pair([float("nan"), 0.0]),
+    "inf": _with_pair([0.0, float("inf")]),
+    "pair-not-list": _with_pair(1.0),
+    "not-list": {"re": 1.0},
+}
+
+
+def _pair_field_config(field, pairs):
+    """A qubit config whose only fault is ``pairs`` at ``field``."""
+    if field == "f":
+        return {"command": "solve-poisson", "backend": QUBIT_BACKEND, "problem": {"f": pairs}}
+    heat = {"form": "heat", "u0": _GOOD_QUBIT, "horizon": 0.2, "dt": 0.1}
+    continuity = {**heat, "form": "continuity", "epsilon": 0.1}
+    problem = {
+        "u0": {**heat, "u0": pairs},
+        "flow.constant_gradient_of": {**continuity, "flow": {"constant_gradient_of": pairs}},
+        "flow.vectors": {**continuity, "flow": {"times": [0.0, 0.2],
+                                                "vectors": [[_ZERO_QUBIT], [pairs]]}},
+        "source.elements": {**heat, "source": {"times": [0.0, 0.2],
+                                               "elements": [_ZERO_QUBIT, pairs]}},
+    }[field]
+    return {"command": "evolve", "backend": QUBIT_BACKEND, "problem": problem}
+
+
+# the stderr lines of the validator that checked every number through jsonschema
+_MALFORMED_PAIR_MESSAGES = [
+    ("f", "ragged", "config.problem.f[2]: [0.0, 0.0, 0.0] is too long"),
+    ("f", "short", "config.problem.f[1]: [1.0] is too short"),
+    ("f", "long", "config.problem.f[1]: [0.0, 0.0, 0.0] is too long"),
+    ("f", "string", "config.problem.f[1][0]: '1.0' is not of type 'number'"),
+    ("f", "bool", "config.problem.f[1][0]: True is not of type 'number'"),
+    ("f", "null", "config.problem.f[1][0]: None is not of type 'number'"),
+    ("f", "nan", "config.problem.f[1][0] is not a finite number"),
+    ("f", "inf", "config.problem.f[1][1] is not a finite number"),
+    ("f", "pair-not-list", "config.problem.f[1]: 1.0 is not of type 'array'"),
+    ("f", "not-list", "config.problem.f: {'re': 1.0} is not of type 'array'"),
+    ("u0", "ragged", "config.problem.u0[2]: [0.0, 0.0, 0.0] is too long"),
+    ("u0", "short", "config.problem.u0[1]: [1.0] is too short"),
+    ("u0", "long", "config.problem.u0[1]: [0.0, 0.0, 0.0] is too long"),
+    ("u0", "string", "config.problem.u0[1][0]: '1.0' is not of type 'number'"),
+    ("u0", "bool", "config.problem.u0[1][0]: True is not of type 'number'"),
+    ("u0", "null", "config.problem.u0[1][0]: None is not of type 'number'"),
+    ("u0", "nan", "config.problem.u0[1][0] is not a finite number"),
+    ("u0", "inf", "config.problem.u0[1][1] is not a finite number"),
+    ("u0", "pair-not-list", "config.problem.u0[1]: 1.0 is not of type 'array'"),
+    ("u0", "not-list", "config.problem.u0: {'re': 1.0} is not of type 'array'"),
+    ("flow.constant_gradient_of", "ragged",
+     "config.problem.flow.constant_gradient_of[1]: [0.0] is too short"),
+    ("flow.constant_gradient_of", "short",
+     "config.problem.flow.constant_gradient_of[1]: [1.0] is too short"),
+    ("flow.constant_gradient_of", "long",
+     "config.problem.flow.constant_gradient_of[1]: [0.0, 0.0, 0.0] is too long"),
+    ("flow.constant_gradient_of", "string",
+     "config.problem.flow.constant_gradient_of[1][0]: '1.0' is not of type 'number'"),
+    ("flow.constant_gradient_of", "bool",
+     "config.problem.flow.constant_gradient_of[1][0]: True is not of type 'number'"),
+    ("flow.constant_gradient_of", "null",
+     "config.problem.flow.constant_gradient_of[1][0]: None is not of type 'number'"),
+    ("flow.constant_gradient_of", "nan",
+     "config.problem.flow.constant_gradient_of[1][0] is not a finite number"),
+    ("flow.constant_gradient_of", "inf",
+     "config.problem.flow.constant_gradient_of[1][1] is not a finite number"),
+    ("flow.constant_gradient_of", "pair-not-list",
+     "config.problem.flow.constant_gradient_of[1]: 1.0 is not of type 'array'"),
+    ("flow.constant_gradient_of", "not-list",
+     "config.problem.flow.constant_gradient_of: {'re': 1.0} is not of type 'array'"),
+    ("flow.vectors", "ragged", "config.problem.flow.vectors[1][0][1]: [0.0] is too short"),
+    ("flow.vectors", "short", "config.problem.flow.vectors[1][0][1]: [1.0] is too short"),
+    ("flow.vectors", "long",
+     "config.problem.flow.vectors[1][0][1]: [0.0, 0.0, 0.0] is too long"),
+    ("flow.vectors", "string",
+     "config.problem.flow.vectors[1][0][1][0]: '1.0' is not of type 'number'"),
+    ("flow.vectors", "bool",
+     "config.problem.flow.vectors[1][0][1][0]: True is not of type 'number'"),
+    ("flow.vectors", "null",
+     "config.problem.flow.vectors[1][0][1][0]: None is not of type 'number'"),
+    ("flow.vectors", "nan", "config.problem.flow.vectors[1][0][1][0] is not a finite number"),
+    ("flow.vectors", "inf", "config.problem.flow.vectors[1][0][1][1] is not a finite number"),
+    ("flow.vectors", "pair-not-list",
+     "config.problem.flow.vectors[1][0][1]: 1.0 is not of type 'array'"),
+    ("flow.vectors", "not-list",
+     "config.problem.flow.vectors[1][0]: {'re': 1.0} is not of type 'array'"),
+    ("source.elements", "ragged", "config.problem.source.elements[1][1]: [0.0] is too short"),
+    ("source.elements", "short", "config.problem.source.elements[1][1]: [1.0] is too short"),
+    ("source.elements", "long",
+     "config.problem.source.elements[1][1]: [0.0, 0.0, 0.0] is too long"),
+    ("source.elements", "string",
+     "config.problem.source.elements[1][1][0]: '1.0' is not of type 'number'"),
+    ("source.elements", "bool",
+     "config.problem.source.elements[1][1][0]: True is not of type 'number'"),
+    ("source.elements", "null",
+     "config.problem.source.elements[1][1][0]: None is not of type 'number'"),
+    ("source.elements", "nan", "config.problem.source.elements[1][1][0] is not a finite number"),
+    ("source.elements", "inf", "config.problem.source.elements[1][1][1] is not a finite number"),
+    ("source.elements", "pair-not-list",
+     "config.problem.source.elements[1][1]: 1.0 is not of type 'array'"),
+    ("source.elements", "not-list",
+     "config.problem.source.elements[1]: {'re': 1.0} is not of type 'array'"),
+]
+
+
+@pytest.mark.parametrize("field, case, message", _MALFORMED_PAIR_MESSAGES,
+                         ids=[f"{field}-{case}" for field, case, _ in _MALFORMED_PAIR_MESSAGES])
+def test_malformed_pair_list_exits_1_with_its_message(tmp_path, capsys, field, case, message):
+    out_dir = tmp_path / "out"
+    config = _pair_field_config(field, _BAD_PAIRS[case])
+    assert run_main(tmp_path, config, "--out", str(out_dir)) == 1
+    assert capsys.readouterr().err == f"error: invalid config: {message}\n"
+    assert not out_dir.exists()
+
+
+def _slow_non_finite_path(obj, path="config"):
+    """Reference walk: every number of every list, one at a time."""
+    if isinstance(obj, (float, int)):
+        try:
+            return None if math.isfinite(float(obj)) else path
+        except OverflowError:
+            return path
+    children = (obj.items() if isinstance(obj, dict)
+                else enumerate(obj) if isinstance(obj, list) else ())
+    for key, value in children:
+        child = f"{path}.{key}" if isinstance(obj, dict) else f"{path}[{key}]"
+        found = _slow_non_finite_path(value, child)
+        if found is not None:
+            return found
+    return None
+
+
+def _best_error(validator, instance):
+    error = best_match(validator.iter_errors(instance))
+    return None if error is None else (error.message, list(error.absolute_path))
+
+
+_json_numbers = st.one_of(st.floats(), st.integers(min_value=-10**400, max_value=10**400))
+_json_scalars = st.one_of(_json_numbers, st.booleans(), st.none(), st.text(max_size=2))
+_pair_payloads = st.one_of(
+    st.lists(st.lists(_json_numbers, min_size=2, max_size=2), max_size=6),   # mostly valid
+    st.lists(st.one_of(st.lists(_json_scalars, max_size=3), _json_scalars), max_size=6),
+    _json_scalars,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(payload=_pair_payloads)
+def test_pair_list_validation_matches_stock_jsonschema(payload):
+    # the array pass may only change how fast a pair list is accepted, never
+    # which error a payload gets or which number is reported non-finite
+    problems = [
+        ("solve-poisson", {"f": payload}),
+        ("evolve", {"form": "heat", "u0": _GOOD_QUBIT, "horizon": 0.2, "dt": 0.1,
+                    "source": {"times": [0.0, 0.2], "elements": [_ZERO_QUBIT, payload]}}),
+    ]
+    for command, problem in problems:
+        schema = cli.COMMANDS[command][0]
+        assert _best_error(cli._Validator(schema), problem) == \
+            _best_error(jsonschema.Draft202012Validator(schema), problem)
+    assert cli._non_finite_path(payload) == _slow_non_finite_path(payload)
 
 
 _ZERO_QUBIT = [[0.0, 0.0]] * 4
