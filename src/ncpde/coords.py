@@ -1,17 +1,17 @@
-"""Real-coordinate plumbing shared by the variational solvers.
+"""Coordinate plumbing shared by the variational solvers.
 
-The weak formulations pair everything through Re<.,.>, so the solvers work
-over real coordinates: a complex L^2 coordinate vector c of length D maps
-to x = [Re c; Im c] of length 2D, and a Hermitian operator H maps to the
-symmetric block matrix [[Re H, -Im H], [Im H, Re H]].  Under this map
-Re<c, d> becomes the plain dot product.
+The weak formulations pair through Re<.,.>.  The Poisson solvers work on
+complex L^2 coordinates under it and apply adjoints by conjugating
+vectors, (v^* W)^*, never a matrix.  The evolution, whose transport form
+is only real-linear, and the Galerkin basis use real coordinates: c maps
+to x = [Re c; Im c], a Hermitian H to the symmetric [[Re H, -Im H],
+[Im H, Re H]], and Re<c, d> becomes the plain dot product.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import backends as bk
 from .dirichlet import DirichletSpace
 
 
@@ -30,9 +30,9 @@ def realify_operator(H: np.ndarray) -> np.ndarray:
 
 def perp_eigenbasis(space: DirichletSpace) -> tuple[np.ndarray, np.ndarray]:
     """(positive eigenvalues, matching orthonormal complex eigenvectors) of
-    the generator off its kernel, ascending."""
+    the generator off its kernel, ascending; read-only views of the space's."""
     k = space.kernel_dim
-    return space.evals[k:].copy(), space.evecs[:, k:].copy()
+    return space.evals[k:], space.evecs[:, k:]
 
 
 def energy_orthonormal_basis(space: DirichletSpace) -> np.ndarray:
@@ -46,13 +46,9 @@ def energy_orthonormal_basis(space: DirichletSpace) -> np.ndarray:
 def kernel_component(space: DirichletSpace, c: np.ndarray) -> float:
     """L^2 mass of the coordinate vector c inside ker(generator)."""
     K = space.evecs[:, : space.kernel_dim]
-    return float(np.linalg.norm(K.conj().T @ c))
+    return float(np.linalg.norm(c.conj() @ K))     # the norm of K^* c
 
 
 def project_off_kernel(space: DirichletSpace, c: np.ndarray) -> np.ndarray:
     K = space.evecs[:, : space.kernel_dim]
-    return c - K @ (K.conj().T @ c)
-
-
-def element_from_real(space: DirichletSpace, x: np.ndarray) -> bk.AlgebraElement:
-    return bk.from_l2(space.backend, complexify_vector(x))
+    return c - K @ (c.conj() @ K).conj()

@@ -53,6 +53,12 @@ class DirichletSpace:
     evecs: np.ndarray            # orthonormal columns
     kernel_dim: int
 
+    def __post_init__(self):   # read-only: perp_eigenbasis hands out views of these
+        for name in ("generator", "evals", "evecs"):
+            view = np.asarray(getattr(self, name)).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
+
     def __repr__(self):
         return (
             f"DirichletSpace({self.backend!r}, dim={self.evals.size}, "
@@ -75,7 +81,7 @@ def space_from_matrix(desc: Descriptor, gen: np.ndarray,
     count as kernel."""
     gen = np.asarray(gen, dtype=np.complex128)
     diag = np.diagonal(gen)
-    if np.count_nonzero(gen - np.diag(diag)) == 0:
+    if np.count_nonzero(gen) == np.count_nonzero(diag):
         # exact eigensystem for diagonal generators (torus, cyclic,
         # commuting matrix generators): sorted diagonal + permutation, which
         # reconstructs the generator exactly
@@ -111,7 +117,7 @@ def _generator(space: DirichletSpace, X: np.ndarray) -> np.ndarray:
 
 def _semigroup(space: DirichletSpace, t: float, X: np.ndarray) -> np.ndarray:
     """P_t = exp(-t L) on a coefficient stack, through the eigensystem."""
-    c = (bk.l2_coords(space.backend, X) @ space.evecs.conj()) * np.exp(-t * space.evals)
+    c = (bk.l2_coords(space.backend, X).conj() @ space.evecs).conj() * np.exp(-t * space.evals)
     return (c @ space.evecs.T).reshape(X.shape)
 
 

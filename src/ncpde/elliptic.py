@@ -7,8 +7,8 @@ gradients on the Dirichlet energy functional
 
     I(u) = ||grad u||^2 / 2 - Re<f, u>
 
-over real coordinates of the kernel complement.  The quasilinear problem
-is projected onto an energy-orthonormal eigenbasis w of the kernel
+on complex L^2 coordinates under Re<.,.>.  The quasilinear problem is
+projected onto an energy-orthonormal eigenbasis w of the kernel
 complement (Galerkin).  With Gb the gradient matrix on that basis, the
 finite root problem V(d) = Re(Gb^H F(Gb d)) - Re<f, w> = 0 is solved by
 damped Newton on all coefficients at once, with a finite-difference
@@ -108,8 +108,21 @@ def _weak_residual(space: DirichletSpace, div_F: np.ndarray, f: AlgebraElement) 
     """max_k |<F(grad u), grad w_k> - <f, w_k>| over the full eigenbasis of
     the domain (kernel included), from div F(grad u) on L^2 coordinates."""
     # <F(grad u), grad w> = <div F(grad u), w> since div is the adjoint
-    proj = space.evecs.conj().T @ (div_F - bk.to_l2(f))
+    proj = (div_F - bk.to_l2(f)).conj() @ space.evecs      # conjugates of the pairings
     return float(np.abs(proj).max())
+
+
+def _linear_report(space: DirichletSpace, f: AlgebraElement, f_solved: AlgebraElement,
+                   u: np.ndarray, mass: float, flags: list[str], **fields) -> SolveReport:
+    """Report on the L^2 coordinates u of a solution of div(grad u) = f_solved,
+    with residuals relative to ||f|| as given."""
+    sol = bk.from_l2(space.backend, u)
+    fscale = max(bk.norm_l2(f), 1e-300)
+    strong = np.linalg.norm(space.generator @ u - bk.to_l2(f_solved))
+    weak = _weak_residual(space, bk.to_l2(divergence(space, gradient(space, sol))), f_solved)
+    return SolveReport(solution=sol, residual_weak=weak / fscale,
+                       residual_strong=float(strong / fscale), kernel_component=mass,
+                       flags=flags, **fields)
 
 
 def solve_poisson(space: DirichletSpace, f: AlgebraElement, *,
@@ -118,70 +131,46 @@ def solve_poisson(space: DirichletSpace, f: AlgebraElement, *,
     flags: list[str] = []
     f_solved, mass = _gate_kernel(space, f, project_kernel, flags)
     lam, W = co.perp_eigenbasis(space)
-    coeff = W.conj().T @ bk.to_l2(f_solved)
-    u = W @ (coeff / lam)
-    sol = bk.from_l2(space.backend, u)
-    strong = bk.norm_l2(bk.from_l2(space.backend, space.generator @ u) - f_solved)
-    fscale = max(bk.norm_l2(f), 1e-300)
-    return SolveReport(
-        solution=sol,
-        residual_weak=_weak_residual(
-            space, bk.to_l2(divergence(space, gradient(space, sol))), f_solved) / fscale,
-        residual_strong=float(strong / fscale),
-        iterations=0,
-        galerkin_dim=int(lam.size),
-        kernel_component=mass,
-        method="spectral",
-        flags=flags,
-    )
+    coeff = (bk.to_l2(f_solved).conj() @ W).conj()
+    return _linear_report(space, f, f_solved, W @ (coeff / lam), mass, flags,
+                          iterations=0, galerkin_dim=int(lam.size), method="spectral")
 
 
 def minimize_dirichlet_energy(space: DirichletSpace, f: AlgebraElement, *,
                               project_kernel: bool = False) -> SolveReport:
-    """Conjugate-gradient minimization of I(u) = E[u]/2 - Re<f, u> over real
-    coordinates of the kernel complement; independent of the eigensystem."""
+    """Conjugate-gradient minimization of I(u) = E[u]/2 - Re<f, u> on complex
+    L^2 coordinates under the real inner product Re<.,.>: the iterates of CG
+    on the realified 2D-dimensional system, with the generator applied as
+    stored (d^* L d is real for Hermitian L); independent of the eigensystem."""
     flags: list[str] = []
     f_solved, mass = _gate_kernel(space, f, project_kernel, flags)
-    A = co.realify_operator(space.generator)
-    b = co.realify_vector(bk.to_l2(f_solved))
-    n = b.size
-    x = np.zeros(n)
+    A = space.generator
+    b = bk.to_l2(f_solved)
+    n = 2 * b.size   # real dimension
+    x = np.zeros_like(b)
     r = b.copy()
     d = r.copy()
-    rr = float(r @ r)
+    rr = np.vdot(r, r).real
     history = [0.0]
-    stop = CG_RTOL * max(math.sqrt(float(b @ b)), 1e-300)
+    stop = CG_RTOL * max(math.sqrt(np.vdot(b, b).real), 1e-300)
     iters = 0
     while math.sqrt(rr) > stop and iters < 4 * n:
         Ad = A @ d
-        alpha = rr / float(d @ Ad)
+        alpha = rr / np.vdot(d, Ad).real
         x = x + alpha * d
         r = r - alpha * Ad
-        rr_new = float(r @ r)
+        rr_new = np.vdot(r, r).real
         d = r + (rr_new / rr) * d
         rr = rr_new
         iters += 1
-        history.append(float(-0.5 * x @ (b + r)))   # I(x) with A x = b - r
+        history.append(float(-0.5 * np.vdot(x, b + r).real))   # I(x) with A x = b - r
     if math.sqrt(rr) > stop:
         raise ConvergenceFailure(f"conjugate gradients stalled at residual {math.sqrt(rr):.3e}")
     if any(h2 > h1 + 1e-12 * (1 + abs(h1)) for h1, h2 in zip(history, history[1:])):
         flags.append("energy_not_monotone")
-    sol = co.element_from_real(space, x)
-    strong = bk.norm_l2(bk.from_l2(space.backend, space.generator @ bk.to_l2(sol)) - f_solved)
-    fscale = max(bk.norm_l2(f), 1e-300)
-    return SolveReport(
-        solution=sol,
-        residual_weak=_weak_residual(
-            space, bk.to_l2(divergence(space, gradient(space, sol))), f_solved) / fscale,
-        residual_strong=float(strong / fscale),
-        iterations=iters,
-        galerkin_dim=n,
-        kernel_component=mass,
-        method="variational-cg",
-        flags=flags,
-        energy_value=history[-1],
-        energy_history=history,
-    )
+    return _linear_report(space, f, f_solved, x, mass, flags, iterations=iters, galerkin_dim=n,
+                          method="variational-cg", energy_value=history[-1],
+                          energy_history=history)
 
 
 # ---------------------------------------------------------------------------
@@ -275,14 +264,21 @@ def probe_map(space: DirichletSpace, F: NonlinearMap, rng: np.random.Generator,
 # ---------------------------------------------------------------------------
 
 
-def galerkin_residual(gm: np.ndarray, F: NonlinearMap, B: np.ndarray,
-                      rhs: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """V_k(d) = Re<F(sum_j d_j grad w_j), grad w_k> - rhs_k on the real
-    basis B (columns w_j), as Re(Gb^H F(Gb d)) - rhs with Gb = gm @ w, gm
-    the ``gradient_matrix`` (column j of Gb holds grad w_j).  ``d`` may be
-    a batch (..., M) of coefficient vectors, mapped independently."""
+def galerkin_system(space: DirichletSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(B, gm, Gb) shared by every Galerkin solve on ``space``: the real
+    energy-orthonormal basis B of the kernel complement (columns w_j), the
+    ``gradient_matrix`` gm, and Gb = gm @ w, whose column j holds grad w_j."""
+    B = co.energy_orthonormal_basis(space)
+    gm = gradient_matrix(space)
     D = gm.shape[1]
-    Gb = gm @ (B[:D] + 1j * B[D:])
+    return B, gm, gm @ (B[:D] + 1j * B[D:])
+
+
+def galerkin_residual(Gb: np.ndarray, F: NonlinearMap,
+                      rhs: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """V_k(d) = Re<F(sum_j d_j grad w_j), grad w_k> - rhs_k as
+    Re(Gb^H F(Gb d)) - rhs, with Gb from ``galerkin_system``.  ``d`` may be
+    a batch (..., M) of coefficient vectors, mapped independently."""
 
     def V(d: np.ndarray) -> np.ndarray:
         # <F, grad w_k> is antilinear in F; Re makes the system real
@@ -293,15 +289,16 @@ def galerkin_residual(gm: np.ndarray, F: NonlinearMap, B: np.ndarray,
 
 def solve_quasilinear(space: DirichletSpace, F: NonlinearMap, f: AlgebraElement, *,
                       init: np.ndarray | None = None, force: bool = False,
-                      project_kernel: bool = False) -> SolveReport:
+                      project_kernel: bool = False,
+                      system: tuple[np.ndarray, ...] | None = None) -> SolveReport:
     """Damped-Newton solve of the Galerkin system
     V_k(d) = Re<F(sum_j d_j grad w_j), grad w_k> - Re<f, w_k> = 0
     over the full energy-orthonormal eigenbasis; V is Re(Gb^H F(Gb d)) - rhs
-    with the gradient matrix Gb of the basis (``galerkin_residual``), one
-    per solve.
+    with the gradient matrix Gb of the basis (``galerkin_residual``).
 
     ``init`` holds initial real coefficients on the full basis; ``force``
-    skips the structure probes of F."""
+    skips the structure probes of F; ``system`` is the space's
+    ``galerkin_system``, built here when not given."""
     flags: list[str] = []
     if not force:
         probe = probe_map(space, F, np.random.default_rng(PROBE_SEED), samples=PROBE_SAMPLES,
@@ -310,12 +307,10 @@ def solve_quasilinear(space: DirichletSpace, F: NonlinearMap, f: AlgebraElement,
             failed = [c.name for c in probe.checks if not c.passed]
             raise ConvergenceFailure(f"map {F.name} failed structure probes: {failed}")
     f_solved, mass = _gate_kernel(space, f, project_kernel, flags)
-    B = co.energy_orthonormal_basis(space)
+    B, gm, Gb = galerkin_system(space) if system is None else system
     M = B.shape[1]
     rhs = B.T @ co.realify_vector(bk.to_l2(f_solved))   # Re<f, w_k>
-    gm = gradient_matrix(space)
-    V = galerkin_residual(gm, F, B, rhs)
-
+    V = galerkin_residual(Gb, F, rhs)
     d = np.zeros(M) if init is None else np.asarray(init, dtype=float)
     if d.size != M:
         raise ValueError(f"initial guess has {d.size} coefficients, expected {M}")

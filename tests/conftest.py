@@ -6,6 +6,7 @@ import pytest
 from ncpde import backends as bk
 from ncpde import calculus as ca
 from ncpde import coords as co
+from ncpde import elliptic as el
 from ncpde import evolution as ev
 from ncpde.dirichlet import (GAP_RTOL, DirichletSpace, build_space, carre_du_champ,
                              semigroup_apply)
@@ -277,7 +278,7 @@ def bisect_largest_passing_K(space, K, t_samples, battery, tol=1e-9):
 
 
 def loop_galerkin_residual(space, F, B, rhs):
-    grads = [ca.gradient(space, co.element_from_real(space, B[:, j]))
+    grads = [ca.gradient(space, bk.from_l2(space.backend, co.complexify_vector(B[:, j])))
              for j in range(B.shape[1])]
 
     def V(d):
@@ -290,6 +291,41 @@ def loop_galerkin_residual(space, F, B, rhs):
         return np.array([ca.hilbert_inner(Fh, g).real for g in grads]) - rhs
 
     return V
+
+
+# ---------------------------------------------------------------------------
+# Reference implementation: conjugate gradients on the realified system
+# [[Re L, -Im L], [Im L, Re L]] x = [Re f; Im f], the 2D-dimensional real
+# form of the generator, with the stop rule, cap and energy history of
+# ``minimize_dirichlet_energy``.  The package runs the same iteration on
+# complex L^2 coordinates under Re<.,.>; this loop is the oracle it is
+# tested against.
+# ---------------------------------------------------------------------------
+
+
+def loop_realified_cg(space, f):
+    """(solution coordinates, iterations, energy history) of realified CG."""
+    A = co.realify_operator(space.generator)
+    b = co.realify_vector(bk.to_l2(f))
+    n = b.size
+    x = np.zeros(n)
+    r = b.copy()
+    d = r.copy()
+    rr = float(r @ r)
+    history = [0.0]
+    stop = el.CG_RTOL * max(math.sqrt(float(b @ b)), 1e-300)
+    iters = 0
+    while math.sqrt(rr) > stop and iters < 4 * n:
+        Ad = A @ d
+        alpha = rr / float(d @ Ad)
+        x = x + alpha * d
+        r = r - alpha * Ad
+        rr_new = float(r @ r)
+        d = r + (rr_new / rr) * d
+        rr = rr_new
+        iters += 1
+        history.append(float(-0.5 * x @ (b + r)))   # I(x) with A x = b - r
+    return co.complexify_vector(x), iters, history
 
 
 # ---------------------------------------------------------------------------

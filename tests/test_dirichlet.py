@@ -6,6 +6,7 @@ import pytest
 
 from ncpde import backends as bk
 from ncpde import cli
+from ncpde import coords as co
 from ncpde import dirichlet as dr
 from conftest import (SIGMA_X, SIGMA_Z, THETA_IRR, assert_elem_close,
                       bisect_largest_passing_K, corrupted_space, make_rng)
@@ -71,6 +72,16 @@ def test_eigensystem_reconstructs_generator(pair3_space):
     recon = (sp.evecs * sp.evals) @ sp.evecs.conj().T
     rel = np.linalg.norm(recon - sp.generator) / np.linalg.norm(sp.generator)
     assert rel <= 1e-10
+
+
+def test_space_arrays_are_read_only(qubit, pair3_space, torus2_space):
+    # perp_eigenbasis hands out views: writing through them must not corrupt
+    # the space's generator or eigensystem
+    for sp in (pair3_space, torus2_space, corrupted_space(qubit, np.diag([0.0, 1.0, 1.0, 0.0]))):
+        lam, W = co.perp_eigenbasis(sp)
+        for arr in (sp.generator, sp.evals, sp.evecs, lam, W):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
 
 
 def test_space_from_matrix_validation(qubit, qubit_space):

@@ -6,7 +6,7 @@ import pytest
 from ncpde import backends as bk
 from ncpde import coords as co
 from ncpde import elliptic as el
-from ncpde.calculus import gradient_matrix, tangent_components
+from ncpde.calculus import tangent_components
 from ncpde.dirichlet import build_space
 from conftest import (
     SIGMA_X,
@@ -14,6 +14,7 @@ from conftest import (
     backend_from_spec,
     loop_galerkin_residual,
     loop_random_data,
+    loop_realified_cg,
     make_rng,
 )
 
@@ -104,6 +105,29 @@ def test_variational_energy_history_is_the_energy_functional(pair3_space, torus2
         b = co.realify_vector(bk.to_l2(f))
         want = 0.5 * x @ (A @ x) - b @ x
         assert abs(rep.energy_value - want) <= 1e-12 * max(abs(want), 1.0)
+
+
+@pytest.mark.parametrize("name", ["qubit", "pair3", "torus2", "z4", "torus8", "cyclic64"])
+def test_variational_cg_matches_realified_loop(request, name):
+    # complex coordinates under Re<.,.> iterate as CG on the realified system
+    specs = {"torus8": ("torus", 8), "cyclic64": ("cyclic", 64)}
+    sp = (build_space(backend_from_spec(specs[name])) if name in specs
+          else request.getfixturevalue(f"{name}_space"))
+    rng = make_rng(94)
+    for _ in range(3):
+        f = perp_random(sp, rng)
+        rep = el.minimize_dirichlet_energy(sp, f)
+        x, iters, history = loop_realified_cg(sp, f)
+        assert rep.iterations == iters > 0
+        assert rep.galerkin_dim == 2 * sp.dim
+        u = bk.to_l2(rep.solution)
+        assert np.linalg.norm(u - x) <= 1e-12 * np.linalg.norm(x)
+        h, h_ref = np.array(rep.energy_history), np.array(history)
+        assert h.shape == h_ref.shape
+        assert abs(h[-1] - h_ref[-1]) <= 1e-12 * abs(h_ref[-1])
+        # mid-run, CG amplifies rounding: merely reordering the realified
+        # coordinates moves the torus-8 history by up to ~5e-11 relative
+        assert np.abs(h - h_ref).max() <= 1e-9 * np.abs(h_ref).max()
 
 
 def test_solver_agreement_battery(qubit_space, torus2_space, z4_space):
@@ -220,11 +244,12 @@ RESIDUAL_SPECS = [("torus", 2), ("torus", 3), ("rational", 2), ("rational", 3),
 @pytest.mark.parametrize("spec", RESIDUAL_SPECS, ids=[f"{k}{n}" for k, n in RESIDUAL_SPECS])
 def test_galerkin_residual_matches_loop(spec, make_map):
     space = build_space(backend_from_spec(spec))
-    B = co.energy_orthonormal_basis(space)
+    B, _, Gb = el.galerkin_system(space)
+    assert np.array_equal(B, co.energy_orthonormal_basis(space))
     rng = make_rng(600)
     rhs = rng.standard_normal(B.shape[1])
     F = make_map()
-    V = el.galerkin_residual(gradient_matrix(space), F, B, rhs)
+    V = el.galerkin_residual(Gb, F, rhs)
     V_ref = loop_galerkin_residual(space, F, B, rhs)
     for _ in range(3):
         d = rng.standard_normal(B.shape[1])
