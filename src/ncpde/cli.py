@@ -16,7 +16,6 @@ with check failures (reports still written), 1 errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import itertools
 import json
 import math
@@ -149,21 +148,18 @@ def _dump_json(obj: dict) -> str:
 def _write(out_dir: Path | None, name: str, text: str) -> None:
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / name).write_text(text, encoding="utf-8")
+        (out_dir / name).write_text(text, encoding="utf-8", newline="")
 
 
 def _write_trajectory_csv(out_dir: Path | None, times, states) -> None:
-    if out_dir is None:
-        return
-    out_dir.mkdir(parents=True, exist_ok=True)
     D = states.shape[1] // 2
-    # one row per time: t, then re_i, im_i interleaved; csv writes floats by repr
+    # one row per time: t, then re_i, im_i interleaved; floats by repr and CRLF
+    # line ends, the bytes csv.writer writes
     pairs = np.stack([states[:, :D], states[:, D:]], -1).reshape(len(states), 2 * D)
     cells = np.column_stack([times, pairs])
-    with open(out_dir / "trajectory.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"{p}_{i:03d}" for i in range(D) for p in ("re", "im")])
-        writer.writerows(cells.tolist())
+    header = ",".join(["t"] + [f"{p}_{i:03d}" for i in range(D) for p in ("re", "im")])
+    rows = (",".join(map(repr, row)) for row in cells.tolist())
+    _write(out_dir, "trajectory.csv", "\r\n".join([header, *rows]) + "\r\n")
 
 
 def _solution_csv(sol) -> str:

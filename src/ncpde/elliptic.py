@@ -317,7 +317,7 @@ def solve_quasilinear(space: DirichletSpace, F: NonlinearMap, f: AlgebraElement,
     trace: list[NewtonStep] = []
     d = _newton(V, d, max(np.linalg.norm(rhs), 1e-300), trace)
     u = co.complexify_vector(B @ d)
-    div_F = gm.conj().T @ F(gm @ u)
+    div_F = (F(gm @ u).conj() @ gm).conj()
     fscale = max(bk.norm_l2(f), 1e-300)
     strong = np.linalg.norm(div_F - bk.to_l2(f_solved)) / fscale
     return SolveReport(

@@ -16,9 +16,10 @@ grid t_k = k dt, k = 0..n.  The form depends on t only through the flow's
 interpolation node, computed once per grid time; since times only advance, a
 form matrix is assembled only where the node differs from the previous
 one, and a step operator is inverted only where the nodes of its end points
-change (once per run for the heat form or a constant flow).  The source is
-evaluated once per grid time.  Each step is then ``step``: one product with
-that inverse, with the relative residual of the solve recorded per step.
+change (once per run for the heat form or a constant flow).  A source, if
+given, is evaluated once per grid time.  Each step is then ``step``, one
+product with that inverse; the relative solve residuals and the defects
+below follow the loop, stacked over the steps of each step operator.
 
 The transport form annihilates constant test vectors because the gradient
 of the unit vanishes, so for b = 0 the trace Re<u_k, 1> is conserved to
@@ -142,11 +143,9 @@ def form_matrix(problem: EvolutionProblem, t: float) -> np.ndarray:
     return A
 
 
-def step(lhs: np.ndarray, lhs_inv: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
-    """Solve lhs x = rhs by one product with the inverse of lhs; returns
-    (x, relative residual of the solve)."""
-    x = lhs_inv @ rhs
-    return x, float(np.linalg.norm(lhs @ x - rhs) / max(np.linalg.norm(rhs), 1e-300))
+def step(lhs_inv: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve lhs x = rhs by one product with the inverse of lhs."""
+    return lhs_inv @ rhs
 
 
 def default_certificates(problem: EvolutionProblem) -> tuple[float, float] | None:
@@ -221,17 +220,15 @@ def solve_evolution(problem: EvolutionProblem, rng: np.random.Generator | None =
     # a step operator depends on the nodes of its end points (only the later
     # one for implicit Euler, whose explicit part is the identity)
     step_keys = [(nodes[k] if cn else None, nodes[k + 1]) for k in range(n)]
-    sources = np.array([source_real(problem, t) for t in times])
+    sources = (np.zeros((n + 1, D2)) if problem.source is None
+               else np.array([source_real(problem, t) for t in times]))
     # b(t_{k+1}), or b(t_k) + b(t_{k+1}) for Crank-Nicolson, times weight
     step_sources = sources[:-1] + sources[1:] if cn else sources[1:]
     eye = np.eye(D2)
     xs = np.empty((n + 1, D2))
     xs[0] = co.realify_vector(bk.to_l2(problem.u0))
-    defects = np.zeros(n + 1)
-    margins = np.empty(n) if (probe_vs is not None and certs is not None) else None
-    bounds = np.empty(n) if probe_vs is not None else None
-    residuals = np.empty(n)
-    source_acc = 0.0
+    rhs = np.empty((n, D2))
+    starts, lhss, stats = [], [], []    # per step operator: first step, matrix, probe stats
     A_next = form_matrix(problem, times[0]) if cn else None
     for k in range(n):
         A_now = A_next
@@ -247,16 +244,23 @@ def solve_evolution(problem: EvolutionProblem, rng: np.random.Generator | None =
                     f"singular step matrix at t={times[k + 1]:g} (condition "
                     f"{np.linalg.cond(lhs):.3e}); pure transport with eps=0 can lose coercivity"
                 ) from exc
+            starts.append(k)
+            lhss.append(lhs)
             if probe_vs is not None:
-                margin, bound = _probe_stats(A_next, probe_vs, v_sq, h_sq, certs)
-        if probe_vs is not None:
-            bounds[k] = bound
-            if margins is not None:
-                margins[k] = margin
-        rhs = (xs[k] if explicit is None else explicit @ xs[k]) + weight * step_sources[k]
-        xs[k + 1], residuals[k] = step(lhs, lhs_inv, rhs)
-        source_acc += weight * float(step_sources[k] @ unit_r)
-        defects[k + 1] = float(xs[k + 1] @ unit_r - xs[0] @ unit_r) - source_acc
+                stats.append(_probe_stats(A_next, probe_vs, v_sq, h_sq, certs))
+        rhs[k] = (xs[k] if explicit is None else explicit @ xs[k]) + weight * step_sources[k]
+        xs[k + 1] = step(lhs_inv, rhs[k])
+
+    # the relative residual of every solve, stacked over each operator's steps
+    residuals = np.empty(n)
+    for lhs, a, b in zip(lhss, starts, starts[1:] + [n]):
+        residuals[a:b] = (np.linalg.norm(xs[a + 1:b + 1] @ lhs.T - rhs[a:b], axis=1)
+                          / np.maximum(np.linalg.norm(rhs[a:b], axis=1), 1e-300))
+    traces = xs @ unit_r
+    defects = np.append(0.0, traces[1:] - traces[0] - np.cumsum(weight * (step_sources @ unit_r)))
+    counts = np.diff(starts + [n])
+    bounds = None if probe_vs is None else np.repeat([s[1] for s in stats], counts)
+    margins = None if bounds is None or certs is None else np.repeat([s[0] for s in stats], counts)
 
     terminal_error = None
     if problem.form == "heat" and problem.source is None:

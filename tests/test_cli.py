@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 from pathlib import Path
@@ -192,6 +194,26 @@ def test_trajectory_csv_and_pairs_bytes(tmp_path):
         "[-0.0, 123456789.0], [5e-324, 1.152921504606847e+18], "
         "[-1e+300, 0.3333333333333333]]")
     assert bk.from_pairs(bk.to_pairs(z), z.shape).tobytes() == z.tobytes()
+
+
+def test_trajectory_csv_matches_csv_writer(tmp_path):
+    # a (51, 65) table: random signs and mantissas with exponents from 1e-300
+    # to 1e300, plus -0.0, the smallest subnormal and an exact large integer
+    rng = np.random.default_rng(15)
+    D = 32
+    table = (rng.choice([-1.0, 1.0], (51, 2 * D + 1)) * rng.uniform(1.0, 10.0, (51, 2 * D + 1))
+             * 10.0 ** rng.integers(-300, 300, (51, 2 * D + 1)))
+    table[0, :3] = [-0.0, 5e-324, 2.0 ** 60]
+    table[7, -3:] = [2.0 ** 60, -0.0, 5e-324]
+    times, states = table[:, 0], table[:, 1:]
+    cli._write_trajectory_csv(tmp_path, times, states)
+
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["t"] + [f"{p}_{i:03d}" for i in range(D) for p in ("re", "im")])
+    for t, x in zip(times, states):
+        writer.writerow([float(t)] + [float(v) for i in range(D) for v in (x[i], x[D + i])])
+    assert (tmp_path / "trajectory.csv").read_bytes() == buf.getvalue().encode("utf-8")
 
 
 @pytest.mark.parametrize("command, extra", [

@@ -179,6 +179,27 @@ def _problem(spec, form, flow, scheme, source, steps=4, dt=0.05):
                                dt=dt, scheme=scheme, **kw)
 
 
+def _inverse_steps(problem, states):
+    """The states after the first, each made from the state before it by one
+    product with the inverse of its step operator, lhs_inv @ rhs, with lhs,
+    the inverse and rhs formed as ``solve_evolution`` forms them."""
+    dt, cn = problem.dt, problem.scheme == "crank-nicolson"
+    weight = 0.5 * dt if cn else dt
+    times = dt * np.arange(problem.n_steps() + 1)
+    b = [ev.source_real(problem, t) for t in times]
+    eye = np.eye(states.shape[1])
+    out = []
+    for k in range(problem.n_steps()):
+        lhs_inv = np.linalg.inv(eye + weight * ev.form_matrix(problem, times[k + 1]))
+        if cn:
+            explicit = eye - weight * ev.form_matrix(problem, times[k])
+            rhs = explicit @ states[k] + weight * (b[k] + b[k + 1])
+        else:
+            rhs = states[k] + weight * b[k + 1]
+        out.append(lhs_inv @ rhs)
+    return np.array(out)
+
+
 def _assert_close(a, b, scale=1.0, tol=1e-12):
     # relative to the reference's largest entry, or to ``scale`` where that
     # is larger: defects and residuals are themselves rounding-level numbers
@@ -196,6 +217,7 @@ def test_evolution_matches_per_step_loop(spec, form, flow, scheme, source):
     prob = _problem(spec, form, flow, scheme, source)
     res = ev.solve_evolution(prob, rng=make_rng(77), probes=5)
     ref = loop_solve_evolution(prob, rng=make_rng(77), probes=5)
+    assert res.states[1:].tobytes() == _inverse_steps(prob, res.states).tobytes()
     _assert_close(res.states, ref["states"])
     _assert_close(res.coercivity_margin, ref["margins"])
     _assert_close(res.boundedness_ratio, ref["bounds"])
@@ -255,6 +277,17 @@ def test_source_is_evaluated_once_per_grid_time(monkeypatch, scheme):
     prob = _problem(("torus", 2), "heat", None, scheme, True, steps=10)
     ev.solve_evolution(prob, rng=make_rng(81))
     assert calls == list(prob.dt * np.arange(prob.n_steps() + 1))
+
+
+@pytest.mark.parametrize("scheme", ev.SCHEMES)
+@pytest.mark.parametrize("form,flow", [("heat", None), ("continuity", "constant")])
+def test_no_source_is_never_evaluated(monkeypatch, form, flow, scheme):
+    # without a source its samples are zeros, not n + 1 calls returning zeros
+    calls = _count_calls(monkeypatch, "source_real")
+    prob = _problem(("torus", 2), form, flow, scheme, False, steps=10)
+    res = ev.solve_evolution(prob, rng=make_rng(81))
+    assert calls == []
+    assert np.abs(res.conservation_defect).max() <= 1e-10
 
 
 def test_singular_step_matrix_names_the_time(monkeypatch):
