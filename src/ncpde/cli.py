@@ -76,13 +76,14 @@ class ConfigError(Exception):
     pass
 
 
-def _finite_pair_list(obj) -> bool:
-    """Whether ``obj`` is a list of ``[re, im]`` lists of JSON numbers (bools
-    and strings are not) that are finite as one float64 array: one array pass
-    instead of a schema step per number."""
-    if (type(obj) is not list or not set(map(type, obj)) <= {list}
-            or not set(map(len, obj)) <= {2}
-            or not set(map(type, itertools.chain.from_iterable(obj))) <= {float, int}):
+_NUMBERS = {"type": "number"}
+
+
+def _finite_numbers(obj) -> bool:
+    """Whether ``obj`` is a list of JSON numbers (bools and strings are not)
+    that is finite as one float64 array: one array pass instead of a schema
+    step per number."""
+    if type(obj) is not list or not set(map(type, obj)) <= {float, int}:
         return False
     try:
         return bool(np.isfinite(np.array(obj, dtype=np.float64)).all())
@@ -90,13 +91,21 @@ def _finite_pair_list(obj) -> bool:
         return False
 
 
+def _finite_pair_list(obj) -> bool:
+    """Whether ``obj`` is a list of ``[re, im]`` lists whose numbers pass
+    ``_finite_numbers`` together."""
+    return (type(obj) is list and set(map(type, obj)) <= {list} and set(map(len, obj)) <= {2}
+            and _finite_numbers(list(itertools.chain.from_iterable(obj))))
+
+
 _STOCK_ITEMS = jsonschema.Draft202012Validator.VALIDATORS["items"]
 
 
 def _items(validator, items, instance, schema):
-    # a valid pair list is accepted at once; anything else takes the stock
-    # keyword, so every rejection carries jsonschema's own message
-    if items is _PAIRS["items"] and _finite_pair_list(instance):
+    # a valid pair or number list is accepted at once; anything else takes the
+    # stock keyword, so every rejection carries jsonschema's own message
+    if ((items is _PAIRS["items"] and _finite_pair_list(instance))
+            or (items == _NUMBERS and _finite_numbers(instance))):
         return
     yield from _STOCK_ITEMS(validator, items, instance, schema)
 
@@ -114,7 +123,7 @@ def _non_finite_path(obj, path: str = "config") -> str | None:
             return path
     if isinstance(obj, dict):
         children = [(f"{path}.{key}", value) for key, value in obj.items()]
-    elif isinstance(obj, list) and not _finite_pair_list(obj):
+    elif isinstance(obj, list) and not (_finite_numbers(obj) or _finite_pair_list(obj)):
         children = [(f"{path}[{i}]", value) for i, value in enumerate(obj)]
     else:
         return None
@@ -141,8 +150,9 @@ def validate_config(config: dict) -> None:
 
 
 def _dump_json(obj: dict) -> str:
-    # NaN and Infinity are not JSON: a non-finite number fails the run (exit 1)
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    # one line, sorted keys, repr floats: json's C encoder.  NaN and Infinity
+    # are not JSON: a non-finite number fails the run (exit 1)
+    return json.dumps(obj, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _write(out_dir: Path | None, name: str, text: str) -> None:
@@ -160,11 +170,6 @@ def _write_trajectory_csv(out_dir: Path | None, times, states) -> None:
     header = ",".join(["t"] + [f"{p}_{i:03d}" for i in range(D) for p in ("re", "im")])
     rows = (",".join(map(repr, row)) for row in cells.tolist())
     _write(out_dir, "trajectory.csv", "\r\n".join([header, *rows]) + "\r\n")
-
-
-def _solution_csv(sol) -> str:
-    rows = (f"{i},{re!r},{im!r}\n" for i, (re, im) in enumerate(bk.to_pairs(sol.data)))
-    return "index,re,im\n" + "".join(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +239,6 @@ def _cmd_poisson(space, problem, rng, tol, out_dir):
     primary = reps.get("spectral") or reps["variational"]
     report.extra["kernel_component"] = primary.kernel_component
     _write(out_dir, "solution.json", _dump_json(sz.element_to_json(primary.solution)))
-    _write(out_dir, "solution.csv", _solution_csv(primary.solution))
     return report.to_dict(), report
 
 
@@ -271,7 +275,6 @@ def _cmd_quasilinear(space, problem, rng, tol, out_dir):
     if restarts:
         report.checks.append(check_le("restart_agreement_l2", worst, 1e-8))
     _write(out_dir, "solution.json", _dump_json(sz.element_to_json(base.solution)))
-    _write(out_dir, "solution.csv", _solution_csv(base.solution))
     return report.to_dict(), report
 
 

@@ -440,6 +440,31 @@ def test_pair_list_validation_matches_stock_jsonschema(payload):
 
 _ZERO_QUBIT = [[0.0, 0.0]] * 4
 
+_number_payloads = st.one_of(
+    st.lists(_json_numbers, max_size=8),   # mostly valid
+    st.lists(st.one_of(_json_scalars, st.lists(_json_numbers, max_size=2)), max_size=6),
+    _json_scalars,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(payload=_number_payloads)
+def test_number_list_validation_matches_stock_jsonschema(payload):
+    # the same promise for number lists: flow and source times, cyclic lengths
+    continuity = {"form": "continuity", "u0": _GOOD_QUBIT, "horizon": 0.2, "dt": 0.1}
+    checks = [
+        (cli.COMMANDS["evolve"][0],
+         {**continuity, "flow": {"times": payload, "vectors": [[_ZERO_QUBIT]] * 2}}),
+        (cli.COMMANDS["evolve"][0],
+         {**continuity, "source": {"times": payload, "elements": [_ZERO_QUBIT] * 2}}),
+        (cli.CONFIG_SCHEMA,
+         {"command": "gap", "backend": {"kind": "cyclic", "order": 4, "lengths": payload}}),
+    ]
+    for schema, instance in checks:
+        assert _best_error(cli._Validator(schema), instance) == \
+            _best_error(jsonschema.Draft202012Validator(schema), instance)
+        assert cli._non_finite_path(instance) == _slow_non_finite_path(instance)
+
 
 @pytest.mark.parametrize("grid, field", [
     ({"flow": {"times": [], "vectors": []}}, "flow"),
@@ -553,6 +578,22 @@ def test_evolve_without_probes_writes_no_probe_diagnostics(tmp_path):
     report = json.loads((tmp_path / "report.json").read_text())
     assert "coercivity_margins" not in report and "boundedness_ratio_max" not in report
     assert [c["name"] for c in report["checks"]] == ["linear_solve_residual"]
+
+
+def test_step_count_beyond_float_range_exits_1_naming_horizon_and_dt(tmp_path, capsys,
+                                                                     monkeypatch):
+    config = json.loads((CORPUS[0].parent / "qubit_heat.json").read_text())
+    config["problem"].update(horizon=1e300, dt=1e-300)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the problem must be rejected before it is solved")
+
+    monkeypatch.setattr(cli, "solve_evolution", unreachable)
+    out_dir = tmp_path / "out"
+    assert run_main(tmp_path, config, "--out", str(out_dir)) == 1
+    err = capsys.readouterr().err
+    assert err == "error: horizon / dt = 1e+300 / 1e-300 is not a finite number of steps\n"
+    assert not out_dir.exists()
 
 
 def test_gap_with_empty_battery_writes_no_battery_check(tmp_path):
@@ -685,14 +726,30 @@ def test_config_schemas_are_valid_draft_2020_12():
 
 
 @pytest.mark.parametrize("name", ["torus_poisson", "torus_quasilinear"])
-def test_solution_csv_cells_are_numbers(tmp_path, name):
+def test_solve_writes_report_and_solution_only(tmp_path, name):
     config = json.loads((CORPUS[0].parent / f"{name}.json").read_text())
     assert cli.run(config, out_dir=str(tmp_path), quiet=True) == 0
-    rows = (tmp_path / "solution.csv").read_text().strip().splitlines()
-    assert rows[0] == "index,re,im"
-    for row in rows[1:]:
-        index, re, im = row.split(",")
-        int(index), float(re), float(im)
+    assert {f.name for f in tmp_path.iterdir()} == {"report.json", "solution.json"}
+
+
+def _sorted_keys(pairs):
+    keys = [key for key, _ in pairs]
+    assert keys == sorted(keys)
+    return dict(pairs)
+
+
+_EDGE_VALUES = {"b": [-0.0, 5e-324, 1e300, 0.1, 10**20],
+                "a": {"z": "\u00e9\n", "y": None, "x": True}}
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN.glob("*/*.json")) + [None],
+                         ids=lambda p: "edge-values" if p is None else f"{p.parent.name}/{p.name}")
+def test_dump_json_is_one_sorted_line_with_the_indented_values(path):
+    value = _EDGE_VALUES if path is None else json.loads(path.read_text())
+    text = cli._dump_json(value)
+    assert text.endswith("\n") and "\n" not in text[:-1]
+    assert json.loads(text, object_pairs_hook=_sorted_keys) == \
+        json.loads(json.dumps(value, indent=2, sort_keys=True))
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-10"])
