@@ -3,14 +3,15 @@
 Usage (from the repository root):
 
     python3 scripts/bench_ab.py PARENT CHANGE --out BENCH_N.json \\
-        --workload solve:20 --workload all:15 [--pairs 5] [--seed 1] \\
+        --workload solve --workload all:15 [--pairs 5] [--seed 1] \\
         [--trace evolve-fixed:40] [--note "what the change does"]
 
 Each ref is exported with ``git archive`` into its own fresh directory, so
 both sides run from clean committed files and the repository itself is left
 untouched.  For each ``--workload NAME:SECONDS`` the driver runs
 ``python3 perfbench/run.py --workload NAME --seed SEED --seconds SECONDS``
-``--pairs`` times per side, one run at a time, alternating the sides as
+``--pairs`` times per side (SECONDS defaults to ``run_seconds`` of
+``BENCHMARK.json``), one run at a time, alternating the sides as
 parent, change, change, parent, ... so that a slow drift of the machine's
 speed falls on both sides alike.  ``--trace NAME:SECONDS`` adds one
 ``--trace 1`` run per side.
@@ -53,9 +54,9 @@ def _export(ref: str, dest: Path) -> None:
         raise SystemExit(f"git archive {ref} failed")
 
 
-def _workload(spec: str) -> tuple[str, float]:
+def _workload(spec: str, default_seconds: float) -> tuple[str, float]:
     name, _, seconds = spec.partition(":")
-    return name, float(seconds or 40)
+    return name, float(seconds or default_seconds)
 
 
 def _command(name: str, seed: int, seconds: float, trace: int) -> list[str]:
@@ -150,7 +151,7 @@ def main(argv=None) -> int:
         for side, path in checkouts.items():
             _export(commits[side], path)
         for spec_ in args.workload:
-            name, seconds = _workload(spec_)
+            name, seconds = _workload(spec_, spec["run_seconds"])
             cmd = _command(name, args.seed, seconds, trace=0)
             runs, metas = {"parent": [], "change": []}, []
             order = _order(args.pairs)
@@ -167,7 +168,7 @@ def main(argv=None) -> int:
                 **{side: {"commit": commits[side], "runs": runs[side]} for side in commits},
             }
         if args.trace is not None:
-            name, seconds = _workload(args.trace)
+            name, seconds = _workload(args.trace, spec["run_seconds"])
             cmd = _command(name, args.seed, seconds, trace=1)
             traced = {side: _run(checkouts[side], cmd) for side in ("parent", "change")}
             result["trace"] = {

@@ -76,13 +76,8 @@ class ConfigError(Exception):
     pass
 
 
-_NUMBERS = {"type": "number"}
-
-
 def _finite_numbers(obj) -> bool:
-    """Whether ``obj`` is a list of JSON numbers (bools and strings are not)
-    that is finite as one float64 array: one array pass instead of a schema
-    step per number."""
+    """Whether ``obj`` is a list of JSON numbers (not bools) finite as one float64 array."""
     if type(obj) is not list or not set(map(type, obj)) <= {float, int}:
         return False
     try:
@@ -92,8 +87,7 @@ def _finite_numbers(obj) -> bool:
 
 
 def _finite_pair_list(obj) -> bool:
-    """Whether ``obj`` is a list of ``[re, im]`` lists whose numbers pass
-    ``_finite_numbers`` together."""
+    """Whether ``obj`` is a list of ``[re, im]`` lists whose numbers pass ``_finite_numbers``."""
     return (type(obj) is list and set(map(type, obj)) <= {list} and set(map(len, obj)) <= {2}
             and _finite_numbers(list(itertools.chain.from_iterable(obj))))
 
@@ -105,7 +99,7 @@ def _items(validator, items, instance, schema):
     # a valid pair or number list is accepted at once; anything else takes the
     # stock keyword, so every rejection carries jsonschema's own message
     if ((items is _PAIRS["items"] and _finite_pair_list(instance))
-            or (items == _NUMBERS and _finite_numbers(instance))):
+            or (items == {"type": "number"} and _finite_numbers(instance))):
         return
     yield from _STOCK_ITEMS(validator, items, instance, schema)
 
@@ -150,8 +144,7 @@ def validate_config(config: dict) -> None:
 
 
 def _dump_json(obj: dict) -> str:
-    # one line, sorted keys, repr floats: json's C encoder.  NaN and Infinity
-    # are not JSON: a non-finite number fails the run (exit 1)
+    # C encoder (no indent); NaN and Infinity are not JSON, so they fail the run (exit 1)
     return json.dumps(obj, sort_keys=True, allow_nan=False) + "\n"
 
 

@@ -74,8 +74,7 @@ class EvolutionProblem:
         if self.dt <= 0 or self.horizon <= 0:
             raise ValueError("dt and horizon must be positive")
         if not np.isfinite(self.horizon / self.dt):
-            raise ValueError(f"horizon / dt = {self.horizon!r} / {self.dt!r} "
-                             "is not a finite number of steps")
+            raise ValueError(f"horizon / dt = {self.horizon!r} / {self.dt!r} is not finite")
         if self.epsilon < 0:
             raise ValueError("viscosity must be nonnegative")
         if not bk.same_backend(self.u0.backend, self.space.backend):

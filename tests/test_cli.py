@@ -592,7 +592,7 @@ def test_step_count_beyond_float_range_exits_1_naming_horizon_and_dt(tmp_path, c
     out_dir = tmp_path / "out"
     assert run_main(tmp_path, config, "--out", str(out_dir)) == 1
     err = capsys.readouterr().err
-    assert err == "error: horizon / dt = 1e+300 / 1e-300 is not a finite number of steps\n"
+    assert err == "error: horizon / dt = 1e+300 / 1e-300 is not finite\n"
     assert not out_dir.exists()
 
 
