@@ -155,10 +155,10 @@ def _write(out_dir: Path | None, name: str, text: str) -> None:
 
 
 def _write_trajectory_csv(out_dir: Path | None, times, states) -> None:
-    D = states.shape[1] // 2
-    # one row per time: t, then re_i, im_i interleaved; floats by repr and CRLF
-    # line ends, the bytes csv.writer writes
-    pairs = np.stack([states[:, :D], states[:, D:]], -1).reshape(len(states), 2 * D)
+    D = states.shape[1]
+    # one row per time: t, then re_i, im_i interleaved (the float view of the
+    # complex row); floats by repr and CRLF line ends, the bytes csv.writer writes
+    pairs = np.ascontiguousarray(states, dtype=np.complex128).view(np.float64)
     cells = np.column_stack([times, pairs])
     header = ",".join(["t"] + [f"{p}_{i:03d}" for i in range(D) for p in ("re", "im")])
     rows = (",".join(map(repr, row)) for row in cells.tolist())

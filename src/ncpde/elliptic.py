@@ -9,12 +9,14 @@ gradients on the Dirichlet energy functional
 
 on complex L^2 coordinates under Re<.,.>.  The quasilinear problem is
 projected onto an energy-orthonormal eigenbasis w of the kernel
-complement (Galerkin).  With Gb the gradient matrix on that basis, the
-finite root problem V(d) = Re(Gb^H F(Gb d)) - Re<f, w> = 0 is solved by
-damped Newton on all coefficients at once, with a finite-difference
-Jacobian and a damped fixed-point fallback for maps whose Jacobian is
-unreliable.  For a monotone, coercive F the root is unique, so the start
-decides only how many iterations Newton takes.
+complement (Galerkin), complex columns that hold each eigenvector and i
+times it.  With Gb the gradient matrix on that basis, the finite root
+problem V(d) = Re(Gb^H F(Gb d)) - Re<f, w> = 0 is solved for real
+coefficients d, since F need not be complex-linear, by damped Newton on
+all coefficients at once, with a finite-difference Jacobian and a damped
+fixed-point fallback for maps whose Jacobian is unreliable.  For a
+monotone, coercive F the root is unique, so the start decides only how
+many iterations Newton takes.
 
 Solvability gate: in finite dimensions a weak solution exists only for
 right-hand sides orthogonal to the generator kernel.  Kernel mass beyond
@@ -265,13 +267,16 @@ def probe_map(space: DirichletSpace, F: NonlinearMap, rng: np.random.Generator,
 
 
 def galerkin_system(space: DirichletSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(B, gm, Gb) shared by every Galerkin solve on ``space``: the real
-    energy-orthonormal basis B of the kernel complement (columns w_j), the
-    ``gradient_matrix`` gm, and Gb = gm @ w, whose column j holds grad w_j."""
-    B = co.energy_orthonormal_basis(space)
+    """(Wb, gm, Gb) shared by every Galerkin solve on ``space``: the complex
+    (D, 2m) basis Wb = [W, iW] / sqrt(lam) of the kernel complement from the
+    eigenpairs (lam, W) off the kernel, orthonormal in the real energy inner
+    product Re<grad u, grad v> (columns w_j); the ``gradient_matrix`` gm; and
+    Gb = gm @ Wb, whose column j holds grad w_j."""
+    lam, W = co.perp_eigenbasis(space)
     gm = gradient_matrix(space)
-    D = gm.shape[1]
-    return B, gm, gm @ (B[:D] + 1j * B[D:])
+    W = W / np.sqrt(lam)
+    G = gm @ W
+    return np.hstack([W, 1j * W]), gm, np.hstack([G, 1j * G])
 
 
 def galerkin_residual(Gb: np.ndarray, F: NonlinearMap,
@@ -307,16 +312,16 @@ def solve_quasilinear(space: DirichletSpace, F: NonlinearMap, f: AlgebraElement,
             failed = [c.name for c in probe.checks if not c.passed]
             raise ConvergenceFailure(f"map {F.name} failed structure probes: {failed}")
     f_solved, mass = _gate_kernel(space, f, project_kernel, flags)
-    B, gm, Gb = galerkin_system(space) if system is None else system
-    M = B.shape[1]
-    rhs = B.T @ co.realify_vector(bk.to_l2(f_solved))   # Re<f, w_k>
+    Wb, gm, Gb = galerkin_system(space) if system is None else system
+    M = Wb.shape[1]
+    rhs = (bk.to_l2(f_solved).conj() @ Wb).real   # Re<f, w_k>
     V = galerkin_residual(Gb, F, rhs)
     d = np.zeros(M) if init is None else np.asarray(init, dtype=float)
     if d.size != M:
         raise ValueError(f"initial guess has {d.size} coefficients, expected {M}")
     trace: list[NewtonStep] = []
     d = _newton(V, d, max(np.linalg.norm(rhs), 1e-300), trace)
-    u = co.complexify_vector(B @ d)
+    u = Wb @ d
     div_F = (F(gm @ u).conj() @ gm).conj()
     fscale = max(bk.norm_l2(f), 1e-300)
     strong = np.linalg.norm(div_F - bk.to_l2(f_solved)) / fscale

@@ -1,17 +1,18 @@
 """Implicit time stepping for weak parabolic problems in the triple
 V = D(E)  <  H = L^2(tau)  <  V*.
 
-Over real coordinates the L^2 Gram matrix is the identity (the coefficient
-bases are orthonormal) and the V inner product is <u, v> + E(u, v); the
-embedding is the identity on coordinates and its adjoint is Gram-matrix
-transport.  A problem is the heat form F(u, v) = E(u, v) or the viscous
-continuity form
+States are complex L^2 coordinates under the real inner product Re<.,.>:
+the L^2 Gram matrix is the identity (the coefficient bases are orthonormal)
+and the V inner product is Re<u, v> + E(u, v).  A problem is the heat form
+F(u, v) = E(u, v) = Re< L u, v > or the viscous continuity form
 
-    F(u, v; t) = eps * E(u, v) + Re< h(t) . u, grad v >,
+    F(u, v; t) = eps * E(u, v) + Re< h(t) . u, grad v >
+               = Re< eps L u + div(h(t) . u), v >,
 
 with a sampled flow t -> h(t) of tangent vectors (linear interpolation
 between samples) and an optional sampled source t -> b(t) given by L^2
-representatives.  Stepping is implicit Euler or Crank-Nicolson on the one
+representatives.  Either form is Re< A u, v > with A complex-linear in u
+(``form_matrix``).  Stepping is implicit Euler or Crank-Nicolson on the one
 grid t_k = k dt, k = 0..n.  The form depends on t only through the flow's
 interpolation node, computed once per grid time; since times only advance, a
 form matrix is assembled only where the node differs from the previous
@@ -42,12 +43,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import backends as bk
-from . import coords as co
 from .backends import AlgebraElement
+from .calculus import TangentVector, gradient_matrix, hilbert_norm, zero_tangent
 # gradient and right_act stay bound here: perfbench/tests/test_tracing.py
 # checks that tracing patches and restores them in this namespace
-from .calculus import TangentVector, gradient, hilbert_norm, right_act, zero_tangent  # noqa: F401
-from .dirichlet import DirichletSpace, semigroup_apply
+from .calculus import gradient, right_act  # noqa: F401
+from .dirichlet import DirichletSpace, form_data, semigroup_apply
 
 SCHEMES = ("implicit-euler", "crank-nicolson")
 
@@ -116,29 +117,28 @@ def flow_at(problem: EvolutionProblem, t: float) -> TangentVector:
     return (1.0 - w) * problem.flow[i] + w * problem.flow[j]
 
 
-def source_real(problem: EvolutionProblem, t: float) -> np.ndarray:
+def source_at(problem: EvolutionProblem, t: float) -> np.ndarray:
     if problem.source is None:
-        return np.zeros(2 * problem.space.dim)
+        return np.zeros(problem.space.dim, dtype=complex)
     i, j, w = _interp_weights(problem.source_times, t)
-    c = (1.0 - w) * bk.to_l2(problem.source[i]) + w * bk.to_l2(problem.source[j])
-    return co.realify_vector(c)
+    return (1.0 - w) * bk.to_l2(problem.source[i]) + w * bk.to_l2(problem.source[j])
 
 
 def _transport_matrix(space: DirichletSpace, h: TangentVector) -> np.ndarray:
-    """Real matrix of (u, v) -> Re< h . u, grad v > on real coordinates.
-    With G_c the frame matrices of the gradient and Lmul(h_c) the matrix of
-    u -> h_c u, S[a, b] = < h . e_b, grad e_a > = sum_c (G_c^T conj(Lmul(h_c)))[a, b]
-    (antilinear in b)."""
-    desc = space.backend
-    S = (desc.frame_matrices().swapaxes(-1, -2) @ np.conj(desc.lmul(h.data))).sum(0)
-    return np.block([[S.real, S.imag], [-S.imag, S.real]])
+    """Matrix T of u -> div(h . u) on L^2 coordinates, so that
+    Re< h . u, grad v > = Re< T u, v >: with G_c the frame matrices of the
+    gradient and Lmul(h_c) the matrix of u -> h_c u, T = sum_c G_c^H Lmul(h_c)."""
+    D = space.dim
+    return gradient_matrix(space).conj().T @ space.backend.lmul(h.data).reshape(-1, D)
 
 
 def form_matrix(problem: EvolutionProblem, t: float) -> np.ndarray:
-    gen_r = co.realify_operator(problem.space.generator)
+    """A with F(u, v; t) = Re< A u, v >: the generator L for the heat form,
+    eps L + T for the continuity form."""
+    gen = problem.space.generator
     if problem.form == "heat":
-        return gen_r
-    A = problem.epsilon * gen_r
+        return gen
+    A = problem.epsilon * gen
     h = flow_at(problem, t)
     if h.data.any():
         A = A + _transport_matrix(problem.space, h)
@@ -163,7 +163,7 @@ def default_certificates(problem: EvolutionProblem) -> tuple[float, float] | Non
 @dataclass
 class EvolutionResult:
     times: np.ndarray
-    states: np.ndarray                 # (n_steps + 1, 2D) real coordinates
+    states: np.ndarray                 # (n_steps + 1, D) complex L^2 coordinates
     conservation_defect: np.ndarray    # per recorded time
     coercivity_margin: np.ndarray | None
     boundedness_ratio: np.ndarray | None
@@ -178,10 +178,10 @@ class EvolutionResult:
 
 def _probe_stats(A: np.ndarray, probe_vs: np.ndarray, v_sq: np.ndarray, h_sq: np.ndarray,
                  certs: tuple[float, float] | None) -> tuple[float | None, float]:
-    """Least coercivity margin  v.A v - c0 |v|_V^2 + c1 |v|_H^2  over the
+    """Least coercivity margin  Re<A v, v> - c0 |v|_V^2 + c1 |v|_H^2  over the
     probes (None without certificates) and the largest boundedness ratio
-    |v.A w| / (|v|_V |w|_V) over probe pairs v, w (including v = w)."""
-    M = probe_vs @ A @ probe_vs.T
+    |Re<A w, v>| / (|v|_V |w|_V) over probe pairs v, w (including v = w)."""
+    M = (probe_vs.conj() @ A @ probe_vs.T).real
     margin = None
     if certs is not None:
         c0, c1 = certs
@@ -197,19 +197,21 @@ def solve_evolution(problem: EvolutionProblem, rng: np.random.Generator | None =
     n = problem.n_steps()
     if abs(n * problem.dt - problem.horizon) > 1e-9 * problem.horizon:
         raise ValueError("horizon must be an integer number of steps")
-    D2 = 2 * space.dim
-    unit_r = co.realify_vector(bk.to_l2(bk.unit(space.backend)))
+    D = space.dim
+    unit = bk.to_l2(bk.unit(space.backend))
     certs = default_certificates(problem)
     flags: list[str] = []
     if certs is None:
         flags.append("epsilon=0: coercivity hypotheses unverified")
     probe_vs = None
     if rng is not None and probes > 0:
-        probe_vs = rng.standard_normal((probes, D2))
-        probe_vs /= np.linalg.norm(probe_vs, axis=1, keepdims=True)
-        e_gram = np.eye(D2) + co.realify_operator(space.generator)   # V Gram matrix
-        v_sq = np.einsum("ij,jk,ik->i", probe_vs, e_gram, probe_vs)
-        h_sq = np.einsum("ij,ij->i", probe_vs, probe_vs)
+        # unit real normals [Re v; Im v], read as complex probes v
+        real = rng.standard_normal((probes, 2 * D))
+        real /= np.linalg.norm(real, axis=1, keepdims=True)
+        probe_vs = real[:, :D] + 1j * real[:, D:]
+        h_sq = np.einsum("ij,ij->i", real, real)
+        stack = probe_vs.reshape((probes,) + space.backend.shape())
+        v_sq = h_sq + form_data(space, stack, stack).real     # |v|_H^2 + E(v, v)
 
     dt, cn = problem.dt, problem.scheme == "crank-nicolson"
     weight = 0.5 * dt if cn else dt         # on each end point of a step
@@ -222,14 +224,14 @@ def solve_evolution(problem: EvolutionProblem, rng: np.random.Generator | None =
     # a step operator depends on the nodes of its end points (only the later
     # one for implicit Euler, whose explicit part is the identity)
     step_keys = [(nodes[k] if cn else None, nodes[k + 1]) for k in range(n)]
-    sources = (np.zeros((n + 1, D2)) if problem.source is None
-               else np.array([source_real(problem, t) for t in times]))
+    sources = (np.zeros((n + 1, D), dtype=complex) if problem.source is None
+               else np.array([source_at(problem, t) for t in times]))
     # b(t_{k+1}), or b(t_k) + b(t_{k+1}) for Crank-Nicolson, times weight
     step_sources = sources[:-1] + sources[1:] if cn else sources[1:]
-    eye = np.eye(D2)
-    xs = np.empty((n + 1, D2))
-    xs[0] = co.realify_vector(bk.to_l2(problem.u0))
-    rhs = np.empty((n, D2))
+    eye = np.eye(D)
+    xs = np.empty((n + 1, D), dtype=complex)
+    xs[0] = bk.to_l2(problem.u0)
+    rhs = np.empty((n, D), dtype=complex)
     starts, lhss, stats = [], [], []    # per step operator: first step, matrix, probe stats
     A_next = form_matrix(problem, times[0]) if cn else None
     for k in range(n):
@@ -258,8 +260,9 @@ def solve_evolution(problem: EvolutionProblem, rng: np.random.Generator | None =
     for lhs, a, b in zip(lhss, starts, starts[1:] + [n]):
         residuals[a:b] = (np.linalg.norm(xs[a + 1:b + 1] @ lhs.T - rhs[a:b], axis=1)
                           / np.maximum(np.linalg.norm(rhs[a:b], axis=1), 1e-300))
-    traces = xs @ unit_r
-    defects = np.append(0.0, traces[1:] - traces[0] - np.cumsum(weight * (step_sources @ unit_r)))
+    traces = (xs @ unit.conj()).real
+    injected = weight * (step_sources @ unit.conj()).real
+    defects = np.append(0.0, traces[1:] - traces[0] - np.cumsum(injected))
     counts = np.diff(starts + [n])
     bounds = None if probe_vs is None else np.repeat([s[1] for s in stats], counts)
     margins = None if bounds is None or certs is None else np.repeat([s[0] for s in stats], counts)
@@ -267,9 +270,7 @@ def solve_evolution(problem: EvolutionProblem, rng: np.random.Generator | None =
     terminal_error = None
     if problem.form == "heat" and problem.source is None:
         exact = semigroup_apply(space, problem.horizon, problem.u0)
-        terminal_error = float(
-            np.linalg.norm(xs[-1] - co.realify_vector(bk.to_l2(exact)))
-        )
+        terminal_error = float(np.linalg.norm(xs[-1] - bk.to_l2(exact)))
     return EvolutionResult(
         times=times,
         states=xs,

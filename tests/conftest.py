@@ -100,6 +100,14 @@ def z5_space(z5):
     return build_space(z5)
 
 
+def realify_vector(c):
+    return np.concatenate([c.real, c.imag], axis=-1)
+
+
+def complexify_vector(x):
+    return x[..., : x.shape[-1] // 2] + 1j * x[..., x.shape[-1] // 2 :]
+
+
 def _hermitian(rng, n):
     m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return (m + m.conj().T) / 2.0
@@ -277,9 +285,8 @@ def bisect_largest_passing_K(space, K, t_samples, battery, tol=1e-9):
 # ---------------------------------------------------------------------------
 
 
-def loop_galerkin_residual(space, F, B, rhs):
-    grads = [ca.gradient(space, bk.from_l2(space.backend, co.complexify_vector(B[:, j])))
-             for j in range(B.shape[1])]
+def loop_galerkin_residual(space, F, Wb, rhs):
+    grads = [ca.gradient(space, bk.from_l2(space.backend, Wb[:, j])) for j in range(Wb.shape[1])]
 
     def V(d):
         acc = ca.zero_tangent(space)
@@ -306,7 +313,7 @@ def loop_galerkin_residual(space, F, B, rhs):
 def loop_realified_cg(space, f):
     """(solution coordinates, iterations, energy history) of realified CG."""
     A = co.realify_operator(space.generator)
-    b = co.realify_vector(bk.to_l2(f))
+    b = realify_vector(bk.to_l2(f))
     n = b.size
     x = np.zeros(n)
     r = b.copy()
@@ -325,53 +332,63 @@ def loop_realified_cg(space, f):
         rr = rr_new
         iters += 1
         history.append(float(-0.5 * x @ (b + r)))   # I(x) with A x = b - r
-    return co.complexify_vector(x), iters, history
+    return complexify_vector(x), iters, history
 
 
 # ---------------------------------------------------------------------------
-# Reference implementation: the evolution loop on the grid t_k = k dt that
-# assembles the step operator afresh at every step (a form matrix for the
-# probes at t_{k+1}, and at t_k and t_{k+1} for the step), evaluates the
+# Reference implementation: the evolution loop on the grid t_k = k dt, on
+# real coordinates [Re c; Im c] with the realified form matrix and source,
+# that assembles the step operator afresh at every step (a form matrix for
+# the probes at t_{k+1}, and at t_k and t_{k+1} for the step), evaluates the
 # source afresh wherever it is used, solves each step with its own dense
 # solve and evaluates the probe quadratic forms one pair at a time.  The
-# package runs one loop over the same grid that assembles a form matrix only
-# where the flow's interpolation node changes, inverts a step operator only
-# where the nodes of its end points change and evaluates the source once per
-# grid time; this loop is the oracle it is tested against.
+# package runs one loop over the same grid on complex coordinates that
+# assembles a form matrix only where the flow's interpolation node changes,
+# inverts a step operator only where the nodes of its end points change and
+# evaluates the source once per grid time; this loop is the oracle it is
+# tested against.
 # ---------------------------------------------------------------------------
+
+
+def _real_form(problem, t):
+    return co.realify_operator(ev.form_matrix(problem, t))
+
+
+def _real_source(problem, t):
+    return realify_vector(ev.source_at(problem, t))
 
 
 def loop_step(problem, x, t, t_next):
     dt = problem.dt
     if problem.scheme == "implicit-euler":
-        A_next = ev.form_matrix(problem, t_next)
+        A_next = _real_form(problem, t_next)
         lhs = np.eye(x.size) + dt * A_next
-        rhs = x + dt * ev.source_real(problem, t_next)
+        rhs = x + dt * _real_source(problem, t_next)
     else:
-        A_now = ev.form_matrix(problem, t)
-        A_next = ev.form_matrix(problem, t_next)
+        A_now = _real_form(problem, t)
+        A_next = _real_form(problem, t_next)
         lhs = np.eye(x.size) + 0.5 * dt * A_next
         rhs = (np.eye(x.size) - 0.5 * dt * A_now) @ x + 0.5 * dt * (
-            ev.source_real(problem, t) + ev.source_real(problem, t_next)
+            _real_source(problem, t) + _real_source(problem, t_next)
         )
     x_next = np.linalg.solve(lhs, rhs)
     return x_next, float(np.linalg.norm(lhs @ x_next - rhs) / max(np.linalg.norm(rhs), 1e-300))
 
 
 def loop_solve_evolution(problem, rng=None, probes=8):
-    """dict of states, margins, bounds, defects and residuals."""
+    """dict of states (complexified), margins, bounds, defects and residuals."""
     space = problem.space
     n = problem.n_steps()
     D2 = 2 * space.dim
     e_gram = np.eye(D2) + co.realify_operator(space.generator)
-    unit_r = co.realify_vector(bk.to_l2(bk.unit(space.backend)))
+    unit_r = realify_vector(bk.to_l2(bk.unit(space.backend)))
     certs = ev.default_certificates(problem)
     probe_vs = None
     if rng is not None:
         probe_vs = rng.standard_normal((probes, D2))
         probe_vs /= np.linalg.norm(probe_vs, axis=1, keepdims=True)
     xs = np.empty((n + 1, D2))
-    xs[0] = co.realify_vector(bk.to_l2(problem.u0))
+    xs[0] = realify_vector(bk.to_l2(problem.u0))
     times = problem.dt * np.arange(n + 1)
     defects = np.zeros(n + 1)
     margins = np.empty(n) if (probe_vs is not None and certs is not None) else None
@@ -381,7 +398,7 @@ def loop_solve_evolution(problem, rng=None, probes=8):
     for k in range(n):
         t, t_next = float(times[k]), float(times[k + 1])
         if probe_vs is not None:
-            A = ev.form_matrix(problem, t_next)
+            A = _real_form(problem, t_next)
             if margins is not None:
                 c0, c1 = certs
                 margins[k] = min(float(v @ (A @ v)) - c0 * float(v @ (e_gram @ v))
@@ -395,11 +412,11 @@ def loop_solve_evolution(problem, rng=None, probes=8):
             bounds[k] = max(ratios)
         xs[k + 1], residuals[k] = loop_step(problem, xs[k], t, t_next)
         if problem.scheme == "implicit-euler":
-            source_acc += problem.dt * float(ev.source_real(problem, t_next) @ unit_r)
+            source_acc += problem.dt * float(_real_source(problem, t_next) @ unit_r)
         else:
             source_acc += 0.5 * problem.dt * float(
-                (ev.source_real(problem, t) + ev.source_real(problem, t_next)) @ unit_r
+                (_real_source(problem, t) + _real_source(problem, t_next)) @ unit_r
             )
         defects[k + 1] = float(xs[k + 1] @ unit_r - xs[0] @ unit_r) - source_acc
-    return {"states": xs, "margins": margins, "bounds": bounds, "defects": defects,
-            "residuals": residuals}
+    return {"states": complexify_vector(xs), "margins": margins, "bounds": bounds,
+            "defects": defects, "residuals": residuals}

@@ -167,18 +167,21 @@ def test_criterion_8_quasilinear_scalar_benchmark():
 
 def test_criterion_9_heat_convergence_orders(qubit, qubit_space):
     with _criterion(9, "implicit Euler halves, Crank-Nicolson quarters the heat error", 30.0):
-        u0 = bk.element(qubit, SIGMA_X)
-        errors = {}
-        for scheme in ("implicit-euler", "crank-nicolson"):
-            errors[scheme] = []
-            for dt in (1e-2, 5e-3, 2.5e-3):
-                prob = ev.EvolutionProblem(qubit_space, "heat", u0, horizon=1.0,
-                                           dt=dt, scheme=scheme)
-                errors[scheme].append(ev.solve_evolution(prob).terminal_error_vs_oracle)
-        for e1, e2 in zip(errors["implicit-euler"], errors["implicit-euler"][1:]):
-            assert 0.5 * 0.8 <= e2 / e1 <= 0.5 * 1.2
-        for e1, e2 in zip(errors["crank-nicolson"], errors["crank-nicolson"][1:]):
-            assert 0.25 * 0.8 <= e2 / e1 <= 0.25 * 1.2
+        t = bk.NCTorus(1, THETA_IRR)
+        cases = [(qubit_space, bk.element(qubit, SIGMA_X)),
+                 (dr.build_space(t), bk.monomial(t, 1, 0) + bk.scale(0.5, bk.monomial(t, 1, 1)))]
+        for space, u0 in cases:
+            errors = {}
+            for scheme in ("implicit-euler", "crank-nicolson"):
+                errors[scheme] = []
+                for dt in (1e-2, 5e-3, 2.5e-3):
+                    prob = ev.EvolutionProblem(space, "heat", u0, horizon=1.0,
+                                               dt=dt, scheme=scheme)
+                    errors[scheme].append(ev.solve_evolution(prob).terminal_error_vs_oracle)
+            for e1, e2 in zip(errors["implicit-euler"], errors["implicit-euler"][1:]):
+                assert 0.5 * 0.8 <= e2 / e1 <= 0.5 * 1.2
+            for e1, e2 in zip(errors["crank-nicolson"], errors["crank-nicolson"][1:]):
+                assert 0.25 * 0.8 <= e2 / e1 <= 0.25 * 1.2
 
 
 def test_criterion_10_continuity_conservation():

@@ -174,17 +174,18 @@ def test_trajectory_csv_and_pairs_bytes(tmp_path):
     # floats are written by repr: -0.0, subnormals and exact large integers
     # keep their form, and the pairs of a transposed array are row-major
     times = np.array([0.0, 0.1, 0.30000000000000004])
-    states = np.array([[1.0, -0.0, 1e-300, 123456789.0],          # (re_0, re_1, im_0, im_1)
-                       [0.1 + 0.2, 5e-324, -1.5, 2.0 ** 60],
-                       [1.0000000000000002, -1e300, -0.0, 1 / 3]])
-    cli._write_trajectory_csv(tmp_path, times, states)
+    parts = np.array([[1.0, -0.0, 1e-300, 123456789.0],          # (re_0, re_1, im_0, im_1)
+                      [0.1 + 0.2, 5e-324, -1.5, 2.0 ** 60],
+                      [1.0000000000000002, -1e300, -0.0, 1 / 3]])
+    # assigned part by part, so that -0.0 survives
+    z = np.empty((3, 2), dtype=np.complex128)
+    z.real, z.imag = parts[:, :2], parts[:, 2:]
+    cli._write_trajectory_csv(tmp_path, times, z)
     assert (tmp_path / "trajectory.csv").read_bytes() == (
         b"t,re_000,im_000,re_001,im_001\r\n"
         b"0.0,1.0,1e-300,-0.0,123456789.0\r\n"
         b"0.1,0.30000000000000004,-1.5,5e-324,1.152921504606847e+18\r\n"
         b"0.30000000000000004,1.0000000000000002,-0.0,-1e+300,0.3333333333333333\r\n")
-    z = np.empty((3, 2), dtype=np.complex128)
-    z.real, z.imag = states[:, :2], states[:, 2:]
     assert json.dumps(bk.to_pairs(z)) == (
         "[[1.0, 1e-300], [-0.0, 123456789.0], [0.30000000000000004, -1.5], "
         "[5e-324, 1.152921504606847e+18], [1.0000000000000002, -0.0], "
@@ -205,13 +206,15 @@ def test_trajectory_csv_matches_csv_writer(tmp_path):
              * 10.0 ** rng.integers(-300, 300, (51, 2 * D + 1)))
     table[0, :3] = [-0.0, 5e-324, 2.0 ** 60]
     table[7, -3:] = [2.0 ** 60, -0.0, 5e-324]
-    times, states = table[:, 0], table[:, 1:]
+    times, parts = table[:, 0], table[:, 1:]
+    states = np.empty((51, D), dtype=np.complex128)
+    states.real, states.imag = parts[:, :D], parts[:, D:]
     cli._write_trajectory_csv(tmp_path, times, states)
 
     buf = io.StringIO(newline="")
     writer = csv.writer(buf)
     writer.writerow(["t"] + [f"{p}_{i:03d}" for i in range(D) for p in ("re", "im")])
-    for t, x in zip(times, states):
+    for t, x in zip(times, parts):
         writer.writerow([float(t)] + [float(v) for i in range(D) for v in (x[i], x[D + i])])
     assert (tmp_path / "trajectory.csv").read_bytes() == buf.getvalue().encode("utf-8")
 

@@ -5,7 +5,6 @@ import pytest
 
 from ncpde import backends as bk
 from ncpde import calculus as ca
-from ncpde import coords as co
 from ncpde import dirichlet as dr
 from ncpde import evolution as ev
 from conftest import SIGMA_X, THETA_IRR, backend_from_spec, loop_solve_evolution, make_rng
@@ -22,7 +21,7 @@ def test_heat_step_tracks_exact_decay():
     U = bk.monomial(sp.backend, 1, 0)
     prob = ev.EvolutionProblem(sp, "heat", U, horizon=1.0, dt=1e-3)
     res = ev.solve_evolution(prob)
-    exact = co.realify_vector(bk.to_l2(bk.scale(np.exp(-1.0), U)))
+    exact = bk.to_l2(bk.scale(np.exp(-1.0), U))
     err = np.linalg.norm(res.states[-1] - exact)
     assert err <= 2e-3
     assert res.solve_residual_max <= 1e-12
@@ -53,7 +52,7 @@ def test_heat_qubit_matches_scalar_ode(qubit, qubit_space):
     res = ev.solve_evolution(prob)
     worst = 0.0
     for k, t in enumerate(res.times):
-        exact = co.realify_vector(bk.to_l2(bk.scale(np.exp(-4.0 * t), u0)))
+        exact = bk.to_l2(bk.scale(np.exp(-4.0 * t), u0))
         worst = max(worst, np.linalg.norm(res.states[k] - exact))
     assert worst <= 6.0 * dt   # first order in dt
 
@@ -111,8 +110,8 @@ def test_conservation_with_source_tracks_injected_mass(torus2_space):
     res = ev.solve_evolution(prob)
     assert np.abs(res.conservation_defect).max() <= 1e-10
     # and the trace really grew by about horizon * 1
-    unit_r = co.realify_vector(bk.to_l2(bk.unit(sp.backend)))
-    assert (res.states[-1] @ unit_r - res.states[0] @ unit_r) == pytest.approx(0.5, rel=1e-6)
+    unit = bk.to_l2(bk.unit(sp.backend))
+    assert ((res.states[-1] - res.states[0]) @ unit.conj()).real == pytest.approx(0.5, rel=1e-6)
 
 
 def test_coercivity_margin_nonnegative_for_viscous_runs(torus2_space):
@@ -186,7 +185,7 @@ def _inverse_steps(problem, states):
     dt, cn = problem.dt, problem.scheme == "crank-nicolson"
     weight = 0.5 * dt if cn else dt
     times = dt * np.arange(problem.n_steps() + 1)
-    b = [ev.source_real(problem, t) for t in times]
+    b = [ev.source_at(problem, t) for t in times]
     eye = np.eye(states.shape[1])
     out = []
     for k in range(problem.n_steps()):
@@ -273,7 +272,7 @@ def test_sampled_flow_assembles_one_form_matrix_per_node(monkeypatch, scheme):
 
 @pytest.mark.parametrize("scheme", ev.SCHEMES)
 def test_source_is_evaluated_once_per_grid_time(monkeypatch, scheme):
-    calls = _count_calls(monkeypatch, "source_real")
+    calls = _count_calls(monkeypatch, "source_at")
     prob = _problem(("torus", 2), "heat", None, scheme, True, steps=10)
     ev.solve_evolution(prob, rng=make_rng(81))
     assert calls == list(prob.dt * np.arange(prob.n_steps() + 1))
@@ -283,7 +282,7 @@ def test_source_is_evaluated_once_per_grid_time(monkeypatch, scheme):
 @pytest.mark.parametrize("form,flow", [("heat", None), ("continuity", "constant")])
 def test_no_source_is_never_evaluated(monkeypatch, form, flow, scheme):
     # without a source its samples are zeros, not n + 1 calls returning zeros
-    calls = _count_calls(monkeypatch, "source_real")
+    calls = _count_calls(monkeypatch, "source_at")
     prob = _problem(("torus", 2), form, flow, scheme, False, steps=10)
     res = ev.solve_evolution(prob, rng=make_rng(81))
     assert calls == []
@@ -292,9 +291,9 @@ def test_no_source_is_never_evaluated(monkeypatch, form, flow, scheme):
 
 def test_singular_step_matrix_names_the_time(monkeypatch):
     prob = _problem(("torus", 2), "heat", None, "implicit-euler", False, dt=0.25)
-    D2 = 2 * prob.space.dim
+    D = prob.space.dim
     # I + dt * (-I / dt) is exactly zero at dt = 0.25
-    monkeypatch.setattr(ev, "form_matrix", lambda problem, t: -np.eye(D2) / problem.dt)
+    monkeypatch.setattr(ev, "form_matrix", lambda problem, t: -np.eye(D) / problem.dt)
     with pytest.raises(bk.AlgebraError, match=r"singular step matrix at t=0\.25 "):
         ev.solve_evolution(prob)
 
@@ -317,7 +316,7 @@ def test_heat_stepping_against_exact_semigroup_at_scale(spec, scheme):
     r = 1.0 / (1.0 + z) if scheme == "implicit-euler" else (1.0 - z / 2) / (1.0 + z / 2)
     c0 = sp.evecs.conj().T @ bk.to_l2(prob.u0)
     for k in range(prob.n_steps() + 1):
-        exact_k = co.realify_vector(sp.evecs @ (r ** k * c0))
+        exact_k = sp.evecs @ (r ** k * c0)
         _assert_close(res.states[k], exact_k)
     err = np.linalg.norm((r ** prob.n_steps() - np.exp(-prob.horizon * sp.evals)) * c0)
     assert res.terminal_error_vs_oracle == pytest.approx(err, rel=1e-9, abs=1e-13)
@@ -347,8 +346,7 @@ def test_discrete_energy_identity(qubit, qubit_space):
     dt, T = 1e-3, 1.0
     prob = ev.EvolutionProblem(qubit_space, "heat", u0, horizon=T, dt=dt)
     res = ev.solve_evolution(prob)
-    gen_r = co.realify_operator(qubit_space.generator)
-    energies = np.array([x @ (gen_r @ x) for x in res.states])
+    energies = np.einsum("ij,jk,ik->i", res.states.conj(), qubit_space.generator, res.states).real
     integral = dt * (0.5 * energies[0] + energies[1:-1].sum() + 0.5 * energies[-1])
     lhs = np.linalg.norm(res.states[-1]) ** 2 + 2.0 * integral
     rhs = np.linalg.norm(res.states[0]) ** 2
@@ -364,8 +362,8 @@ def test_weak_derivative_identity_on_trajectory(qubit, qubit_space):
     prob = ev.EvolutionProblem(qubit_space, "heat", u0, horizon=T, dt=dt)
     res = ev.solve_evolution(prob)
     rng = make_rng(105)
-    v = co.realify_vector(bk.to_l2(bk.random_element(qubit, rng)))
-    a = res.states @ v                      # scalar signal <u(t), v>_H (real part)
+    v = bk.to_l2(bk.random_element(qubit, rng))
+    a = (res.states @ v.conj()).real        # scalar signal Re<u(t), v>_H
     t = res.times
     phi = np.sin(np.pi * t / T) ** 2
     dphi = 2.0 * np.sin(np.pi * t / T) * np.cos(np.pi * t / T) * np.pi / T
