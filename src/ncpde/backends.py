@@ -101,8 +101,8 @@ class Descriptor:
     mass), ``adjoint_data`` and ``lmul`` (the matrix of x -> A x);
     ``rep_dim``, ``represent`` and its inverse ``element_from_matrix``;
     ``generator_matrix``; and the tangent frame: ``frame_size``, ``psis``
-    (derivations as coefficient multipliers) or ``derive``,
-    ``codifferential`` and ``frame_matrices``, and ``involution`` (J).
+    (derivations as coefficient multipliers) or ``derive`` and
+    ``codifferential``, and ``involution`` (J).
     The defaults below serve exact representations, untwisted left
     actions, supports without a radius and multiplier frames.
 
@@ -111,7 +111,7 @@ class Descriptor:
     unless truncated).  Tangent stacks (see ``calculus``) carry their k =
     ``frame_size()`` components on ``frame_axis()`` = -1 - len(shape()):
     ``derive`` and ``left_multipliers`` map (..., *shape) to (..., k, *shape)
-    and ``codifferential`` sums that axis away; ``frame_matrices`` is (k, D, D).
+    and ``codifferential`` sums that axis away.
     """
 
     kind: ClassVar[str]
@@ -162,12 +162,6 @@ class Descriptor:
     def codifferential(self, H: np.ndarray) -> np.ndarray:
         """Hilbert adjoint of ``derive``."""
         return (np.conj(self.psis()) * H).sum(self.frame_axis())
-
-    def frame_matrices(self) -> np.ndarray:
-        """Per frame component, the (D, D) matrix of ``derive`` on L^2
-        coordinates."""
-        psis = self.psis().reshape(self.frame_size(), -1)
-        return psis[:, :, None] * np.eye(psis.shape[1])
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -265,10 +259,6 @@ class MatrixAlgebra(Descriptor):
         # [v, .] is self-adjoint on L^2 because v is
         V = self.generators
         return (V @ H - H @ V).sum(-3)
-
-    def frame_matrices(self) -> np.ndarray:
-        eye = np.eye(self.dim)
-        return np.array([np.kron(v, eye) - np.kron(eye, v.T) for v in self.generators])
 
     def involution(self, H) -> np.ndarray:
         return -self.adjoint_data(H)
@@ -695,7 +685,7 @@ def to_l2(a: AlgebraElement) -> np.ndarray:
 
 def l2_coords(desc: Descriptor, A: np.ndarray) -> np.ndarray:
     """``to_l2`` of each entry of a coefficient stack: (..., *shape) -> (..., D)."""
-    return A.reshape(A.shape[:A.ndim - len(desc.shape())] + (-1,))
+    return A.reshape(A.shape[:A.ndim - len(desc.shape())] + (desc.l2_dim(),))
 
 
 def norm_data(desc: Descriptor, A: np.ndarray) -> np.ndarray:

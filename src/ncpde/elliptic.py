@@ -37,7 +37,7 @@ import numpy as np
 from . import backends as bk
 from . import coords as co
 from .backends import AlgebraElement
-from .calculus import divergence, gradient, gradient_matrix, tangent_components
+from .calculus import divergence, gradient, tangent_components
 from .dirichlet import DirichletSpace
 from .reports import Report, check_ge, check_le
 
@@ -266,17 +266,18 @@ def probe_map(space: DirichletSpace, F: NonlinearMap, rng: np.random.Generator,
 # ---------------------------------------------------------------------------
 
 
-def galerkin_system(space: DirichletSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Wb, gm, Gb) shared by every Galerkin solve on ``space``: the complex
+def galerkin_system(space: DirichletSpace) -> tuple[np.ndarray, np.ndarray]:
+    """(Wb, Gb) shared by every Galerkin solve on ``space``: the complex
     (D, 2m) basis Wb = [W, iW] / sqrt(lam) of the kernel complement from the
     eigenpairs (lam, W) off the kernel, orthonormal in the real energy inner
-    product Re<grad u, grad v> (columns w_j); the ``gradient_matrix`` gm; and
-    Gb = gm @ Wb, whose column j holds grad w_j."""
+    product Re<grad u, grad v> (columns w_j), and the (k*D, 2m) matrix Gb
+    whose column j holds grad w_j, one ``derive`` of the columns of W."""
     lam, W = co.perp_eigenbasis(space)
-    gm = gradient_matrix(space)
     W = W / np.sqrt(lam)
-    G = gm @ W
-    return np.hstack([W, 1j * W]), gm, np.hstack([G, 1j * G])
+    desc, m = space.backend, W.shape[1]
+    G = desc.derive(W.T.reshape((m,) + desc.shape()))
+    G = G.reshape(m, tangent_components(space) * space.dim).T
+    return np.hstack([W, 1j * W]), np.hstack([G, 1j * G])
 
 
 def galerkin_residual(Gb: np.ndarray, F: NonlinearMap,
@@ -312,7 +313,7 @@ def solve_quasilinear(space: DirichletSpace, F: NonlinearMap, f: AlgebraElement,
             failed = [c.name for c in probe.checks if not c.passed]
             raise ConvergenceFailure(f"map {F.name} failed structure probes: {failed}")
     f_solved, mass = _gate_kernel(space, f, project_kernel, flags)
-    Wb, gm, Gb = galerkin_system(space) if system is None else system
+    Wb, Gb = galerkin_system(space) if system is None else system
     M = Wb.shape[1]
     rhs = (bk.to_l2(f_solved).conj() @ Wb).real   # Re<f, w_k>
     V = galerkin_residual(Gb, F, rhs)
@@ -322,7 +323,9 @@ def solve_quasilinear(space: DirichletSpace, F: NonlinearMap, f: AlgebraElement,
     trace: list[NewtonStep] = []
     d = _newton(V, d, max(np.linalg.norm(rhs), 1e-300), trace)
     u = Wb @ d
-    div_F = (F(gm @ u).conj() @ gm).conj()
+    desc, shape, k = space.backend, space.backend.shape(), tangent_components(space)
+    F_grad_u = F(desc.derive(u.reshape(shape)).reshape(k * space.dim))
+    div_F = desc.codifferential(F_grad_u.reshape((k,) + shape)).reshape(space.dim)
     fscale = max(bk.norm_l2(f), 1e-300)
     strong = np.linalg.norm(div_F - bk.to_l2(f_solved)) / fscale
     return SolveReport(

@@ -44,7 +44,7 @@ import numpy as np
 
 from . import backends as bk
 from .backends import AlgebraElement
-from .calculus import TangentVector, gradient_matrix, hilbert_norm, zero_tangent
+from .calculus import TangentVector, hilbert_norm, zero_tangent
 # gradient and right_act stay bound here: perfbench/tests/test_tracing.py
 # checks that tracing patches and restores them in this namespace
 from .calculus import gradient, right_act  # noqa: F401
@@ -126,10 +126,12 @@ def source_at(problem: EvolutionProblem, t: float) -> np.ndarray:
 
 def _transport_matrix(space: DirichletSpace, h: TangentVector) -> np.ndarray:
     """Matrix T of u -> div(h . u) on L^2 coordinates, so that
-    Re< h . u, grad v > = Re< T u, v >: with G_c the frame matrices of the
-    gradient and Lmul(h_c) the matrix of u -> h_c u, T = sum_c G_c^H Lmul(h_c)."""
-    D = space.dim
-    return gradient_matrix(space).conj().T @ space.backend.lmul(h.data).reshape(-1, D)
+    Re< h . u, grad v > = Re< T u, v >: column j of the matrices Lmul(h_c)
+    of u -> h_c u is h . e_j, and one ``codifferential`` of that stack
+    gives the columns of T."""
+    desc, D = space.backend, space.dim
+    h_e = np.moveaxis(desc.lmul(h.data), -1, 0).reshape((D, len(h.data)) + desc.shape())
+    return desc.codifferential(h_e).reshape(D, D).T
 
 
 def form_matrix(problem: EvolutionProblem, t: float) -> np.ndarray:

@@ -115,7 +115,8 @@ def _hermitian(rng, n):
 
 def backend_from_spec(spec):
     """Backend named by (kind, size): irrational or rational torus level,
-    cyclic order (word-length lengths) or matrix dim (two generators)."""
+    cyclic order (word-length lengths, or all lengths 0 for "flat": a zero
+    generator and an empty frame, k = 0) or matrix dim (two generators)."""
     kind, size = spec
     if kind == "torus":
         return bk.NCTorus(size, THETA_IRR)
@@ -124,6 +125,8 @@ def backend_from_spec(spec):
     if kind == "cyclic":
         # word length on Z_q is conditionally of negative type
         return bk.CyclicGroup(size, tuple(float(min(g, size - g)) for g in range(size)))
+    if kind == "flat":
+        return bk.CyclicGroup(size, (0.0,) * size)
     rng = make_rng(500 + size)
     return bk.MatrixAlgebra(size, (_hermitian(rng, size), _hermitian(rng, size)))
 

@@ -241,6 +241,32 @@ def test_project_kernel_solve_passes_its_checks(tmp_path, capsys, command, extra
     assert "projected_kernel_mass=3.000000e-01" in flags
 
 
+def test_empty_frame_calculus_check_passes_with_every_identity_zero(tmp_path):
+    # all lengths 0: a zero generator and no tangent components (k = 0)
+    config = {"command": "calculus-check", "seed": 1,
+              "backend": {"kind": "cyclic", "order": 4, "lengths": [0, 0, 0, 0]}}
+    out_dir = tmp_path / "out"
+    assert run_main(tmp_path, config, "--out", str(out_dir), "--quiet") == 0
+    checks = json.loads((out_dir / "report.json").read_text())["checks"]
+    assert len(checks) == 8 and all(c["passed"] and c["value"] == 0.0 for c in checks)
+
+
+def test_project_kernel_quasilinear_with_empty_galerkin_basis(tmp_path):
+    # [1, .] = 0: the generator vanishes, so the whole of f is kernel mass
+    # and the Galerkin basis is empty (M = 0)
+    config = {
+        "command": "solve-quasilinear", "seed": 1,
+        "backend": {"kind": "matrix", "dim": 2,
+                    "generators": [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]]},
+        "problem": {"f": [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [2.0, 0.0]],
+                    "map": {"name": "identity"}, "project_kernel": True},
+    }
+    out_dir = tmp_path / "out"
+    assert run_main(tmp_path, config, "--out", str(out_dir), "--quiet") == 0
+    report = json.loads((out_dir / "report.json").read_text())
+    assert report["galerkin_dim"] == 0 and report["passed"]
+
+
 @pytest.mark.parametrize("config, field", [
     ({"command": "solve-poisson", "backend": TORUS_BACKEND,
       "problem": {"f": [[float("nan"), 0.0]] + [[0.0, 0.0]] * 48}},
@@ -701,18 +727,20 @@ def test_quasilinear_restarts_share_one_galerkin_system(tmp_path, monkeypatch):
     config = json.loads((CORPUS[0].parent / "torus_quasilinear.json").read_text())
     config["problem"]["restarts"] = 3
     builds, solves = [], []
-    gradient_matrix, solve = el.gradient_matrix, el.solve_quasilinear
+    galerkin_system, solve = el.galerkin_system, el.solve_quasilinear
 
     def counted(space):
         builds.append(1)
-        return gradient_matrix(space)
+        return galerkin_system(space)
 
     def recorded(*args, **kw):
         rep = solve(*args, **kw)
         solves.append((args, kw, rep.solution.data))
         return rep
 
-    monkeypatch.setattr(el, "gradient_matrix", counted)
+    # the CLI builds the system; a solve given none would build its own
+    monkeypatch.setattr(cli, "galerkin_system", counted)
+    monkeypatch.setattr(el, "galerkin_system", counted)
     monkeypatch.setattr(cli, "solve_quasilinear", recorded)
     assert cli.run(config, out_dir=str(tmp_path), quiet=True) == 0
     assert len(builds) == 1 and len(solves) == 4

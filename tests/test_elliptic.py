@@ -6,7 +6,7 @@ import pytest
 from ncpde import backends as bk
 from ncpde import coords as co
 from ncpde import elliptic as el
-from ncpde.calculus import tangent_components
+from ncpde.calculus import gradient_matrix, tangent_components
 from ncpde.dirichlet import build_space
 from conftest import (
     SIGMA_X,
@@ -245,7 +245,10 @@ RESIDUAL_SPECS = [("torus", 2), ("torus", 3), ("rational", 2), ("rational", 3),
 @pytest.mark.parametrize("spec", RESIDUAL_SPECS, ids=[f"{k}{n}" for k, n in RESIDUAL_SPECS])
 def test_galerkin_residual_matches_loop(spec, make_map):
     space = build_space(backend_from_spec(spec))
-    Wb, _, Gb = el.galerkin_system(space)
+    Wb, Gb = el.galerkin_system(space)
+    # Gb, built by derive, is the gradient matrix on the basis
+    want = gradient_matrix(space) @ Wb
+    assert np.linalg.norm(Gb - want) <= 1e-14 * np.linalg.norm(want)
     # the grad w_j are orthonormal under Re<.,.>, and the w_j lie off the kernel
     M = Wb.shape[1]
     assert np.abs((Gb.conj().T @ Gb).real - np.eye(M)).max() <= 1e-12
