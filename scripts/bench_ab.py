@@ -4,7 +4,7 @@ Usage (from the repository root):
 
     python3 scripts/bench_ab.py PARENT CHANGE --out BENCH_N.json \\
         --workload solve --workload all:15 [--pairs 5] [--seed 1] \\
-        [--trace evolve-fixed:40] [--note "what the change does"]
+        [--trace evolve-fixed:40 --trace solve] [--note "what the change does"]
 
 Each ref is exported with ``git archive`` into its own fresh directory, so
 both sides run from clean committed files and the repository itself is left
@@ -13,8 +13,9 @@ untouched.  For each ``--workload NAME:SECONDS`` the driver runs
 ``--pairs`` times per side (SECONDS defaults to ``run_seconds`` of
 ``BENCHMARK.json``), one run at a time, alternating the sides as
 parent, change, change, parent, ... so that a slow drift of the machine's
-speed falls on both sides alike.  ``--trace NAME:SECONDS`` adds one
-``--trace 1`` run per side.
+speed falls on both sides alike.  Each ``--trace NAME:SECONDS``
+(repeatable) adds one ``--trace 1`` run per side, in a section named
+``trace:NAME``.
 
 The output has one section per workload with the command, the run order,
 the ``# meta`` line of the first run, every run's last stdout line verbatim
@@ -122,14 +123,14 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, help="path of the BENCH_*.json to write")
     parser.add_argument("--workload", action="append", default=[], metavar="NAME[:SECONDS]",
                         help="a workload of perfbench/run.py (or all); repeatable")
-    parser.add_argument("--trace", default=None, metavar="NAME[:SECONDS]",
-                        help="one --trace 1 run per side of this workload")
+    parser.add_argument("--trace", action="append", default=[], metavar="NAME[:SECONDS]",
+                        help="one --trace 1 run per side of this workload; repeatable")
     parser.add_argument("--pairs", type=int, default=5)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--note", default="", help="what the change does, for 'about'")
     parser.add_argument("--workdir", default=None, help="where to put the two checkouts")
     args = parser.parse_args(argv)
-    if not args.workload and args.trace is None:
+    if not args.workload and not args.trace:
         parser.error("give at least one --workload or --trace")
 
     commits = {"parent": _git("rev-parse", "--short", args.parent),
@@ -167,11 +168,11 @@ def main(argv=None) -> int:
                 "median": _medians(runs["parent"], runs["change"], better),
                 **{side: {"commit": commits[side], "runs": runs[side]} for side in commits},
             }
-        if args.trace is not None:
-            name, seconds = _workload(args.trace, spec["run_seconds"])
+        for spec_ in args.trace:
+            name, seconds = _workload(spec_, spec["run_seconds"])
             cmd = _command(name, args.seed, seconds, trace=1)
             traced = {side: _run(checkouts[side], cmd) for side in ("parent", "change")}
-            result["trace"] = {
+            result[f"trace:{name}"] = {
                 "command": " ".join(["python3", *cmd]), "run_order": ["parent:1", "change:1"],
                 "meta": traced["parent"][0],
                 **{side: {"commit": commits[side], "run": traced[side][1]} for side in commits},
