@@ -28,7 +28,7 @@ import numpy as np
 
 from . import backends as bk
 from . import serialize as sz
-from .calculus import calculus_check, gradient, tangent_components
+from .calculus import TangentVector, calculus_check, gradient, tangent_components
 from .dirichlet import bakry_emery_check, build_space, markov_check, poincare_constant
 from .elliptic import (
     NoSolution,
@@ -42,7 +42,6 @@ from .elliptic import (
 )
 from .evolution import EvolutionProblem, solve_evolution
 from .reports import Report, check_ge, check_le
-from .serialize import tangent_from_json
 
 _PAIRS = bk.PAIRS_SCHEMA
 _BACKEND_SCHEMA = {"oneOf": [cls.json_schema for cls in bk.BACKENDS]}
@@ -279,11 +278,9 @@ def _parse_flow(space, flow_cfg):
         h = flow_cfg.get("scale", 1.0) * gradient(space, el)
         return [0.0], [h]
     times = [float(t) for t in flow_cfg["times"]]
-    vectors = [
-        tangent_from_json(space, [{"data": comp} for comp in vec])
-        for vec in flow_cfg["vectors"]
-    ]
-    return times, vectors
+    shape = space.backend.shape()
+    return times, [TangentVector(space, [bk.from_pairs(c, shape) for c in vec])
+                   for vec in flow_cfg["vectors"]]
 
 
 def _cmd_evolve(space, problem, rng, tol, out_dir):

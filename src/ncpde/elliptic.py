@@ -225,27 +225,25 @@ def negated_map() -> NonlinearMap:
 
 
 def probe_map(space: DirichletSpace, F: NonlinearMap, rng: np.random.Generator,
-              samples: int = 200, *, radius: int | None = None) -> Report:
+              samples: int = PROBE_SAMPLES, *, radius: int | None = None) -> Report:
     """Statistical verification of monotonicity, growth and coercivity.
 
-    Each sample draws h and v, one ``random_data`` stack (2, k) + shape,
-    and then a scale for h.  Coercivity is
-    probed in the declared linear form Re<F(h), h> >= c1 ||h|| - c2 and,
+    h and v of all samples are one ``random_data`` stack (samples, 2, k) +
+    shape, drawn before one ``uniform`` call for the scales of h.  Coercivity
+    is probed in the declared linear form Re<F(h), h> >= c1 ||h|| - c2 and,
     additionally, in the quadratic form with the same constants; both
     margins are reported.
     """
     report = Report(kind="probe-map", extra={"map": F.name, "samples": samples})
-    desc = space.backend
-    hv = np.empty((samples, 2, tangent_components(space)) + desc.shape(), dtype=np.complex128)
-    scales = np.empty((samples, 1))
-    for i in range(samples):
-        hv[i] = bk.random_data(desc, rng, hv.shape[1:3], radius=radius)
-        scales[i] = rng.uniform(0.1, 3.0)
+    hv = bk.random_data(space.backend, rng, (samples, 2, tangent_components(space)),
+                        radius=radius)
+    scales = rng.uniform(0.1, 3.0, (samples, 1))
     h, v = hv[:, 0].reshape(samples, -1) * scales, hv[:, 1].reshape(samples, -1)
     Fh = F(h)
     dF, dh = Fh - F(v), h - v
-    mono = (np.einsum("ij,ij->i", dF.conj(), dh).real
-            / np.maximum(np.linalg.norm(dh, axis=1) ** 2, 1e-300)).min(initial=np.inf)
+    dh2 = np.linalg.norm(dh, axis=1) ** 2
+    seen = dh2 > 0            # an empty frame (k = 0) leaves every dh empty
+    mono = (np.einsum("ij,ij->i", dF.conj(), dh).real[seen] / dh2[seen]).min(initial=np.inf)
     nh = np.linalg.norm(h, axis=1)
     growth = (np.linalg.norm(Fh, axis=1) / (1.0 + nh)).max(initial=0.0)
     pairing = np.einsum("ij,ij->i", Fh.conj(), h).real
@@ -307,7 +305,7 @@ def solve_quasilinear(space: DirichletSpace, F: NonlinearMap, f: AlgebraElement,
     ``galerkin_system``, built here when not given."""
     flags: list[str] = []
     if not force:
-        probe = probe_map(space, F, np.random.default_rng(PROBE_SEED), samples=PROBE_SAMPLES,
+        probe = probe_map(space, F, np.random.default_rng(PROBE_SEED),
                           radius=space.backend.safe_radius())
         if not probe.passed:
             failed = [c.name for c in probe.checks if not c.passed]

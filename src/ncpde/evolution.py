@@ -76,6 +76,8 @@ class EvolutionProblem:
             raise ValueError("dt and horizon must be positive")
         if not np.isfinite(self.horizon / self.dt):
             raise ValueError(f"horizon / dt = {self.horizon!r} / {self.dt!r} is not finite")
+        if self.horizon / self.dt >= np.iinfo(np.intp).max:
+            raise ValueError(f"horizon / dt = {self.horizon!r} / {self.dt!r} is too many steps")
         if self.epsilon < 0:
             raise ValueError("viscosity must be nonnegative")
         if not bk.same_backend(self.u0.backend, self.space.backend):

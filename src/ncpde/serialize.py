@@ -51,5 +51,7 @@ def tangent_to_json(h: TangentVector) -> list[dict]:
 
 
 def tangent_from_json(space: DirichletSpace, blobs) -> TangentVector:
+    if any(b["backend"] != descriptor_to_json(space.backend) for b in blobs):
+        raise bk.BackendMismatch("tangent blob backend differs from the space's")
     shape = space.backend.shape()
     return TangentVector(space, [from_pairs(b["data"], shape) for b in blobs])

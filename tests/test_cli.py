@@ -267,6 +267,21 @@ def test_project_kernel_quasilinear_with_empty_galerkin_basis(tmp_path):
     assert report["galerkin_dim"] == 0 and report["passed"]
 
 
+def test_empty_frame_quasilinear_passes_the_structure_probes(tmp_path):
+    # all lengths 0: every tangent vector is empty (k = 0), so no probe
+    # sample bounds the monotonicity margin, and the Galerkin basis is empty
+    config = {"command": "solve-quasilinear", "seed": 1,
+              "backend": {"kind": "cyclic", "order": 4, "lengths": [0, 0, 0, 0]},
+              "problem": {"f": [[1.0, 0.0], [0.5, 0.0], [0.0, 0.0], [0.0, -1.0]],
+                          "map": {"name": "identity"}, "project_kernel": True}}
+    out_dir = tmp_path / "out"
+    assert run_main(tmp_path, config, "--out", str(out_dir), "--quiet") == 0
+    report = json.loads((out_dir / "report.json").read_text())
+    assert report["galerkin_dim"] == 0
+    assert {c["name"]: c["passed"] for c in report["checks"]} == {
+        "strong_residual": True, "weak_residual": True}
+
+
 @pytest.mark.parametrize("config, field", [
     ({"command": "solve-poisson", "backend": TORUS_BACKEND,
       "problem": {"f": [[float("nan"), 0.0]] + [[0.0, 0.0]] * 48}},
@@ -622,6 +637,16 @@ def test_step_count_beyond_float_range_exits_1_naming_horizon_and_dt(tmp_path, c
     assert run_main(tmp_path, config, "--out", str(out_dir)) == 1
     err = capsys.readouterr().err
     assert err == "error: horizon / dt = 1e+300 / 1e-300 is not finite\n"
+    assert not out_dir.exists()
+
+
+def test_step_count_beyond_index_range_exits_1_naming_horizon_and_dt(tmp_path, capsys):
+    config = json.loads((CORPUS[0].parent / "qubit_heat.json").read_text())
+    config["problem"].update(horizon=1e300, dt=1.0)
+    out_dir = tmp_path / "out"
+    assert run_main(tmp_path, config, "--out", str(out_dir)) == 1
+    err = capsys.readouterr().err
+    assert err == "error: horizon / dt = 1e+300 / 1.0 is too many steps\n"
     assert not out_dir.exists()
 
 

@@ -196,8 +196,8 @@ def test_probe_applies_the_map_twice_per_sample(torus2_space):
 
 def loop_probe_draws(space, rng, samples, radius):
     """The probe's h and v drawn one ``loop_random_data`` call per frame
-    component, h and v of a sample before its scale: the reference for the
-    probe's stacked draw."""
+    component, h and v of every sample before all the scales, one
+    ``uniform`` call each: the reference for the probe's stacked draw."""
     k = tangent_components(space)
 
     def draw():
@@ -206,10 +206,9 @@ def loop_probe_draws(space, rng, samples, radius):
 
     h = np.empty((samples, k * space.dim), dtype=np.complex128)
     v = np.empty_like(h)
-    scales = np.empty((samples, 1))
     for i in range(samples):
-        h[i], v[i], scales[i] = draw(), draw(), rng.uniform(0.1, 3.0)
-    h *= scales
+        h[i], v[i] = draw(), draw()
+    h *= np.array([[rng.uniform(0.1, 3.0)] for _ in range(samples)])
     return h, v
 
 
@@ -230,6 +229,19 @@ def test_probe_draws_match_per_call_loop(spec, radius):
     el.probe_map(space, F, make_rng(604), samples=20, radius=radius)
     h, v = loop_probe_draws(space, make_rng(604), 20, radius)
     assert np.array_equal(seen[0], h) and np.array_equal(seen[1], v)
+
+
+def test_probe_draws_its_samples_in_one_call(torus2_space, monkeypatch):
+    calls = []
+    random_data = bk.random_data
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return random_data(*args, **kwargs)
+
+    monkeypatch.setattr(bk, "random_data", counted)
+    el.probe_map(torus2_space, el.identity_map(), make_rng(93), radius=1)
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,13 @@ def test_tangent_round_trip():
         assert np.array_equal(p, q)
 
 
+def test_tangent_blobs_of_another_backend_raise():
+    h = random_tangent(build_space(bk.NCTorus(2, 0.1)), make_rng(112))
+    blobs = json.loads(json.dumps(sz.tangent_to_json(h)))
+    with pytest.raises(bk.BackendMismatch):
+        sz.tangent_from_json(build_space(bk.NCTorus(2, 0.3)), blobs)
+
+
 def test_element_json_shape_is_flat_row_major():
     t = bk.NCTorus(1, THETA_IRR)
     a = bk.monomial(t, 1, -1, 2.0 + 3.0j)   # row n=+1, column m=-1 -> index 6
