@@ -100,7 +100,8 @@ class Descriptor:
     ``json_schema``; ``unit_data``, ``mul_data`` (product and truncated L^2
     mass), ``adjoint_data`` and ``lmul`` (the matrix of x -> A x);
     ``rep_dim``, ``represent`` and its inverse ``element_from_matrix``;
-    ``generator_matrix``; and the tangent frame: ``frame_size``, ``psis``
+    ``generator_matrix`` ((D, D), or the (D,) diagonal of a diagonal
+    generator); and the tangent frame: ``frame_size``, ``psis``
     (derivations as coefficient multipliers) or ``derive`` and
     ``codifferential``, and ``involution`` (J).
     The defaults below serve exact representations, untwisted left
@@ -421,8 +422,7 @@ class NCTorus(Descriptor):
 
     def generator_matrix(self) -> np.ndarray:
         ns = np.arange(-self.level, self.level + 1)
-        mult = (ns[:, None] ** 2 + ns[None, :] ** 2).astype(float)
-        return np.diag(mult.reshape(-1)).astype(np.complex128)
+        return (ns[:, None] ** 2 + ns[None, :] ** 2).reshape(-1).astype(np.complex128)
 
     def frame_size(self) -> int:
         return 2
@@ -451,14 +451,10 @@ def nc_torus_rational(level: int, p: int, q: int) -> NCTorus:
 
 
 def negative_type_defect(lengths: tuple[float, ...] | np.ndarray) -> float:
-    """Smallest eigenvalue of [l(g)+l(h)-l(g-h)] restricted to mean-zero
-    vectors; conditionally-negative-type lengths give a nonnegative value."""
-    l = np.asarray(lengths, dtype=float)
-    q = l.size
-    g = np.arange(q)
-    K = l[g][:, None] + l[g][None, :] - l[(g[:, None] - g[None, :]) % q]
-    P = np.eye(q) - np.full((q, q), 1.0 / q)
-    return float(np.linalg.eigvalsh(P @ K @ P).min())
+    """Smallest eigenvalue of [l(g)+l(h)-l(g-h)] on mean-zero vectors, 0 for a
+    symmetric l of conditionally negative type: as the kernel is -P C P with C
+    the circulant of l, the eigenvalues are 0 and -lhat(k) for k != 0."""
+    return min(0.0, float(-np.fft.fft(np.asarray(lengths, dtype=float)).real[1:].max()))
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -502,16 +498,15 @@ class CyclicGroup(Descriptor):
             raise ValueError("length of the identity must be 0")
         if any(x < 0 for x in l):
             raise ValueError("lengths must be nonnegative")
-        for k in range(1, self.order):
-            if abs(l[k] - l[self.order - k]) > 1e-12 * max(1.0, max(l)):
-                raise ValueError("length function must satisfy l(k) = l(q-k)")
+        if np.any(np.abs(np.subtract(l[1:], l[:0:-1])) > 1e-12 * max(1.0, max(l))):
+            raise ValueError("length function must satisfy l(k) = l(q-k)")
         defect = negative_type_defect(l)
         if defect < -_CNT_RTOL * max(1.0, max(l)):
             raise ValueError(
                 f"length function is not conditionally of negative type (defect {defect:.3e})"
             )
         object.__setattr__(self, "lengths", l)
-        mu = -np.fft.fft(np.asarray(l)).real / self.order
+        mu = -np.fft.fft(l).real / self.order
         mu[0] = 0.0
         mu[np.abs(mu) < _FRAME_WEIGHT_TOL * max(1.0, max(l))] = 0.0
         mu.setflags(write=False)
@@ -573,7 +568,7 @@ class CyclicGroup(Descriptor):
         return (lambda X: schur * X), self.order
 
     def generator_matrix(self) -> np.ndarray:
-        return np.diag(np.asarray(self.lengths, dtype=float)).astype(np.complex128)
+        return np.asarray(self.lengths, dtype=np.complex128)
 
     def frame(self) -> tuple[tuple[int, ...], np.ndarray]:
         """Active dual indices k (mu_k > 0, symmetric under k -> q-k) and the

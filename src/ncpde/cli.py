@@ -278,9 +278,13 @@ def _parse_flow(space, flow_cfg):
         h = flow_cfg.get("scale", 1.0) * gradient(space, el)
         return [0.0], [h]
     times = [float(t) for t in flow_cfg["times"]]
-    shape = space.backend.shape()
-    return times, [TangentVector(space, [bk.from_pairs(c, shape) for c in vec])
-                   for vec in flow_cfg["vectors"]]
+    k, D = tangent_components(space), space.dim
+    for i, vec in enumerate(flow_cfg["vectors"]):
+        if len(vec) != k or any(len(c) != D for c in vec):
+            raise ConfigError(f"invalid config: config.problem.flow.vectors[{i}]: expected "
+                              f"{k} components of {D} coefficient pairs each")
+    shape = (k,) + space.backend.shape()
+    return times, [TangentVector(space, bk.from_pairs(vec, shape)) for vec in flow_cfg["vectors"]]
 
 
 def _cmd_evolve(space, problem, rng, tol, out_dir):

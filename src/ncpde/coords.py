@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dirichlet import DirichletSpace
+from .dirichlet import DirichletSpace, _eigen_coords, _from_eigen
 
 
 def realify_operator(H: np.ndarray) -> np.ndarray:
@@ -20,18 +20,17 @@ def realify_operator(H: np.ndarray) -> np.ndarray:
 
 
 def perp_eigenbasis(space: DirichletSpace) -> tuple[np.ndarray, np.ndarray]:
-    """(positive eigenvalues, matching orthonormal complex eigenvectors) of
-    the generator off its kernel, ascending; read-only views of the space's."""
+    """(positive eigenvalues, matching eigenvectors as dense (D, m) columns)
+    of the generator off its kernel, ascending; read-only views."""
     k = space.kernel_dim
-    return space.evals[k:], space.evecs[:, k:]
+    return space.evals[k:], space.dense.evecs[:, k:]
 
 
 def kernel_component(space: DirichletSpace, c: np.ndarray) -> float:
     """L^2 mass of the coordinate vector c inside ker(generator)."""
-    K = space.evecs[:, : space.kernel_dim]
-    return float(np.linalg.norm(c.conj() @ K))     # the norm of K^* c
+    return float(np.linalg.norm(_eigen_coords(space, c, slice(space.kernel_dim))))
 
 
 def project_off_kernel(space: DirichletSpace, c: np.ndarray) -> np.ndarray:
-    K = space.evecs[:, : space.kernel_dim]
-    return c - K @ (c.conj() @ K).conj()
+    kernel = slice(space.kernel_dim)
+    return c - _from_eigen(space, _eigen_coords(space, c, kernel), kernel)

@@ -9,8 +9,12 @@ generator acting on L^2(tau) coordinates (its ``generator_matrix``):
 * cyclic group -- multiplication of the coefficient function by the
                   length, (L f)(g) = l(g) f(g).
 
+``space_from_matrix`` alone chooses how a space holds L: a diagonal L as
+its (D,) diagonal with the sorting permutation as eigenbasis, any other as a
+(D, D) matrix with the eigenvectors of ``eigh``; ``_l2_generator``,
+``_eigen_coords`` and ``_from_eigen`` hide the form from every consumer.
 The associated quadratic form is E(a, b) = <a, L b>, the semigroup is
-exp(-t L) through the cached eigensystem, and the carre du champ density
+exp(-t L) in eigen-coordinates, and the carre du champ density
 is recovered from the diffusion identity
 2 Gamma(a, b) = L(a^*) b + a^* L(b) - L(a^* b); each acts on coefficient
 stacks (..., *shape), and the functions on elements wrap it.
@@ -25,7 +29,8 @@ curvature bound exactly, as one generalised eigenvalue per (t, a) pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -48,12 +53,12 @@ class DirichletSpace:
     L^2 coordinates and that generator's cached eigensystem."""
 
     backend: Descriptor
-    generator: np.ndarray        # (D, D) Hermitian PSD
+    generator: np.ndarray        # (D, D) Hermitian PSD, or its (D,) diagonal
     evals: np.ndarray            # ascending, real
-    evecs: np.ndarray            # orthonormal columns
+    evecs: np.ndarray            # (D, D) orthonormal columns, or the sorting permutation
     kernel_dim: int
 
-    def __post_init__(self):   # read-only: perp_eigenbasis hands out views of these
+    def __post_init__(self):   # read-only: the space hands out views of these
         for name in ("generator", "evals", "evecs"):
             view = np.asarray(getattr(self, name)).view()
             view.flags.writeable = False
@@ -69,6 +74,13 @@ class DirichletSpace:
     def dim(self) -> int:
         return self.evals.size
 
+    @functools.cached_property
+    def dense(self) -> DirichletSpace:
+        """This space with a dense (D, D) generator and eigenbasis, built once."""
+        return self if self.generator.ndim == 2 else replace(
+            self, generator=np.diag(self.generator),
+            evecs=np.eye(self.dim, dtype=np.complex128)[:, self.evecs])
+
 
 def build_space(desc: Descriptor, gap_tol: float = GAP_RTOL) -> DirichletSpace:
     return space_from_matrix(desc, desc.generator_matrix(), gap_tol)
@@ -76,31 +88,27 @@ def build_space(desc: Descriptor, gap_tol: float = GAP_RTOL) -> DirichletSpace:
 
 def space_from_matrix(desc: Descriptor, gen: np.ndarray,
                       gap_tol: float = GAP_RTOL) -> DirichletSpace:
-    """Space around an explicit generator matrix, which must be PSD and
-    annihilate the unit; eigenvalues below ``gap_tol`` times the largest
-    count as kernel."""
+    """Space around an explicit generator, a (D, D) matrix or a diagonal
+    (D,), which must be PSD and annihilate the unit; eigenvalues below
+    ``gap_tol`` times the largest count as kernel."""
     gen = np.asarray(gen, dtype=np.complex128)
-    diag = np.diagonal(gen)
-    if np.count_nonzero(gen) == np.count_nonzero(diag):
-        # exact eigensystem for diagonal generators (torus, cyclic,
-        # commuting matrix generators): sorted diagonal + permutation, which
-        # reconstructs the generator exactly
-        order = np.argsort(diag.real, kind="stable")
-        evals = diag.real[order].copy()
-        evecs = np.eye(gen.shape[0], dtype=np.complex128)[:, order]
+    diag = gen if gen.ndim == 1 else np.diagonal(gen)
+    if np.count_nonzero(gen) == np.count_nonzero(diag):   # the one choice of form
+        gen = diag.copy()
+        evecs = np.argsort(gen.real, kind="stable")
+        evals = gen.real[evecs]
     else:
         evals, evecs = np.linalg.eigh(gen)
         recon = (evecs * evals) @ evecs.conj().T
         if np.linalg.norm(recon - gen) > 1e-10 * max(np.linalg.norm(gen), 1e-300):
             raise GeneratorError("eigensystem does not reconstruct the generator")
-    lam_max = max(float(evals[-1]), 0.0)
-    if float(evals[0]) < -1e-10 * max(lam_max, 1e-300):
+    scale = max(float(evals[-1]), 1e-300)   # the largest eigenvalue, floored
+    if float(evals[0]) < -1e-10 * scale:
         raise GeneratorError(f"generator is not PSD (min eigenvalue {evals[0]:.3e})")
-    unit_coords = bk.to_l2(bk.unit(desc))
-    if np.linalg.norm(gen @ unit_coords) > 1e-10 * max(lam_max, 1e-300):
+    space = DirichletSpace(desc, gen, evals, evecs, int(np.sum(evals < gap_tol * scale)))
+    if np.linalg.norm(_l2_generator(space, bk.to_l2(bk.unit(desc)))) > 1e-10 * scale:
         raise GeneratorError("generator does not annihilate the unit")
-    kernel_dim = int(np.sum(evals < gap_tol * max(lam_max, 1e-300)))
-    return DirichletSpace(desc, gen, evals, evecs, kernel_dim)
+    return space
 
 
 def element_data(space: DirichletSpace, a: AlgebraElement) -> np.ndarray:
@@ -110,15 +118,37 @@ def element_data(space: DirichletSpace, a: AlgebraElement) -> np.ndarray:
     return a.data
 
 
+def _l2_generator(space: DirichletSpace, C: np.ndarray) -> np.ndarray:
+    """L on L^2 coordinates (..., D) as stored, independent of the eigensystem."""
+    gen = space.generator
+    return C * gen if gen.ndim == 1 else C @ gen.T
+
+
+def _eigen_coords(space: DirichletSpace, C: np.ndarray, cols: slice = slice(None)) -> np.ndarray:
+    """The pairings <v_j, c> of L^2 coordinates (..., D) with the eigenvectors ``cols``."""
+    V = space.evecs
+    return C[..., V[cols]] if V.ndim == 1 else (C.conj() @ V[:, cols]).conj()
+
+
+def _from_eigen(space: DirichletSpace, Z: np.ndarray, cols: slice = slice(None)) -> np.ndarray:
+    """L^2 coordinates (..., D) of sum_j Z_j v_j over the eigenvectors ``cols``."""
+    V = space.evecs
+    if V.ndim == 2:
+        return Z @ V[:, cols].T
+    C = np.zeros(Z.shape[:-1] + V.shape, dtype=np.result_type(Z, np.complex128))
+    C[..., V[cols]] = Z
+    return C
+
+
 def _generator(space: DirichletSpace, X: np.ndarray) -> np.ndarray:
     """L on a coefficient stack."""
-    return (bk.l2_coords(space.backend, X) @ space.generator.T).reshape(X.shape)
+    return _l2_generator(space, bk.l2_coords(space.backend, X)).reshape(X.shape)
 
 
 def _semigroup(space: DirichletSpace, t: float, X: np.ndarray) -> np.ndarray:
-    """P_t = exp(-t L) on a coefficient stack, through the eigensystem."""
-    c = (bk.l2_coords(space.backend, X).conj() @ space.evecs).conj() * np.exp(-t * space.evals)
-    return (c @ space.evecs.T).reshape(X.shape)
+    """P_t = exp(-t L) on a coefficient stack, in eigen-coordinates."""
+    c = _eigen_coords(space, bk.l2_coords(space.backend, X)) * np.exp(-t * space.evals)
+    return _from_eigen(space, c).reshape(X.shape)
 
 
 def form_data(space: DirichletSpace, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -207,11 +237,10 @@ def poincare_constant(space: DirichletSpace, rng: np.random.Generator | None = N
     c_p = 1.0 / gap
     margin = None
     if rng is not None and battery > 0:
-        perp = space.evecs[:, space.kernel_dim:]
-        z = rng.standard_normal((battery, 2, perp.shape[1]))
-        A = ((z[:, 0] + 1j * z[:, 1]) @ perp.T).reshape((battery,) + space.backend.shape())
-        e = form_data(space, A, A).real
-        margin = float(np.min((c_p + POINCARE_TOL) * e - bk.norm_data(space.backend, A) ** 2))
+        z = rng.standard_normal((battery, 2, space.dim - space.kernel_dim))
+        C = _from_eigen(space, z[:, 0] + 1j * z[:, 1], slice(space.kernel_dim, None))
+        e = np.sum(C.conj() * _l2_generator(space, C), -1).real
+        margin = float(np.min((c_p + POINCARE_TOL) * e - np.linalg.norm(C, axis=-1) ** 2))
     return PoincareResult(gap, c_p, space.kernel_dim, margin)
 
 

@@ -38,7 +38,7 @@ from . import backends as bk
 from . import coords as co
 from .backends import AlgebraElement
 from .calculus import divergence, gradient, tangent_components
-from .dirichlet import DirichletSpace
+from .dirichlet import DirichletSpace, _eigen_coords, _from_eigen, _l2_generator
 from .reports import Report, check_ge, check_le
 
 
@@ -110,8 +110,7 @@ def _weak_residual(space: DirichletSpace, div_F: np.ndarray, f: AlgebraElement) 
     """max_k |<F(grad u), grad w_k> - <f, w_k>| over the full eigenbasis of
     the domain (kernel included), from div F(grad u) on L^2 coordinates."""
     # <F(grad u), grad w> = <div F(grad u), w> since div is the adjoint
-    proj = (div_F - bk.to_l2(f)).conj() @ space.evecs      # conjugates of the pairings
-    return float(np.abs(proj).max())
+    return float(np.abs(_eigen_coords(space, div_F - bk.to_l2(f))).max())
 
 
 def _linear_report(space: DirichletSpace, f: AlgebraElement, f_solved: AlgebraElement,
@@ -120,7 +119,7 @@ def _linear_report(space: DirichletSpace, f: AlgebraElement, f_solved: AlgebraEl
     with residuals relative to ||f|| as given."""
     sol = bk.from_l2(space.backend, u)
     fscale = max(bk.norm_l2(f), 1e-300)
-    strong = np.linalg.norm(space.generator @ u - bk.to_l2(f_solved))
+    strong = np.linalg.norm(_l2_generator(space, u) - bk.to_l2(f_solved))
     weak = _weak_residual(space, bk.to_l2(divergence(space, gradient(space, sol))), f_solved)
     return SolveReport(solution=sol, residual_weak=weak / fscale,
                        residual_strong=float(strong / fscale), kernel_component=mass,
@@ -132,9 +131,9 @@ def solve_poisson(space: DirichletSpace, f: AlgebraElement, *,
     """Spectral solution of div(grad u) = f on the kernel complement."""
     flags: list[str] = []
     f_solved, mass = _gate_kernel(space, f, project_kernel, flags)
-    lam, W = co.perp_eigenbasis(space)
-    coeff = (bk.to_l2(f_solved).conj() @ W).conj()
-    return _linear_report(space, f, f_solved, W @ (coeff / lam), mass, flags,
+    perp, lam = slice(space.kernel_dim, None), space.evals[space.kernel_dim:]
+    u = _from_eigen(space, _eigen_coords(space, bk.to_l2(f_solved), perp) / lam, perp)
+    return _linear_report(space, f, f_solved, u, mass, flags,
                           iterations=0, galerkin_dim=int(lam.size), method="spectral")
 
 
@@ -146,7 +145,6 @@ def minimize_dirichlet_energy(space: DirichletSpace, f: AlgebraElement, *,
     stored (d^* L d is real for Hermitian L); independent of the eigensystem."""
     flags: list[str] = []
     f_solved, mass = _gate_kernel(space, f, project_kernel, flags)
-    A = space.generator
     b = bk.to_l2(f_solved)
     n = 2 * b.size   # real dimension
     x = np.zeros_like(b)
@@ -157,7 +155,7 @@ def minimize_dirichlet_energy(space: DirichletSpace, f: AlgebraElement, *,
     stop = CG_RTOL * max(math.sqrt(np.vdot(b, b).real), 1e-300)
     iters = 0
     while math.sqrt(rr) > stop and iters < 4 * n:
-        Ad = A @ d
+        Ad = _l2_generator(space, d)
         alpha = rr / np.vdot(d, Ad).real
         x = x + alpha * d
         r = r - alpha * Ad

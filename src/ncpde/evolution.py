@@ -138,8 +138,8 @@ def _transport_matrix(space: DirichletSpace, h: TangentVector) -> np.ndarray:
 
 def form_matrix(problem: EvolutionProblem, t: float) -> np.ndarray:
     """A with F(u, v; t) = Re< A u, v >: the generator L for the heat form,
-    eps L + T for the continuity form."""
-    gen = problem.space.generator
+    eps L + T for the continuity form; dense, from the space's dense form."""
+    gen = problem.space.dense.generator
     if problem.form == "heat":
         return gen
     A = problem.epsilon * gen

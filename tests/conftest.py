@@ -315,7 +315,7 @@ def loop_galerkin_residual(space, F, Wb, rhs):
 
 def loop_realified_cg(space, f):
     """(solution coordinates, iterations, energy history) of realified CG."""
-    A = co.realify_operator(space.generator)
+    A = co.realify_operator(space.dense.generator)
     b = realify_vector(bk.to_l2(f))
     n = b.size
     x = np.zeros(n)
@@ -383,7 +383,7 @@ def loop_solve_evolution(problem, rng=None, probes=8):
     space = problem.space
     n = problem.n_steps()
     D2 = 2 * space.dim
-    e_gram = np.eye(D2) + co.realify_operator(space.generator)
+    e_gram = np.eye(D2) + co.realify_operator(space.dense.generator)
     unit_r = realify_vector(bk.to_l2(bk.unit(space.backend)))
     certs = ev.default_certificates(problem)
     probe_vs = None

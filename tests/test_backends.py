@@ -64,6 +64,44 @@ def test_negative_type_eigencheck_rejects_bad_lengths():
         bk.CyclicGroup(4, (0.0, 0.0, 1.0, 0.0))
 
 
+def eigvalsh_negative_type_defect(lengths):
+    """Least eigenvalue of the q x q kernel [l(g)+l(h)-l(g-h)] restricted to
+    mean-zero vectors: the reference for ``bk.negative_type_defect``."""
+    l = np.asarray(lengths, dtype=float)
+    q = l.size
+    g = np.arange(q)
+    K = l[:, None] + l[None, :] - l[(g[:, None] - g[None, :]) % q]
+    P = np.eye(q) - np.full((q, q), 1.0 / q)
+    return float(np.linalg.eigvalsh(P @ K @ P).min())
+
+
+def test_negative_type_defect_matches_eigvalsh_oracle():
+    rng = make_rng(77)
+    accepted = rejected = 0
+    for q in range(2, 65):
+        g = np.arange(q)
+        for draw in range(4):
+            if draw % 2:   # sum of nonnegative cosine modes: of negative type
+                mu = rng.uniform(0.0, 2.0, q)
+                mu = mu + mu[-g % q]
+                l = (mu[:, None] * (1.0 - np.cos(2 * np.pi * np.outer(g, g) / q))).sum(0)
+            else:          # any symmetric nonnegative lengths
+                x = rng.uniform(0.0, 3.0, q)
+                l = x + x[-g % q]
+            l[0] = 0.0
+            scale = max(1.0, l.max())
+            got, want = bk.negative_type_defect(l), eigvalsh_negative_type_defect(l)
+            assert abs(got - want) <= 1e-9 * scale, (q, draw, got, want)
+            if draw % 2:
+                bk.CyclicGroup(q, tuple(l))
+                accepted += 1
+            elif want < -1e-6 * scale:   # clear of the acceptance threshold
+                with pytest.raises(ValueError, match="not conditionally of negative type"):
+                    bk.CyclicGroup(q, tuple(l))
+                rejected += 1
+    assert accepted == 2 * 63 and rejected > 63
+
+
 # ---------------------------------------------------------------------------
 # Torus product and adjoint
 # ---------------------------------------------------------------------------

@@ -108,7 +108,8 @@ def test_generator_factorization(qubit_space, pair3_space, torus2_space, z4_spac
     for sp in (qubit_space, pair3_space, torus2_space, z4_space, z5_space,
                *(sp for sp, _ in scale_spaces)):
         gm = ca.gradient_matrix(sp)
-        rel = np.linalg.norm(gm.conj().T @ gm - sp.generator) / np.linalg.norm(sp.generator)
+        gen = sp.dense.generator
+        rel = np.linalg.norm(gm.conj().T @ gm - gen) / np.linalg.norm(gen)
         assert rel <= 1e-10
 
 

@@ -130,7 +130,7 @@ def test_solution_json_round_trips_with_same_residuals(tmp_path, capsys):
     rep = el.solve_poisson(space, f)
     assert np.array_equal(u.data, rep.solution.data)
     strong = bk.norm_l2(
-        bk.from_l2(t, space.generator @ bk.to_l2(u)) - f) / bk.norm_l2(f)
+        bk.from_l2(t, space.dense.generator @ bk.to_l2(u)) - f) / bk.norm_l2(f)
     assert strong == pytest.approx(rep.residual_strong, abs=1e-15)
 
 
@@ -545,6 +545,28 @@ def test_malformed_flow_vector_exits_1(tmp_path, capsys, vectors):
     out_dir = tmp_path / "out"
     assert run_main(tmp_path, config, "--out", str(out_dir)) == 1
     assert capsys.readouterr().err.startswith("error: ")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("vector", [
+    [_ZERO_QUBIT, _ZERO_QUBIT],     # two components; the qubit frame has one
+    [_ZERO_QUBIT[:3]],              # three coefficient pairs; the qubit has four
+    [],                             # no component at all
+], ids=["component-count", "pair-count", "empty"])
+def test_malformed_flow_vector_exits_1_naming_field_and_shape(tmp_path, capsys, vector):
+    config = {
+        "command": "evolve", "backend": QUBIT_BACKEND,
+        "problem": {"form": "continuity", "u0": [[1.0, 0.0]] * 4, "horizon": 0.2,
+                    "dt": 0.1, "epsilon": 0.1,
+                    "flow": {"times": [0.0, 0.1, 0.2], "vectors": [[_ZERO_QUBIT], vector,
+                                                                   [_ZERO_QUBIT]]}},
+    }
+    out_dir = tmp_path / "out"
+    assert run_main(tmp_path, config, "--out", str(out_dir)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "config.problem.flow.vectors[1]" in err
+    assert "1 components of 4 coefficient pairs" in err
     assert not out_dir.exists()
 
 

@@ -69,23 +69,25 @@ def test_generator_symmetry_and_positivity(torus2_space, qubit_space, pair3_spac
 
 def test_eigensystem_reconstructs_generator(pair3_space):
     sp = pair3_space
-    recon = (sp.evecs * sp.evals) @ sp.evecs.conj().T
-    rel = np.linalg.norm(recon - sp.generator) / np.linalg.norm(sp.generator)
+    recon = (sp.dense.evecs * sp.evals) @ sp.dense.evecs.conj().T
+    rel = np.linalg.norm(recon - sp.dense.generator) / np.linalg.norm(sp.dense.generator)
     assert rel <= 1e-10
 
 
-def test_space_arrays_are_read_only(qubit, pair3_space, torus2_space):
-    # perp_eigenbasis hands out views: writing through them must not corrupt
-    # the space's generator or eigensystem
-    for sp in (pair3_space, torus2_space, corrupted_space(qubit, np.diag([0.0, 1.0, 1.0, 0.0]))):
+def test_space_arrays_are_read_only(qubit, pair3_space, torus2_space, z4_space):
+    # the space hands out views of its stored and dense forms: writing
+    # through them must not corrupt the space's generator or eigensystem
+    for sp in (pair3_space, torus2_space, z4_space,
+               corrupted_space(qubit, np.diag([0.0, 1.0, 1.0, 0.0]))):
         lam, W = co.perp_eigenbasis(sp)
-        for arr in (sp.generator, sp.evals, sp.evecs, lam, W):
+        for arr in (sp.generator, sp.evals, sp.evecs, sp.dense.generator, sp.dense.evecs,
+                    lam, W):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.0
 
 
 def test_space_from_matrix_validation(qubit, qubit_space):
-    gen = qubit_space.generator
+    gen = qubit_space.dense.generator
     dr.space_from_matrix(qubit, gen)   # fine
     evals, evecs = np.linalg.eigh(gen)
     evals[-1] = -evals[-1]
@@ -183,7 +185,7 @@ def test_choi_at_time_zero_is_maximally_entangled_projector(qubit_space):
 
 
 def test_markov_check_fails_for_corrupted_generator(qubit):
-    gen = dr.build_space(qubit).generator.copy()
+    gen = dr.build_space(qubit).dense.generator.copy()
     evals, evecs = np.linalg.eigh(gen)
     evals[-1] = -evals[-1]
     bad = corrupted_space(qubit, (evecs * evals) @ evecs.conj().T)
@@ -297,7 +299,7 @@ def test_gamma_complete_positivity_battery(qubit_space, pair3_space):
 
 def test_gamma_positivity_enforced(qubit):
     # corrupt generator (not a diffusion generator): Gamma picks up negativity
-    gen = -dr.build_space(qubit).generator
+    gen = -dr.build_space(qubit).dense.generator
     bad = corrupted_space(qubit, gen)
     with pytest.raises(bk.NotPositive):
         dr.carre_du_champ(bad, bk.element(qubit, SIGMA_X))
@@ -437,7 +439,8 @@ def test_be_battery_that_never_binds_is_unbounded(tmp_path, t, radius):
 
 def test_be_failure_at_time_zero_admits_no_K(qubit, qubit_space):
     # doubled eigenvectors make P_0 = 4 id, so Gamma(P_0 a) = 16 Gamma(a) > P_0 Gamma(a)
-    space = dataclasses.replace(qubit_space, evecs=2.0 * qubit_space.evecs)
+    dense = qubit_space.dense
+    space = dataclasses.replace(dense, evecs=2.0 * dense.evecs)
     report = dr.bakry_emery_check(space, 0.0, [0.0], _stack([bk.element(qubit, SIGMA_X)]))
     assert not report.passed
     assert report.extra["largest_passing_K"] is None

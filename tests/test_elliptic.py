@@ -91,7 +91,7 @@ def test_variational_first_variation_identity(qubit_space):
     f = perp_random(qubit_space, rng)
     rep = el.minimize_dirichlet_energy(qubit_space, f)
     u = bk.to_l2(rep.solution)
-    fv = qubit_space.evecs.conj().T @ (qubit_space.generator @ u - bk.to_l2(f))
+    fv = qubit_space.dense.evecs.conj().T @ (qubit_space.dense.generator @ u - bk.to_l2(f))
     assert np.abs(fv).max() <= 1e-10 * max(bk.norm_l2(f), 1.0)
 
 
@@ -102,7 +102,7 @@ def test_variational_energy_history_is_the_energy_functional(pair3_space, torus2
         f = perp_random(sp, rng)
         rep = el.minimize_dirichlet_energy(sp, f)
         x = realify_vector(bk.to_l2(rep.solution))
-        A = co.realify_operator(sp.generator)
+        A = co.realify_operator(sp.dense.generator)
         b = realify_vector(bk.to_l2(f))
         want = 0.5 * x @ (A @ x) - b @ x
         assert abs(rep.energy_value - want) <= 1e-12 * max(abs(want), 1.0)
@@ -264,7 +264,7 @@ def test_galerkin_residual_matches_loop(spec, make_map):
     # the grad w_j are orthonormal under Re<.,.>, and the w_j lie off the kernel
     M = Wb.shape[1]
     assert np.abs((Gb.conj().T @ Gb).real - np.eye(M)).max() <= 1e-12
-    K = space.evecs[:, : space.kernel_dim]
+    K = space.dense.evecs[:, : space.kernel_dim]
     assert np.abs(K.conj().T @ Wb).max() <= 1e-12 * np.abs(Wb).max()
     rng = make_rng(600)
     rhs = rng.standard_normal(M)

@@ -314,9 +314,9 @@ def test_heat_stepping_against_exact_semigroup_at_scale(spec, scheme):
     res = ev.solve_evolution(prob)
     z = prob.dt * sp.evals
     r = 1.0 / (1.0 + z) if scheme == "implicit-euler" else (1.0 - z / 2) / (1.0 + z / 2)
-    c0 = sp.evecs.conj().T @ bk.to_l2(prob.u0)
+    c0 = sp.dense.evecs.conj().T @ bk.to_l2(prob.u0)
     for k in range(prob.n_steps() + 1):
-        exact_k = sp.evecs @ (r ** k * c0)
+        exact_k = sp.dense.evecs @ (r ** k * c0)
         _assert_close(res.states[k], exact_k)
     err = np.linalg.norm((r ** prob.n_steps() - np.exp(-prob.horizon * sp.evals)) * c0)
     assert res.terminal_error_vs_oracle == pytest.approx(err, rel=1e-9, abs=1e-13)
@@ -346,7 +346,8 @@ def test_discrete_energy_identity(qubit, qubit_space):
     dt, T = 1e-3, 1.0
     prob = ev.EvolutionProblem(qubit_space, "heat", u0, horizon=T, dt=dt)
     res = ev.solve_evolution(prob)
-    energies = np.einsum("ij,jk,ik->i", res.states.conj(), qubit_space.generator, res.states).real
+    gen = qubit_space.dense.generator
+    energies = np.einsum("ij,jk,ik->i", res.states.conj(), gen, res.states).real
     integral = dt * (0.5 * energies[0] + energies[1:-1].sum() + 0.5 * energies[-1])
     lhs = np.linalg.norm(res.states[-1]) ** 2 + 2.0 * integral
     rhs = np.linalg.norm(res.states[0]) ** 2

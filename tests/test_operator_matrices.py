@@ -96,7 +96,7 @@ def test_gradient_matrix_matches_loop_and_factorizes_generator(spec):
     space = build_space(backend_from_spec(spec))
     gm = ca.gradient_matrix(space)
     assert _rel(gm, loop_gradient_matrix(space)) <= RTOL
-    assert _rel(gm.conj().T @ gm, space.generator) <= RTOL
+    assert _rel(gm.conj().T @ gm, space.dense.generator) <= RTOL
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=IDS)
