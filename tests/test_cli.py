@@ -570,6 +570,16 @@ def test_malformed_flow_vector_exits_1_naming_field_and_shape(tmp_path, capsys, 
     assert not out_dir.exists()
 
 
+def test_empty_frame_sampled_flow_of_empty_vectors_runs(tmp_path):
+    # all lengths 0: the frame is empty (k = 0), so each flow vector is []
+    config = {
+        "command": "evolve", "backend": {"kind": "cyclic", "order": 4, "lengths": [0, 0, 0, 0]},
+        "problem": {"form": "continuity", "u0": [[1.0, 0.0]] * 4, "horizon": 0.2,
+                    "dt": 0.1, "epsilon": 0.1, "flow": {"times": [0.0, 0.2], "vectors": [[], []]}},
+    }
+    assert run_main(tmp_path, config, "--out", str(tmp_path / "out")) == 0
+
+
 def test_markov_battery_below_two_exits_1_naming_battery(tmp_path, capsys):
     config = json.loads((CORPUS[0].parent / "qubit_markov.json").read_text())
     config["problem"]["battery"] = 1
