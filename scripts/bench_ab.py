@@ -22,13 +22,18 @@ the ``# meta`` line of the first run, every run's last stdout line verbatim
 and, in ``median``, per end-to-end metric of ``BENCHMARK.json``: each
 side's median and inclusive quartiles, the parent's interquartile range,
 the change-over-parent ratio and ``change_wins_pairs``, the number of pairs
-(same index) in which the change's run is better.
+(same index) in which the change's run is better.  ``bytecode`` records
+whether the benchmark interpreters write bytecode: ``PYTHONDONTWRITEBYTECODE``
+as passed on to them, and their ``sys.flags.dont_write_bytecode``.  Each side
+runs from an export with no ``__pycache__``, so an interpreter that writes
+none compiles all of ``src/`` in every fresh start that ``setup_s`` times.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -77,6 +82,14 @@ def _run(checkout: Path, args: list[str]) -> tuple[dict, dict]:
     meta = next(json.loads(line[len("# meta "):]) for line in lines
                 if line.startswith("# meta "))
     return meta, json.loads(lines[-1])
+
+
+def _bytecode() -> dict:
+    """Whether the interpreters that ``_run`` starts write bytecode."""
+    flag = subprocess.run([sys.executable, "-c", "import sys; print(sys.flags.dont_write_bytecode)"],
+                          check=True, capture_output=True, text=True).stdout.strip()
+    return {"PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+            "dont_write_bytecode": bool(int(flag))}
 
 
 def _order(pairs: int) -> list[str]:
@@ -146,7 +159,8 @@ def main(argv=None) -> int:
         "commit on the same machine, one run at a time. In median, change_wins_pairs "
         "counts the pairs (same index) in which the change's run is better; "
         "parent_quartiles and change_quartiles are the inclusive quartiles of each "
-        "side's runs. Workloads not in BENCHMARK.json are reported by name, not claimed.")}
+        "side's runs. Workloads not in BENCHMARK.json are reported by name, not claimed."),
+        "bytecode": _bytecode()}
     with tempfile.TemporaryDirectory(dir=args.workdir) as tmp:
         checkouts = {side: Path(tmp) / side for side in commits}
         for side, path in checkouts.items():

@@ -19,13 +19,6 @@ def realify_operator(H: np.ndarray) -> np.ndarray:
     return np.block([[H.real, -H.imag], [H.imag, H.real]])
 
 
-def perp_eigenbasis(space: DirichletSpace) -> tuple[np.ndarray, np.ndarray]:
-    """(positive eigenvalues, matching eigenvectors as dense (D, m) columns)
-    of the generator off its kernel, ascending; read-only views."""
-    k = space.kernel_dim
-    return space.evals[k:], space.dense.evecs[:, k:]
-
-
 def kernel_component(space: DirichletSpace, c: np.ndarray) -> float:
     """L^2 mass of the coordinate vector c inside ker(generator)."""
     return float(np.linalg.norm(_eigen_coords(space, c, slice(space.kernel_dim))))

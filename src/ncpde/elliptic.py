@@ -9,14 +9,15 @@ gradients on the Dirichlet energy functional
 
 on complex L^2 coordinates under Re<.,.>.  The quasilinear problem is
 projected onto an energy-orthonormal eigenbasis w of the kernel
-complement (Galerkin), complex columns that hold each eigenvector and i
-times it.  With Gb the gradient matrix on that basis, the finite root
-problem V(d) = Re(Gb^H F(Gb d)) - Re<f, w> = 0 is solved for real
-coefficients d, since F need not be complex-linear, by damped Newton on
-all coefficients at once, with a finite-difference Jacobian and a damped
-fixed-point fallback for maps whose Jacobian is unreliable.  For a
-monotone, coercive F the root is unique, so the start decides only how
-many iterations Newton takes.
+complement (Galerkin): v_j / sqrt(lam_j) and i v_j / sqrt(lam_j) for each
+eigenpair (lam_j, v_j) off the kernel, interleaved.  The finite root problem
+V_k(d) = Re<div F(grad u), w_k> - Re<f, w_k> = 0, u = sum_k d_k w_k, is
+solved for real coefficients d, since F need not be complex-linear, by
+damped Newton on all coefficients at once, with a finite-difference
+Jacobian and a damped fixed-point fallback for maps whose Jacobian is
+unreliable.  V is one ``derive``, F and ``codifferential`` of a coefficient
+stack; no matrix of the basis is built.  For a monotone, coercive F the
+root is unique, so the start decides only how many iterations Newton takes.
 
 Solvability gate: in finite dimensions a weak solution exists only for
 right-hand sides orthogonal to the generator kernel.  Kernel mass beyond
@@ -262,45 +263,54 @@ def probe_map(space: DirichletSpace, F: NonlinearMap, rng: np.random.Generator,
 # ---------------------------------------------------------------------------
 
 
-def galerkin_system(space: DirichletSpace) -> tuple[np.ndarray, np.ndarray]:
-    """(Wb, Gb) shared by every Galerkin solve on ``space``: the complex
-    (D, 2m) basis Wb = [W, iW] / sqrt(lam) of the kernel complement from the
-    eigenpairs (lam, W) off the kernel, orthonormal in the real energy inner
-    product Re<grad u, grad v> (columns w_j), and the (k*D, 2m) matrix Gb
-    whose column j holds grad w_j, one ``derive`` of the columns of W."""
-    lam, W = co.perp_eigenbasis(space)
-    W = W / np.sqrt(lam)
-    desc, m = space.backend, W.shape[1]
-    G = desc.derive(W.T.reshape((m,) + desc.shape()))
-    G = G.reshape(m, tangent_components(space) * space.dim).T
-    return np.hstack([W, 1j * W]), np.hstack([G, 1j * G])
+def _from_galerkin(space: DirichletSpace, d: np.ndarray) -> np.ndarray:
+    """L^2 coordinates (..., D) of sum_k d_k w_k for real coefficients d
+    (..., M): the pair (d_2j, d_2j+1) weighs v_j / sqrt(lam_j) and
+    i v_j / sqrt(lam_j), over the eigenpairs (lam_j, v_j) off the kernel."""
+    perp = slice(space.kernel_dim, None)
+    return _from_eigen(space, d.view(np.complex128) / np.sqrt(space.evals[perp]), perp)
 
 
-def galerkin_residual(Gb: np.ndarray, F: NonlinearMap,
+def _to_galerkin(space: DirichletSpace, y: np.ndarray) -> np.ndarray:
+    """Re<y, w_k> for L^2 coordinates y (..., D), in the order of
+    ``_from_galerkin``: the real and imaginary parts of <v_j, y> / sqrt(lam_j)."""
+    perp = slice(space.kernel_dim, None)
+    # a batch can come back Fortran-ordered (the diagonal spaces' fancy
+    # index); the view needs a contiguous last axis
+    return np.ascontiguousarray(
+        _eigen_coords(space, y, perp) / np.sqrt(space.evals[perp])).view(np.float64)
+
+
+def _div_F_grad(space: DirichletSpace, F: NonlinearMap, u: np.ndarray) -> np.ndarray:
+    """div F(grad u) on L^2 coordinates (..., D): one ``derive``, F and one
+    ``codifferential`` of the stack."""
+    desc, lead, k = space.backend, u.shape[:-1], tangent_components(space)
+    grad = desc.derive(u.reshape(lead + desc.shape())).reshape(lead + (k * space.dim,))
+    return bk.l2_coords(desc, desc.codifferential(F(grad).reshape(lead + (k,) + desc.shape())))
+
+
+def galerkin_residual(space: DirichletSpace, F: NonlinearMap,
                       rhs: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """V_k(d) = Re<F(sum_j d_j grad w_j), grad w_k> - rhs_k as
-    Re(Gb^H F(Gb d)) - rhs, with Gb from ``galerkin_system``.  ``d`` may be
-    a batch (..., M) of coefficient vectors, mapped independently."""
+    """V_k(d) = Re<F(grad u), grad w_k> - rhs_k with u = sum_j d_j w_j, as
+    Re<div F(grad u), w_k> - rhs_k.  ``d`` may be a batch (..., M) of
+    coefficient vectors, mapped independently."""
 
     def V(d: np.ndarray) -> np.ndarray:
-        # <F, grad w_k> is antilinear in F; Re makes the system real
-        return (F(d @ Gb.T).conj() @ Gb).real - rhs
+        return _to_galerkin(space, _div_F_grad(space, F, _from_galerkin(space, d))) - rhs
 
     return V
 
 
 def solve_quasilinear(space: DirichletSpace, F: NonlinearMap, f: AlgebraElement, *,
                       init: np.ndarray | None = None, force: bool = False,
-                      project_kernel: bool = False,
-                      system: tuple[np.ndarray, ...] | None = None) -> SolveReport:
+                      project_kernel: bool = False) -> SolveReport:
     """Damped-Newton solve of the Galerkin system
-    V_k(d) = Re<F(sum_j d_j grad w_j), grad w_k> - Re<f, w_k> = 0
-    over the full energy-orthonormal eigenbasis; V is Re(Gb^H F(Gb d)) - rhs
-    with the gradient matrix Gb of the basis (``galerkin_residual``).
+    V_k(d) = Re<div F(grad u), w_k> - Re<f, w_k> = 0, u = sum_j d_j w_j,
+    over the full energy-orthonormal eigenbasis (``galerkin_residual``).
 
-    ``init`` holds initial real coefficients on the full basis; ``force``
-    skips the structure probes of F; ``system`` is the space's
-    ``galerkin_system``, built here when not given."""
+    ``init`` holds initial real coefficients on the full basis, (Re, Im)
+    pairs interleaved per eigenvector off the kernel, ascending; ``force``
+    skips the structure probes of F."""
     flags: list[str] = []
     if not force:
         probe = probe_map(space, F, np.random.default_rng(PROBE_SEED),
@@ -309,19 +319,15 @@ def solve_quasilinear(space: DirichletSpace, F: NonlinearMap, f: AlgebraElement,
             failed = [c.name for c in probe.checks if not c.passed]
             raise ConvergenceFailure(f"map {F.name} failed structure probes: {failed}")
     f_solved, mass = _gate_kernel(space, f, project_kernel, flags)
-    Wb, Gb = galerkin_system(space) if system is None else system
-    M = Wb.shape[1]
-    rhs = (bk.to_l2(f_solved).conj() @ Wb).real   # Re<f, w_k>
-    V = galerkin_residual(Gb, F, rhs)
-    d = np.zeros(M) if init is None else np.asarray(init, dtype=float)
-    if d.size != M:
-        raise ValueError(f"initial guess has {d.size} coefficients, expected {M}")
+    M = 2 * (space.dim - space.kernel_dim)
+    rhs = _to_galerkin(space, bk.to_l2(f_solved))   # Re<f, w_k>
+    d = np.zeros(M) if init is None else np.ascontiguousarray(init, dtype=float)
+    if d.shape != (M,):
+        raise ValueError(f"initial guess has shape {d.shape}, expected ({M},)")
     trace: list[NewtonStep] = []
-    d = _newton(V, d, max(np.linalg.norm(rhs), 1e-300), trace)
-    u = Wb @ d
-    desc, shape, k = space.backend, space.backend.shape(), tangent_components(space)
-    F_grad_u = F(desc.derive(u.reshape(shape)).reshape(k * space.dim))
-    div_F = desc.codifferential(F_grad_u.reshape((k,) + shape)).reshape(space.dim)
+    d = _newton(galerkin_residual(space, F, rhs), d, max(np.linalg.norm(rhs), 1e-300), trace)
+    u = _from_galerkin(space, d)
+    div_F = _div_F_grad(space, F, u)
     fscale = max(bk.norm_l2(f), 1e-300)
     strong = np.linalg.norm(div_F - bk.to_l2(f_solved)) / fscale
     return SolveReport(

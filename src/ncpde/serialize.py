@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from . import backends as bk
 from .backends import AlgebraElement, Descriptor, from_pairs, to_pairs
-from .calculus import TangentVector
-from .dirichlet import DirichletSpace
 
 BACKEND_KINDS = {cls.kind: cls for cls in bk.BACKENDS}
 
@@ -43,15 +41,3 @@ def element_data_from_json(desc: Descriptor, pairs) -> AlgebraElement:
     """Element from a bare coefficient pair list (backend given separately)."""
     return AlgebraElement(desc, from_pairs(pairs, desc.shape()))
 
-
-def tangent_to_json(h: TangentVector) -> list[dict]:
-    """One element blob per frame component."""
-    backend = descriptor_to_json(h.space.backend)
-    return [{"backend": backend, "data": to_pairs(P)} for P in h.data]
-
-
-def tangent_from_json(space: DirichletSpace, blobs) -> TangentVector:
-    if any(b["backend"] != descriptor_to_json(space.backend) for b in blobs):
-        raise bk.BackendMismatch("tangent blob backend differs from the space's")
-    shape = space.backend.shape()
-    return TangentVector(space, [from_pairs(b["data"], shape) for b in blobs])

@@ -283,8 +283,9 @@ def bisect_largest_passing_K(space, K, t_samples, battery, tol=1e-9):
 # V_k(d) = Re<F(sum_j d_j grad w_j), grad w_k> - rhs_k, as a sum of gradient
 # tangent vectors and one Hilbert inner product per basis vector; F maps the
 # stacked L^2 coordinates of the sum, and its image is wrapped back as a
-# tangent vector.  The package evaluates it as two products with the
-# gradient matrix of the basis; this loop is the oracle it is tested against.
+# tangent vector.  The package evaluates it as Re<div F(grad u), w_k> by one
+# derive and one codifferential of a coefficient stack; this loop is the
+# oracle it is tested against.
 # ---------------------------------------------------------------------------
 
 

@@ -780,32 +780,6 @@ def test_quasilinear_restarts_run_the_structure_probe_once(tmp_path, monkeypatch
     assert _artifacts(tmp_path / "once") == _artifacts(tmp_path / "every")
 
 
-def test_quasilinear_restarts_share_one_galerkin_system(tmp_path, monkeypatch):
-    config = json.loads((CORPUS[0].parent / "torus_quasilinear.json").read_text())
-    config["problem"]["restarts"] = 3
-    builds, solves = [], []
-    galerkin_system, solve = el.galerkin_system, el.solve_quasilinear
-
-    def counted(space):
-        builds.append(1)
-        return galerkin_system(space)
-
-    def recorded(*args, **kw):
-        rep = solve(*args, **kw)
-        solves.append((args, kw, rep.solution.data))
-        return rep
-
-    # the CLI builds the system; a solve given none would build its own
-    monkeypatch.setattr(cli, "galerkin_system", counted)
-    monkeypatch.setattr(el, "galerkin_system", counted)
-    monkeypatch.setattr(cli, "solve_quasilinear", recorded)
-    assert cli.run(config, out_dir=str(tmp_path), quiet=True) == 0
-    assert len(builds) == 1 and len(solves) == 4
-    # each solve is bit for bit the solve that builds its own system
-    for args, kw, data in solves:
-        assert np.array_equal(solve(*args, **{**kw, "system": None}).solution.data, data)
-
-
 def test_config_schemas_are_valid_draft_2020_12():
     # the validators are built at import without checking their schemas
     jsonschema.Draft202012Validator.check_schema(cli.CONFIG_SCHEMA)

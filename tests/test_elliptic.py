@@ -257,24 +257,24 @@ RESIDUAL_SPECS = [("torus", 2), ("torus", 3), ("rational", 2), ("rational", 3),
 @pytest.mark.parametrize("spec", RESIDUAL_SPECS, ids=[f"{k}{n}" for k, n in RESIDUAL_SPECS])
 def test_galerkin_residual_matches_loop(spec, make_map):
     space = build_space(backend_from_spec(spec))
-    Wb, Gb = el.galerkin_system(space)
-    # Gb, built by derive, is the gradient matrix on the basis
-    want = gradient_matrix(space) @ Wb
-    assert np.linalg.norm(Gb - want) <= 1e-14 * np.linalg.norm(want)
+    M = 2 * (space.dim - space.kernel_dim)
+    Wb = el._from_galerkin(space, np.eye(M)).T   # column k holds w_k
     # the grad w_j are orthonormal under Re<.,.>, and the w_j lie off the kernel
-    M = Wb.shape[1]
+    Gb = gradient_matrix(space) @ Wb
     assert np.abs((Gb.conj().T @ Gb).real - np.eye(M)).max() <= 1e-12
     K = space.dense.evecs[:, : space.kernel_dim]
     assert np.abs(K.conj().T @ Wb).max() <= 1e-12 * np.abs(Wb).max()
     rng = make_rng(600)
     rhs = rng.standard_normal(M)
     F = make_map()
-    V = el.galerkin_residual(Gb, F, rhs)
+    V = el.galerkin_residual(space, F, rhs)
     V_ref = loop_galerkin_residual(space, F, Wb, rhs)
-    for _ in range(3):
-        d = rng.standard_normal(M)
-        want = V_ref(d)
-        assert np.linalg.norm(V(d) - want) <= 1e-12 * np.linalg.norm(want)
+    ds = rng.standard_normal((3, M))
+    want = np.array([V_ref(d) for d in ds])
+    for d, w in zip(ds, want):
+        assert np.linalg.norm(V(d) - w) <= 1e-12 * np.linalg.norm(w)
+    # a batch maps each row as a single call does
+    assert np.linalg.norm(V(ds) - want) <= 1e-12 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("spec", [("torus", 4), ("cyclic", 32), ("matrix", 4)],
@@ -285,6 +285,15 @@ def test_quasilinear_identity_equals_poisson_at_scale(spec):
     lin = el.solve_poisson(space, f)
     non = el.solve_quasilinear(space, el.identity_map(), f)
     assert bk.norm_l2(lin.solution - non.solution) <= 1e-10 * max(bk.norm_l2(lin.solution), 1.0)
+
+
+@pytest.mark.parametrize("shape", ["short", "pairs"])
+def test_quasilinear_rejects_misshaped_init(torus2_space, shape):
+    M = 2 * (torus2_space.dim - torus2_space.kernel_dim)
+    init = np.zeros(M - 1) if shape == "short" else np.zeros((M // 2, 2))
+    f = perp_random(torus2_space, make_rng(604))
+    with pytest.raises(ValueError, match="initial guess has shape"):
+        el.solve_quasilinear(torus2_space, el.identity_map(), f, init=init, force=True)
 
 
 def test_quasilinear_newton_trace(torus2_space):

@@ -5,8 +5,6 @@ import pytest
 
 from ncpde import backends as bk
 from ncpde import serialize as sz
-from ncpde.calculus import random_tangent
-from ncpde.dirichlet import build_space
 from conftest import SIGMA_Z, THETA_IRR, make_rng
 
 
@@ -43,22 +41,6 @@ def test_awkward_floats_survive():
     a = bk.element(desc, data)
     back = sz.element_from_json(json.loads(json.dumps(sz.element_to_json(a))))
     assert np.array_equal(a.data, back.data)
-
-
-def test_tangent_round_trip():
-    space = build_space(bk.NCTorus(2, THETA_IRR))
-    h = random_tangent(space, make_rng(111))
-    blobs = json.loads(json.dumps(sz.tangent_to_json(h)))
-    back = sz.tangent_from_json(space, blobs)
-    for p, q in zip(h.data, back.data):
-        assert np.array_equal(p, q)
-
-
-def test_tangent_blobs_of_another_backend_raise():
-    h = random_tangent(build_space(bk.NCTorus(2, 0.1)), make_rng(112))
-    blobs = json.loads(json.dumps(sz.tangent_to_json(h)))
-    with pytest.raises(bk.BackendMismatch):
-        sz.tangent_from_json(build_space(bk.NCTorus(2, 0.3)), blobs)
 
 
 def test_element_json_shape_is_flat_row_major():
