@@ -86,8 +86,9 @@ def _run(checkout: Path, args: list[str]) -> tuple[dict, dict]:
 
 def _bytecode() -> dict:
     """Whether the interpreters that ``_run`` starts write bytecode."""
-    flag = subprocess.run([sys.executable, "-c", "import sys; print(sys.flags.dont_write_bytecode)"],
-                          check=True, capture_output=True, text=True).stdout.strip()
+    probe = "import sys; print(sys.flags.dont_write_bytecode)"
+    flag = subprocess.run([sys.executable, "-c", probe], check=True, capture_output=True,
+                          text=True).stdout.strip()
     return {"PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
             "dont_write_bytecode": bool(int(flag))}
 

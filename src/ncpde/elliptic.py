@@ -321,7 +321,7 @@ def solve_quasilinear(space: DirichletSpace, F: NonlinearMap, f: AlgebraElement,
     f_solved, mass = _gate_kernel(space, f, project_kernel, flags)
     M = 2 * (space.dim - space.kernel_dim)
     rhs = _to_galerkin(space, bk.to_l2(f_solved))   # Re<f, w_k>
-    d = np.zeros(M) if init is None else np.ascontiguousarray(init, dtype=float)
+    d = np.zeros(M) if init is None else np.array(init, dtype=float)
     if d.shape != (M,):
         raise ValueError(f"initial guess has shape {d.shape}, expected ({M},)")
     trace: list[NewtonStep] = []

@@ -296,6 +296,16 @@ def test_quasilinear_rejects_misshaped_init(torus2_space, shape):
         el.solve_quasilinear(torus2_space, el.identity_map(), f, init=init, force=True)
 
 
+def test_quasilinear_accepts_a_strided_init(torus2_space):
+    # the coefficients are read as complex pairs, which needs a contiguous copy
+    M = 2 * (torus2_space.dim - torus2_space.kernel_dim)
+    f = perp_random(torus2_space, make_rng(605))
+    base = el.solve_quasilinear(torus2_space, el.identity_map(), f, force=True)
+    init = make_rng(606).standard_normal(2 * M)[::2]
+    other = el.solve_quasilinear(torus2_space, el.identity_map(), f, init=init, force=True)
+    assert bk.norm_l2(base.solution - other.solution) <= 1e-10
+
+
 def test_quasilinear_newton_trace(torus2_space):
     f = perp_random(torus2_space, make_rng(603))
     rep = el.solve_quasilinear(torus2_space, el.curved_map(1.0), f)
