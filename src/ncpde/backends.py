@@ -331,7 +331,8 @@ class NCTorus(Descriptor):
     @classmethod
     def from_json(cls, obj: dict) -> NCTorus:
         rat = obj.get("rational")
-        return cls(int(obj["level"]), float(obj["theta"]), tuple(rat) if rat else None)
+        return cls(int(obj["level"]), float(obj["theta"]),
+                   tuple(map(int, rat)) if rat else None)
 
     def unit_data(self) -> np.ndarray:
         data = np.zeros(self.shape(), dtype=np.complex128)

@@ -5,12 +5,17 @@ Usage:  ncpde --config cfg.json [--out DIR] [--seed N] [--tol X] [--quiet]
 The JSON config carries the command, the backend descriptor and the
 per-command problem payload; it is validated against a strict schema
 (unknown fields, non-finite numbers and integers beyond float range are
-rejected) before any computation.  ``COMMANDS`` maps each command to its
-problem schema and its handler.  All randomized batteries are drawn from numpy's PCG64 generator
-seeded from the config (command-line --seed overrides), so identical
-config + seed reproduces bit-identical JSON output on a given
-platform/BLAS.  Exit codes: 0 success with all checks passed, 2 completed
-with check failures (reports still written), 1 errors.
+rejected) before any computation.  A valid config is accepted in one walk
+over the schemas' Draft 2020-12 keywords that also checks every number is
+finite; only a rejected config imports jsonschema, whose stock validator
+words the message.  As in Draft 2020-12, a bool is not a number and an
+integer-valued float such as 1.0 is an integer; each integer field is read
+through int(), so it runs as its int twin.  ``COMMANDS`` maps each command
+to its problem schema and its handler.  All randomized batteries are drawn
+from numpy's PCG64 generator seeded from the config (command-line --seed
+overrides), so identical config + seed reproduces bit-identical JSON output
+on a given platform/BLAS.  Exit codes: 0 success with all checks passed, 2
+completed with check failures (reports still written), 1 errors.
 """
 
 from __future__ import annotations
@@ -22,8 +27,6 @@ import math
 import sys
 from pathlib import Path
 
-import jsonschema
-from jsonschema.exceptions import best_match
 import numpy as np
 
 from . import backends as bk
@@ -90,21 +93,6 @@ def _finite_pair_list(obj) -> bool:
             and _finite_numbers(list(itertools.chain.from_iterable(obj))))
 
 
-_STOCK_ITEMS = jsonschema.Draft202012Validator.VALIDATORS["items"]
-
-
-def _items(validator, items, instance, schema):
-    # a valid pair or number list is accepted at once; anything else takes the
-    # stock keyword, so every rejection carries jsonschema's own message
-    if ((items is _PAIRS["items"] and _finite_pair_list(instance))
-            or (items == {"type": "number"} and _finite_numbers(instance))):
-        return
-    yield from _STOCK_ITEMS(validator, items, instance, schema)
-
-
-_Validator = jsonschema.validators.extend(jsonschema.Draft202012Validator, {"items": _items})
-
-
 def _non_finite_path(obj, path: str = "config") -> str | None:
     """Path of the first NaN, infinite or beyond-float-range number in a
     parsed JSON value."""
@@ -126,12 +114,95 @@ def _non_finite_path(obj, path: str = "config") -> str | None:
     return None
 
 
+class _NonFinite(Exception):
+    """A number no float64 holds finitely: ``_non_finite_path`` rejects the
+    config wherever in it the number sits."""
+
+
+def _number(x) -> bool:
+    """Whether ``x`` is a JSON number (a bool is not); raises ``_NonFinite``
+    for NaN, an infinity or an integer beyond float range."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        if math.isfinite(x):
+            return True
+    except OverflowError:
+        pass
+    raise _NonFinite
+
+
+_TYPES = {
+    "array": lambda x: isinstance(x, list),
+    "boolean": lambda x: isinstance(x, bool),
+    "integer": lambda x: _number(x) and (isinstance(x, int) or x.is_integer()),   # 1.0 is one
+    "null": lambda x: x is None,
+    "number": _number,
+    "object": lambda x: isinstance(x, dict),
+    "string": lambda x: isinstance(x, str),
+}
+
+
+def _items(x, items, schema) -> bool:
+    if not isinstance(x, list):
+        return True
+    # a pair or number list finite as one float64 array passes in one array pass
+    if ((items is _PAIRS["items"] and _finite_pair_list(x))
+            or (items == {"type": "number"} and _finite_numbers(x))):
+        return True
+    return all(_valid(v, items) for v in x)
+
+
+# the Draft 2020-12 keywords of the config schemas, each (instance, value,
+# schema) -> whether the instance passes it; every additionalProperties of
+# these schemas is false, and every enum and const a string, on which == is
+# JSON equality
+_KEYWORDS = {
+    "additionalProperties": lambda x, extra, s: (
+        not isinstance(x, dict) or x.keys() <= s.get("properties", {}).keys()),
+    "const": lambda x, value, s: x == value,
+    "enum": lambda x, values, s: x in values,
+    "exclusiveMinimum": lambda x, low, s: not _number(x) or x > low,
+    "items": _items,
+    "maxItems": lambda x, n, s: not isinstance(x, list) or len(x) <= n,
+    "minItems": lambda x, n, s: not isinstance(x, list) or len(x) >= n,
+    "minimum": lambda x, low, s: not _number(x) or x >= low,
+    "oneOf": lambda x, branches, s: sum(_valid(x, b) for b in branches) == 1,
+    "properties": lambda x, props, s: not isinstance(x, dict) or all(
+        _valid(x[key], sub) for key, sub in props.items() if key in x),
+    "required": lambda x, names, s: not isinstance(x, dict) or all(k in x for k in names),
+    "type": lambda x, name, s: _TYPES[name](x),
+}
+
+
+def _valid(x, schema: dict) -> bool:
+    return all(_KEYWORDS[key](x, value, schema) for key, value in schema.items())
+
+
+def _accepts(config) -> bool:
+    """Whether stock jsonschema finds no error in ``config`` and its problem,
+    and ``_non_finite_path`` no number at fault: one walk, no message."""
+    try:
+        return (_valid(config, CONFIG_SCHEMA)
+                and _valid(config.get("problem", {}), COMMANDS[config["command"]][0]))
+    except _NonFinite:
+        return False
+
+
 def validate_config(config: dict) -> None:
-    error = best_match(_CONFIG_VALIDATOR.iter_errors(config))
+    """Raise ConfigError naming the first fault of ``config``, if it has one."""
+    if _accepts(config):
+        return
+    # only a rejection is worded, by stock jsonschema: imported here, so that
+    # accepting a config never pays for it
+    from jsonschema import Draft202012Validator
+    from jsonschema.exceptions import best_match
+
+    error = best_match(Draft202012Validator(CONFIG_SCHEMA).iter_errors(config))
     where = "config"
     if error is None:
-        problem = config.get("problem", {})
-        error = best_match(_PROBLEM_VALIDATORS[config["command"]].iter_errors(problem))
+        schema = COMMANDS[config["command"]][0]
+        error = best_match(Draft202012Validator(schema).iter_errors(config.get("problem", {})))
         where = "config.problem"
     if error is not None:
         path = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in error.absolute_path)
@@ -168,6 +239,13 @@ def _write_trajectory_csv(out_dir: Path | None, times, states) -> None:
 # ---------------------------------------------------------------------------
 
 
+# an integer field may hold an integer-valued float (Draft 2020-12 takes 1.0
+# for 1); each is read through int(), so that it runs as its int twin
+def _radius(space, problem) -> int | None:
+    radius = problem.get("radius", space.backend.default_radius())
+    return None if radius is None else int(radius)
+
+
 def _cmd_describe(space, problem, rng, tol, out_dir):
     spectrum = [float(np.round(v, 10)) for v in space.evals]
     result = {
@@ -182,7 +260,7 @@ def _cmd_describe(space, problem, rng, tol, out_dir):
 
 
 def _cmd_gap(space, problem, rng, tol, out_dir):
-    res = poincare_constant(space, rng, battery=problem.get("battery", 32))
+    res = poincare_constant(space, rng, battery=int(problem.get("battery", 32)))
     result = {"C_P": res.c_p, "gap": res.gap, "kernel_dim": res.kernel_dim}
     report = Report(kind="gap", extra=res.to_dict())
     if res.battery_margin is not None:
@@ -192,19 +270,19 @@ def _cmd_gap(space, problem, rng, tol, out_dir):
 
 def _cmd_markov(space, problem, rng, tol, out_dir):
     report = markov_check(space, problem["t_samples"], rng,
-                          battery=problem.get("battery", 16), tol=tol)
+                          battery=int(problem.get("battery", 16)), tol=tol)
     return report.to_dict(), report
 
 
 def _cmd_calculus(space, problem, rng, tol, out_dir):
-    radius = problem.get("radius", space.backend.default_radius())
-    report = calculus_check(space, rng, problem.get("battery", 50), radius, tol)
+    report = calculus_check(space, rng, int(problem.get("battery", 50)),
+                            _radius(space, problem), tol)
     return report.to_dict(), report
 
 
 def _cmd_be(space, problem, rng, tol, out_dir):
-    battery = bk.random_data(space.backend, rng, (problem.get("battery", 4),), self_adjoint=True,
-                             radius=problem.get("radius", space.backend.default_radius()))
+    battery = bk.random_data(space.backend, rng, (int(problem.get("battery", 4)),),
+                             self_adjoint=True, radius=_radius(space, problem))
     report = bakry_emery_check(space, problem["K"], problem["t_samples"], battery)
     return report.to_dict(), report
 
@@ -253,7 +331,7 @@ def _cmd_quasilinear(space, problem, rng, tol, out_dir):
     report.extra["iterations"] = base.iterations
     report.extra["galerkin_dim"] = base.galerkin_dim
     report.extra["flags"] = base.flags
-    restarts = problem.get("restarts", 0)
+    restarts = int(problem.get("restarts", 0))
     worst = 0.0
     for _ in range(restarts):
         init = rng.standard_normal(base.galerkin_dim)
@@ -305,7 +383,7 @@ def _cmd_evolve(space, problem, rng, tol, out_dir):
         source_times=source_times,
         source=source,
     )
-    res = solve_evolution(prob, rng=rng, probes=problem.get("probes", 8))
+    res = solve_evolution(prob, rng=rng, probes=int(problem.get("probes", 8)))
     report = Report(kind="evolve", extra={"steps": prob.n_steps(), "scheme": prob.scheme})
     report.checks.append(check_le("linear_solve_residual", res.solve_residual_max, 1e-12))
     report.extra["conservation_drift_max"] = float(np.abs(res.conservation_defect).max())
@@ -445,11 +523,6 @@ CONFIG_SCHEMA = {
     "additionalProperties": False,
 }
 
-# built once: the schemas are constants, checked by the test suite
-_CONFIG_VALIDATOR = _Validator(CONFIG_SCHEMA)
-_PROBLEM_VALIDATORS = {command: _Validator(schema)
-                       for command, (schema, _) in COMMANDS.items()}
-
 
 def run(config: dict, out_dir: str | None = None, quiet: bool = False,
         seed_override: int | None = None, tol_override: float | None = None) -> int:
@@ -461,7 +534,7 @@ def run(config: dict, out_dir: str | None = None, quiet: bool = False,
     tols = config.get("tolerances", {})
     tol = tol_override if tol_override is not None else tols.get("check", 1e-10)
     gap_tol = tols.get("gap", 1e-8)
-    seed = seed_override if seed_override is not None else config.get("seed", 0)
+    seed = seed_override if seed_override is not None else int(config.get("seed", 0))
     rng = np.random.Generator(np.random.PCG64(seed))
     out_path = Path(out_dir) if out_dir else (Path(config["out"]) if "out" in config else None)
     space = build_space(desc, gap_tol=gap_tol)

@@ -2,13 +2,16 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from jsonschema import Draft202012Validator
 from jsonschema.exceptions import best_match
 
 from ncpde import backends as bk
@@ -451,9 +454,33 @@ def _slow_non_finite_path(obj, path="config"):
     return None
 
 
-def _best_error(validator, instance):
-    error = best_match(validator.iter_errors(instance))
-    return None if error is None else (error.message, list(error.absolute_path))
+def _stock_message(config):
+    """The rejection stock jsonschema and the number-by-number walk word for
+    ``config``, None for a valid one."""
+    error = best_match(Draft202012Validator(cli.CONFIG_SCHEMA).iter_errors(config))
+    where = "config"
+    if error is None:
+        schema = cli.COMMANDS[config["command"]][0]
+        error = best_match(Draft202012Validator(schema).iter_errors(config.get("problem", {})))
+        where = "config.problem"
+    if error is not None:
+        path = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in error.absolute_path)
+        return f"invalid config: {where}{path}: {error.message}"
+    bad = _slow_non_finite_path(config)
+    return None if bad is None else f"invalid config: {bad} is not a finite number"
+
+
+def _assert_verdict_matches_stock(config):
+    # the walker accepts exactly what stock jsonschema plus the finiteness
+    # check accept, and a rejection carries stock jsonschema's message
+    message = _stock_message(config)
+    assert cli._accepts(config) is (message is None)
+    if message is None:
+        cli.validate_config(config)
+    else:
+        with pytest.raises(cli.ConfigError) as info:
+            cli.validate_config(config)
+        assert str(info.value) == message
 
 
 _json_numbers = st.one_of(st.floats(), st.integers(min_value=-10**400, max_value=10**400))
@@ -469,16 +496,15 @@ _pair_payloads = st.one_of(
 @given(payload=_pair_payloads)
 def test_pair_list_validation_matches_stock_jsonschema(payload):
     # the array pass may only change how fast a pair list is accepted, never
-    # which error a payload gets or which number is reported non-finite
+    # whether it is, which error it gets or which number is reported non-finite
     problems = [
         ("solve-poisson", {"f": payload}),
         ("evolve", {"form": "heat", "u0": _GOOD_QUBIT, "horizon": 0.2, "dt": 0.1,
                     "source": {"times": [0.0, 0.2], "elements": [_ZERO_QUBIT, payload]}}),
     ]
     for command, problem in problems:
-        schema = cli.COMMANDS[command][0]
-        assert _best_error(cli._Validator(schema), problem) == \
-            _best_error(jsonschema.Draft202012Validator(schema), problem)
+        _assert_verdict_matches_stock(
+            {"command": command, "backend": QUBIT_BACKEND, "problem": problem})
     assert cli._non_finite_path(payload) == _slow_non_finite_path(payload)
 
 
@@ -496,18 +522,97 @@ _number_payloads = st.one_of(
 def test_number_list_validation_matches_stock_jsonschema(payload):
     # the same promise for number lists: flow and source times, cyclic lengths
     continuity = {"form": "continuity", "u0": _GOOD_QUBIT, "horizon": 0.2, "dt": 0.1}
-    checks = [
-        (cli.COMMANDS["evolve"][0],
-         {**continuity, "flow": {"times": payload, "vectors": [[_ZERO_QUBIT]] * 2}}),
-        (cli.COMMANDS["evolve"][0],
-         {**continuity, "source": {"times": payload, "elements": [_ZERO_QUBIT] * 2}}),
-        (cli.CONFIG_SCHEMA,
-         {"command": "gap", "backend": {"kind": "cyclic", "order": 4, "lengths": payload}}),
+    configs = [
+        {"command": "evolve", "backend": QUBIT_BACKEND, "problem": {
+            **continuity, "flow": {"times": payload, "vectors": [[_ZERO_QUBIT]] * 2}}},
+        {"command": "evolve", "backend": QUBIT_BACKEND, "problem": {
+            **continuity, "source": {"times": payload, "elements": [_ZERO_QUBIT] * 2}}},
+        {"command": "gap", "backend": {"kind": "cyclic", "order": 4, "lengths": payload}},
     ]
-    for schema, instance in checks:
-        assert _best_error(cli._Validator(schema), instance) == \
-            _best_error(jsonschema.Draft202012Validator(schema), instance)
-        assert cli._non_finite_path(instance) == _slow_non_finite_path(instance)
+    for config in configs:
+        _assert_verdict_matches_stock(config)
+        assert cli._non_finite_path(config) == _slow_non_finite_path(config)
+
+
+_DROP = object()   # a mutation that deletes the value at its path
+
+
+def _paths(value, path=()):
+    """The path of ``value`` and of every value inside it."""
+    yield path
+    children = (value.items() if isinstance(value, dict)
+                else enumerate(value) if isinstance(value, list) else ())
+    for key, child in children:
+        yield from _paths(child, path + (key,))
+
+
+def _replaced(value, path, new):
+    """A copy of ``value`` with ``new`` at ``path`` (``_DROP`` deletes it);
+    only the containers along ``path`` are copied."""
+    if not path:
+        return {} if new is _DROP else new
+    key, rest = path[0], path[1:]
+    copy = dict(value) if isinstance(value, dict) else list(value)
+    if rest or new is not _DROP:
+        copy[key] = _replaced(value[key], rest, new)
+    else:
+        del copy[key]
+    return copy
+
+
+def _mutations(value):
+    """What one mutation may put in place of ``value``: nothing (a dropped
+    field), another JSON type, an extreme or non-finite number, 1.0 for an
+    integer and True for a number, an emptied or one-item array, an unknown
+    key, or null in each field that a oneOf lets be null."""
+    options = [_DROP, "x", None, True, [], {}, 1.0, 1e308, 5e-324, -0.0, math.nan, 10**400]
+    if isinstance(value, dict):
+        options += [{**value, "unknown": 1}]
+        options += [{**value, key: None} for key in ("radius", "rational", "flow", "source")]
+    if isinstance(value, list):
+        options.append(value[:1])
+    if type(value) is int and abs(value) <= 2**53:   # not a 10**400 put there before
+        options.append(float(value))
+    return options
+
+
+@st.composite
+def mutated_configs(draw):
+    """A ``corpus/`` config after one or two mutations."""
+    config = draw(st.sampled_from([json.loads(p.read_text()) for p in CORPUS]))
+    for _ in range(draw(st.integers(1, 2))):
+        path = draw(st.sampled_from(list(_paths(config))))
+        value = config
+        for key in path:
+            value = value[key]
+        config = _replaced(config, path, draw(st.sampled_from(_mutations(value))))
+    return config
+
+
+@settings(max_examples=400, deadline=None)
+@given(config=mutated_configs())
+def test_walker_verdict_matches_stock_jsonschema_on_mutated_corpus(config):
+    _assert_verdict_matches_stock(config)
+
+
+def test_valid_config_runs_without_importing_jsonschema(tmp_path):
+    # jsonschema words rejections only: a valid config never imports it
+    bad = json.loads((CORPUS[0].parent / "torus_gap.json").read_text())
+    bad["unexpected"] = 1
+    (tmp_path / "bad.json").write_text(json.dumps(bad), encoding="utf-8")
+    script = (
+        "import json, sys\n"
+        "from ncpde import cli\n"
+        f"config = json.loads(open({str(CORPUS[0].parent / 'torus_gap.json')!r}).read())\n"
+        f"assert cli.run(config, out_dir={str(tmp_path / 'out')!r}, quiet=True) == 0\n"
+        "assert 'jsonschema' not in sys.modules\n"
+        f"sys.exit(cli.main(['--config', {str(tmp_path / 'bad.json')!r}]))\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == ("error: invalid config: config: Additional properties are not "
+                           "allowed ('unexpected' was unexpected)\n")
 
 
 @pytest.mark.parametrize("grid, field", [
@@ -781,10 +886,35 @@ def test_quasilinear_restarts_run_the_structure_probe_once(tmp_path, monkeypatch
 
 
 def test_config_schemas_are_valid_draft_2020_12():
-    # the validators are built at import without checking their schemas
-    jsonschema.Draft202012Validator.check_schema(cli.CONFIG_SCHEMA)
+    # a rejection builds its validators without checking their schemas
+    Draft202012Validator.check_schema(cli.CONFIG_SCHEMA)
     for schema, _ in cli.COMMANDS.values():
-        jsonschema.Draft202012Validator.check_schema(schema)
+        Draft202012Validator.check_schema(schema)
+
+
+@pytest.mark.parametrize("name, path, value", [
+    ("torus_gap", ("problem", "battery"), 32),
+    ("qubit_markov", ("problem", "battery"), 16),
+    ("torus_calculus", ("problem", "battery"), 40),
+    ("torus_calculus", ("problem", "radius"), 1),
+    ("torus13_be", ("problem", "battery"), 4),
+    ("torus13_be", ("problem", "radius"), 1),
+    ("torus13_be", ("backend", "rational", 1), 3),
+    ("torus_quasilinear", ("problem", "restarts"), 2),
+    ("qubit_heat", ("problem", "probes"), 6),
+    ("torus_gap", ("seed",), 11),
+], ids=lambda v: v if isinstance(v, str) else ".".join(map(str, v)) if isinstance(v, tuple)
+    else str(v))
+def test_integer_valued_float_runs_as_its_int_twin(tmp_path, capsys, name, path, value):
+    # Draft 2020-12 takes 1.0 for the integer 1: the run is the int twin's, byte for byte
+    runs = []
+    for number in (value, float(value)):
+        config = _replaced(json.loads((CORPUS[0].parent / f"{name}.json").read_text()),
+                           path, number)
+        out = tmp_path / repr(number)
+        assert run_main(tmp_path, config, "--out", str(out)) == 0
+        runs.append((capsys.readouterr(), _artifacts(out)))
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("name", ["torus_poisson", "torus_quasilinear"])
