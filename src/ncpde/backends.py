@@ -32,7 +32,8 @@ the identity, for cyclic groups the circulant (regular) representation, for
 a torus with reduced rational theta = p/q the clock-and-shift homomorphism
 into M_q, and for irrational theta the window compression of the left
 regular action, which is flagged approximate: it witnesses positivity but
-is not multiplicative near the window boundary.
+is not multiplicative near the window boundary.  Witnesses read its spectrum
+through ``rep_eigvalsh``; cyclic products and spectra come from the DFT.
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ class Descriptor:
     ``shape``, ``to_json``/``from_json`` with the tag ``kind`` and schema
     ``json_schema``; ``unit_data``, ``mul_data`` (product and truncated L^2
     mass), ``adjoint_data`` and ``lmul`` (the matrix of x -> A x);
-    ``rep_dim``, ``represent`` and its inverse ``element_from_matrix``;
+    ``rep_dim``, ``represent``, ``rep_eigvalsh``, ``element_from_matrix``;
     ``generator_matrix`` ((D, D), or the (D,) diagonal of a diagonal
     generator); and the tangent frame: ``frame_size``, ``psis``
     (derivations as coefficient multipliers) or ``derive`` and
@@ -128,6 +129,10 @@ class Descriptor:
         """False when ``represent`` only witnesses positivity (it is not
         multiplicative)."""
         return True
+
+    def rep_eigvalsh(self, A: np.ndarray) -> np.ndarray:
+        """Ascending eigenvalues of ``represent`` of each self-adjoint entry."""
+        return np.linalg.eigvalsh(self.represent(A))
 
     def rep_semigroup_action(self, t: float, semigroup: Callable[[np.ndarray], np.ndarray]):
         """Canonical extension of P_t (``semigroup`` maps coefficient stacks)
@@ -471,6 +476,8 @@ class CyclicGroup(Descriptor):
     right action is plain convolution and J(h)_k = chi_k * (h_{-k})^*.
     The characters, the psis, the index of each component's J partner
     q - k and the circulant index (g - h) mod q are built once, read-only.
+    The circulant of f has eigenvalues fft(f): products and the spectrum of
+    ``represent`` run through the DFT, the rest keeps the circulant.
     """
 
     order: int
@@ -544,8 +551,7 @@ class CyclicGroup(Descriptor):
         return data
 
     def mul_data(self, A, B) -> tuple[np.ndarray, np.ndarray]:
-        # convolution commutes: A * B is the circulant of B applied to A
-        P = (self.lmul(B) @ A[..., None])[..., 0]
+        P = np.fft.ifft(np.fft.fft(A) * np.fft.fft(B))
         return P, np.zeros(P.shape[:-1])
 
     def adjoint_data(self, A) -> np.ndarray:
@@ -559,6 +565,9 @@ class CyclicGroup(Descriptor):
 
     # the regular representation is left multiplication itself
     represent = lmul
+
+    def rep_eigvalsh(self, A) -> np.ndarray:
+        return np.sort(np.fft.fft(A).real, axis=-1)
 
     def element_from_matrix(self, X) -> np.ndarray:
         return X[..., :, 0]
@@ -810,7 +819,7 @@ def witness_data(desc: Descriptor, A: np.ndarray) -> np.ndarray:
     stack; NaN for an entry that is not self-adjoint."""
     sa = self_adjoint_data(desc, A)
     wit = np.full(sa.shape, np.nan)
-    wit[sa] = np.linalg.eigvalsh(desc.represent(A[sa]))[..., 0]
+    wit[sa] = desc.rep_eigvalsh(A[sa])[..., 0]
     return wit
 
 

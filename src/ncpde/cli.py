@@ -165,6 +165,7 @@ _KEYWORDS = {
     "exclusiveMinimum": lambda x, low, s: not _number(x) or x > low,
     "items": _items,
     "maxItems": lambda x, n, s: not isinstance(x, list) or len(x) <= n,
+    "maximum": lambda x, high, s: not _number(x) or x <= high,
     "minItems": lambda x, n, s: not isinstance(x, list) or len(x) >= n,
     "minimum": lambda x, low, s: not _number(x) or x >= low,
     "oneOf": lambda x, branches, s: sum(_valid(x, b) for b in branches) == 1,
@@ -464,7 +465,8 @@ COMMANDS = {
                 "required": ["name"],
                 "additionalProperties": False,
             },
-            "restarts": {"type": "integer", "minimum": 0},
+            # each restart is one more full solve: 100 is 50x the corpus's 2
+            "restarts": {"type": "integer", "minimum": 0, "maximum": 100},
             "project_kernel": {"type": "boolean"},
         },
         "required": ["f", "map"],

@@ -294,13 +294,78 @@ def test_torus_support_radius_beyond_the_level_keeps_the_window():
 
 
 def test_cyclic_convolution_diagonalizes_under_dft(z4):
+    # F represent(f) F^-1 = diag(fft(f)) with F the DFT matrix: what lets
+    # products and spectra skip the circulant
     rng = make_rng(8)
+    F = np.fft.fft(np.eye(4))
     for _ in range(10):
         f = bk.random_element(z4, rng)
-        g = bk.random_element(z4, rng)
-        direct = bk.mul(f, g).data
-        via_fft = np.fft.ifft(np.fft.fft(f.data) * np.fft.fft(g.data))
-        assert np.abs(direct - via_fft).max() < 1e-12
+        got = F @ bk.represent(f) @ np.linalg.inv(F)
+        assert np.abs(got - np.diag(np.fft.fft(f.data))).max() < 1e-12
+
+
+CYCLIC_ORDERS = (2, 3, 5, 16, 64, 128)
+
+
+def word_length_group(q):
+    return bk.CyclicGroup(q, tuple(float(min(g, q - g)) for g in range(q)))
+
+
+def circulant_mul(A, B):
+    """Oracle: the convolution A * B as the circulant of A, built from the
+    index (g - h) mod q, applied to B."""
+    g = np.arange(A.shape[-1])
+    circ = (g[:, None] - g[None, :]) % A.shape[-1]
+    return (A[..., circ] @ B[..., None])[..., 0]
+
+
+def _cplx(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("q", CYCLIC_ORDERS)
+@pytest.mark.parametrize("lead_a, lead_b", [((), ()), ((6,), (6,)), ((6, 6), (6, 1))],
+                         ids=["single", "stack", "broadcast"])
+def test_cyclic_product_matches_the_circulant_oracle(q, lead_a, lead_b):
+    desc = word_length_group(q)
+    rng = make_rng(q)
+    A, B = _cplx(rng, lead_a + (q,)), _cplx(rng, lead_b + (q,))
+    P, loss = desc.mul_data(A, B)
+    want = circulant_mul(A, B)
+    assert P.shape == want.shape and np.all(loss == 0.0) and loss.shape == want.shape[:-1]
+    bound = 1e-13 * (np.linalg.norm(A, axis=-1) * np.linalg.norm(B, axis=-1))[..., None]
+    assert np.all(np.abs(P - want) <= bound)
+
+
+@pytest.mark.parametrize("q", CYCLIC_ORDERS)
+def test_cyclic_delta_times_delta_is_the_shifted_delta(q):
+    desc = word_length_group(q)
+    for g, h in [(0, 0), (1, q - 1), (q // 2, q // 3), (q - 1, q - 1)]:
+        got = bk.mul_with_loss(bk.delta(desc, g), bk.delta(desc, h))
+        assert got[1] == 0.0
+        assert np.abs(got[0].data - bk.delta(desc, g + h).data).max() <= 1e-15
+
+
+@pytest.mark.parametrize("q", CYCLIC_ORDERS)
+def test_cyclic_spectrum_matches_eigvalsh_of_the_circulant(q):
+    desc = word_length_group(q)
+    X = _cplx(make_rng(q + 1), (6, q)) * np.logspace(-3, 3, 6)[:, None]
+    A = 0.5 * (X + desc.adjoint_data(X))
+    got, want = desc.rep_eigvalsh(A), np.linalg.eigvalsh(desc.represent(A))
+    scale_ = np.maximum(np.linalg.norm(A, axis=-1), 1.0)[:, None]
+    assert np.all(np.abs(got - want) <= 1e-12 * scale_)
+
+
+@pytest.mark.parametrize("q", CYCLIC_ORDERS)
+def test_cyclic_witness_is_nan_off_the_self_adjoint_entries(q):
+    desc = word_length_group(q)
+    X = _cplx(make_rng(q + 2), (4, q))
+    A = np.stack([X[0], 0.5 * (X[1] + desc.adjoint_data(X[1])), X[2], desc.unit_data()])
+    wit = bk.witness_data(desc, A)
+    assert bk.self_adjoint_data(desc, A).tolist() == [False, True, False, True]
+    assert np.isnan(wit[0]) and np.isnan(wit[2])
+    assert wit[1] == pytest.approx(np.linalg.eigvalsh(desc.represent(A[1]))[0], abs=1e-12)
+    assert wit[3] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_operator_norm_c_star_identities(qubit, z4):

@@ -636,41 +636,30 @@ def test_malformed_sample_grid_exits_1_naming_the_field(tmp_path, capsys, grid, 
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("vectors", [
-    [[_ZERO_QUBIT, _ZERO_QUBIT]] * 2,     # two components; the qubit frame has one
-    [[_ZERO_QUBIT[:3]]] * 2,              # three coefficient pairs; the qubit has four
-], ids=["component-count", "pair-count"])
-def test_malformed_flow_vector_exits_1(tmp_path, capsys, vectors):
+_BAD_FLOW_VECTORS = [
+    ("component-count", [_ZERO_QUBIT, _ZERO_QUBIT]),  # two components; the qubit frame has one
+    ("pair-count", [_ZERO_QUBIT[:3]]),                # three coefficient pairs; the qubit has four
+    ("empty", []),                                    # no component at all
+]
+
+
+@pytest.mark.parametrize("index, vector", [
+    pytest.param(index, vector, id=name if index else f"first-{name}")
+    for index in (1, 0) for name, vector in _BAD_FLOW_VECTORS])
+def test_malformed_flow_vector_exits_1_naming_field_and_shape(tmp_path, capsys, index, vector):
+    vectors = [[_ZERO_QUBIT]] * 3
+    vectors[index] = vector
     config = {
         "command": "evolve", "backend": QUBIT_BACKEND,
         "problem": {"form": "continuity", "u0": [[1.0, 0.0]] * 4, "horizon": 0.2,
                     "dt": 0.1, "epsilon": 0.1,
-                    "flow": {"times": [0.0, 0.2], "vectors": vectors}},
-    }
-    out_dir = tmp_path / "out"
-    assert run_main(tmp_path, config, "--out", str(out_dir)) == 1
-    assert capsys.readouterr().err.startswith("error: ")
-    assert not out_dir.exists()
-
-
-@pytest.mark.parametrize("vector", [
-    [_ZERO_QUBIT, _ZERO_QUBIT],     # two components; the qubit frame has one
-    [_ZERO_QUBIT[:3]],              # three coefficient pairs; the qubit has four
-    [],                             # no component at all
-], ids=["component-count", "pair-count", "empty"])
-def test_malformed_flow_vector_exits_1_naming_field_and_shape(tmp_path, capsys, vector):
-    config = {
-        "command": "evolve", "backend": QUBIT_BACKEND,
-        "problem": {"form": "continuity", "u0": [[1.0, 0.0]] * 4, "horizon": 0.2,
-                    "dt": 0.1, "epsilon": 0.1,
-                    "flow": {"times": [0.0, 0.1, 0.2], "vectors": [[_ZERO_QUBIT], vector,
-                                                                   [_ZERO_QUBIT]]}},
+                    "flow": {"times": [0.0, 0.1, 0.2], "vectors": vectors}},
     }
     out_dir = tmp_path / "out"
     assert run_main(tmp_path, config, "--out", str(out_dir)) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")
-    assert "config.problem.flow.vectors[1]" in err
+    assert f"config.problem.flow.vectors[{index}]" in err
     assert "1 components of 4 coefficient pairs" in err
     assert not out_dir.exists()
 
@@ -692,6 +681,19 @@ def test_markov_battery_below_two_exits_1_naming_battery(tmp_path, capsys):
     assert run_main(tmp_path, config, "--out", str(out_dir)) == 1
     assert "config.problem.battery" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("restarts", [101, 1e308])
+def test_restarts_beyond_100_exit_1_naming_restarts(tmp_path, capsys, restarts):
+    # each restart is a full solve, so an unbounded count never finishes
+    config = json.loads((CORPUS[0].parent / "torus_quasilinear.json").read_text())
+    config["problem"]["restarts"] = restarts
+    out_dir = tmp_path / "out"
+    assert run_main(tmp_path, config, "--out", str(out_dir)) == 1
+    assert "config.problem.restarts" in capsys.readouterr().err
+    assert not out_dir.exists()
+    config["problem"]["restarts"] = 100
+    assert cli._accepts(config)
 
 
 @pytest.mark.parametrize("name", ["qubit_markov", "torus13_be"])
