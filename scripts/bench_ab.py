@@ -142,7 +142,8 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=5)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--note", default="", help="what the change does, for 'about'")
-    parser.add_argument("--workdir", default=None, help="where to put the two checkouts")
+    parser.add_argument("--workdir", default=None,
+                        help="where to put the two checkouts (created if missing)")
     args = parser.parse_args(argv)
     if not args.workload and not args.trace:
         parser.error("give at least one --workload or --trace")
@@ -162,6 +163,8 @@ def main(argv=None) -> int:
         "parent_quartiles and change_quartiles are the inclusive quartiles of each "
         "side's runs. Workloads not in BENCHMARK.json are reported by name, not claimed."),
         "bytecode": _bytecode()}
+    if args.workdir is not None:
+        Path(args.workdir).mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory(dir=args.workdir) as tmp:
         checkouts = {side: Path(tmp) / side for side in commits}
         for side, path in checkouts.items():

@@ -13,10 +13,15 @@ complement (Galerkin): v_j / sqrt(lam_j) and i v_j / sqrt(lam_j) for each
 eigenpair (lam_j, v_j) off the kernel, interleaved.  The finite root problem
 V_k(d) = Re<div F(grad u), w_k> - Re<f, w_k> = 0, u = sum_k d_k w_k, is
 solved for real coefficients d, since F need not be complex-linear, by
-damped Newton on all coefficients at once, with a finite-difference
-Jacobian and a damped fixed-point fallback for maps whose Jacobian is
-unreliable.  V is one ``derive``, F and ``codifferential`` of a coefficient
-stack; no matrix of the basis is built.  For a monotone, coercive F the
+damped Newton on all coefficients at once.  Each Newton step is a
+Jacobian-free conjugate-gradient solve on finite-difference products
+J p = (V(d + e p) - V(d)) / e, one V evaluation per product, stopped at a
+fixed forcing term (Jacobian-free Newton-Krylov); a dense finite-difference
+Jacobian serves an iteration whose CG meets nonpositive curvature or does
+not converge in M products, and a damped fixed-point step serves
+maps whose Newton step cannot reduce the residual.  V is one ``derive``, F
+and ``codifferential`` of a coefficient stack; no matrix of the basis or of
+the Jacobian is built on the default path.  For a monotone, coercive F the
 root is unique, so the start decides only how many iterations Newton takes.
 
 Solvability gate: in finite dimensions a weak solution exists only for
@@ -59,12 +64,13 @@ class ConvergenceFailure(bk.AlgebraError):
 @dataclass(frozen=True)
 class NewtonStep:
     """One damped-Newton iteration: infinity-norm residual before the step,
-    accepted step length, and whether the step came from the fixed-point
-    fallback."""
+    accepted step length, whether the step came from the fixed-point
+    fallback, and how many Jacobian-vector products its CG made."""
 
     residual: float
     alpha: float
     fixed_point: bool = False
+    products: int = 0
 
 
 @dataclass
@@ -86,7 +92,9 @@ KERNEL_RTOL = 1e-10
 CG_RTOL = 1e-13               # conjugate gradients stop at CG_RTOL * ||f||
 NEWTON_RTOL = 1e-12           # Newton stops at NEWTON_RTOL * ||rhs|| (max norm)
 MAX_NEWTON = 60               # Newton iterations per solve
-FD_STEP = 1e-6                # Jacobian column step, relative to 1 + |d_j|
+FD_STEP = 1e-6                # dense Jacobian column step, relative to 1 + |d_j|
+JV_STEP = 1e-7                # Jacobian-vector product step, relative to (1 + ||d||) / ||p||
+FORCING = 1e-6                # CG on the Newton step stops at FORCING * ||V(d)||
 PROBE_SAMPLES = 64            # structure-probe sample pairs per solve
 PROBE_SEED = 20_240_101       # the probes' own seed: equal maps and spaces probe alike
 PROBE_TOL = 1e-9              # slack of every structure-probe check
@@ -187,7 +195,13 @@ class NonlinearMap:
 
     ``func`` acts on the stacked complex L^2 coordinates of tangent vectors:
     the last axis has length k*D (the k frame components in order), and any
-    leading axes are a batch of vectors mapped independently."""
+    leading axes are a batch of vectors mapped independently.
+
+    The quasilinear solve assumes that F has a symmetric derivative under
+    Re<.,.>, as the gradient of a functional does (identity and curved are
+    gradients of convex functionals, negated is -identity): its Newton steps
+    run conjugate gradients on the Galerkin Jacobian, and an iteration falls
+    back to a dense Jacobian only where CG meets nonpositive curvature."""
 
     func: Callable[[np.ndarray], np.ndarray]
     name: str
@@ -344,10 +358,15 @@ def solve_quasilinear(space: DirichletSpace, F: NonlinearMap, f: AlgebraElement,
 
 
 def _newton(V, d: np.ndarray, scale_: float, trace: list[NewtonStep]) -> np.ndarray:
-    """Damped Newton from ``d`` with a finite-difference Jacobian and Armijo
-    backtracking on ||V||^2; falls back to a damped fixed-point step when a
-    Newton step cannot reduce the residual.  Appends one ``NewtonStep`` per
-    iteration to ``trace``."""
+    """Damped Newton from ``d`` with Armijo backtracking on ||V||^2; falls
+    back to a damped fixed-point step when a Newton step cannot reduce the
+    residual.  Each Newton step solves J s = V(d) by conjugate gradients on
+    finite-difference products J p = (V(d + e p) - V(d)) / e, with
+    e = JV_STEP (1 + ||d||) / ||p||, to FORCING * ||V(d)||; CG needs a
+    symmetric J (see ``NonlinearMap``).  An iteration whose CG meets
+    p.Jp <= 0, or does not converge in M = d.size steps, takes its step
+    from the dense finite-difference Jacobian instead.  Appends one
+    ``NewtonStep`` per iteration to ``trace``."""
     stop = NEWTON_RTOL * scale_
     r = V(d)
     for it in range(MAX_NEWTON + 1):
@@ -357,13 +376,9 @@ def _newton(V, d: np.ndarray, scale_: float, trace: list[NewtonStep]) -> np.ndar
         if it == MAX_NEWTON:
             raise ConvergenceFailure(f"Newton did not converge in {MAX_NEWTON} "
                                      f"iterations (residual {res:.3e})")
-        # row j of V(d + diag(h)) is V at d + h_j e_j: column j of J
-        h = FD_STEP * (1.0 + np.abs(d))
-        J = ((V(d + np.diag(h)) - r) / h[:, None]).T
-        try:
-            step = np.linalg.solve(J, r)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(J, r, rcond=None)[0]
+        step, products = _krylov_step(V, d, r)
+        if step is None:
+            step = _dense_step(V, d, r)
         base = float(r @ r)
         alpha, fixed_point = 1.0, False
         while alpha >= 1e-10:
@@ -384,4 +399,36 @@ def _newton(V, d: np.ndarray, scale_: float, trace: list[NewtonStep]) -> np.ndar
             else:
                 raise ConvergenceFailure("Newton and fixed-point steps both stagnated")
         d, r = trial, rt      # the accepted residual is the next iteration's
-        trace.append(NewtonStep(res, alpha, fixed_point))
+        trace.append(NewtonStep(res, alpha, fixed_point, products))
+
+
+def _krylov_step(V, d: np.ndarray, r: np.ndarray) -> tuple[np.ndarray | None, int]:
+    """CG on J s = r = V(d) with finite-difference products of J, and the
+    number of products made; the step is None when CG meets curvature
+    p.Jp <= 0 (or NaN) or has not converged after d.size steps."""
+    s, rho, p, rr = np.zeros_like(r), r, r, float(r @ r)
+    stop, dnorm = FORCING * math.sqrt(rr), float(np.linalg.norm(d))
+    for products in range(1, d.size + 1):
+        e = JV_STEP * (1.0 + dnorm) / math.sqrt(float(p @ p))
+        Jp = (V(d + e * p) - r) / e
+        curvature = float(p @ Jp)
+        if not curvature > 0.0:
+            return None, products
+        a = rr / curvature
+        s, rho = s + a * p, rho - a * Jp
+        rr_new = float(rho @ rho)
+        if math.sqrt(rr_new) <= stop:
+            return s, products
+        p, rr = rho + (rr_new / rr) * p, rr_new
+    return None, d.size
+
+
+def _dense_step(V, d: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The Newton step from the dense finite-difference Jacobian: row j of
+    one ``V(d + diag(h))`` call is V at d + h_j e_j, column j of J."""
+    h = FD_STEP * (1.0 + np.abs(d))
+    J = ((V(d + np.diag(h)) - r) / h[:, None]).T
+    try:
+        return np.linalg.solve(J, r)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(J, r, rcond=None)[0]

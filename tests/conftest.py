@@ -305,6 +305,42 @@ def loop_galerkin_residual(space, F, Wb, rhs):
 
 
 # ---------------------------------------------------------------------------
+# Reference implementation: damped Newton on V(d) = 0 with a dense
+# finite-difference Jacobian, built one column V(d + h_j e_j) at a time and
+# LU-solved, with the stop rule, iteration cap, column step and Armijo search
+# of ``elliptic._newton``.  The package takes each Newton step by conjugate
+# gradients on finite-difference Jacobian-vector products; this loop is the
+# oracle it is tested against.
+# ---------------------------------------------------------------------------
+
+
+def loop_dense_newton(V, d, scale):
+    """The root of V from ``d`` and the number of Newton iterations taken."""
+    stop = el.NEWTON_RTOL * scale
+    r = V(d)
+    for it in range(el.MAX_NEWTON):
+        if np.abs(r).max() <= stop:
+            return d, it
+        J = np.empty((d.size, d.size))
+        for j in range(d.size):
+            h = el.FD_STEP * (1.0 + abs(d[j]))
+            dj = d.copy()
+            dj[j] += h
+            J[:, j] = (V(dj) - r) / h
+        step = np.linalg.solve(J, r)
+        alpha = 1.0
+        while True:
+            trial = d - alpha * step
+            rt = V(trial)
+            if rt @ rt <= (1.0 - 1e-4 * alpha) * (r @ r):
+                break
+            alpha *= 0.5
+            assert alpha >= 1e-10, "the oracle's Armijo search stagnated"
+        d, r = trial, rt
+    raise AssertionError("the oracle did not converge")
+
+
+# ---------------------------------------------------------------------------
 # Reference implementation: conjugate gradients on the realified system
 # [[Re L, -Im L], [Im L, Re L]] x = [Re f; Im f], the 2D-dimensional real
 # form of the generator, with the stop rule, cap and energy history of

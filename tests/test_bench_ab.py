@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -60,3 +61,27 @@ def test_bytecode_reports_what_the_benchmark_interpreters_do(monkeypatch, value,
         monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", value)
     assert bench_ab._bytecode() == {"PYTHONDONTWRITEBYTECODE": value,
                                     "dont_write_bytecode": not writes}
+
+
+def test_missing_workdir_is_created(monkeypatch, tmp_path):
+    # no export and no benchmark runs: both are replaced by stand-ins
+    exported = []
+
+    def export(ref, dest):
+        dest.mkdir(parents=True)
+        exported.append((ref, dest))
+
+    def run(checkout, args):
+        return {"seed": 1}, {"correct": True, "failed": 0,
+                             "metrics": {"runs_per_s": {"value": 1.0, "unit": "1/s"}}}
+
+    monkeypatch.setattr(bench_ab, "_git", lambda *args: args[-1])
+    monkeypatch.setattr(bench_ab, "_export", export)
+    monkeypatch.setattr(bench_ab, "_run", run)
+    workdir, out = tmp_path / "missing" / "work", tmp_path / "bench.json"
+    assert bench_ab.main(["A", "B", "--out", str(out), "--workload", "solve:1",
+                          "--pairs", "1", "--workdir", str(workdir)]) == 0
+    assert workdir.is_dir() and [ref for ref, _ in exported] == ["A", "B"]
+    assert all(dest.parent.parent == workdir for _, dest in exported)
+    result = json.loads(out.read_text())
+    assert result["solve"]["median"]["runs_per_s"]["change_wins_pairs"] == "0/1"

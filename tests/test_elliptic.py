@@ -12,6 +12,7 @@ from conftest import (
     SIGMA_X,
     assert_elem_close,
     backend_from_spec,
+    loop_dense_newton,
     loop_galerkin_residual,
     loop_random_data,
     loop_realified_cg,
@@ -316,18 +317,55 @@ def test_quasilinear_newton_trace(torus2_space):
 
 
 def test_quasilinear_evaluates_each_accepted_residual_once(torus2_space):
-    # the starting residual; per Newton step: one Jacobian call mapping all M
-    # perturbed points at once, and one trial per halving of the step; then
-    # F once more for the reported residuals
-    F, calls = counting(el.identity_map())
+    # the starting residual; per Newton step: one single-point call per CG
+    # product J p, and one trial per halving of the step; then F once more
+    # for the reported residuals.  From a random start CG takes more than
+    # one product per step on the curved map
     f = perp_random(torus2_space, make_rng(602))
-    rep = el.solve_quasilinear(torus2_space, F, f, force=True)
+    M = 2 * (torus2_space.dim - torus2_space.kernel_dim)
     k_dim = tangent_components(torus2_space) * torus2_space.dim
-    want = [(k_dim,)]
-    for s in rep.newton_trace:
-        assert not s.fixed_point
-        want += [(rep.galerkin_dim, k_dim)] + [(k_dim,)] * (1 + round(np.log2(1.0 / s.alpha)))
-    assert calls == want + [(k_dim,)]
+    for make_map, init in [(el.identity_map, None),
+                           (el.curved_map, make_rng(607).standard_normal(M))]:
+        F, calls = counting(make_map())
+        rep = el.solve_quasilinear(torus2_space, F, f, init=init, force=True)
+        want = [(k_dim,)]
+        for s in rep.newton_trace:
+            assert not s.fixed_point and s.products >= 1
+            want += [(k_dim,)] * (s.products + 1 + round(np.log2(1.0 / s.alpha)))
+        assert calls == want + [(k_dim,)]
+    assert max(s.products for s in rep.newton_trace) > 1
+
+
+@pytest.mark.parametrize("make_map", [el.curved_map, el.identity_map], ids=["curved", "identity"])
+@pytest.mark.parametrize("spec", RESIDUAL_SPECS, ids=[f"{k}{n}" for k, n in RESIDUAL_SPECS])
+@pytest.mark.parametrize("start", ["zero", "random"])
+def test_krylov_newton_matches_dense_newton(spec, make_map, start):
+    space = build_space(backend_from_spec(spec))
+    M = 2 * (space.dim - space.kernel_dim)
+    f = perp_random(space, make_rng(608))
+    rhs = el._to_galerkin(space, bk.to_l2(f))
+    d0 = np.zeros(M) if start == "zero" else make_rng(609).standard_normal(M)
+    V = el.galerkin_residual(space, make_map(), rhs)
+    scale = np.linalg.norm(rhs)
+    trace = []
+    root = el._newton(V, d0, scale, trace)
+    want, iterations = loop_dense_newton(V, d0, scale)
+    assert np.linalg.norm(root - want) <= 1e-12 * np.linalg.norm(want)
+    assert len(trace) == iterations
+    assert not any(s.fixed_point for s in trace)
+
+
+@pytest.mark.parametrize("spec", RESIDUAL_SPECS, ids=[f"{k}{n}" for k, n in RESIDUAL_SPECS])
+def test_negated_map_takes_the_dense_fallback(spec):
+    # J = -I on the Galerkin basis: CG meets p.Jp < 0 on its first product,
+    # and the step comes from one dense Jacobian batch (M, k*D)
+    space = build_space(backend_from_spec(spec))
+    F, calls = counting(el.negated_map())
+    rep = el.solve_quasilinear(space, F, perp_random(space, make_rng(610)), force=True)
+    k_dim = tangent_components(space) * space.dim
+    assert [s.products for s in rep.newton_trace] == [1] * rep.iterations
+    assert calls.count((rep.galerkin_dim, k_dim)) == rep.iterations > 0
+    assert rep.residual_weak <= 1e-8
 
 
 def test_newton_falls_back_to_fixed_point_steps():
