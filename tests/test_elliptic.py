@@ -368,6 +368,30 @@ def test_negated_map_takes_the_dense_fallback(spec):
     assert rep.residual_weak <= 1e-8
 
 
+def test_krylov_step_stops_at_the_forcing_term_or_gives_up():
+    # a linear V(d) = A d - b: a symmetric A with a spread spectrum needs many
+    # products, and CG stops once ||A s - r|| <= FORCING ||r||; a
+    # nonsymmetric A with p.Ap > 0 leaves CG unconverged after M = 2
+    # products, and the step comes from the dense Jacobian
+    rng = make_rng(611)
+    Q = np.linalg.qr(rng.standard_normal((40, 40)))[0]
+    A = Q @ np.diag(np.linspace(1.0, 100.0, 40)) @ Q.T
+    b = rng.standard_normal(40)
+    r = -b
+    s, products = el._krylov_step(lambda d: d @ A.T - b, np.zeros(40), r)
+    assert 2 < products < 40
+    assert np.linalg.norm(A @ s - r) <= el.FORCING * np.linalg.norm(r)
+
+    A = np.array([[1.0, 5.0], [-5.0, 1.0]])
+    b = np.array([1.0, 2.0])
+    V = lambda d: d @ A.T - b
+    assert el._krylov_step(V, np.zeros(2), -b) == (None, 2)
+    trace = []
+    root = el._newton(V, np.zeros(2), 1.0, trace)
+    assert np.linalg.norm(root - np.linalg.solve(A, b)) <= 1e-10
+    assert [s.products for s in trace] == [2] * len(trace)
+
+
 def test_newton_falls_back_to_fixed_point_steps():
     # a staircase: the finite-difference Jacobian is 0, so no Newton step
     # moves, while the map rises by 1 per unit; fixed-point steps of length
