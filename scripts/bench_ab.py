@@ -27,6 +27,10 @@ whether the benchmark interpreters write bytecode: ``PYTHONDONTWRITEBYTECODE``
 as passed on to them, and their ``sys.flags.dont_write_bytecode``.  Each side
 runs from an export with no ``__pycache__``, so an interpreter that writes
 none compiles all of ``src/`` in every fresh start that ``setup_s`` times.
+``filesystem`` records the mount that holds the checkouts (mount point,
+device, type and options, from ``/proc/mounts``; null where that table is
+missing): each run writes its artifacts there, and how long a write waits
+on the disk depends on the filesystem and its mount options.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -91,6 +96,24 @@ def _bytecode() -> dict:
                           text=True).stdout.strip()
     return {"PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
             "dont_write_bytecode": bool(int(flag))}
+
+
+def _filesystem(path: Path, mounts: Path = Path("/proc/mounts")) -> dict | None:
+    """The entry of the mount table ``mounts`` whose mount point is the
+    longest one that is ``path`` (absolute, resolved) or one of its parents."""
+    if not mounts.exists():
+        return None
+    found, depth = None, -1
+    for line in mounts.read_text(encoding="utf-8").splitlines():
+        # fields: device, mount point, type, options; a space is written \040
+        fields = [re.sub(r"\\([0-7]{3})", lambda m: chr(int(m[1], 8)), f)
+                  for f in line.split()[:4]]
+        point = Path(fields[1])
+        # ">=": a later entry on the same point is mounted over the earlier one
+        if path.is_relative_to(point) and len(point.parts) >= depth:
+            depth = len(point.parts)
+            found = dict(zip(("device", "mount_point", "type", "options"), fields))
+    return found
 
 
 def _order(pairs: int) -> list[str]:
@@ -166,6 +189,7 @@ def main(argv=None) -> int:
     if args.workdir is not None:
         Path(args.workdir).mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory(dir=args.workdir) as tmp:
+        result["filesystem"] = _filesystem(Path(tmp).resolve())
         checkouts = {side: Path(tmp) / side for side in commits}
         for side, path in checkouts.items():
             _export(commits[side], path)

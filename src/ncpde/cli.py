@@ -218,13 +218,19 @@ def _dump_json(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _write(out_dir: Path | None, name: str, text: str) -> None:
-    if out_dir is not None:
+def _write_artifacts(out_dir: Path, artifacts: dict[str, str]) -> None:
+    # unlinked, then created: no truncating open waits on ext4 writeback; a symlink is replaced
+    try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / name).write_text(text, encoding="utf-8", newline="")
+        for name, text in artifacts.items():
+            (out_dir / name).unlink(missing_ok=True)
+            with open(out_dir / name, "x", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {exc.filename or out_dir}: {exc.strerror}") from exc
 
 
-def _write_trajectory_csv(out_dir: Path | None, times, states) -> None:
+def _trajectory_csv(times, states) -> str:
     D = states.shape[1]
     # one row per time: t, then re_i, im_i interleaved (the float view of the
     # complex row); floats by repr and CRLF line ends, the bytes csv.writer writes
@@ -232,7 +238,7 @@ def _write_trajectory_csv(out_dir: Path | None, times, states) -> None:
     cells = np.column_stack([times, pairs])
     header = ",".join(["t"] + [f"{p}_{i:03d}" for i in range(D) for p in ("re", "im")])
     rows = (",".join(map(repr, row)) for row in cells.tolist())
-    _write(out_dir, "trajectory.csv", "\r\n".join([header, *rows]) + "\r\n")
+    return "\r\n".join([header, *rows]) + "\r\n"
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +253,7 @@ def _radius(space, problem) -> int | None:
     return None if radius is None else int(radius)
 
 
-def _cmd_describe(space, problem, rng, tol, out_dir):
+def _cmd_describe(space, problem, rng, tol):
     spectrum = [float(np.round(v, 10)) for v in space.evals]
     result = {
         "backend": sz.descriptor_to_json(space.backend),
@@ -257,38 +263,38 @@ def _cmd_describe(space, problem, rng, tol, out_dir):
         "spectrum": spectrum,
         "tangent_components": tangent_components(space),
     }
-    return result, Report(kind="describe", extra=result)
+    return result, Report(kind="describe", extra=result), {}
 
 
-def _cmd_gap(space, problem, rng, tol, out_dir):
+def _cmd_gap(space, problem, rng, tol):
     res = poincare_constant(space, rng, battery=int(problem.get("battery", 32)))
     result = {"C_P": res.c_p, "gap": res.gap, "kernel_dim": res.kernel_dim}
     report = Report(kind="gap", extra=res.to_dict())
     if res.battery_margin is not None:
         report.checks.append(check_ge("poincare_battery_margin", res.battery_margin, -tol))
-    return result, report
+    return result, report, {}
 
 
-def _cmd_markov(space, problem, rng, tol, out_dir):
+def _cmd_markov(space, problem, rng, tol):
     report = markov_check(space, problem["t_samples"], rng,
                           battery=int(problem.get("battery", 16)), tol=tol)
-    return report.to_dict(), report
+    return report.to_dict(), report, {}
 
 
-def _cmd_calculus(space, problem, rng, tol, out_dir):
+def _cmd_calculus(space, problem, rng, tol):
     report = calculus_check(space, rng, int(problem.get("battery", 50)),
                             _radius(space, problem), tol)
-    return report.to_dict(), report
+    return report.to_dict(), report, {}
 
 
-def _cmd_be(space, problem, rng, tol, out_dir):
+def _cmd_be(space, problem, rng, tol):
     battery = bk.random_data(space.backend, rng, (int(problem.get("battery", 4)),),
                              self_adjoint=True, radius=_radius(space, problem))
     report = bakry_emery_check(space, problem["K"], problem["t_samples"], battery)
-    return report.to_dict(), report
+    return report.to_dict(), report, {}
 
 
-def _cmd_poisson(space, problem, rng, tol, out_dir):
+def _cmd_poisson(space, problem, rng, tol):
     f = sz.element_data_from_json(space.backend, problem["f"])
     method = problem.get("method", "both")
     project = problem.get("project_kernel", False)
@@ -308,8 +314,8 @@ def _cmd_poisson(space, problem, rng, tol, out_dir):
         report.checks.append(check_le("solver_agreement_l2", diff, 1e-8))
     primary = reps.get("spectral") or reps["variational"]
     report.extra["kernel_component"] = primary.kernel_component
-    _write(out_dir, "solution.json", _dump_json(sz.element_to_json(primary.solution)))
-    return report.to_dict(), report
+    return report.to_dict(), report, {
+        "solution.json": _dump_json(sz.element_to_json(primary.solution))}
 
 
 def _make_map(map_cfg: dict):
@@ -321,17 +327,16 @@ def _make_map(map_cfg: dict):
     return negated_map()
 
 
-def _cmd_quasilinear(space, problem, rng, tol, out_dir):
+def _cmd_quasilinear(space, problem, rng, tol):
     f = sz.element_data_from_json(space.backend, problem["f"])
     F = _make_map(problem["map"])
     project = problem.get("project_kernel", False)
     base = solve_quasilinear(space, F, f, project_kernel=project)
-    report = Report(kind="solve-quasilinear", extra={"map": F.name})
+    report = Report(kind="solve-quasilinear", extra={
+        "map": F.name, "iterations": base.iterations, "galerkin_dim": base.galerkin_dim,
+        "flags": base.flags})
     report.checks.append(check_le("weak_residual", base.residual_weak, 1e-8))
     report.checks.append(check_le("strong_residual", base.residual_strong, 1e-8))
-    report.extra["iterations"] = base.iterations
-    report.extra["galerkin_dim"] = base.galerkin_dim
-    report.extra["flags"] = base.flags
     restarts = int(problem.get("restarts", 0))
     worst = 0.0
     for _ in range(restarts):
@@ -342,8 +347,8 @@ def _cmd_quasilinear(space, problem, rng, tol, out_dir):
         worst = max(worst, bk.norm_l2(base.solution - other.solution))
     if restarts:
         report.checks.append(check_le("restart_agreement_l2", worst, 1e-8))
-    _write(out_dir, "solution.json", _dump_json(sz.element_to_json(base.solution)))
-    return report.to_dict(), report
+    return report.to_dict(), report, {
+        "solution.json": _dump_json(sz.element_to_json(base.solution))}
 
 
 def _parse_flow(space, flow_cfg):
@@ -363,7 +368,7 @@ def _parse_flow(space, flow_cfg):
     return times, [TangentVector(space, bk.from_pairs(vec, shape)) for vec in flow_cfg["vectors"]]
 
 
-def _cmd_evolve(space, problem, rng, tol, out_dir):
+def _cmd_evolve(space, problem, rng, tol):
     u0 = sz.element_data_from_json(space.backend, problem["u0"])
     flow_times, flow = _parse_flow(space, problem.get("flow"))
     source_cfg = problem.get("source")
@@ -398,12 +403,11 @@ def _cmd_evolve(space, problem, rng, tol, out_dir):
     if res.boundedness_ratio is not None:
         report.extra["boundedness_ratio_max"] = float(res.boundedness_ratio.max())
     report.flags.extend(res.flags)
-    _write_trajectory_csv(out_dir, res.times, res.states)
-    return report.to_dict(), report
+    return report.to_dict(), report, {"trajectory.csv": _trajectory_csv(res.times, res.states)}
 
 
-# command -> (problem schema, handler); every handler takes
-# (space, problem, rng, tol, out_dir) and returns (stdout result, report)
+# command -> (problem schema, handler); every handler takes (space, problem,
+# rng, tol) and returns (stdout result, report, {artifact file name: text})
 COMMANDS = {
     "describe": ({"type": "object", "properties": {}, "additionalProperties": False},
                  _cmd_describe),
@@ -541,11 +545,12 @@ def run(config: dict, out_dir: str | None = None, quiet: bool = False,
     out_path = Path(out_dir) if out_dir else (Path(config["out"]) if "out" in config else None)
     space = build_space(desc, gap_tol=gap_tol)
     _, handler = COMMANDS[config["command"]]
-    result, report = handler(space, config.get("problem", {}), rng, tol, out_path)
+    result, report, artifacts = handler(space, config.get("problem", {}), rng, tol)
 
-    # result is a subset of report.to_dict(), whose dump rejects any non-finite
-    # number even when no report.json is written
-    _write(out_path, "report.json", _dump_json(report.to_dict()))
+    # before any write, and with no out_path too: a non-finite report number fails the run
+    artifacts["report.json"] = _dump_json(report.to_dict())
+    if out_path is not None:
+        _write_artifacts(out_path, artifacts)
     if not quiet:
         sys.stdout.write(_dump_json(result))
     return 0 if report.passed else 2

@@ -85,3 +85,28 @@ def test_missing_workdir_is_created(monkeypatch, tmp_path):
     assert all(dest.parent.parent == workdir for _, dest in exported)
     result = json.loads(out.read_text())
     assert result["solve"]["median"]["runs_per_s"]["change_wins_pairs"] == "0/1"
+    assert workdir.resolve().is_relative_to(result["filesystem"]["mount_point"])
+
+
+def test_filesystem_is_the_deepest_mount_holding_the_path(tmp_path):
+    mounts = tmp_path / "mounts"
+    mounts.write_text(
+        "/dev/vda / ext4 rw,relatime 0 0\n"
+        "tmpfs /work tmpfs rw,nosuid 0 0\n"
+        "/dev/vdb /work/deep\\040dir xfs rw,noatime 0 0\n"
+        "/dev/vdc /workshop ext4 ro 0 0\n"
+        "overlay /work tmpfs rw,size=8k 0 0\n", encoding="utf-8")
+
+    def fs(path):
+        return bench_ab._filesystem(Path(path), mounts)
+
+    assert fs("/work/deep dir/tmp/parent") == {
+        "device": "/dev/vdb", "mount_point": "/work/deep dir", "type": "xfs",
+        "options": "rw,noatime"}
+    # /workshop shares a prefix with /work, but only whole components count;
+    # of two mounts on /work the later one is on top
+    assert fs("/work/deep/tmp")["device"] == "overlay"
+    assert fs("/work")["options"] == "rw,size=8k"
+    assert fs("/workshop/x")["device"] == "/dev/vdc"
+    assert fs("/srv/bench")["mount_point"] == "/"
+    assert bench_ab._filesystem(Path("/srv"), tmp_path / "no-such-table") is None

@@ -173,7 +173,7 @@ def test_evolve_writes_trajectory(tmp_path, capsys):
     assert "terminal_error_vs_oracle" in report
 
 
-def test_trajectory_csv_and_pairs_bytes(tmp_path):
+def test_trajectory_csv_and_pairs_bytes():
     # floats are written by repr: -0.0, subnormals and exact large integers
     # keep their form, and the pairs of a transposed array are row-major
     times = np.array([0.0, 0.1, 0.30000000000000004])
@@ -183,8 +183,7 @@ def test_trajectory_csv_and_pairs_bytes(tmp_path):
     # assigned part by part, so that -0.0 survives
     z = np.empty((3, 2), dtype=np.complex128)
     z.real, z.imag = parts[:, :2], parts[:, 2:]
-    cli._write_trajectory_csv(tmp_path, times, z)
-    assert (tmp_path / "trajectory.csv").read_bytes() == (
+    assert cli._trajectory_csv(times, z).encode("utf-8") == (
         b"t,re_000,im_000,re_001,im_001\r\n"
         b"0.0,1.0,1e-300,-0.0,123456789.0\r\n"
         b"0.1,0.30000000000000004,-1.5,5e-324,1.152921504606847e+18\r\n"
@@ -200,7 +199,7 @@ def test_trajectory_csv_and_pairs_bytes(tmp_path):
     assert bk.from_pairs(bk.to_pairs(z), z.shape).tobytes() == z.tobytes()
 
 
-def test_trajectory_csv_matches_csv_writer(tmp_path):
+def test_trajectory_csv_matches_csv_writer():
     # a (51, 65) table: random signs and mantissas with exponents from 1e-300
     # to 1e300, plus -0.0, the smallest subnormal and an exact large integer
     rng = np.random.default_rng(15)
@@ -212,14 +211,13 @@ def test_trajectory_csv_matches_csv_writer(tmp_path):
     times, parts = table[:, 0], table[:, 1:]
     states = np.empty((51, D), dtype=np.complex128)
     states.real, states.imag = parts[:, :D], parts[:, D:]
-    cli._write_trajectory_csv(tmp_path, times, states)
 
     buf = io.StringIO(newline="")
     writer = csv.writer(buf)
     writer.writerow(["t"] + [f"{p}_{i:03d}" for i in range(D) for p in ("re", "im")])
     for t, x in zip(times, parts):
         writer.writerow([float(t)] + [float(v) for i in range(D) for v in (x[i], x[D + i])])
-    assert (tmp_path / "trajectory.csv").read_bytes() == buf.getvalue().encode("utf-8")
+    assert cli._trajectory_csv(times, states).encode("utf-8") == buf.getvalue().encode("utf-8")
 
 
 @pytest.mark.parametrize("command, extra", [
@@ -924,6 +922,85 @@ def test_solve_writes_report_and_solution_only(tmp_path, name):
     config = json.loads((CORPUS[0].parent / f"{name}.json").read_text())
     assert cli.run(config, out_dir=str(tmp_path), quiet=True) == 0
     assert {f.name for f in tmp_path.iterdir()} == {"report.json", "solution.json"}
+
+
+@pytest.mark.parametrize("name", ["torus_poisson", "qubit_heat"])
+def test_rerun_replaces_each_artifact_by_a_new_file(tmp_path, name):
+    # a hard link keeps each first-run inode alive, so that the second run
+    # cannot be handed its number again: a truncating write would reuse it
+    config = json.loads((CORPUS[0].parent / f"{name}.json").read_text())
+    out, kept = tmp_path / "out", tmp_path / "kept"
+    assert cli.run(config, out_dir=str(out), quiet=True) == 0
+    first = _artifacts(out)
+    kept.mkdir()
+    for artifact in first:
+        os.link(out / artifact, kept / artifact)
+    assert cli.run(config, out_dir=str(out), quiet=True) == 0
+    assert _artifacts(out) == first == _artifacts(kept)
+    for artifact in first:
+        assert (out / artifact).stat().st_ino != (kept / artifact).stat().st_ino
+
+
+def test_longer_junk_report_is_replaced_whole(tmp_path):
+    config = json.loads((CORPUS[0].parent / "torus_gap.json").read_text())
+    assert cli.run(config, out_dir=str(tmp_path / "fresh"), quiet=True) == 0
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "report.json").write_bytes(b"junk" * 10_000)
+    assert cli.run(config, out_dir=str(out), quiet=True) == 0
+    assert _artifacts(out) == _artifacts(tmp_path / "fresh")
+
+
+def test_symlinked_artifact_is_replaced_not_followed(tmp_path):
+    config = json.loads((CORPUS[0].parent / "torus_poisson.json").read_text())
+    assert cli.run(config, out_dir=str(tmp_path / "fresh"), quiet=True) == 0
+    target, out = tmp_path / "elsewhere.json", tmp_path / "out"
+    target.write_bytes(b"not an artifact\n")
+    out.mkdir()
+    (out / "solution.json").symlink_to(target)
+    assert cli.run(config, out_dir=str(out), quiet=True) == 0
+    assert not (out / "solution.json").is_symlink() and (out / "solution.json").is_file()
+    assert _artifacts(out) == _artifacts(tmp_path / "fresh")
+    assert target.read_bytes() == b"not an artifact\n"
+
+
+def test_non_finite_report_leaves_the_out_dir_as_it_was(tmp_path, capsys, monkeypatch):
+    # the handler renders solution.json, but the report's dump fails before
+    # anything is written: the earlier files keep their bytes and inodes
+    config = json.loads((CORPUS[0].parent / "torus_poisson.json").read_text())
+    out = tmp_path / "out"
+    out.mkdir()
+    for artifact in ("report.json", "solution.json"):
+        (out / artifact).write_text(f"an earlier {artifact}\n")
+    before = {f: ((out / f).stat().st_ino, data) for f, data in _artifacts(out).items()}
+    schema, handler = cli.COMMANDS["solve-poisson"]
+
+    def nan_report(*args):
+        result, report, artifacts = handler(*args)
+        report.extra["kernel_component"] = math.nan
+        return result, report, artifacts
+
+    monkeypatch.setitem(cli.COMMANDS, "solve-poisson", (schema, nan_report))
+    assert run_main(tmp_path, config, "--out", str(out), "--quiet") == 1
+    assert "JSON" in capsys.readouterr().err
+    assert {f: ((out / f).stat().st_ino, data) for f, data in _artifacts(out).items()} == before
+    assert run_main(tmp_path, config, "--out", str(tmp_path / "new"), "--quiet") == 1
+    assert not (tmp_path / "new").exists()
+
+
+@pytest.mark.parametrize("case", ["out-under-a-file", "directory-named-report.json"])
+def test_unwritable_out_exits_1_naming_the_path(tmp_path, capsys, case):
+    config = json.loads((CORPUS[0].parent / "qubit_heat.json").read_text())
+    if case == "out-under-a-file":
+        out = failing = Path(os.devnull) / "x"
+    else:
+        out = tmp_path / "out"
+        failing = out / "report.json"
+        failing.mkdir(parents=True)
+    assert run_main(tmp_path, config, "--out", str(out), "--quiet") == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: cannot write {failing}: ")
+    assert failing.is_dir() or not failing.exists()
 
 
 def _sorted_keys(pairs):

@@ -392,6 +392,31 @@ def test_krylov_step_stops_at_the_forcing_term_or_gives_up():
     assert [s.products for s in trace] == [2] * len(trace)
 
 
+def test_krylov_step_solves_to_one_part_in_a_million():
+    # pins FORCING = 1e-6: a linear V(d) = A d - b whose SPD A has 100
+    # eigenvalues spread evenly over 1..1e3 takes CG dozens of products, so
+    # the step's true residual ||A s - V(d)|| and its product count both read
+    # the forcing term; the finite-difference products cost at most a factor
+    # 2 in the residual, and the count is that of CG with exact products
+    # stopped at 1e-6 (a forcing term of 1e-2 stops after 7 products)
+    rng = make_rng(25)
+    Q = np.linalg.qr(rng.standard_normal((100, 100)))[0]
+    A = Q @ np.diag(np.linspace(1.0, 1e3, 100)) @ Q.T
+    b, d = rng.standard_normal(100), rng.standard_normal(100)
+    r = A @ d - b
+    s, products = el._krylov_step(lambda x: x @ A.T - b, d, r)
+    assert products < d.size
+    assert np.linalg.norm(A @ s - r) <= 2e-6 * np.linalg.norm(r)
+
+    rho, p, exact = r, r, 0        # the residuals of CG with exact products
+    while np.linalg.norm(rho) > 1e-6 * np.linalg.norm(r):
+        Ap = A @ p
+        rho_new = rho - (rho @ rho) / (p @ Ap) * Ap
+        p = rho_new + (rho_new @ rho_new) / (rho @ rho) * p
+        rho, exact = rho_new, exact + 1
+    assert abs(products - exact) <= 1
+
+
 def test_newton_falls_back_to_fixed_point_steps():
     # a staircase: the finite-difference Jacobian is 0, so no Newton step
     # moves, while the map rises by 1 per unit; fixed-point steps of length
