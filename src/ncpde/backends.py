@@ -250,9 +250,16 @@ class MatrixAlgebra(Descriptor):
         return X
 
     def generator_matrix(self) -> np.ndarray:
-        eye, V = np.eye(self.dim, dtype=np.complex128), self.generators
-        return sum(np.kron(v2, eye) + np.kron(eye, v2.T) - 2.0 * np.kron(v, v.T)
-                   for v, v2 in zip(V, V @ V))
+        # sum over v of kron(v^2, 1) + kron(1, (v^2)^T) - 2 kron(v, v^T): entry
+        # ((i, j), (k, l)) is S[i, k] d[j, l] + d[i, k] S[l, j] - 2 K[i, j, k, l]
+        # with K = sum v[i, k] v[l, j] and S = sum v^2, read off K so that a
+        # scalar generator (dim 1) gives exactly L = 0
+        n, eye = self.dim, np.eye(self.dim)
+        K = np.einsum("aik,alj->ijkl", self.generators, self.generators)
+        S = np.einsum("ikmm->ik", K)
+        L = (S[:, None, :, None] * eye[:, None, :] + eye[:, None, :, None] * S.T[:, None, :]
+             - 2.0 * K)
+        return L.reshape(n * n, n * n)
 
     def frame_size(self) -> int:
         return len(self.generators)

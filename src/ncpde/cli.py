@@ -21,9 +21,12 @@ completed with check failures (reports still written), 1 errors.
 from __future__ import annotations
 
 import argparse
+import errno
 import itertools
 import json
 import math
+import os
+import stat
 import sys
 from pathlib import Path
 
@@ -219,12 +222,22 @@ def _dump_json(obj: dict) -> str:
 
 
 def _write_artifacts(out_dir: Path, artifacts: dict[str, str]) -> None:
-    # unlinked, then created: no truncating open waits on ext4 writeback; a symlink is replaced
+    # unlinked, then created: no truncating open waits on ext4 writeback; a symlink is replaced.
+    # Every name is checked before the first unlink, so a directory in the way
+    # of one artifact leaves the earlier run's whole set in place
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        for name, text in artifacts.items():
-            (out_dir / name).unlink(missing_ok=True)
-            with open(out_dir / name, "x", encoding="utf-8", newline="") as fh:
+        paths = [out_dir / name for name in artifacts]
+        for path in paths:
+            try:
+                mode = path.lstat().st_mode
+            except FileNotFoundError:
+                continue
+            if stat.S_ISDIR(mode):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        for path, text in zip(paths, artifacts.values()):
+            path.unlink(missing_ok=True)
+            with open(path, "x", encoding="utf-8", newline="") as fh:
                 fh.write(text)
     except OSError as exc:
         raise ConfigError(f"cannot write {exc.filename or out_dir}: {exc.strerror}") from exc
@@ -315,7 +328,7 @@ def _cmd_poisson(space, problem, rng, tol):
     primary = reps.get("spectral") or reps["variational"]
     report.extra["kernel_component"] = primary.kernel_component
     return report.to_dict(), report, {
-        "solution.json": _dump_json(sz.element_to_json(primary.solution))}
+        "solution.json": lambda: _dump_json(sz.element_to_json(primary.solution))}
 
 
 def _make_map(map_cfg: dict):
@@ -348,7 +361,7 @@ def _cmd_quasilinear(space, problem, rng, tol):
     if restarts:
         report.checks.append(check_le("restart_agreement_l2", worst, 1e-8))
     return report.to_dict(), report, {
-        "solution.json": _dump_json(sz.element_to_json(base.solution))}
+        "solution.json": lambda: _dump_json(sz.element_to_json(base.solution))}
 
 
 def _parse_flow(space, flow_cfg):
@@ -403,11 +416,13 @@ def _cmd_evolve(space, problem, rng, tol):
     if res.boundedness_ratio is not None:
         report.extra["boundedness_ratio_max"] = float(res.boundedness_ratio.max())
     report.flags.extend(res.flags)
-    return report.to_dict(), report, {"trajectory.csv": _trajectory_csv(res.times, res.states)}
+    return report.to_dict(), report, {
+        "trajectory.csv": lambda: _trajectory_csv(res.times, res.states)}
 
 
 # command -> (problem schema, handler); every handler takes (space, problem,
-# rng, tol) and returns (stdout result, report, {artifact file name: text})
+# rng, tol) and returns (stdout result, report, {artifact file name: a call
+# that renders its text}), rendered only when there is an out dir
 COMMANDS = {
     "describe": ({"type": "object", "properties": {}, "additionalProperties": False},
                  _cmd_describe),
@@ -548,9 +563,10 @@ def run(config: dict, out_dir: str | None = None, quiet: bool = False,
     result, report, artifacts = handler(space, config.get("problem", {}), rng, tol)
 
     # before any write, and with no out_path too: a non-finite report number fails the run
-    artifacts["report.json"] = _dump_json(report.to_dict())
+    report_json = _dump_json(report.to_dict())
     if out_path is not None:
-        _write_artifacts(out_path, artifacts)
+        texts = {name: render() for name, render in artifacts.items()}
+        _write_artifacts(out_path, {**texts, "report.json": report_json})
     if not quiet:
         sys.stdout.write(_dump_json(result))
     return 0 if report.passed else 2

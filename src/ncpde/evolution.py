@@ -11,16 +11,27 @@ F(u, v) = E(u, v) = Re< L u, v > or the viscous continuity form
 
 with a sampled flow t -> h(t) of tangent vectors (linear interpolation
 between samples) and an optional sampled source t -> b(t) given by L^2
-representatives.  Either form is Re< A u, v > with A complex-linear in u
-(``form_matrix``).  Stepping is implicit Euler or Crank-Nicolson on the one
-grid t_k = k dt, k = 0..n.  The form depends on t only through the flow's
-interpolation node, computed once per grid time; since times only advance, a
-form matrix is assembled only where the node differs from the previous
-one, and a step operator is inverted only where the nodes of its end points
-change (once per run for the heat form or a constant flow).  A source, if
-given, is evaluated once per grid time.  Each step is then ``step``, one
-product with that inverse; the relative solve residuals and the defects
-below follow the loop, stacked over the steps of each step operator.
+representatives.  Stepping is implicit Euler or Crank-Nicolson on the one
+grid t_k = k dt, k = 0..n; a source, if given, is evaluated once per grid
+time.
+
+The heat form steps in the eigenbasis the space holds for L: a step
+multiplies the eigen-coordinate of mode j by g_j = 1 / (1 + w lam_j)
+(implicit Euler, w = dt) or (1 - w lam_j) / (1 + w lam_j) (Crank-Nicolson,
+w = dt / 2), so without a source the trajectory is z_k = g^k z_0, one
+cumulative product; a source adds its step's eigen-coordinates divided by
+1 + w lam_j, elementwise per step.  No dense generator, inverse or step
+operator is formed.  The solve residuals check the states against L as
+stored, not the recurrence against itself.
+
+The continuity form is Re< A u, v > with A = eps L + T complex-linear in u
+(``form_matrix``), dense by nature.  It depends on t only through the
+flow's interpolation node, computed once per grid time; since times only
+advance, a form matrix is assembled only where the node differs from the
+previous one, and a step operator is inverted only where the nodes of its
+end points change (once per run for a constant flow).  Each step is then
+``step``, one product with that inverse; the relative solve residuals
+follow the loop, stacked over the steps of each step operator.
 
 The transport form annihilates constant test vectors because the gradient
 of the unit vanishes, so for b = 0 the trace Re<u_k, 1> is conserved to
@@ -48,7 +59,8 @@ from .calculus import TangentVector, hilbert_norm, zero_tangent
 # gradient and right_act stay bound here: perfbench/tests/test_tracing.py
 # checks that tracing patches and restores them in this namespace
 from .calculus import gradient, right_act  # noqa: F401
-from .dirichlet import DirichletSpace, form_data, semigroup_apply
+from .dirichlet import (DirichletSpace, _eigen_coords, _from_eigen, _l2_generator, form_data,
+                        semigroup_apply)
 
 SCHEMES = ("implicit-euler", "crank-nicolson")
 
@@ -137,12 +149,10 @@ def _transport_matrix(space: DirichletSpace, h: TangentVector) -> np.ndarray:
 
 
 def form_matrix(problem: EvolutionProblem, t: float) -> np.ndarray:
-    """A with F(u, v; t) = Re< A u, v >: the generator L for the heat form,
-    eps L + T for the continuity form; dense, from the space's dense form."""
-    gen = problem.space.dense.generator
-    if problem.form == "heat":
-        return gen
-    A = problem.epsilon * gen
+    """A with F(u, v; t) = Re< A u, v > for the continuity form, eps L + T;
+    dense, from the space's dense form.  The heat form has no form matrix:
+    it steps in the generator's eigenbasis."""
+    A = problem.epsilon * problem.space.dense.generator
     h = flow_at(problem, t)
     if h.data.any():
         A = A + _transport_matrix(problem.space, h)
@@ -180,12 +190,13 @@ class EvolutionResult:
         return float(self.solve_residuals.max())
 
 
-def _probe_stats(A: np.ndarray, probe_vs: np.ndarray, v_sq: np.ndarray, h_sq: np.ndarray,
+def _probe_stats(VA: np.ndarray, probe_vs: np.ndarray, v_sq: np.ndarray, h_sq: np.ndarray,
                  certs: tuple[float, float] | None) -> tuple[float | None, float]:
     """Least coercivity margin  Re<A v, v> - c0 |v|_V^2 + c1 |v|_H^2  over the
     probes (None without certificates) and the largest boundedness ratio
-    |Re<A w, v>| / (|v|_V |w|_V) over probe pairs v, w (including v = w)."""
-    M = (probe_vs.conj() @ A @ probe_vs.T).real
+    |Re<A w, v>| / (|v|_V |w|_V) over probe pairs v, w (including v = w),
+    from the probes applied through A from the left, VA = (v^* A) per probe."""
+    M = (VA @ probe_vs.T).real
     margin = None
     if certs is not None:
         c0, c1 = certs
@@ -193,6 +204,79 @@ def _probe_stats(A: np.ndarray, probe_vs: np.ndarray, v_sq: np.ndarray, h_sq: np
     upper = np.triu_indices(len(probe_vs))
     denom = np.sqrt(np.outer(v_sq, v_sq))[upper]
     return margin, float(np.max(np.abs(M[upper]) / np.maximum(denom, 1e-300)))
+
+
+def _heat_steps(space: DirichletSpace, x0: np.ndarray, weight: float, cn: bool,
+                step_sources: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """States and relative solve residuals of the heat steps, mode by mode in
+    the generator's eigenbasis."""
+    n, D = step_sources.shape
+    lam = space.evals
+    den = 1.0 + weight * lam
+    g = (1.0 - weight * lam if cn else 1.0) / den
+    Z = np.empty((n + 1, D), dtype=complex)
+    Z[0] = _eigen_coords(space, x0)
+    Z[1:] = np.cumprod(np.broadcast_to(g, (n, D)), axis=0) * Z[0]
+    if step_sources.any():
+        acc = np.zeros(D, dtype=complex)
+        for k, f in enumerate(_eigen_coords(space, weight * step_sources) / den, 1):
+            acc = g * acc + f
+            Z[k] += acc
+    xs = _from_eigen(space, Z)
+    # each step's residual against L as stored: (I + w L) x_{k+1} = rhs_k
+    wLx = weight * _l2_generator(space, xs)
+    rhs = (xs[:-1] - wLx[:-1] if cn else xs[:-1]) + weight * step_sources
+    residuals = (np.linalg.norm(xs[1:] + wLx[1:] - rhs, axis=1)
+                 / np.maximum(np.linalg.norm(rhs, axis=1), 1e-300))
+    return xs, residuals
+
+
+def _continuity_steps(problem: EvolutionProblem, x0: np.ndarray, times: np.ndarray,
+                      weight: float, cn: bool, step_sources: np.ndarray, probe_vs):
+    """States and relative solve residuals of the continuity steps, the first
+    step of each step operator, and the probes applied through its form
+    matrix (empty without probes)."""
+    n, D = step_sources.shape
+    # the form depends on t only through the flow's interpolation node;
+    # times only advance, so a node that has changed never comes back and
+    # one comparison with the previous node suffices
+    nodes = [_interp_weights(problem.flow_times, t) for t in times]
+    # a step operator depends on the nodes of its end points (only the later
+    # one for implicit Euler, whose explicit part is the identity)
+    step_keys = [(nodes[k] if cn else None, nodes[k + 1]) for k in range(n)]
+    eye = np.eye(D)
+    xs = np.empty((n + 1, D), dtype=complex)
+    xs[0] = x0
+    rhs = np.empty((n, D), dtype=complex)
+    starts, lhss, applied = [], [], []    # per step operator: first step, matrix, v^* A
+    A_next = form_matrix(problem, times[0]) if cn else None
+    for k in range(n):
+        A_now = A_next
+        if A_next is None or nodes[k + 1] != nodes[k]:
+            A_next = form_matrix(problem, times[k + 1])
+        if k == 0 or step_keys[k] != step_keys[k - 1]:
+            lhs = eye + weight * A_next
+            explicit = eye - weight * A_now if cn else None
+            try:
+                lhs_inv = np.linalg.inv(lhs)
+            except np.linalg.LinAlgError as exc:
+                raise bk.AlgebraError(
+                    f"singular step matrix at t={times[k + 1]:g} (condition "
+                    f"{np.linalg.cond(lhs):.3e}); pure transport with eps=0 can lose coercivity"
+                ) from exc
+            starts.append(k)
+            lhss.append(lhs)
+            if probe_vs is not None:
+                applied.append(probe_vs.conj() @ A_next)
+        rhs[k] = (xs[k] if explicit is None else explicit @ xs[k]) + weight * step_sources[k]
+        xs[k + 1] = step(lhs_inv, rhs[k])
+
+    # the relative residual of every solve, stacked over each operator's steps
+    residuals = np.empty(n)
+    for lhs, a, b in zip(lhss, starts, starts[1:] + [n]):
+        residuals[a:b] = (np.linalg.norm(xs[a + 1:b + 1] @ lhs.T - rhs[a:b], axis=1)
+                          / np.maximum(np.linalg.norm(rhs[a:b], axis=1), 1e-300))
+    return xs, residuals, starts, applied
 
 
 def solve_evolution(problem: EvolutionProblem, rng: np.random.Generator | None = None,
@@ -220,50 +304,21 @@ def solve_evolution(problem: EvolutionProblem, rng: np.random.Generator | None =
     dt, cn = problem.dt, problem.scheme == "crank-nicolson"
     weight = 0.5 * dt if cn else dt         # on each end point of a step
     times = dt * np.arange(n + 1)
-    # the form depends on t only through the flow's interpolation node (none
-    # for the heat form); times only advance, so a node that has changed
-    # never comes back and one comparison with the previous node suffices
-    nodes = [None] * (n + 1) if problem.form == "heat" else [
-        _interp_weights(problem.flow_times, t) for t in times]
-    # a step operator depends on the nodes of its end points (only the later
-    # one for implicit Euler, whose explicit part is the identity)
-    step_keys = [(nodes[k] if cn else None, nodes[k + 1]) for k in range(n)]
     sources = (np.zeros((n + 1, D), dtype=complex) if problem.source is None
                else np.array([source_at(problem, t) for t in times]))
     # b(t_{k+1}), or b(t_k) + b(t_{k+1}) for Crank-Nicolson, times weight
     step_sources = sources[:-1] + sources[1:] if cn else sources[1:]
-    eye = np.eye(D)
-    xs = np.empty((n + 1, D), dtype=complex)
-    xs[0] = bk.to_l2(problem.u0)
-    rhs = np.empty((n, D), dtype=complex)
-    starts, lhss, stats = [], [], []    # per step operator: first step, matrix, probe stats
-    A_next = form_matrix(problem, times[0]) if cn else None
-    for k in range(n):
-        A_now = A_next
-        if A_next is None or nodes[k + 1] != nodes[k]:
-            A_next = form_matrix(problem, times[k + 1])
-        if k == 0 or step_keys[k] != step_keys[k - 1]:
-            lhs = eye + weight * A_next
-            explicit = eye - weight * A_now if cn else None
-            try:
-                lhs_inv = np.linalg.inv(lhs)
-            except np.linalg.LinAlgError as exc:
-                raise bk.AlgebraError(
-                    f"singular step matrix at t={times[k + 1]:g} (condition "
-                    f"{np.linalg.cond(lhs):.3e}); pure transport with eps=0 can lose coercivity"
-                ) from exc
-            starts.append(k)
-            lhss.append(lhs)
-            if probe_vs is not None:
-                stats.append(_probe_stats(A_next, probe_vs, v_sq, h_sq, certs))
-        rhs[k] = (xs[k] if explicit is None else explicit @ xs[k]) + weight * step_sources[k]
-        xs[k + 1] = step(lhs_inv, rhs[k])
+    x0 = bk.to_l2(problem.u0)
+    if problem.form == "heat":
+        xs, residuals = _heat_steps(space, x0, weight, cn, step_sources)
+        starts = [0]
+        # L is Hermitian, so v^* L is the conjugate of L v
+        applied = [] if probe_vs is None else [_l2_generator(space, probe_vs).conj()]
+    else:
+        xs, residuals, starts, applied = _continuity_steps(
+            problem, x0, times, weight, cn, step_sources, probe_vs)
+    stats = [_probe_stats(VA, probe_vs, v_sq, h_sq, certs) for VA in applied]
 
-    # the relative residual of every solve, stacked over each operator's steps
-    residuals = np.empty(n)
-    for lhs, a, b in zip(lhss, starts, starts[1:] + [n]):
-        residuals[a:b] = (np.linalg.norm(xs[a + 1:b + 1] @ lhs.T - rhs[a:b], axis=1)
-                          / np.maximum(np.linalg.norm(rhs[a:b], axis=1), 1e-300))
     traces = (xs @ unit.conj()).real
     injected = weight * (step_sources @ unit.conj()).real
     defects = np.append(0.0, traces[1:] - traces[0] - np.cumsum(injected))

@@ -382,15 +382,20 @@ def loop_realified_cg(space, f):
 # the probes at t_{k+1}, and at t_k and t_{k+1} for the step), evaluates the
 # source afresh wherever it is used, solves each step with its own dense
 # solve and evaluates the probe quadratic forms one pair at a time.  The
-# package runs one loop over the same grid on complex coordinates that
-# assembles a form matrix only where the flow's interpolation node changes,
-# inverts a step operator only where the nodes of its end points change and
-# evaluates the source once per grid time; this loop is the oracle it is
-# tested against.
+# heat form's matrix is the space's dense generator, taken here directly, so
+# the oracle does not call the eigenbasis stepping it checks.  The package
+# steps the heat form mode by mode in the generator's eigenbasis, and runs
+# the continuity form as one loop over the same grid on complex coordinates
+# that assembles a form matrix only where the flow's interpolation node
+# changes and inverts a step operator only where the nodes of its end points
+# change; it evaluates the source once per grid time.  This loop is the
+# oracle both are tested against.
 # ---------------------------------------------------------------------------
 
 
 def _real_form(problem, t):
+    if problem.form == "heat":
+        return co.realify_operator(problem.space.dense.generator)
     return co.realify_operator(ev.form_matrix(problem, t))
 
 

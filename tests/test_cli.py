@@ -990,16 +990,49 @@ def test_non_finite_report_leaves_the_out_dir_as_it_was(tmp_path, capsys, monkey
 
 @pytest.mark.parametrize("case", ["out-under-a-file", "directory-named-report.json"])
 def test_unwritable_out_exits_1_naming_the_path(tmp_path, capsys, case):
+    # report.json is written after trajectory.csv, but its name is checked
+    # first: the earlier run's trajectory keeps its inode and bytes
     config = json.loads((CORPUS[0].parent / "qubit_heat.json").read_text())
+    before = {}
     if case == "out-under-a-file":
         out = failing = Path(os.devnull) / "x"
     else:
         out = tmp_path / "out"
         failing = out / "report.json"
         failing.mkdir(parents=True)
+        (out / "trajectory.csv").write_text("an earlier trajectory.csv\n")
+        before = {f: ((out / f).stat().st_ino, data) for f, data in _artifacts(out).items()}
     assert run_main(tmp_path, config, "--out", str(out), "--quiet") == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: cannot write {failing}: ")
+    if before:
+        assert {f: ((out / f).stat().st_ino, data) for f, data in _artifacts(out).items()} \
+            == before
+
+
+@pytest.mark.parametrize("name", ["qubit_heat", "torus_continuity", "torus_poisson"])
+def test_no_out_dir_renders_only_the_report(tmp_path, capsys, monkeypatch, name):
+    # the trajectory and solution texts are rendered only to be written; the
+    # stdout and exit code do not depend on them
+    config = json.loads((CORPUS[0].parent / f"{name}.json").read_text())
+    rendered = []
+    for fn in ("_trajectory_csv", "_dump_json"):
+        def counted(*args, _fn=getattr(cli, fn), _name=fn):
+            rendered.append((_name, _fn(*args)))
+            return rendered[-1][1]
+        monkeypatch.setattr(cli, fn, counted)
+    code = cli.run(config)
+    printed = capsys.readouterr().out
+    # the report, and the stdout result
+    assert [fn for fn, _ in rendered] == ["_dump_json", "_dump_json"]
+    rendered.clear()
+    out = tmp_path / "out"
+    assert cli.run(config, out_dir=str(out)) == code
+    assert capsys.readouterr().out == printed
+    texts = {text for _, text in rendered}
+    assert {f.name for f in out.iterdir()} == {f.name for f in (GOLDEN / name).iterdir()}
+    for f in out.iterdir():
+        assert f.read_bytes().decode("utf-8") in texts
 
 
 def _sorted_keys(pairs):

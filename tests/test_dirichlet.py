@@ -47,6 +47,25 @@ def test_generator_matrix_backend_random_oracle(pair3, pair3_space):
         assert np.abs(got.data - expected).max() <= 1e-12 * max(np.abs(expected).max(), 1.0)
 
 
+@pytest.mark.parametrize("k", range(1, 6))
+@pytest.mark.parametrize("n", range(1, 7))
+def test_matrix_generator_matches_the_kron_sum(n, k):
+    # oracle: row-major vec(v X) = kron(v, 1) vec(X) and vec(X v) =
+    # kron(1, v^T) vec(X), so [v, [v, X]] has the matrix below; at dim 1
+    # both are exactly zero
+    rng = make_rng(40 + 10 * n + k)
+    gens = []
+    for _ in range(k):
+        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        gens.append((m + m.conj().T) / 2.0)
+    eye = np.eye(n, dtype=complex)
+    expected = sum(np.kron(v @ v, eye) + np.kron(eye, (v @ v).T) - 2.0 * np.kron(v, v.T)
+                   for v in gens)
+    got = bk.MatrixAlgebra(n, tuple(gens)).generator_matrix()
+    assert got.shape == expected.shape and got.dtype == np.complex128
+    assert np.linalg.norm(got - expected) <= 1e-14 * np.linalg.norm(expected)
+
+
 def test_generator_cyclic_is_length_multiplier(z4, z4_space):
     rng = make_rng(32)
     f = bk.random_element(z4, rng)

@@ -179,9 +179,10 @@ def _problem(spec, form, flow, scheme, source, steps=4, dt=0.05):
 
 
 def _inverse_steps(problem, states):
-    """The states after the first, each made from the state before it by one
-    product with the inverse of its step operator, lhs_inv @ rhs, with lhs,
-    the inverse and rhs formed as ``solve_evolution`` forms them."""
+    """The states after the first of a continuity run, each made from the
+    state before it by one product with the inverse of its step operator,
+    lhs_inv @ rhs, with lhs, the inverse and rhs formed as ``solve_evolution``
+    forms them."""
     dt, cn = problem.dt, problem.scheme == "crank-nicolson"
     weight = 0.5 * dt if cn else dt
     times = dt * np.arange(problem.n_steps() + 1)
@@ -216,7 +217,8 @@ def test_evolution_matches_per_step_loop(spec, form, flow, scheme, source):
     prob = _problem(spec, form, flow, scheme, source)
     res = ev.solve_evolution(prob, rng=make_rng(77), probes=5)
     ref = loop_solve_evolution(prob, rng=make_rng(77), probes=5)
-    assert res.states[1:].tobytes() == _inverse_steps(prob, res.states).tobytes()
+    if form == "continuity":
+        assert res.states[1:].tobytes() == _inverse_steps(prob, res.states).tobytes()
     _assert_close(res.states, ref["states"])
     _assert_close(res.coercivity_margin, ref["margins"])
     _assert_close(res.boundedness_ratio, ref["bounds"])
@@ -243,6 +245,7 @@ def _count_calls(monkeypatch, name="form_matrix"):
 @pytest.mark.parametrize("scheme", ev.SCHEMES)
 @pytest.mark.parametrize("form", ["heat", "continuity"])
 def test_constant_flow_assembles_one_form_matrix_per_run(monkeypatch, form, scheme):
+    # a heat run steps in the eigenbasis and assembles none
     calls = _count_calls(monkeypatch)
     flow = "constant" if form == "continuity" else None
     for steps in (1, 7):
@@ -250,7 +253,7 @@ def test_constant_flow_assembles_one_form_matrix_per_run(monkeypatch, form, sche
             prob = _problem(("torus", 2), form, flow, scheme, True, steps=steps)
             rng = None if probes is None else make_rng(78)
             ev.solve_evolution(prob, rng=rng, probes=probes or 8)
-            assert len(calls) == 1
+            assert len(calls) == (form == "continuity")
             calls.clear()
 
 
@@ -290,7 +293,7 @@ def test_no_source_is_never_evaluated(monkeypatch, form, flow, scheme):
 
 
 def test_singular_step_matrix_names_the_time(monkeypatch):
-    prob = _problem(("torus", 2), "heat", None, "implicit-euler", False, dt=0.25)
+    prob = _problem(("torus", 2), "continuity", "constant", "implicit-euler", False, dt=0.25)
     D = prob.space.dim
     # I + dt * (-I / dt) is exactly zero at dt = 0.25
     monkeypatch.setattr(ev, "form_matrix", lambda problem, t: -np.eye(D) / problem.dt)
@@ -298,13 +301,28 @@ def test_singular_step_matrix_names_the_time(monkeypatch):
         ev.solve_evolution(prob)
 
 
+@pytest.mark.parametrize("source", [False, True], ids=["nosource", "source"])
+@pytest.mark.parametrize("scheme", ev.SCHEMES)
+@pytest.mark.parametrize("spec", [("torus", 8), ("cyclic", 64)], ids=["torus8", "cyclic64"])
+def test_diagonal_heat_never_builds_the_dense_space(monkeypatch, spec, scheme, source):
+    def refuse(space):
+        raise AssertionError("a diagonal heat run touched DirichletSpace.dense")
+
+    prob = _problem(spec, "heat", None, scheme, source, steps=5)
+    monkeypatch.setattr(dr.DirichletSpace, "dense", property(refuse))
+    res = ev.solve_evolution(prob, rng=make_rng(82), probes=4)
+    assert res.solve_residual_max <= 1e-12
+
+
 # ---------------------------------------------------------------------------
-# Paper identities at larger sizes: torus level 4 (D = 81), cyclic order 64
+# Paper identities at larger sizes: torus level 4 and 8 (D = 81, 289),
+# cyclic order 64, matrix dim 6 (D = 36)
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("scheme", ev.SCHEMES)
-@pytest.mark.parametrize("spec", [("torus", 4), ("cyclic", 64)], ids=["torus4", "cyclic64"])
+@pytest.mark.parametrize("spec", [("torus", 4), ("torus", 8), ("cyclic", 64), ("matrix", 6)],
+                         ids=["torus4", "torus8", "cyclic64", "matrix6"])
 def test_heat_stepping_against_exact_semigroup_at_scale(spec, scheme):
     # on the generator's eigenbasis each step multiplies a mode by the
     # scheme's rational function r(dt lam), and the terminal error against
@@ -318,6 +336,16 @@ def test_heat_stepping_against_exact_semigroup_at_scale(spec, scheme):
     for k in range(prob.n_steps() + 1):
         exact_k = sp.dense.evecs @ (r ** k * c0)
         _assert_close(res.states[k], exact_k)
+    # that closed form is the stepping's own formula: the first steps also
+    # match dense solves (I + w L) x_{k+1} = (I - w L) x_k (explicit part I
+    # for implicit Euler) with the generator as a matrix
+    w = prob.dt / 2 if scheme == "crank-nicolson" else prob.dt
+    gen, eye = sp.dense.generator, np.eye(sp.dim)
+    explicit = eye - w * gen if scheme == "crank-nicolson" else eye
+    x = res.states[0]
+    for k in range(1, 4):
+        x = np.linalg.solve(eye + w * gen, explicit @ x)
+        _assert_close(res.states[k], x)
     err = np.linalg.norm((r ** prob.n_steps() - np.exp(-prob.horizon * sp.evals)) * c0)
     assert res.terminal_error_vs_oracle == pytest.approx(err, rel=1e-9, abs=1e-13)
     assert res.solve_residual_max <= 1e-12
