@@ -250,10 +250,9 @@ class MatrixAlgebra(Descriptor):
         return X
 
     def generator_matrix(self) -> np.ndarray:
-        # sum over v of kron(v^2, 1) + kron(1, (v^2)^T) - 2 kron(v, v^T): entry
-        # ((i, j), (k, l)) is S[i, k] d[j, l] + d[i, k] S[l, j] - 2 K[i, j, k, l]
-        # with K = sum v[i, k] v[l, j] and S = sum v^2, read off K so that a
-        # scalar generator (dim 1) gives exactly L = 0
+        # sum over v of kron(v^2, 1) + kron(1, (v^2)^T) - 2 kron(v, v^T), entry
+        # ((i, j), (k, l)) = S[i, k] d[j, l] + d[i, k] S[l, j] - 2 K[i, j, k, l]:
+        # S = sum v^2 is read off K so that dim 1 gives exactly L = 0
         n, eye = self.dim, np.eye(self.dim)
         K = np.einsum("aik,alj->ijkl", self.generators, self.generators)
         S = np.einsum("ikmm->ik", K)

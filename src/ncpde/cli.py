@@ -21,12 +21,9 @@ completed with check failures (reports still written), 1 errors.
 from __future__ import annotations
 
 import argparse
-import errno
 import itertools
 import json
 import math
-import os
-import stat
 import sys
 from pathlib import Path
 
@@ -229,12 +226,8 @@ def _write_artifacts(out_dir: Path, artifacts: dict[str, str]) -> None:
         out_dir.mkdir(parents=True, exist_ok=True)
         paths = [out_dir / name for name in artifacts]
         for path in paths:
-            try:
-                mode = path.lstat().st_mode
-            except FileNotFoundError:
-                continue
-            if stat.S_ISDIR(mode):
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+            if path.is_dir() and not path.is_symlink():
+                raise ConfigError(f"cannot write {path}: Is a directory")
         for path, text in zip(paths, artifacts.values()):
             path.unlink(missing_ok=True)
             with open(path, "x", encoding="utf-8", newline="") as fh:
