@@ -1005,9 +1005,8 @@ def test_unwritable_out_exits_1_naming_the_path(tmp_path, capsys, case):
     assert run_main(tmp_path, config, "--out", str(out), "--quiet") == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: cannot write {failing}: ")
-    if before:
-        assert {f: ((out / f).stat().st_ino, data) for f, data in _artifacts(out).items()} \
-            == before
+    after = {f: ((out / f).stat().st_ino, data) for f, data in _artifacts(out).items()}
+    assert after == before
 
 
 @pytest.mark.parametrize("name", ["qubit_heat", "torus_continuity", "torus_poisson"])
