@@ -16,12 +16,11 @@ solved for real coefficients d, since F need not be complex-linear, by
 damped Newton on all coefficients at once.  Each Newton step is a
 Jacobian-free conjugate-gradient solve on finite-difference products
 J p = (V(d + e p) - V(d)) / e, one V evaluation per product, stopped at a
-fixed forcing term (Jacobian-free Newton-Krylov); a dense finite-difference
-Jacobian serves an iteration whose CG meets nonpositive curvature or does
-not converge in M products, and a damped fixed-point step serves
-maps whose Newton step cannot reduce the residual.  V is one ``derive``, F
-and ``codifferential`` of a coefficient stack; no matrix of the basis or of
-the Jacobian is built on the default path.  For a monotone, coercive F the
+fixed forcing term (Jacobian-free Newton-Krylov) by the same CG loop as
+the linear problem.  A damped fixed-point step serves an iteration whose
+CG meets nonpositive curvature, and one whose Newton step cannot reduce
+the residual.  V is one ``derive``, F and ``codifferential`` of a
+coefficient stack; no matrix of the basis or of the Jacobian is built.  For a monotone, coercive F the
 root is unique, so the start decides only how many iterations Newton takes.
 
 Solvability gate: in finite dimensions a weak solution exists only for
@@ -85,6 +84,7 @@ class SolveReport:
     flags: list[str] = field(default_factory=list)
     energy_value: float | None = None
     energy_history: list[float] | None = None
+    cg_history: list[float] | None = None    # ||r||^2 of the variational CG, per update
     newton_trace: list[NewtonStep] | None = None
 
 
@@ -92,7 +92,6 @@ KERNEL_RTOL = 1e-10
 CG_RTOL = 1e-13               # conjugate gradients stop at CG_RTOL * ||f||
 NEWTON_RTOL = 1e-12           # Newton stops at NEWTON_RTOL * ||rhs|| (max norm)
 MAX_NEWTON = 60               # Newton iterations per solve
-FD_STEP = 1e-6                # dense Jacobian column step, relative to 1 + |d_j|
 JV_STEP = 1e-7                # Jacobian-vector product step, relative to (1 + ||d||) / ||p||
 FORCING = 1e-6                # CG on the Newton step stops at FORCING * ||V(d)||
 PROBE_SAMPLES = 64            # structure-probe sample pairs per solve
@@ -156,30 +155,45 @@ def minimize_dirichlet_energy(space: DirichletSpace, f: AlgebraElement, *,
     f_solved, mass = _gate_kernel(space, f, project_kernel, flags)
     b = bk.to_l2(f_solved)
     n = 2 * b.size   # real dimension
-    x = np.zeros_like(b)
-    r = b.copy()
-    d = r.copy()
-    rr = np.vdot(r, r).real
-    history = [0.0]
-    stop = CG_RTOL * max(math.sqrt(np.vdot(b, b).real), 1e-300)
-    iters = 0
-    while math.sqrt(rr) > stop and iters < 4 * n:
-        Ad = _l2_generator(space, d)
-        alpha = rr / np.vdot(d, Ad).real
-        x = x + alpha * d
-        r = r - alpha * Ad
-        rr_new = np.vdot(r, r).real
-        d = r + (rr_new / rr) * d
-        rr = rr_new
-        iters += 1
-        history.append(float(-0.5 * np.vdot(x, b + r).real))   # I(x) with A x = b - r
-    if math.sqrt(rr) > stop:
-        raise ConvergenceFailure(f"conjugate gradients stalled at residual {math.sqrt(rr):.3e}")
+    history = [0.0]   # I(x) of each iterate, -Re<x, b + r> / 2 since A x = b - r
+    x, rr, _ = _cg(lambda p: _l2_generator(space, p), b, CG_RTOL, 4 * n,
+                   lambda x, r: history.append(float(-0.5 * np.vdot(x, b + r).real)))
+    if math.sqrt(rr[-1]) > CG_RTOL * math.sqrt(rr[0]):
+        raise ConvergenceFailure(f"conjugate gradients stalled at residual {math.sqrt(rr[-1]):.3e}")
     if any(h2 > h1 + 1e-12 * (1 + abs(h1)) for h1, h2 in zip(history, history[1:])):
         flags.append("energy_not_monotone")
-    return _linear_report(space, f, f_solved, x, mass, flags, iterations=iters, galerkin_dim=n,
-                          method="variational-cg", energy_value=history[-1],
-                          energy_history=history)
+    return _linear_report(space, f, f_solved, x, mass, flags, iterations=len(rr) - 1,
+                          galerkin_dim=n, method="variational-cg", energy_value=history[-1],
+                          energy_history=history, cg_history=rr)
+
+
+def _cg(apply: Callable[[np.ndarray], np.ndarray], b: np.ndarray, rtol: float, maxiter: int,
+        each: Callable | None = None) -> tuple[np.ndarray, list[float], bool]:
+    """Conjugate gradients on A x = b from x = 0 under Re<.,.> (real or
+    complex vectors), with A p = ``apply(p)`` returned as a fresh array.
+    Stops once ||r|| <= rtol ||b||, after ``maxiter`` products, or at
+    curvature Re<p, A p> <= 0 (or NaN); ``each(x, r)`` sees every update.
+    Returns the last iterate, ||r||^2 before the first and after every
+    update, and whether the curvature stayed positive."""
+    x, r, p = np.zeros(b.shape, b.dtype), b.copy(), b.copy()
+    rr = [np.vdot(b, b).real]
+    stop = rtol * math.sqrt(rr[0])
+    while math.sqrt(rr[-1]) > stop and len(rr) <= maxiter:
+        if len(rr) > 1:
+            p *= rr[-1] / rr[-2]
+            p += r
+        Ap = apply(p)
+        curvature = np.vdot(p, Ap).real
+        if not curvature > 0.0:
+            return x, rr, False
+        a = rr[-1] / curvature
+        x += a * p
+        Ap *= a
+        r -= Ap
+        rr.append(np.vdot(r, r).real)
+        if each is not None:
+            each(x, r)
+    return x, rr, True
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +214,8 @@ class NonlinearMap:
     The quasilinear solve assumes that F has a symmetric derivative under
     Re<.,.>, as the gradient of a functional does (identity and curved are
     gradients of convex functionals, negated is -identity): its Newton steps
-    run conjugate gradients on the Galerkin Jacobian, and an iteration falls
-    back to a dense Jacobian only where CG meets nonpositive curvature."""
+    run conjugate gradients on the Galerkin Jacobian, and an iteration where
+    CG meets nonpositive curvature takes a damped fixed-point step instead."""
 
     func: Callable[[np.ndarray], np.ndarray]
     name: str
@@ -364,9 +378,9 @@ def _newton(V, d: np.ndarray, scale_: float, trace: list[NewtonStep]) -> np.ndar
     finite-difference products J p = (V(d + e p) - V(d)) / e, with
     e = JV_STEP (1 + ||d||) / ||p||, to FORCING * ||V(d)||; CG needs a
     symmetric J (see ``NonlinearMap``).  An iteration whose CG meets
-    p.Jp <= 0, or does not converge in M = d.size steps, takes its step
-    from the dense finite-difference Jacobian instead.  Appends one
-    ``NewtonStep`` per iteration to ``trace``."""
+    p.Jp <= 0 takes the fixed-point step; one whose CG has not converged
+    after M = d.size products takes the CG iterate to the line search.
+    Appends one ``NewtonStep`` per iteration to ``trace``."""
     stop = NEWTON_RTOL * scale_
     r = V(d)
     for it in range(MAX_NEWTON + 1):
@@ -377,11 +391,9 @@ def _newton(V, d: np.ndarray, scale_: float, trace: list[NewtonStep]) -> np.ndar
             raise ConvergenceFailure(f"Newton did not converge in {MAX_NEWTON} "
                                      f"iterations (residual {res:.3e})")
         step, products = _krylov_step(V, d, r)
-        if step is None:
-            step = _dense_step(V, d, r)
         base = float(r @ r)
         alpha, fixed_point = 1.0, False
-        while alpha >= 1e-10:
+        while step is not None and alpha >= 1e-10:
             trial = d - alpha * step
             rt = V(trial)
             if float(rt @ rt) <= (1.0 - 1e-4 * alpha) * base:
@@ -405,30 +417,13 @@ def _newton(V, d: np.ndarray, scale_: float, trace: list[NewtonStep]) -> np.ndar
 def _krylov_step(V, d: np.ndarray, r: np.ndarray) -> tuple[np.ndarray | None, int]:
     """CG on J s = r = V(d) with finite-difference products of J, and the
     number of products made; the step is None when CG meets curvature
-    p.Jp <= 0 (or NaN) or has not converged after d.size steps."""
-    s, rho, p, rr = np.zeros_like(r), r, r, float(r @ r)
-    stop, dnorm = FORCING * math.sqrt(rr), float(np.linalg.norm(d))
-    for products in range(1, d.size + 1):
-        e = JV_STEP * (1.0 + dnorm) / math.sqrt(float(p @ p))
-        Jp = (V(d + e * p) - r) / e
-        curvature = float(p @ Jp)
-        if not curvature > 0.0:
-            return None, products
-        a = rr / curvature
-        s, rho = s + a * p, rho - a * Jp
-        rr_new = float(rho @ rho)
-        if math.sqrt(rr_new) <= stop:
-            return s, products
-        p, rr = rho + (rr_new / rr) * p, rr_new
-    return None, d.size
+    p.Jp <= 0 (or NaN), and the last iterate when d.size products leave it
+    short of the forcing term."""
+    e_p = JV_STEP * (1.0 + math.sqrt(d @ d))   # e ||p||
 
+    def J(p: np.ndarray) -> np.ndarray:
+        e = e_p / math.sqrt(float(p @ p))
+        return (V(d + e * p) - r) / e
 
-def _dense_step(V, d: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """The Newton step from the dense finite-difference Jacobian: row j of
-    one ``V(d + diag(h))`` call is V at d + h_j e_j, column j of J."""
-    h = FD_STEP * (1.0 + np.abs(d))
-    J = ((V(d + np.diag(h)) - r) / h[:, None]).T
-    try:
-        return np.linalg.solve(J, r)
-    except np.linalg.LinAlgError:
-        return np.linalg.lstsq(J, r, rcond=None)[0]
+    s, rr, positive = _cg(J, r, FORCING, d.size)
+    return (s if positive else None), len(rr) - positive

@@ -313,6 +313,8 @@ def loop_galerkin_residual(space, F, Wb, rhs):
 # oracle it is tested against.
 # ---------------------------------------------------------------------------
 
+DENSE_FD_STEP = 1e-6   # the oracle's column step, relative to 1 + |d_j|
+
 
 def loop_dense_newton(V, d, scale):
     """The root of V from ``d`` and the number of Newton iterations taken."""
@@ -323,7 +325,7 @@ def loop_dense_newton(V, d, scale):
             return d, it
         J = np.empty((d.size, d.size))
         for j in range(d.size):
-            h = el.FD_STEP * (1.0 + abs(d[j]))
+            h = DENSE_FD_STEP * (1.0 + abs(d[j]))
             dj = d.copy()
             dj[j] += h
             J[:, j] = (V(dj) - r) / h

@@ -7,7 +7,7 @@ import pytest
 from ncpde import backends as bk
 from ncpde import cli
 from ncpde import dirichlet as dr
-from conftest import (SIGMA_X, SIGMA_Z, THETA_IRR, assert_elem_close,
+from conftest import (SIGMA_X, SIGMA_Z, THETA_IRR, assert_elem_close, backend_from_spec,
                       bisect_largest_passing_K, corrupted_space, make_rng)
 
 
@@ -178,7 +178,8 @@ def test_semigroup_preserves_order_interval(qubit, qubit_space, z4, z4_space):
 
 
 def test_markov_check_passes(qubit_space, z4_space, torus13_space):
-    for sp in (qubit_space, z4_space, torus13_space):
+    at_scale = [dr.build_space(backend_from_spec(spec)) for spec in (("matrix", 6), ("cyclic", 32))]
+    for sp in (qubit_space, z4_space, torus13_space, *at_scale):
         report = dr.markov_check(sp, [0.1, 1.0, 10.0], make_rng(38), tol=1e-10)
         assert report.passed, [c.name for c in report.checks if not c.passed]
         assert not report.flags
@@ -403,7 +404,9 @@ def test_be_skipped_for_irrational_torus(torus2, torus2_space):
 def _be_battery(name):
     """A space and three self-adjoint battery elements with leak-free products."""
     rng = make_rng(51)
-    if name == "rational5":
+    if name in BE_SCALE_SPECS:
+        desc = backend_from_spec(BE_SCALE_SPECS[name])
+    elif name == "rational5":
         desc = bk.nc_torus_rational(2, 2, 5)
     elif name == "rational7":
         desc = bk.nc_torus_rational(3, 3, 7)
@@ -417,11 +420,16 @@ def _be_battery(name):
     return dr.build_space(desc), battery
 
 
+BE_SCALE_SPECS = {"rational17": ("rational", 8), "cyclic64": ("cyclic", 64),
+                  "matrix6": ("matrix", 6)}
 BE_CASES = [(name, t) for name in ("rational5", "rational7", "cyclic16", "matrix3")
             for t in (0.1, 1.0)]
 
 
-@pytest.mark.parametrize("name,t", BE_CASES)
+# the north-star sizes skip the bisection oracle below: at torus 8 it takes
+# about 0.5 s per case
+@pytest.mark.parametrize("name,t", BE_CASES + [(name, t) for name in BE_SCALE_SPECS
+                                               for t in (0.1, 1.0)])
 def test_be_bound_is_the_largest_passing_K(name, t):
     space, battery = _be_battery(name)
     bound = dr.bakry_emery_check(space, 0.0, [t], _stack(battery)).extra["largest_passing_K"]

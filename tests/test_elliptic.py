@@ -109,10 +109,12 @@ def test_variational_energy_history_is_the_energy_functional(pair3_space, torus2
         assert abs(rep.energy_value - want) <= 1e-12 * max(abs(want), 1.0)
 
 
-@pytest.mark.parametrize("name", ["qubit", "pair3", "torus2", "z4", "torus8", "cyclic64"])
+@pytest.mark.parametrize("name", ["qubit", "pair3", "torus2", "z4", "torus8", "cyclic64",
+                                  "matrix6"])
 def test_variational_cg_matches_realified_loop(request, name):
-    # complex coordinates under Re<.,.> iterate as CG on the realified system
-    specs = {"torus8": ("torus", 8), "cyclic64": ("cyclic", 64)}
+    # complex coordinates under Re<.,.> iterate as CG on the realified system,
+    # and agree with the spectral solution (the Poisson cross-check)
+    specs = {"torus8": ("torus", 8), "cyclic64": ("cyclic", 64), "matrix6": ("matrix", 6)}
     sp = (build_space(backend_from_spec(specs[name])) if name in specs
           else request.getfixturevalue(f"{name}_space"))
     rng = make_rng(94)
@@ -124,6 +126,13 @@ def test_variational_cg_matches_realified_loop(request, name):
         assert rep.galerkin_dim == 2 * sp.dim
         u = bk.to_l2(rep.solution)
         assert np.linalg.norm(u - x) <= 1e-12 * np.linalg.norm(x)
+        # ||r||^2 of the CG recursion: ||f||^2 first, one entry per update
+        rr = np.array(rep.cg_history)
+        assert rr.shape == (iters + 1,) and rr[0] == pytest.approx(bk.norm_l2(f) ** 2, rel=1e-14)
+        assert np.sqrt(rr[-1]) <= el.CG_RTOL * np.sqrt(rr[0])
+        spectral = el.solve_poisson(sp, f)
+        assert bk.norm_l2(spectral.solution - rep.solution) <= 1e-8
+        assert spectral.residual_strong <= 1e-8 and rep.residual_strong <= 1e-8
         h, h_ref = np.array(rep.energy_history), np.array(history)
         assert h.shape == h_ref.shape
         assert abs(h[-1] - h_ref[-1]) <= 1e-12 * abs(h_ref[-1])
@@ -356,23 +365,24 @@ def test_krylov_newton_matches_dense_newton(spec, make_map, start):
 
 
 @pytest.mark.parametrize("spec", RESIDUAL_SPECS, ids=[f"{k}{n}" for k, n in RESIDUAL_SPECS])
-def test_negated_map_takes_the_dense_fallback(spec):
+def test_negated_map_fails_closed_without_a_dense_step(spec):
     # J = -I on the Galerkin basis: CG meets p.Jp < 0 on its first product,
-    # and the step comes from one dense Jacobian batch (M, k*D)
+    # so the iteration takes the fixed-point step, which the negated map
+    # cannot take downhill; no dense Jacobian batch (M, k*D) is ever made
     space = build_space(backend_from_spec(spec))
     F, calls = counting(el.negated_map())
-    rep = el.solve_quasilinear(space, F, perp_random(space, make_rng(610)), force=True)
+    with pytest.raises(el.ConvergenceFailure, match="both stagnated"):
+        el.solve_quasilinear(space, F, perp_random(space, make_rng(610)), force=True)
     k_dim = tangent_components(space) * space.dim
-    assert [s.products for s in rep.newton_trace] == [1] * rep.iterations
-    assert calls.count((rep.galerkin_dim, k_dim)) == rep.iterations > 0
-    assert rep.residual_weak <= 1e-8
+    assert set(calls) == {(k_dim,)}   # single vectors only: no batch (M, k*D)
 
 
 def test_krylov_step_stops_at_the_forcing_term_or_gives_up():
     # a linear V(d) = A d - b: a symmetric A with a spread spectrum needs many
     # products, and CG stops once ||A s - r|| <= FORCING ||r||; a
     # nonsymmetric A with p.Ap > 0 leaves CG unconverged after M = 2
-    # products, and the step comes from the dense Jacobian
+    # products, so its iterate goes to the line search, which never reaches
+    # the root within MAX_NEWTON iterations
     rng = make_rng(611)
     Q = np.linalg.qr(rng.standard_normal((40, 40)))[0]
     A = Q @ np.diag(np.linspace(1.0, 100.0, 40)) @ Q.T
@@ -385,11 +395,59 @@ def test_krylov_step_stops_at_the_forcing_term_or_gives_up():
     A = np.array([[1.0, 5.0], [-5.0, 1.0]])
     b = np.array([1.0, 2.0])
     V = lambda d: d @ A.T - b
-    assert el._krylov_step(V, np.zeros(2), -b) == (None, 2)
+    s, products = el._krylov_step(V, np.zeros(2), -b)
+    assert products == 2 and np.linalg.norm(A @ s + b) > el.FORCING * np.linalg.norm(b)
     trace = []
-    root = el._newton(V, np.zeros(2), 1.0, trace)
-    assert np.linalg.norm(root - np.linalg.solve(A, b)) <= 1e-10
-    assert [s.products for s in trace] == [2] * len(trace)
+    with pytest.raises(el.ConvergenceFailure, match=f"in {el.MAX_NEWTON} iterations"):
+        el._newton(V, np.zeros(2), 1.0, trace)
+    assert len(trace) == el.MAX_NEWTON
+    assert all(s.products == 2 and not s.fixed_point for s in trace)
+
+
+def test_cg_solves_hermitian_and_symmetric_positive_systems():
+    # complex vectors under Re<.,.> (Hermitian positive H) and real ones
+    # (symmetric positive A), against a dense solve; ``each`` sees every
+    # update, and the last iterate is the one returned
+    rng = make_rng(612)
+    n = 16
+    G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    systems = [(G @ G.conj().T / n + np.eye(n), rng.standard_normal(n) + 1j * rng.standard_normal(n)),
+               (Q @ np.diag(np.linspace(1.0, 50.0, n)) @ Q.T, rng.standard_normal(n))]
+    for A, b in systems:
+        seen = []
+        x, rr, positive = el._cg(lambda p: A @ p, b, 1e-13, 4 * n,
+                                 lambda x, r: seen.append((x.copy(), r.copy())))
+        want = np.linalg.solve(A, b)
+        assert positive and x.dtype == b.dtype
+        assert np.linalg.norm(x - want) <= 1e-11 * np.linalg.norm(want)
+        assert len(seen) == len(rr) - 1 and np.array_equal(seen[-1][0], x)
+        assert rr[0] == np.vdot(b, b).real and np.sqrt(rr[-1]) <= 1e-13 * np.linalg.norm(b)
+        for (xk, rk), rrk in zip(seen, rr[1:]):
+            assert np.vdot(rk, rk).real == rrk
+            assert np.linalg.norm(b - A @ xk - rk) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_cg_stops_at_nonpositive_curvature_and_at_its_cap():
+    rng = make_rng(613)
+    n = 16
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    b = rng.standard_normal(n)
+    # indefinite: CG on the whole space must meet p.Ap <= 0 before it converges
+    A = Q @ np.diag(np.linspace(-1.0, 10.0, n)) @ Q.T
+    products = []
+    x, rr, positive = el._cg(lambda p: products.append(1) or A @ p, b, 1e-13, 4 * n)
+    assert not positive and len(products) == len(rr) <= n
+    assert np.sqrt(rr[-1]) > 1e-13 * np.linalg.norm(b)
+    # a NaN product stops it the same way, before any update
+    x, rr, positive = el._cg(lambda p: np.full_like(p, np.nan), b, 1e-13, 4 * n)
+    assert not positive and rr == [b @ b] and not x.any()
+    # maxiter products at most: a spread spectrum leaves CG short after 3
+    A = Q @ np.diag(np.linspace(1.0, 1e3, n)) @ Q.T
+    products.clear()
+    x, rr, positive = el._cg(lambda p: products.append(1) or A @ p, b, 1e-13, 3)
+    assert positive and len(products) == 3 and len(rr) == 4
+    assert np.sqrt(rr[-1]) > 1e-13 * np.linalg.norm(b)
 
 
 def test_krylov_step_solves_to_one_part_in_a_million():
@@ -506,9 +564,10 @@ def test_quasilinear_rejects_non_monotone_map(qubit_space):
 
 
 def test_quasilinear_force_skips_probes(qubit_space):
-    # the negated map on the kernel complement is invertible; with force=True
-    # the solve itself may still succeed since -Delta u = f has a solution
+    # with force=True the negated map passes the probe gate and fails in the
+    # solve itself: its Newton steps meet negative curvature, and no damped
+    # fixed-point step lowers the residual of a decreasing map
     rng = make_rng(99)
     f = perp_random(qubit_space, rng)
-    rep = el.solve_quasilinear(qubit_space, el.negated_map(), f, force=True)
-    assert rep.residual_weak <= 1e-8
+    with pytest.raises(el.ConvergenceFailure, match="both stagnated"):
+        el.solve_quasilinear(qubit_space, el.negated_map(), f, force=True)
