@@ -20,8 +20,9 @@ fixed forcing term (Jacobian-free Newton-Krylov) by the same CG loop as
 the linear problem.  A damped fixed-point step serves an iteration whose
 CG meets nonpositive curvature, and one whose Newton step cannot reduce
 the residual.  V is one ``derive``, F and ``codifferential`` of a
-coefficient stack; no matrix of the basis or of the Jacobian is built.  For a monotone, coercive F the
-root is unique, so the start decides only how many iterations Newton takes.
+coefficient stack; no matrix of the basis or of the Jacobian is built.
+For a monotone, coercive F the root is unique, so the start decides only
+how many iterations Newton takes.
 
 Solvability gate: in finite dimensions a weak solution exists only for
 right-hand sides orthogonal to the generator kernel.  Kernel mass beyond

@@ -412,7 +412,8 @@ def test_cg_solves_hermitian_and_symmetric_positive_systems():
     n = 16
     G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
-    systems = [(G @ G.conj().T / n + np.eye(n), rng.standard_normal(n) + 1j * rng.standard_normal(n)),
+    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    systems = [(G @ G.conj().T / n + np.eye(n), z),
                (Q @ np.diag(np.linspace(1.0, 50.0, n)) @ Q.T, rng.standard_normal(n))]
     for A, b in systems:
         seen = []
@@ -564,7 +565,7 @@ def test_quasilinear_rejects_non_monotone_map(qubit_space):
 
 
 def test_quasilinear_force_skips_probes(qubit_space):
-    # with force=True the negated map passes the probe gate and fails in the
+    # with force=True the negated map skips the probe gate and fails in the
     # solve itself: its Newton steps meet negative curvature, and no damped
     # fixed-point step lowers the residual of a decreasing map
     rng = make_rng(99)
