@@ -74,7 +74,7 @@ class NotRepresentable(AlgebraError):
 # ---------------------------------------------------------------------------
 
 _SA_RTOL = 1e-10          # scale-invariant self-adjointness tolerance
-_REP_RTOL = 1e-10         # mass a matrix may carry outside the coefficient window
+_REP_RTOL = 1e-10         # mass a matrix may carry outside the coefficient window or diagonal
 _CNT_RTOL = 1e-8          # negative-type eigencheck tolerance
 _FRAME_WEIGHT_TOL = 1e-12
 
@@ -100,11 +100,11 @@ class Descriptor:
     ``shape``, ``to_json``/``from_json`` with the tag ``kind`` and schema
     ``json_schema``; ``unit_data``, ``mul_data`` (product and truncated L^2
     mass), ``adjoint_data`` and ``lmul`` (the matrix of x -> A x);
-    ``rep_dim``, ``represent``, ``rep_eigvalsh``, ``element_from_matrix``;
-    ``generator_matrix`` ((D, D), or the (D,) diagonal of a diagonal
-    generator); and the tangent frame: ``frame_size``, ``psis``
-    (derivations as coefficient multipliers) or ``derive`` and
-    ``codifferential``, and ``involution`` (J).
+    ``rep_dim``, ``represent``, ``rep_eigvalsh``, ``element_from_matrix``,
+    ``choi_min`` (least Choi eigenvalue of P_t); ``generator_matrix``
+    ((D, D), or the (D,) diagonal of a diagonal generator); and the
+    tangent frame: ``frame_size``, ``psis`` (derivations as coefficient
+    multipliers) or ``derive`` and ``codifferential``, and ``involution`` (J).
     The defaults below serve exact representations, untwisted left
     actions, supports without a radius and multiplier frames.
 
@@ -134,15 +134,18 @@ class Descriptor:
         """Ascending eigenvalues of ``represent`` of each self-adjoint entry."""
         return np.linalg.eigvalsh(self.represent(A))
 
-    def rep_semigroup_action(self, t: float, semigroup: Callable[[np.ndarray], np.ndarray]):
-        """Canonical extension of P_t (``semigroup`` maps coefficient stacks)
-        to the representation algebra M_d, as (action on stacks, d); (None, 0)
+    def choi_min(self, semigroup: Callable[[np.ndarray], np.ndarray]) -> float | None:
+        """Least eigenvalue of the Choi matrix of P_t (``semigroup`` maps
+        coefficient stacks) extended to the representation algebra M_d; None
         when no exact extension exists.  An exact representation with d^2 =
-        dim L^2 is a bijection onto M_d, so P_t is transported along it."""
+        dim L^2 is a bijection onto M_d, so P_t is transported along it:
+        block (i, j) is the image of the matrix unit e_ij."""
         d = self.rep_dim()
         if not self.rep_is_exact() or d * d != self.l2_dim():
-            return None, 0
-        return (lambda X: self.represent(semigroup(self.element_from_matrix(X)))), d
+            return None
+        units = np.eye(d * d, dtype=np.complex128).reshape(d, d, d, d)
+        choi = self.represent(semigroup(self.element_from_matrix(units)))
+        return float(np.linalg.eigvalsh(choi.swapaxes(1, 2).reshape(d * d, d * d))[0])
 
     def restrict_support(self, data: np.ndarray, radius: int | None) -> np.ndarray:
         """``data`` restricted to supports of the given radius."""
@@ -482,8 +485,9 @@ class CyclicGroup(Descriptor):
     right action is plain convolution and J(h)_k = chi_k * (h_{-k})^*.
     The characters, the psis, the index of each component's J partner
     q - k and the circulant index (g - h) mod q are built once, read-only.
-    The circulant of f has eigenvalues fft(f): products and the spectrum of
-    ``represent`` run through the DFT, the rest keeps the circulant.
+    The circulant of f has eigenvalues fft(f): products, the spectrum of
+    ``represent`` and the Choi test run through the DFT, the rest keeps the
+    circulant.
     """
 
     order: int
@@ -578,10 +582,16 @@ class CyclicGroup(Descriptor):
     def element_from_matrix(self, X) -> np.ndarray:
         return X[..., :, 0]
 
-    def rep_semigroup_action(self, t, semigroup):
-        # P_t is the Schur multiplier by e^{-t l(g - h)} on M_q
-        schur = np.exp(-t * np.asarray(self.lengths))[self._circulant]
-        return (lambda X: schur * X), self.order
+    def choi_min(self, semigroup):
+        # a P_t multiplying coefficients by m is the Schur multiplier by the
+        # circulant [m(g - h)] on M_q; its Choi matrix is that circulant on the
+        # span of the e_g (x) e_g and zero elsewhere, and the circulant's
+        # eigenvalues are fft(m) (Choi 1975; Paulsen 2002)
+        P = semigroup(np.eye(self.order, dtype=np.complex128))
+        m = np.diagonal(P)
+        if np.linalg.norm(P - np.diag(m)) > _REP_RTOL * np.linalg.norm(m):
+            return None   # P_t mixes coefficients: no Schur extension
+        return min(0.0, float(np.fft.fft(m).real.min()))
 
     def generator_matrix(self) -> np.ndarray:
         return np.asarray(self.lengths, dtype=np.complex128)

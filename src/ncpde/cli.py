@@ -262,7 +262,7 @@ def _radius(space, problem) -> int | None:
 def _cmd_describe(space, problem, rng, tol):
     spectrum = [float(np.round(v, 10)) for v in space.evals]
     result = {
-        "backend": sz.descriptor_to_json(space.backend),
+        "backend": space.backend.to_json(),
         "l2_dim": space.dim,
         "real_dim": 2 * space.dim,
         "kernel_dim": space.kernel_dim,

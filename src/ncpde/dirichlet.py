@@ -21,7 +21,7 @@ stacks (..., *shape), and the functions on elements wrap it.
 
 Each verification battery is drawn and checked as one stack: ``markov_check``
 verifies unitality, contraction, trace symmetry and complete positivity
-(``choi_matrix``, one action of ``rep_semigroup_action`` on the matrix units);
+(the least Choi eigenvalue of P_t, from the backend's ``choi_min``);
 ``bakry_emery_check`` tests the gradient-estimate ordering
 Gamma(P_t a) <= e^{-2 K t} P_t Gamma(a) and computes the largest passing
 curvature bound exactly, as one generalised eigenvalue per (t, a) pair.
@@ -249,18 +249,6 @@ def poincare_constant(space: DirichletSpace, rng: np.random.Generator | None = N
 # ---------------------------------------------------------------------------
 
 
-def choi_matrix(space: DirichletSpace, t: float) -> np.ndarray | None:
-    """Choi matrix of the extension of P_t to M_d, block (i, j) the image of
-    the matrix unit e_ij, from one action on the stack of units; None when no
-    exact extension exists (irrational theta; rational theta whose window is
-    not in bijection with M_q)."""
-    act, d = space.backend.rep_semigroup_action(t, lambda X: _semigroup(space, t, X))
-    if act is None:
-        return None
-    units = np.eye(d * d, dtype=np.complex128).reshape(d, d, d, d)
-    return act(units).swapaxes(1, 2).reshape(d * d, d * d)
-
-
 def markov_check(space: DirichletSpace, t_samples, rng: np.random.Generator,
                  battery: int = 16, tol: float = 1e-10) -> Report:
     """Unitality, operator-norm contraction, complete positivity (Choi)
@@ -289,11 +277,11 @@ def markov_check(space: DirichletSpace, t_samples, rng: np.random.Generator,
         else:
             report.flags.append(f"contraction[t={t:g}] skipped: approximate representation")
 
-        choi = choi_matrix(space, t)
-        if choi is None:
+        choi_min = desc.choi_min(lambda X: _semigroup(space, t, X))
+        if choi_min is None:
             report.flags.append(f"choi_cp[t={t:g}] skipped: no exact representation of P_t")
         else:
-            report.checks.append(check_ge(f"choi_cp[t={t:g}]", np.linalg.eigvalsh(choi)[0], -tol))
+            report.checks.append(check_ge(f"choi_cp[t={t:g}]", choi_min, -tol))
 
         lhs = bk.trace_data(desc, desc.mul_data(even, moved[1::2])[0])
         rhs = bk.trace_data(desc, desc.mul_data(moved[: battery - 1 : 2], odd)[0])

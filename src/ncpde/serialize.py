@@ -18,10 +18,6 @@ from .backends import AlgebraElement, Descriptor, from_pairs, to_pairs
 BACKEND_KINDS = {cls.kind: cls for cls in bk.BACKENDS}
 
 
-def descriptor_to_json(desc: Descriptor) -> dict:
-    return desc.to_json()
-
-
 def descriptor_from_json(obj: dict) -> Descriptor:
     cls = BACKEND_KINDS.get(obj["kind"])
     if cls is None:
@@ -30,7 +26,7 @@ def descriptor_from_json(obj: dict) -> Descriptor:
 
 
 def element_to_json(a: AlgebraElement) -> dict:
-    return {"backend": descriptor_to_json(a.backend), "data": to_pairs(a.data)}
+    return {"backend": a.backend.to_json(), "data": to_pairs(a.data)}
 
 
 def element_from_json(obj: dict) -> AlgebraElement:

@@ -230,6 +230,44 @@ def loop_transport_matrix(space, h):
 
 
 # ---------------------------------------------------------------------------
+# Reference implementation: the full (d^2, d^2) Choi matrix of P_t, one
+# matrix unit at a time.  The package reads only its least eigenvalue, in
+# closed form on cyclic spaces; this build is the oracle it is tested against.
+# ---------------------------------------------------------------------------
+
+
+def full_choi(space, t):
+    """Choi matrix of P_t extended to M_d, block (i, j) the image of the
+    matrix unit e_ij; None when no exact extension exists.  On a cyclic space
+    whose P_t multiplies coefficients by m, the extension is the Schur
+    multiplier by the circulant [m(g - h)]; on an exact backend with d^2 =
+    dim L^2, each unit is transported through the representation."""
+    desc = space.backend
+    d = desc.rep_dim()
+    if isinstance(desc, bk.CyclicGroup):
+        P = np.array([semigroup_apply(space, t, bk.delta(desc, g)).data for g in range(d)])
+        m = np.diagonal(P)
+        if np.abs(P - np.diag(m)).max() > 1e-12:
+            return None
+        g = np.arange(d)
+
+        def extension(X):
+            return m[(g[:, None] - g[None, :]) % d] * X
+    elif desc.rep_is_exact() and d * d == desc.l2_dim():
+        def extension(X):
+            return bk.represent(semigroup_apply(space, t, bk.element_from_matrix(desc, X)))
+    else:
+        return None
+    choi = np.zeros((d * d, d * d), dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            e = np.zeros((d, d), dtype=complex)
+            e[i, j] = 1.0
+            choi[i * d : (i + 1) * d, j * d : (j + 1) * d] = extension(e)
+    return choi
+
+
+# ---------------------------------------------------------------------------
 # Reference implementation: the largest passing Bakry-Emery curvature bound
 # by doubling and bisection on K against a -tol margin slack.  The package
 # computes the bound exactly as one generalised eigenvalue per (t, a) pair;

@@ -121,7 +121,7 @@ def test_solution_json_round_trips_with_same_residuals(tmp_path, capsys):
     f = bk.monomial(t, 1, 0) + bk.scale(0.5j, bk.monomial(t, 1, 1))
     config = {
         "command": "solve-poisson",
-        "backend": sz.descriptor_to_json(t),
+        "backend": t.to_json(),
         "problem": {"f": sz.element_to_json(f)["data"], "method": "spectral"},
         "seed": 2,
     }
@@ -231,7 +231,7 @@ def test_project_kernel_solve_passes_its_checks(tmp_path, capsys, command, extra
     f = bk.monomial(t, 1, 0) + bk.scale(0.3, bk.unit(t))
     config = {
         "command": command,
-        "backend": sz.descriptor_to_json(t),
+        "backend": t.to_json(),
         "problem": {"f": sz.element_to_json(f)["data"], "project_kernel": True, **extra},
         "seed": 3,
     }
@@ -739,7 +739,7 @@ def test_battery_draws_match_per_call_loop(tmp_path, monkeypatch, spec, radius):
 
     random_data = bk.random_data
     monkeypatch.setattr(bk, "random_data", record)
-    backend = sz.descriptor_to_json(desc)
+    backend = desc.to_json()
     # radius None is an explicit null: dense supports, not the default radius
     for command, problem in (("calculus-check", {"battery": 5, "radius": radius}),
                              ("markov-check", {"battery": 4, "t_samples": [0.5]}),

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from ncpde import backends as bk
 from ncpde import cli
 from ncpde import dirichlet as dr
 from conftest import (SIGMA_X, SIGMA_Z, THETA_IRR, assert_elem_close, backend_from_spec,
-                      bisect_largest_passing_K, corrupted_space, make_rng)
+                      bisect_largest_passing_K, corrupted_space, full_choi, make_rng)
 
 
 def commutator(a, b):
@@ -178,7 +179,8 @@ def test_semigroup_preserves_order_interval(qubit, qubit_space, z4, z4_space):
 
 
 def test_markov_check_passes(qubit_space, z4_space, torus13_space):
-    at_scale = [dr.build_space(backend_from_spec(spec)) for spec in (("matrix", 6), ("cyclic", 32))]
+    at_scale = [dr.build_space(backend_from_spec(spec))
+                for spec in (("matrix", 6), ("cyclic", 32), ("cyclic", 64))]
     for sp in (qubit_space, z4_space, torus13_space, *at_scale):
         report = dr.markov_check(sp, [0.1, 1.0, 10.0], make_rng(38), tol=1e-10)
         assert report.passed, [c.name for c in report.checks if not c.passed]
@@ -192,13 +194,89 @@ def test_markov_check_needs_a_battery_of_pairs(qubit_space):
     assert dr.markov_check(qubit_space, [1.0], make_rng(38), battery=2).passed
 
 
+def choi_min(space, t):
+    return space.backend.choi_min(lambda X: dr._semigroup(space, t, X))
+
+
 def test_choi_at_time_zero_is_maximally_entangled_projector(qubit_space):
-    choi = dr.choi_matrix(qubit_space, 0.0)
+    choi = full_choi(qubit_space, 0.0)
     d = qubit_space.backend.rep_dim()
     # identity channel: Choi = d * |Omega><Omega|
     omega = np.eye(d, dtype=complex).reshape(-1) / np.sqrt(d)
     assert np.allclose(choi, d * np.outer(omega, omega.conj()))
-    assert np.linalg.eigvalsh(choi).min() >= -1e-12
+    least = np.linalg.eigvalsh(choi).min()
+    assert least >= -1e-12
+    assert abs(choi_min(qubit_space, 0.0) - least) <= 1e-13
+
+
+def _cyclic_lengths(kind, q):
+    g = np.arange(q)
+    if kind == "word":
+        return np.minimum(g, q - g).astype(float)
+    if kind == "cosines":
+        return sum((1.0 - np.cos(2 * np.pi * k * g / q)) / k**2 for k in (1, 2, 3))
+    # mu_1 = 5e-10 sits near 0, so fft(e^{-t l}) has an eigenvalue near 0 at large t
+    return 1e-9 * (1.0 - np.cos(2 * np.pi * g / q)) + 0.25 * (1.0 - np.cos(4 * np.pi * g / q))
+
+
+CHOI_SPACES = (
+    [(kind, q) for q in (2, 3, 4, 5, 8, 16) for kind in ("word", "cosines", "small_mu")]
+    + [("matrix", 2), ("matrix", 3), ("rational", 1), ("rational", 2)]
+)
+
+
+@pytest.mark.parametrize("kind,size", CHOI_SPACES)
+def test_choi_min_agrees_with_the_full_choi_matrix(kind, size):
+    # cyclic spaces take the DFT override, matrix and rational torus (q = 3, 5)
+    # the default method; both against the unit-by-unit Choi build
+    if kind in ("matrix", "rational"):
+        desc = backend_from_spec((kind, size))
+    else:
+        desc = bk.CyclicGroup(size, tuple(_cyclic_lengths(kind, size)))
+    space = dr.build_space(desc)
+    for t in (0.0, 0.1, 1.0, 10.0):
+        least = np.linalg.eigvalsh(full_choi(space, t))[0]
+        got = choi_min(space, t)
+        assert (got >= -1e-10) == (least >= -1e-10), (t, got, least)
+        assert abs(got - least) <= 1e-13, (t, got, least)
+
+
+def test_choi_reads_the_semigroup_of_the_space_not_the_lengths():
+    # the generator diag(0, 0, 1, 1, 0) is no length of negative type on Z_5, so
+    # its P_t is not CP, whatever lengths the descriptor carries
+    desc = bk.CyclicGroup(5, (0.0, 1.0, 1.5, 1.5, 1.0))
+    space = dr.space_from_matrix(desc, np.diag([0.0, 0.0, 1.0, 1.0, 0.0]))
+    report = dr.markov_check(space, [0.5, 1.0], make_rng(42))
+    choi = {c.name: c for c in report.checks if c.name.startswith("choi_cp")}
+    assert set(choi) == {"choi_cp[t=0.5]", "choi_cp[t=1]"}
+    assert not any(c.passed for c in choi.values())
+    for t in (0.5, 1.0):
+        assert abs(choi[f"choi_cp[t={t:g}]"].value - np.linalg.eigvalsh(full_choi(space, t))[0]) <= 1e-13
+
+
+def test_choi_skips_a_cyclic_semigroup_that_mixes_coefficients(z4):
+    # a PSD generator annihilating delta_0 with off-diagonal entries: P_t is
+    # no Schur multiplier, so it has no exact extension to M_q
+    gen = np.zeros((4, 4), dtype=complex)
+    gen[1:, 1:] = [[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]]
+    space = dr.space_from_matrix(z4, gen)
+    report = dr.markov_check(space, [0.5], make_rng(43))
+    assert "choi_cp[t=0.5] skipped: no exact representation of P_t" in report.flags
+    assert not any(c.name.startswith("choi_cp") for c in report.checks)
+    assert full_choi(space, 0.5) is None
+
+
+def test_markov_check_at_cyclic_64_stays_small():
+    # the full (q^2, q^2) complex Choi matrix alone would take 256 MiB here
+    space = dr.build_space(backend_from_spec(("cyclic", 64)))
+    tracemalloc.start()
+    try:
+        report = dr.markov_check(space, [0.1, 1.0], make_rng(44), battery=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed and not report.flags
+    assert peak < 32 * 2**20, peak
 
 
 def test_markov_check_fails_for_corrupted_generator(qubit):

@@ -18,7 +18,7 @@ DESCRIPTORS = [
 
 @pytest.mark.parametrize("desc", DESCRIPTORS, ids=["matrix", "torus", "torus13", "z4"])
 def test_descriptor_round_trip(desc):
-    blob = sz.descriptor_to_json(desc)
+    blob = desc.to_json()
     through_json = json.loads(json.dumps(blob))
     back = sz.descriptor_from_json(through_json)
     assert bk.same_backend(desc, back)
