@@ -37,7 +37,7 @@ import numpy as np
 
 from . import backends as bk
 from .backends import AlgebraElement, Density
-from .dirichlet import DirichletSpace, element_data, form_data
+from .dirichlet import DirichletSpace, _l2_generator, element_data, form_data
 from .reports import Report, check_ge, check_le
 
 
@@ -215,7 +215,7 @@ def calculus_check(space: DirichletSpace, rng: np.random.Generator, battery: int
     if radius == 0 and desc.default_radius() is not None:
         report.flags.append(
             "degenerate battery: triple products need level >= 3 for nonconstant supports")
-    gm, gen = gradient_matrix(space), space.dense.generator
+    gm, gen = gradient_matrix(space), _l2_generator(space, np.eye(space.dim)).T
     z = bk.random_data(desc, rng, (battery, 2 + tangent_components(space)), radius=radius)
     A, B, H = z[:, 0], z[:, 1], z[:, 2:]
 

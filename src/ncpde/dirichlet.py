@@ -12,7 +12,8 @@ generator acting on L^2(tau) coordinates (its ``generator_matrix``):
 ``space_from_matrix`` alone chooses how a space holds L: a diagonal L as
 its (D,) diagonal with the sorting permutation as eigenbasis, any other as a
 (D, D) matrix with the eigenvectors of ``eigh``; ``_l2_generator``,
-``_eigen_coords`` and ``_from_eigen`` hide the form from every consumer.
+``_eigen_coords`` and ``_from_eigen`` hide the form from every consumer
+(a dense L is ``_l2_generator`` applied to the identity).
 The associated quadratic form is E(a, b) = <a, L b>, the semigroup is
 exp(-t L) in eigen-coordinates, and the carre du champ density
 is recovered from the diffusion identity
@@ -29,8 +30,7 @@ curvature bound exactly, as one generalised eigenvalue per (t, a) pair.
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,13 +73,6 @@ class DirichletSpace:
     @property
     def dim(self) -> int:
         return self.evals.size
-
-    @functools.cached_property
-    def dense(self) -> DirichletSpace:
-        """This space with a dense (D, D) generator and eigenbasis, built once."""
-        return self if self.generator.ndim == 2 else replace(
-            self, generator=np.diag(self.generator),
-            evecs=np.eye(self.dim, dtype=np.complex128)[:, self.evecs])
 
 
 def build_space(desc: Descriptor, gap_tol: float = GAP_RTOL) -> DirichletSpace:
@@ -138,6 +131,16 @@ def _from_eigen(space: DirichletSpace, Z: np.ndarray, cols: slice = slice(None))
     C = np.zeros(Z.shape[:-1] + V.shape, dtype=np.result_type(Z, np.complex128))
     C[..., V[cols]] = Z
     return C
+
+
+def kernel_component(space: DirichletSpace, c: np.ndarray) -> float:
+    """L^2 mass of the coordinate vector c inside ker(generator)."""
+    return float(np.linalg.norm(_eigen_coords(space, c, slice(space.kernel_dim))))
+
+
+def project_off_kernel(space: DirichletSpace, c: np.ndarray) -> np.ndarray:
+    kernel = slice(space.kernel_dim)
+    return c - _from_eigen(space, _eigen_coords(space, c, kernel), kernel)
 
 
 def _generator(space: DirichletSpace, X: np.ndarray) -> np.ndarray:

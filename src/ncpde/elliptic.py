@@ -41,10 +41,10 @@ from typing import Callable
 import numpy as np
 
 from . import backends as bk
-from . import coords as co
 from .backends import AlgebraElement
 from .calculus import divergence, gradient, tangent_components
-from .dirichlet import DirichletSpace, _eigen_coords, _from_eigen, _l2_generator
+from .dirichlet import (DirichletSpace, _eigen_coords, _from_eigen, _l2_generator,
+                        kernel_component, project_off_kernel)
 from .reports import Report, check_ge, check_le
 
 
@@ -105,12 +105,12 @@ def _gate_kernel(space: DirichletSpace, f: AlgebraElement, project: bool,
     """The right-hand side actually solved for (f itself, or f projected off
     the kernel when ``project``) and the kernel mass of f."""
     c = bk.to_l2(f)
-    mass = co.kernel_component(space, c)
+    mass = kernel_component(space, c)
     tol = KERNEL_RTOL * max(np.linalg.norm(c), 1e-300)
     if not (mass <= tol):      # NaN mass fails the gate
         if not project:
             raise NoSolution(mass, tol)
-        f = bk.from_l2(space.backend, co.project_off_kernel(space, c))
+        f = bk.from_l2(space.backend, project_off_kernel(space, c))
         flags.append(f"projected_kernel_mass={mass:.6e}")
     return f, mass
 

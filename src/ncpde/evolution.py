@@ -26,12 +26,13 @@ stored, not the recurrence against itself.
 
 The continuity form is Re< A u, v > with A = eps L + T complex-linear in u
 (``form_matrix``), dense by nature.  It depends on t only through the
-flow's interpolation node, computed once per grid time; since times only
-advance, a form matrix is assembled only where the node differs from the
-previous one, and a step operator is inverted only where the nodes of its
-end points change (once per run for a constant flow).  Each step is then
-``step``, one product with that inverse; the relative solve residuals
-follow the loop, stacked over the steps of each step operator.
+flow's interpolation node, computed once per grid time, and a step
+operator only through the nodes of its end points.  The steps run one
+step operator at a time, over each run of steps with equal end-point
+nodes (one run for a constant flow): its inverse is formed once, each step
+is ``step``, one product with it, and the relative solve residuals of the
+run are stacked after it.  Since nodes only advance, each node's form
+matrix is assembled once.
 
 The transport form annihilates constant test vectors because the gradient
 of the unit vanishes, so for b = 0 the trace Re<u_k, 1> is conserved to
@@ -41,14 +42,15 @@ well-posedness theorem; such runs carry a prominent flag.  For eps > 0 the
 form dominates through Young's inequality with the dimension-dependent
 bound ||v||_op <= sqrt(D) ||v||_2, giving certificates
 
-    c0 = eps / 2,   c1 = eps / 2 + D * max_t ||h(t)||^2 / (2 eps),
+    c0 = eps / 2,   c1 = eps / 2 + D * max_t ||h(t)||^2 / (2 eps)
 
-whose empirical margins are checked on a probe battery every step (evaluated
-once per step operator).
+(the heat form is the case eps = 1, h = 0), whose empirical margins are
+checked on a probe battery every step (evaluated once per step operator).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -150,9 +152,9 @@ def _transport_matrix(space: DirichletSpace, h: TangentVector) -> np.ndarray:
 
 def form_matrix(problem: EvolutionProblem, t: float) -> np.ndarray:
     """A with F(u, v; t) = Re< A u, v > for the continuity form, eps L + T;
-    dense, from the space's dense form.  The heat form has no form matrix:
-    it steps in the generator's eigenbasis."""
-    A = problem.epsilon * problem.space.dense.generator
+    dense, with L as stored applied to the identity.  The heat form has no
+    form matrix: it steps in the generator's eigenbasis."""
+    A = problem.epsilon * _l2_generator(problem.space, np.eye(problem.space.dim)).T
     h = flow_at(problem, t)
     if h.data.any():
         A = A + _transport_matrix(problem.space, h)
@@ -165,12 +167,12 @@ def step(lhs_inv: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def default_certificates(problem: EvolutionProblem) -> tuple[float, float] | None:
-    if problem.form == "heat":
-        return (1.0, 1.0)
-    if problem.epsilon <= 0.0:
+    """(c0, c1) of the continuity form; heat is its case eps = 1 with no flow."""
+    heat = problem.form == "heat"
+    eps = 1.0 if heat else problem.epsilon
+    if eps <= 0.0:
         return None
-    hmax = max(hilbert_norm(h) for h in problem.flow)
-    eps = problem.epsilon
+    hmax = 0.0 if heat else max(hilbert_norm(h) for h in problem.flow)
     return (eps / 2.0, eps / 2.0 + problem.space.dim * hmax * hmax / (2.0 * eps))
 
 
@@ -233,50 +235,49 @@ def _heat_steps(space: DirichletSpace, x0: np.ndarray, weight: float, cn: bool,
 
 def _continuity_steps(problem: EvolutionProblem, x0: np.ndarray, times: np.ndarray,
                       weight: float, cn: bool, step_sources: np.ndarray, probe_vs):
-    """States and relative solve residuals of the continuity steps, the first
-    step of each step operator, and the probes applied through its form
-    matrix (empty without probes)."""
+    """States and relative solve residuals of the continuity steps, and per
+    step operator its number of steps and the probes applied through its
+    form matrix (None without probes)."""
     n, D = step_sources.shape
-    # the form depends on t only through the flow's interpolation node;
-    # times only advance, so a node that has changed never comes back and
-    # one comparison with the previous node suffices
+    # the form depends on t only through the flow's interpolation node, and
+    # a step operator on the nodes of its end points (only the later one for
+    # implicit Euler, whose explicit part is the identity)
     nodes = [_interp_weights(problem.flow_times, t) for t in times]
-    # a step operator depends on the nodes of its end points (only the later
-    # one for implicit Euler, whose explicit part is the identity)
-    step_keys = [(nodes[k] if cn else None, nodes[k + 1]) for k in range(n)]
+    forms: dict = {}    # the latest node's form matrix: nodes only advance
+
+    def form(k):        # each node is assembled once, at its first grid time
+        if nodes[k] not in forms:
+            forms.clear()
+            forms[nodes[k]] = form_matrix(problem, times[k])
+        return forms[nodes[k]]
+
     eye = np.eye(D)
     xs = np.empty((n + 1, D), dtype=complex)
     xs[0] = x0
     rhs = np.empty((n, D), dtype=complex)
-    starts, lhss, applied = [], [], []    # per step operator: first step, matrix, v^* A
-    A_next = form_matrix(problem, times[0]) if cn else None
-    for k in range(n):
-        A_now = A_next
-        if A_next is None or nodes[k + 1] != nodes[k]:
-            A_next = form_matrix(problem, times[k + 1])
-        if k == 0 or step_keys[k] != step_keys[k - 1]:
-            lhs = eye + weight * A_next
-            explicit = eye - weight * A_now if cn else None
-            try:
-                lhs_inv = np.linalg.inv(lhs)
-            except np.linalg.LinAlgError as exc:
-                raise bk.AlgebraError(
-                    f"singular step matrix at t={times[k + 1]:g} (condition "
-                    f"{np.linalg.cond(lhs):.3e}); pure transport with eps=0 can lose coercivity"
-                ) from exc
-            starts.append(k)
-            lhss.append(lhs)
-            if probe_vs is not None:
-                applied.append(probe_vs.conj() @ A_next)
-        rhs[k] = (xs[k] if explicit is None else explicit @ xs[k]) + weight * step_sources[k]
-        xs[k + 1] = step(lhs_inv, rhs[k])
-
-    # the relative residual of every solve, stacked over each operator's steps
     residuals = np.empty(n)
-    for lhs, a, b in zip(lhss, starts, starts[1:] + [n]):
+    ops = []
+    for _, run in itertools.groupby(range(n), lambda k: (nodes[k] if cn else None, nodes[k + 1])):
+        ks = list(run)
+        a, b = ks[0], ks[-1] + 1
+        explicit = eye - weight * form(a) if cn else None
+        A = form(b)
+        lhs = eye + weight * A
+        try:
+            lhs_inv = np.linalg.inv(lhs)
+        except np.linalg.LinAlgError as exc:
+            raise bk.AlgebraError(
+                f"singular step matrix at t={times[a + 1]:g} (condition "
+                f"{np.linalg.cond(lhs):.3e}); pure transport with eps=0 can lose coercivity"
+            ) from exc
+        for k in ks:
+            rhs[k] = (xs[k] if explicit is None else explicit @ xs[k]) + weight * step_sources[k]
+            xs[k + 1] = step(lhs_inv, rhs[k])
+        # the relative residual of every solve of this step operator, stacked
         residuals[a:b] = (np.linalg.norm(xs[a + 1:b + 1] @ lhs.T - rhs[a:b], axis=1)
                           / np.maximum(np.linalg.norm(rhs[a:b], axis=1), 1e-300))
-    return xs, residuals, starts, applied
+        ops.append((b - a, None if probe_vs is None else probe_vs.conj() @ A))
+    return xs, residuals, ops
 
 
 def solve_evolution(problem: EvolutionProblem, rng: np.random.Generator | None = None,
@@ -311,18 +312,17 @@ def solve_evolution(problem: EvolutionProblem, rng: np.random.Generator | None =
     x0 = bk.to_l2(problem.u0)
     if problem.form == "heat":
         xs, residuals = _heat_steps(space, x0, weight, cn, step_sources)
-        starts = [0]
         # L is Hermitian, so v^* L is the conjugate of L v
-        applied = [] if probe_vs is None else [_l2_generator(space, probe_vs).conj()]
+        ops = [(n, None if probe_vs is None else _l2_generator(space, probe_vs).conj())]
     else:
-        xs, residuals, starts, applied = _continuity_steps(
+        xs, residuals, ops = _continuity_steps(
             problem, x0, times, weight, cn, step_sources, probe_vs)
-    stats = [_probe_stats(VA, probe_vs, v_sq, h_sq, certs) for VA in applied]
+    counts = [m for m, _ in ops]
+    stats = [_probe_stats(VA, probe_vs, v_sq, h_sq, certs) for _, VA in ops if VA is not None]
 
     traces = (xs @ unit.conj()).real
     injected = weight * (step_sources @ unit.conj()).real
     defects = np.append(0.0, traces[1:] - traces[0] - np.cumsum(injected))
-    counts = np.diff(starts + [n])
     bounds = None if probe_vs is None else np.repeat([s[1] for s in stats], counts)
     margins = None if bounds is None or certs is None else np.repeat([s[0] for s in stats], counts)
 

@@ -8,8 +8,8 @@ from ncpde import calculus as ca
 from ncpde import coords as co
 from ncpde import elliptic as el
 from ncpde import evolution as ev
-from ncpde.dirichlet import (GAP_RTOL, DirichletSpace, build_space, carre_du_champ,
-                             semigroup_apply)
+from ncpde.dirichlet import (GAP_RTOL, DirichletSpace, _from_eigen, _l2_generator, build_space,
+                             carre_du_champ, semigroup_apply)
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -149,6 +149,13 @@ def corrupted_space(desc, gen):
     lam_max = max(float(np.abs(evals).max()), 1e-300)
     kernel_dim = int(np.sum(np.abs(evals) < GAP_RTOL * lam_max))
     return DirichletSpace(desc, gen, evals, evecs, kernel_dim)
+
+
+def dense_form(space):
+    """(generator, eigenbasis) of a space as dense (D, D) matrices, whichever
+    form it holds them in: L and the eigenbasis applied to the identity."""
+    eye = np.eye(space.dim)
+    return _l2_generator(space, eye).T, _from_eigen(space, eye).T
 
 
 def assert_elem_close(a, b, tol=1e-12, scale=None):
@@ -392,7 +399,7 @@ def loop_dense_newton(V, d, scale):
 
 def loop_realified_cg(space, f):
     """(solution coordinates, iterations, energy history) of realified CG."""
-    A = co.realify_operator(space.dense.generator)
+    A = co.realify_operator(dense_form(space)[0])
     b = realify_vector(bk.to_l2(f))
     n = b.size
     x = np.zeros(n)
@@ -422,7 +429,7 @@ def loop_realified_cg(space, f):
 # the probes at t_{k+1}, and at t_k and t_{k+1} for the step), evaluates the
 # source afresh wherever it is used, solves each step with its own dense
 # solve and evaluates the probe quadratic forms one pair at a time.  The
-# heat form's matrix is the space's dense generator, taken here directly, so
+# heat form's matrix is the space's dense generator from ``dense_form``, so
 # the oracle does not call the eigenbasis stepping it checks.  The package
 # steps the heat form mode by mode in the generator's eigenbasis, and runs
 # the continuity form as one loop over the same grid on complex coordinates
@@ -435,7 +442,7 @@ def loop_realified_cg(space, f):
 
 def _real_form(problem, t):
     if problem.form == "heat":
-        return co.realify_operator(problem.space.dense.generator)
+        return co.realify_operator(dense_form(problem.space)[0])
     return co.realify_operator(ev.form_matrix(problem, t))
 
 
@@ -465,7 +472,7 @@ def loop_solve_evolution(problem, rng=None, probes=8):
     space = problem.space
     n = problem.n_steps()
     D2 = 2 * space.dim
-    e_gram = np.eye(D2) + co.realify_operator(space.dense.generator)
+    e_gram = np.eye(D2) + co.realify_operator(dense_form(space)[0])
     unit_r = realify_vector(bk.to_l2(bk.unit(space.backend)))
     certs = ev.default_certificates(problem)
     probe_vs = None

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from ncpde import backends as bk
 from ncpde import calculus as ca
 from ncpde import dirichlet as dr
-from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z, assert_elem_close, backend_from_spec, make_rng
+from conftest import (SIGMA_X, SIGMA_Y, SIGMA_Z, assert_elem_close, backend_from_spec, dense_form,
+                      make_rng)
 
 
 def tangent_close(h, g, tol=1e-12, scale=1.0):
@@ -28,7 +29,7 @@ def all_spaces(qubit_space, torus3_space, z4_space, z5_space):
 # backends beyond the corpus sizes with their support radius, extra inputs to
 # the paper identities; the word-length cyclic backend has many frame
 # components, which exercises the index of each component's J partner
-SCALE_SPECS = [(("torus", 6), 2), (("cyclic", 64), None), (("matrix", 6), None)]
+SCALE_SPECS = [(("torus", 6), 2), (("torus", 8), 2), (("cyclic", 64), None), (("matrix", 6), None)]
 
 
 @pytest.fixture(scope="module")
@@ -108,7 +109,7 @@ def test_generator_factorization(qubit_space, pair3_space, torus2_space, z4_spac
     for sp in (qubit_space, pair3_space, torus2_space, z4_space, z5_space,
                *(sp for sp, _ in scale_spaces)):
         gm = ca.gradient_matrix(sp)
-        gen = sp.dense.generator
+        gen = dense_form(sp)[0]
         rel = np.linalg.norm(gm.conj().T @ gm - gen) / np.linalg.norm(gen)
         assert rel <= 1e-10
 

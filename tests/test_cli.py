@@ -20,7 +20,7 @@ from ncpde import elliptic as el
 from ncpde import serialize as sz
 from ncpde.calculus import tangent_components
 from ncpde.dirichlet import build_space
-from conftest import THETA_IRR, backend_from_spec, loop_random_data
+from conftest import THETA_IRR, backend_from_spec, dense_form, loop_random_data
 
 CORPUS = sorted(Path(__file__).resolve().parent.parent.glob("corpus/*.json"))
 # artifacts of every corpus config, committed: a fresh run must match them
@@ -133,7 +133,7 @@ def test_solution_json_round_trips_with_same_residuals(tmp_path, capsys):
     rep = el.solve_poisson(space, f)
     assert np.array_equal(u.data, rep.solution.data)
     strong = bk.norm_l2(
-        bk.from_l2(t, space.dense.generator @ bk.to_l2(u)) - f) / bk.norm_l2(f)
+        bk.from_l2(t, dense_form(space)[0] @ bk.to_l2(u)) - f) / bk.norm_l2(f)
     assert strong == pytest.approx(rep.residual_strong, abs=1e-15)
 
 
@@ -149,6 +149,15 @@ def test_tol_override_can_fail_a_check(tmp_path, capsys):
     assert run_main(tmp_path, config, "--quiet") == 0
     code = run_main(tmp_path, config, "--quiet", "--tol", "1e-30")
     assert code == 2
+
+
+def test_heat_coercivity_margins_are_positive_at_a_tight_tol(tmp_path):
+    # the heat certificates (1/2, 1/2) leave the margin E(v) / 2 > 0, not a
+    # rounding-level zero that a tight tolerance would fail
+    config = json.loads((CORPUS[0].parent / "qubit_heat.json").read_text())
+    assert cli.run(config, out_dir=str(tmp_path), quiet=True, tol_override=1e-16) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert min(report["coercivity_margins"]) > 0
 
 
 def test_evolve_writes_trajectory(tmp_path, capsys):

@@ -9,7 +9,7 @@ from ncpde import backends as bk
 from ncpde import cli
 from ncpde import dirichlet as dr
 from conftest import (SIGMA_X, SIGMA_Z, THETA_IRR, assert_elem_close, backend_from_spec,
-                      bisect_largest_passing_K, corrupted_space, full_choi, make_rng)
+                      bisect_largest_passing_K, corrupted_space, dense_form, full_choi, make_rng)
 
 
 def commutator(a, b):
@@ -88,23 +88,24 @@ def test_generator_symmetry_and_positivity(torus2_space, qubit_space, pair3_spac
 
 def test_eigensystem_reconstructs_generator(pair3_space):
     sp = pair3_space
-    recon = (sp.dense.evecs * sp.evals) @ sp.dense.evecs.conj().T
-    rel = np.linalg.norm(recon - sp.dense.generator) / np.linalg.norm(sp.dense.generator)
+    gen, evecs = dense_form(sp)
+    recon = (evecs * sp.evals) @ evecs.conj().T
+    rel = np.linalg.norm(recon - gen) / np.linalg.norm(gen)
     assert rel <= 1e-10
 
 
 def test_space_arrays_are_read_only(qubit, pair3_space, torus2_space, z4_space):
-    # the space hands out views of its stored and dense forms: writing
-    # through them must not corrupt the space's generator or eigensystem
+    # the space hands out views of its stored form: writing through them
+    # must not corrupt the space's generator or eigensystem
     for sp in (pair3_space, torus2_space, z4_space,
                corrupted_space(qubit, np.diag([0.0, 1.0, 1.0, 0.0]))):
-        for arr in (sp.generator, sp.evals, sp.evecs, sp.dense.generator, sp.dense.evecs):
+        for arr in (sp.generator, sp.evals, sp.evecs):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.0
 
 
 def test_space_from_matrix_validation(qubit, qubit_space):
-    gen = qubit_space.dense.generator
+    gen = dense_form(qubit_space)[0]
     dr.space_from_matrix(qubit, gen)   # fine
     evals, evecs = np.linalg.eigh(gen)
     evals[-1] = -evals[-1]
@@ -280,7 +281,7 @@ def test_markov_check_at_cyclic_64_stays_small():
 
 
 def test_markov_check_fails_for_corrupted_generator(qubit):
-    gen = dr.build_space(qubit).dense.generator.copy()
+    gen = dense_form(dr.build_space(qubit))[0]
     evals, evecs = np.linalg.eigh(gen)
     evals[-1] = -evals[-1]
     bad = corrupted_space(qubit, (evecs * evals) @ evecs.conj().T)
@@ -394,7 +395,7 @@ def test_gamma_complete_positivity_battery(qubit_space, pair3_space):
 
 def test_gamma_positivity_enforced(qubit):
     # corrupt generator (not a diffusion generator): Gamma picks up negativity
-    gen = -dr.build_space(qubit).dense.generator
+    gen = -dense_form(dr.build_space(qubit))[0]
     bad = corrupted_space(qubit, gen)
     with pytest.raises(bk.NotPositive):
         dr.carre_du_champ(bad, bk.element(qubit, SIGMA_X))
@@ -542,7 +543,7 @@ def test_be_battery_that_never_binds_is_unbounded(tmp_path, t, radius):
 
 def test_be_failure_at_time_zero_admits_no_K(qubit, qubit_space):
     # doubled eigenvectors make P_0 = 4 id, so Gamma(P_0 a) = 16 Gamma(a) > P_0 Gamma(a)
-    dense = qubit_space.dense
+    dense = corrupted_space(qubit, dense_form(qubit_space)[0])
     space = dataclasses.replace(dense, evecs=2.0 * dense.evecs)
     report = dr.bakry_emery_check(space, 0.0, [0.0], _stack([bk.element(qubit, SIGMA_X)]))
     assert not report.passed

@@ -17,6 +17,7 @@ from ncpde import evolution as ev
 from ncpde.dirichlet import build_space
 from conftest import (
     backend_from_spec,
+    dense_form,
     loop_gradient_matrix,
     loop_lmul,
     loop_transport_matrix,
@@ -96,7 +97,7 @@ def test_gradient_matrix_matches_loop_and_factorizes_generator(spec):
     space = build_space(backend_from_spec(spec))
     gm = ca.gradient_matrix(space)
     assert _rel(gm, loop_gradient_matrix(space)) <= RTOL
-    assert _rel(gm.conj().T @ gm, space.dense.generator) <= RTOL
+    assert _rel(gm.conj().T @ gm, dense_form(space)[0]) <= RTOL
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=IDS)

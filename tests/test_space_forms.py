@@ -2,16 +2,17 @@
 as eigenbasis; any other as a dense matrix with the eigenvectors of ``eigh``.
 Both forms of the same generator must give the same operators, spectra and
 solutions, and the diagonal form must never build a dense (D, D) array on
-the Poisson path."""
+the Poisson path.  No module but ``dirichlet`` reads the stored form."""
 
+import ast
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import THETA_IRR, backend_from_spec, corrupted_space, make_rng
 from ncpde import backends as bk
-from ncpde import coords as co
 from ncpde import dirichlet as dr
 from ncpde import elliptic as el
 
@@ -50,8 +51,8 @@ def test_diagonal_and_dense_forms_agree(spec):
     if diagonal.kernel_dim < diagonal.dim:
         _close(dr.poincare_constant(diagonal).gap, dr.poincare_constant(dense).gap)
     c = bk.l2_coords(desc, X[0])
-    _close(co.kernel_component(diagonal, c), co.kernel_component(dense, c))
-    _close(co.project_off_kernel(diagonal, c), co.project_off_kernel(dense, c))
+    _close(dr.kernel_component(diagonal, c), dr.kernel_component(dense, c))
+    _close(dr.project_off_kernel(diagonal, c), dr.project_off_kernel(dense, c))
     f = bk.element(desc, Y[0])
     for solve in (el.solve_poisson, el.minimize_dirichlet_energy):
         a = solve(diagonal, f, project_kernel=True)
@@ -73,3 +74,22 @@ def test_torus8_space_and_cg_allocate_less_than_one_dense_matrix():
         tracemalloc.stop()
     assert report.residual_strong <= 1e-10
     assert peak < D * D * 16, f"peak {peak} bytes >= one dense complex ({D}, {D}) array"
+
+
+def test_only_dirichlet_reads_the_stored_form():
+    # the one-form rule: a module that read the generator or eigenbasis as
+    # stored would have to know which form the space holds, and coords keeps
+    # only an oracle that depends on no other module of the package
+    offenders = []
+    for path in sorted(Path(dr.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (path.name != "dirichlet.py" and isinstance(node, ast.Attribute)
+                    and node.attr in ("generator", "evecs", "dense")):
+                offenders.append(f"{path.name}:{node.lineno} reads .{node.attr}")
+            if path.name == "coords.py" and (
+                    isinstance(node, ast.ImportFrom)
+                    and (node.level > 0 or node.module.split(".")[0] == "ncpde")
+                    or isinstance(node, ast.Import)
+                    and any(a.name.split(".")[0] == "ncpde" for a in node.names)):
+                offenders.append(f"coords.py:{node.lineno} imports from ncpde")
+    assert not offenders, offenders
