@@ -20,17 +20,14 @@ from .backends import (
     delta,
     element,
     inner_l2,
-    modulus,
     monomial,
     mul,
     mul_with_loss,
     nc_torus_rational,
     norm_l2,
     operator_norm,
-    positive_decompose,
     represent,
     scale,
-    sqrt_positive,
     trace,
     unit,
     zero,

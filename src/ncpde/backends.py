@@ -803,7 +803,7 @@ def operator_norm(a: AlgebraElement) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Positivity and spectral calculus
+# Positivity
 # ---------------------------------------------------------------------------
 
 
@@ -858,40 +858,6 @@ def require_positive_data(desc: Descriptor, A: np.ndarray, witness, leak, what: 
 def require_positive(rho: Density, what: str) -> None:
     witness = np.nan if rho.witness is None else rho.witness
     require_positive_data(rho.element.backend, rho.element.data, witness, rho.leak, what)
-
-
-def _spectral(a: AlgebraElement) -> tuple[np.ndarray, Callable]:
-    """Ascending eigenvalues of ``represent(a)`` and the map fn -> fn(a) for
-    real spectral functions fn, both from one eigendecomposition; needs a
-    self-adjoint ``a`` and an invertible representation."""
-    if not self_adjoint_data(a.backend, a.data):
-        raise NotSelfAdjoint("spectral calculus needs a self-adjoint element")
-    if not a.backend.rep_is_exact():
-        raise NotRepresentable("spectral calculus needs an exact representation")
-    evals, vecs = np.linalg.eigh(represent(a))
-    return evals, lambda fn: element_from_matrix(a.backend, (vecs * fn(evals)) @ vecs.conj().T)
-
-
-def positive_decompose(a: AlgebraElement) -> tuple[Density, Density]:
-    """Orthogonal decomposition a = a_plus - a_minus of a self-adjoint
-    element into positive parts, via eigendecomposition of represent(a)."""
-    apply = _spectral(a)[1]
-    return (as_density(apply(lambda s: np.clip(s, 0.0, None))),
-            as_density(apply(lambda s: np.clip(-s, 0.0, None))))
-
-
-def sqrt_positive(a: AlgebraElement) -> AlgebraElement:
-    evals, apply = _spectral(a)
-    if float(evals[0]) < -positivity_tol(a.backend) * max(norm_l2(a), 1.0):
-        raise NotPositive("square root of a non-positive element")
-    return apply(lambda s: np.sqrt(np.clip(s, 0.0, None)))
-
-
-def modulus(a: AlgebraElement) -> AlgebraElement:
-    """|a| = (a^* a)^{1/2}; for self-adjoint a this is |spectrum|."""
-    if self_adjoint_data(a.backend, a.data):
-        return _spectral(a)[1](np.abs)
-    return sqrt_positive(mul(adjoint(a), a))
 
 
 # ---------------------------------------------------------------------------

@@ -6,16 +6,16 @@ The JSON config carries the command, the backend descriptor and the
 per-command problem payload; it is validated against a strict schema
 (unknown fields, non-finite numbers and integers beyond float range are
 rejected) before any computation.  A valid config is accepted in one walk
-over the schemas' Draft 2020-12 keywords that also checks every number is
-finite; only a rejected config imports jsonschema, whose stock validator
-words the message.  As in Draft 2020-12, a bool is not a number and an
-integer-valued float such as 1.0 is an integer; each integer field is read
-through int(), so it runs as its int twin.  ``COMMANDS`` maps each command
-to its problem schema and its handler.  All randomized batteries are drawn
-from numpy's PCG64 generator seeded from the config (command-line --seed
-overrides), so identical config + seed reproduces bit-identical JSON output
-on a given platform/BLAS.  Exit codes: 0 success with all checks passed, 2
-completed with check failures (reports still written), 1 errors.
+over the schemas' Draft 2020-12 keywords, in which a non-finite number fails
+its type; only a rejected config imports jsonschema, whose stock validator
+words the message, or else ``_non_finite_path``.  As in Draft 2020-12, a
+bool is not a number and an integer-valued float such as 1.0 is an integer;
+each integer field is read through int(), so it runs as its int twin.  All
+randomized batteries are drawn from numpy's PCG64 generator seeded from the
+config (command-line --seed overrides), so identical config + seed
+reproduces bit-identical JSON output on a given platform/BLAS.  Exit codes:
+0 success with all checks passed, 2 completed with check failures (reports
+still written), 1 errors.
 """
 
 from __future__ import annotations
@@ -114,22 +114,15 @@ def _non_finite_path(obj, path: str = "config") -> str | None:
     return None
 
 
-class _NonFinite(Exception):
-    """A number no float64 holds finitely: ``_non_finite_path`` rejects the
-    config wherever in it the number sits."""
-
-
 def _number(x) -> bool:
-    """Whether ``x`` is a JSON number (a bool is not); raises ``_NonFinite``
-    for NaN, an infinity or an integer beyond float range."""
+    """Whether ``x`` is a JSON number (a bool is not) that float64 holds
+    finitely: NaN, an infinity or an integer beyond float range is not one."""
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         return False
     try:
-        if math.isfinite(x):
-            return True
-    except OverflowError:
-        pass
-    raise _NonFinite
+        return math.isfinite(x)
+    except OverflowError:   # an int no float can hold
+        return False
 
 
 _TYPES = {
@@ -181,13 +174,10 @@ def _valid(x, schema: dict) -> bool:
 
 
 def _accepts(config) -> bool:
-    """Whether stock jsonschema finds no error in ``config`` and its problem,
-    and ``_non_finite_path`` no number at fault: one walk, no message."""
-    try:
-        return (_valid(config, CONFIG_SCHEMA)
-                and _valid(config.get("problem", {}), COMMANDS[config["command"]][0]))
-    except _NonFinite:
-        return False
+    """Whether stock jsonschema and ``_non_finite_path`` both pass ``config``:
+    one walk, no message, in which a number no float64 holds fails its type."""
+    return (_valid(config, CONFIG_SCHEMA)
+            and _valid(config.get("problem", {}), COMMANDS[config["command"]][0]))
 
 
 def validate_config(config: dict) -> None:
@@ -375,6 +365,9 @@ def _parse_flow(space, flow_cfg):
 
 
 def _cmd_evolve(space, problem, rng, tol):
+    if problem["form"] == "heat" and ("epsilon" in problem or problem.get("flow") is not None):
+        field = "epsilon" if "epsilon" in problem else "flow"
+        raise ConfigError(f"invalid config: config.problem.{field}: not a field of the heat form")
     u0 = sz.element_data_from_json(space.backend, problem["u0"])
     flow_times, flow = _parse_flow(space, problem.get("flow"))
     source_cfg = problem.get("source")

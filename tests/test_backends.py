@@ -383,63 +383,14 @@ def test_operator_norm_c_star_identities(qubit, z4):
 # ---------------------------------------------------------------------------
 
 
-def test_positive_decompose_sigma_z(qubit):
-    plus, minus = bk.positive_decompose(bk.element(qubit, SIGMA_Z))
-    assert np.allclose(plus.element.data, np.diag([1.0, 0.0]))
-    assert np.allclose(minus.element.data, np.diag([0.0, 1.0]))
-
-
-def test_positive_decompose_of_positive_has_no_negative_part(qubit):
-    rng = make_rng(10)
-    a = bk.random_element(qubit, rng)
-    pos = bk.mul(bk.adjoint(a), a)
-    plus, minus = bk.positive_decompose(pos)
-    assert bk.norm_l2(minus.element) < 1e-12 * bk.norm_l2(pos)
-    assert_elem_close(plus.element, pos, tol=1e-12)
-
-
-def test_positive_decompose_zero(qubit):
-    plus, minus = bk.positive_decompose(bk.zero(qubit))
-    assert bk.norm_l2(plus.element) == 0.0
-    assert bk.norm_l2(minus.element) == 0.0
-
-
-def test_positive_decompose_requires_self_adjoint(qubit):
-    rng = make_rng(11)
-    a = bk.random_element(qubit, rng)   # generic: not self-adjoint
-    with pytest.raises(bk.NotSelfAdjoint):
-        bk.positive_decompose(a)
-
-
-def test_positive_decompose_cyclic_via_fourier(z4):
+def test_element_from_matrix_inverts_represent(qubit, z4):
     rng = make_rng(12)
-    a = bk.random_element(z4, rng, self_adjoint=True)
-    plus, minus = bk.positive_decompose(a)
-    assert_elem_close(plus.element - minus.element, a, tol=1e-12)
-    assert plus.witness >= -1e-12
-    assert minus.witness >= -1e-12
-    # oracle: the positive part in Fourier is the clipped spectrum
-    spectrum = np.fft.fft(a.data).real
-    assert np.allclose(np.fft.fft(plus.element.data).real,
-                       np.clip(spectrum, 0, None), atol=1e-12)
-
-
-def test_positive_decompose_torus_rational_roundtrip():
-    t = bk.nc_torus_rational(1, 1, 3)
-    rng = make_rng(13)
-    a = bk.random_element(t, rng, self_adjoint=True)
-    plus, minus = bk.positive_decompose(a)
-    assert_elem_close(plus.element - minus.element, a, tol=1e-12)
-    for d in (plus, minus):
-        assert d.witness >= -1e-10
-
-
-def test_positive_decompose_irrational_torus_raises():
-    t = bk.NCTorus(2, THETA_IRR)
-    rng = make_rng(14)
-    a = bk.random_element(t, rng, self_adjoint=True)
+    for desc in (qubit, z4, bk.nc_torus_rational(1, 1, 3)):
+        a = bk.random_element(desc, rng)
+        assert_elem_close(bk.element_from_matrix(desc, bk.represent(a)), a, tol=1e-12)
+    irrational = bk.NCTorus(2, THETA_IRR)   # the window compression has no inverse
     with pytest.raises(bk.NotRepresentable):
-        bk.positive_decompose(a)
+        bk.element_from_matrix(irrational, bk.represent(bk.random_element(irrational, rng)))
 
 
 def test_element_from_matrix_rejects_wide_window():
@@ -461,17 +412,6 @@ def test_element_from_matrix_window_overflow():
         t.element_from_matrix(np.stack([X, clock2]))
 
 
-def test_sqrt_and_modulus(qubit):
-    rng = make_rng(15)
-    a = bk.random_element(qubit, rng)
-    pos = bk.mul(bk.adjoint(a), a)
-    root = bk.sqrt_positive(pos)
-    assert_elem_close(bk.mul(root, root), pos, tol=1e-12)
-    assert_elem_close(bk.modulus(bk.element(qubit, SIGMA_Z)), bk.unit(qubit), tol=1e-14)
-    with pytest.raises(bk.NotPositive):
-        bk.sqrt_positive(bk.element(qubit, SIGMA_Z))
-
-
 def test_require_positive_raises_below_minus_tol_times_scale(qubit):
     tol = bk.positivity_tol(qubit)          # scale max(||a||, 1) is 1 here
     bk.require_positive(bk.as_density(bk.element(qubit, np.diag([-0.5 * tol, 0.0]))), "a")
@@ -487,26 +427,6 @@ def test_require_positive_exempts_leaky_and_witnessless_densities(qubit):
     offdiag = bk.as_density(bk.element(qubit, [[-1.0, 1.0], [0.0, -1.0]]))
     assert offdiag.witness is None                  # not self-adjoint
     bk.require_positive(offdiag, "offdiag")
-
-
-@pytest.mark.parametrize("fn", [bk.sqrt_positive, bk.positive_decompose])
-def test_spectral_calculus_makes_one_eigendecomposition(qubit, monkeypatch, fn):
-    rng = make_rng(16)
-    a = bk.random_element(qubit, rng)
-    pos = bk.mul(bk.adjoint(a), a)
-    calls = {"eigh": [], "eigvalsh": []}
-    for name in calls:
-        original = getattr(np.linalg, name)
-
-        def spy(M, *args, _original=original, _name=name, **kwargs):
-            calls[_name].append(np.array(M))
-            return _original(M, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, spy)
-    fn(pos)
-    rep = bk.represent(pos)
-    assert len(calls["eigh"]) == 1 and np.array_equal(calls["eigh"][0], rep)
-    assert not any(M.shape == rep.shape and np.array_equal(M, rep) for M in calls["eigvalsh"])
 
 
 def test_cyclic_frame_is_computed_once_and_read_only(z5):

@@ -311,6 +311,16 @@ def test_empty_frame_quasilinear_passes_the_structure_probes(tmp_path):
     ({"command": "gap", "backend": {"kind": "cyclic", "order": 4,
                                     "lengths": [0.0, -10**400, 2.0, 1.0]}},
      "config.backend.lengths[1]"),
+    # under a oneOf branch: the number fails its type, so no branch matches
+    ({"command": "gap", "backend": {**TORUS_BACKEND, "theta": float("nan")}},
+     "config.backend.theta"),
+    ({"command": "gap", "backend": {**TORUS_BACKEND, "theta": 0.5, "rational": [1, 10**400]}},
+     "config.backend.rational[1]"),
+    ({"command": "evolve", "backend": QUBIT_BACKEND,
+      "problem": {"form": "continuity", "u0": [[1.0, 0.0]] * 4, "horizon": 0.2, "dt": 0.1,
+                  "epsilon": 0.1, "flow": {"constant_gradient_of": [[0.0, 0.0]] * 4,
+                                           "scale": float("inf")}}},
+     "config.problem.flow.scale"),
 ])
 def test_non_finite_config_exits_1_naming_the_field(tmp_path, capsys, config, field):
     out_dir = tmp_path / "out"
@@ -668,6 +678,27 @@ def test_malformed_flow_vector_exits_1_naming_field_and_shape(tmp_path, capsys, 
     assert err.startswith("error: ")
     assert f"config.problem.flow.vectors[{index}]" in err
     assert "1 components of 4 coefficient pairs" in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("extra, field", [
+    ({"epsilon": 5.0}, "epsilon"),
+    ({"epsilon": 0.0}, "epsilon"),
+    ({"flow": {"constant_gradient_of": _ZERO_QUBIT}}, "flow"),
+    ({"flow": {"times": [0.0, 1.0], "vectors": [[_ZERO_QUBIT]] * 2}}, "flow"),
+    ({"flow": None}, None),
+], ids=["epsilon", "epsilon-zero", "constant-flow", "sampled-flow", "null-flow"])
+def test_heat_problem_rejects_epsilon_and_flow(tmp_path, capsys, extra, field):
+    # the heat form reads neither, so a run that took them would ignore them
+    config = json.loads((CORPUS[0].parent / "qubit_heat.json").read_text())
+    config["problem"].update(extra)
+    out_dir = tmp_path / "out"
+    if field is None:
+        assert run_main(tmp_path, config, "--out", str(out_dir), "--quiet") == 0
+        return
+    assert run_main(tmp_path, config, "--out", str(out_dir)) == 1
+    assert capsys.readouterr().err == (
+        f"error: invalid config: config.problem.{field}: not a field of the heat form\n")
     assert not out_dir.exists()
 
 
