@@ -393,6 +393,45 @@ def test_element_from_matrix_inverts_represent(qubit, z4):
         bk.element_from_matrix(irrational, bk.represent(bk.random_element(irrational, rng)))
 
 
+def _positive_decompose(a):
+    """a = plus - minus with plus, minus >= 0, by clipping the spectrum of
+    represent(a) and mapping each part back through element_from_matrix."""
+    evals, vecs = np.linalg.eigh(bk.represent(a))
+    parts = [(vecs * np.clip(s * evals, 0, None)) @ vecs.conj().T for s in (1.0, -1.0)]
+    return tuple(bk.as_density(bk.element_from_matrix(a.backend, P)) for P in parts)
+
+
+def test_positive_decompose_cyclic_via_fourier(z4):
+    rng = make_rng(12)
+    a = bk.random_element(z4, rng, self_adjoint=True)
+    plus, minus = _positive_decompose(a)
+    assert_elem_close(plus.element - minus.element, a, tol=1e-12)
+    assert plus.witness >= -1e-12
+    assert minus.witness >= -1e-12
+    # oracle: the positive part in Fourier is the clipped spectrum
+    spectrum = np.fft.fft(a.data).real
+    assert np.allclose(np.fft.fft(plus.element.data).real,
+                       np.clip(spectrum, 0, None), atol=1e-12)
+
+
+def test_positive_decompose_torus_rational_roundtrip():
+    t = bk.nc_torus_rational(1, 1, 3)
+    rng = make_rng(13)
+    a = bk.random_element(t, rng, self_adjoint=True)
+    plus, minus = _positive_decompose(a)
+    assert_elem_close(plus.element - minus.element, a, tol=1e-12)
+    for d in (plus, minus):
+        assert d.witness >= -1e-10
+
+
+def test_positive_decompose_irrational_torus_raises():
+    t = bk.NCTorus(2, THETA_IRR)
+    rng = make_rng(14)
+    a = bk.random_element(t, rng, self_adjoint=True)
+    with pytest.raises(bk.NotRepresentable):
+        _positive_decompose(a)
+
+
 def test_element_from_matrix_rejects_wide_window():
     t = bk.nc_torus_rational(2, 1, 3)   # window 5 > period 3
     with pytest.raises(bk.NotRepresentable):
