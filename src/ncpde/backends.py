@@ -102,9 +102,9 @@ class Descriptor:
     mass), ``adjoint_data`` and ``lmul`` (the matrix of x -> A x);
     ``rep_dim``, ``represent``, ``rep_eigvalsh``, ``element_from_matrix``,
     ``choi_min`` (least Choi eigenvalue of P_t); ``generator_matrix``
-    ((D, D), or the (D,) diagonal of a diagonal generator); and the
-    tangent frame: ``frame_size``, ``psis`` (derivations as coefficient
-    multipliers) or ``derive`` and ``codifferential``, and ``involution`` (J).
+    ((D, D), or the (D,) diagonal of a diagonal generator); and the tangent
+    frame: ``psis`` (``frame_size()`` derivations as coefficient multipliers)
+    or ``frame_size``, ``derive`` and ``codifferential``; ``involution`` (J).
     The defaults below serve exact representations, untwisted left
     actions, supports without a radius and multiplier frames.
 
@@ -163,6 +163,9 @@ class Descriptor:
         """Per frame component, the coefficients by which A acts on the left;
         untwisted actions use A itself, broadcast over the frame axis."""
         return np.expand_dims(A, self.frame_axis())
+
+    def frame_size(self) -> int:
+        return len(self.psis())
 
     def derive(self, A: np.ndarray) -> np.ndarray:
         """Frame components of the gradient of A."""
@@ -439,9 +442,6 @@ class NCTorus(Descriptor):
         ns = np.arange(-self.level, self.level + 1)
         return (ns[:, None] ** 2 + ns[None, :] ** 2).reshape(-1).astype(np.complex128)
 
-    def frame_size(self) -> int:
-        return 2
-
     def psis(self) -> np.ndarray:
         return self._psis
 
@@ -601,9 +601,6 @@ class CyclicGroup(Descriptor):
         full weight vector mu (read-only), computed once at construction."""
         return self._frame
 
-    def frame_size(self) -> int:
-        return len(self.frame()[0])
-
     def psis(self) -> np.ndarray:
         return self._psis
 
@@ -655,20 +652,6 @@ class AlgebraElement:
 
     def __sub__(self, other):
         return add(self, scale(-1.0, other))
-
-    def __neg__(self):
-        return scale(-1.0, self)
-
-    def __mul__(self, other):
-        if isinstance(other, AlgebraElement):
-            return mul(self, other)
-        return scale(other, self)
-
-    def __rmul__(self, other):
-        return scale(other, self)
-
-    def __truediv__(self, other):
-        return scale(1.0 / other, self)
 
 
 def element(desc: Descriptor, data) -> AlgebraElement:

@@ -64,15 +64,8 @@ class TangentVector:
         _check_space(self, other)
         return TangentVector(self.space, self.data + other.data)
 
-    def __sub__(self, other):
-        _check_space(self, other)
-        return TangentVector(self.space, self.data - other.data)
-
     def __rmul__(self, t):
         return TangentVector(self.space, complex(t) * self.data)
-
-    def __neg__(self):
-        return (-1.0) * self
 
 
 def _check_space(h: TangentVector, g: TangentVector):

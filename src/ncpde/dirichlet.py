@@ -82,9 +82,11 @@ def build_space(desc: Descriptor, gap_tol: float = GAP_RTOL) -> DirichletSpace:
 def space_from_matrix(desc: Descriptor, gen: np.ndarray,
                       gap_tol: float = GAP_RTOL) -> DirichletSpace:
     """Space around an explicit generator, a (D, D) matrix or a diagonal
-    (D,), which must be PSD and annihilate the unit; eigenvalues below
+    (D,), which must be finite, PSD and annihilate the unit; eigenvalues below
     ``gap_tol`` times the largest count as kernel."""
     gen = np.asarray(gen, dtype=np.complex128)
+    if not np.isfinite(gen).all():   # a NaN would fail every comparison below
+        raise GeneratorError("generator is not finite")
     diag = gen if gen.ndim == 1 else np.diagonal(gen)
     if np.count_nonzero(gen) == np.count_nonzero(diag):   # the one choice of form
         gen = diag.copy()

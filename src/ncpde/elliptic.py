@@ -81,7 +81,6 @@ class SolveReport:
     iterations: int
     galerkin_dim: int
     kernel_component: float
-    method: str
     flags: list[str] = field(default_factory=list)
     energy_value: float | None = None
     energy_history: list[float] | None = None
@@ -143,7 +142,7 @@ def solve_poisson(space: DirichletSpace, f: AlgebraElement, *,
     perp, lam = slice(space.kernel_dim, None), space.evals[space.kernel_dim:]
     u = _from_eigen(space, _eigen_coords(space, bk.to_l2(f_solved), perp) / lam, perp)
     return _linear_report(space, f, f_solved, u, mass, flags,
-                          iterations=0, galerkin_dim=int(lam.size), method="spectral")
+                          iterations=0, galerkin_dim=int(lam.size))
 
 
 def minimize_dirichlet_energy(space: DirichletSpace, f: AlgebraElement, *,
@@ -164,7 +163,7 @@ def minimize_dirichlet_energy(space: DirichletSpace, f: AlgebraElement, *,
     if any(h2 > h1 + 1e-12 * (1 + abs(h1)) for h1, h2 in zip(history, history[1:])):
         flags.append("energy_not_monotone")
     return _linear_report(space, f, f_solved, x, mass, flags, iterations=len(rr) - 1,
-                          galerkin_dim=n, method="variational-cg", energy_value=history[-1],
+                          galerkin_dim=n, energy_value=history[-1],
                           energy_history=history, cg_history=rr)
 
 
@@ -366,7 +365,6 @@ def solve_quasilinear(space: DirichletSpace, F: NonlinearMap, f: AlgebraElement,
         iterations=len(trace),
         galerkin_dim=M,
         kernel_component=mass,
-        method="galerkin-newton",
         flags=flags,
         newton_trace=trace,
     )

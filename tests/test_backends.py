@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncpde import backends as bk
+from ncpde import calculus as ca
+from ncpde import dirichlet as dr
 from conftest import (SIGMA_X, SIGMA_Z, THETA_IRR, assert_elem_close, backend_from_spec,
                       loop_torus_mul, make_rng)
 
@@ -30,18 +32,39 @@ def test_matrix_generators_must_be_self_adjoint():
         bk.MatrixAlgebra(2, (bad,))
 
 
+def test_matrix_descriptor_validation():
+    with pytest.raises(ValueError, match="dimension must be >= 1"):
+        bk.MatrixAlgebra(0, (SIGMA_Z,))
+    with pytest.raises(ValueError, match="at least one generator"):
+        bk.MatrixAlgebra(2, ())
+    with pytest.raises(ValueError, match=r"generator shape \(3, 3\) != \(2, 2\)"):
+        bk.MatrixAlgebra(2, (np.eye(3),))
+
+
 def test_rational_tag_is_reduced_and_checked():
     t = bk.NCTorus(1, 0.5, (2, 4))
     assert t.rational == (1, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="disagrees with theta"):
         bk.NCTorus(1, 0.4, (1, 3))
+    with pytest.raises(ValueError, match="truncation level must be >= 1"):
+        bk.NCTorus(0, 0.5)
+    with pytest.raises(ValueError, match=r"theta must lie in \[0, 1\)"):
+        bk.NCTorus(1, 1.0)
+    with pytest.raises(ValueError, match="rational tag must satisfy 0 <= p < q"):
+        bk.NCTorus(1, 0.5, (3, 2))
 
 
 def test_length_function_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must satisfy l"):
         bk.CyclicGroup(4, (0.0, 1.0, 2.0, 3.0))     # not symmetric
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="identity must be 0"):
         bk.CyclicGroup(4, (1.0, 1.0, 1.0, 1.0))     # l(0) != 0
+    with pytest.raises(ValueError, match="group order must be >= 2"):
+        bk.CyclicGroup(1, (0.0,))
+    with pytest.raises(ValueError, match="one length per group element"):
+        bk.CyclicGroup(4, (0.0, 1.0, 1.0))
+    with pytest.raises(ValueError, match="lengths must be nonnegative"):
+        bk.CyclicGroup(4, (0.0, -1.0, 2.0, -1.0))
     # word length on Z_5 is conditionally of negative type
     bk.CyclicGroup(5, (0.0, 1.0, 2.0, 2.0, 1.0))
 
@@ -568,6 +591,18 @@ def test_backend_mismatch_is_a_hard_error(qubit, z4):
     t_b = bk.NCTorus(2, 0.25, (1, 4))
     with pytest.raises(bk.BackendMismatch):
         bk.add(bk.unit(t_a), bk.unit(t_b))
+    qubit_space, z4_space = dr.build_space(qubit), dr.build_space(z4)
+    with pytest.raises(bk.BackendMismatch, match="does not belong to this space"):
+        dr.dirichlet_form(qubit_space, bk.unit(z4))
+    with pytest.raises(bk.BackendMismatch, match="tangent vectors over different spaces"):
+        ca.hilbert_inner(ca.zero_tangent(qubit_space), ca.zero_tangent(z4_space))
+
+
+def test_element_shape_and_monomial_window_are_checked(qubit):
+    with pytest.raises(ValueError, match=r"coefficient shape \(3,\) != \(2, 2\)"):
+        bk.AlgebraElement(qubit, np.zeros(3))
+    with pytest.raises(bk.WindowOverflow, match=r"monomial \(3,0\) outside window \+-2"):
+        bk.monomial(bk.NCTorus(2, THETA_IRR), 3, 0)
 
 
 def test_elements_are_immutable(qubit):

@@ -93,6 +93,12 @@ def test_divergence_qubit_commutator(qubit, qubit_space):
     assert np.allclose(ca.divergence(qubit_space, h).data, expected)
 
 
+def test_tangent_vector_shape_is_checked(qubit_space):
+    # the qubit has one frame component: a stack of two does not fit
+    with pytest.raises(ValueError, match=r"tangent coefficient shape \(2, 2, 2\) != \(1, 2, 2\)"):
+        ca.TangentVector(qubit_space, [SIGMA_X, SIGMA_Y])
+
+
 def test_adjoint_identity(qubit_space, torus3_space, z4_space, z5_space):
     rng = make_rng(61)
     for sp, _ in all_spaces(qubit_space, torus3_space, z4_space, z5_space):

@@ -292,6 +292,37 @@ def test_empty_frame_quasilinear_passes_the_structure_probes(tmp_path):
         "strong_residual": True, "weak_residual": True}
 
 
+def test_radius_zero_torus_calculus_check_flags_a_degenerate_battery(tmp_path):
+    config = {"command": "calculus-check", "backend": TORUS_BACKEND, "seed": 1,
+              "problem": {"battery": 4, "radius": 0}}
+    out_dir = tmp_path / "out"
+    assert run_main(tmp_path, config, "--out", str(out_dir), "--quiet") == 0
+    flags = json.loads((out_dir / "report.json").read_text())["flags"]
+    assert "degenerate battery: triple products need level >= 3 for nonconstant supports" in flags
+
+
+def test_negated_map_quasilinear_exits_1_naming_the_failed_probes(tmp_path, capsys):
+    config = {"command": "solve-quasilinear", "backend": QUBIT_BACKEND, "seed": 1,
+              "problem": {"f": [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 0.0]],
+                          "map": {"name": "negated"}}}
+    out_dir = tmp_path / "out"
+    assert run_main(tmp_path, config, "--out", str(out_dir)) == 1
+    assert "error: map negated failed structure probes: [" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_overflowing_matrix_generator_exits_1_naming_the_generator(tmp_path, capsys):
+    # entries of 1e200 pass validation, but the double commutators overflow
+    config = {"command": "gap", "seed": 1,
+              "backend": {**QUBIT_BACKEND,
+                          "generators": [[[1e200, 0.0], [0.0, 0.0], [0.0, 0.0], [-1e200, 0.0]]]}}
+    out_dir = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run_main(tmp_path, config, "--out", str(out_dir)) == 1
+    assert capsys.readouterr().err == "error: generator is not finite\n"
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("config, field", [
     ({"command": "solve-poisson", "backend": TORUS_BACKEND,
       "problem": {"f": [[float("nan"), 0.0]] + [[0.0, 0.0]] * 48}},

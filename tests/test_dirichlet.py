@@ -110,8 +110,19 @@ def test_space_from_matrix_validation(qubit, qubit_space):
     evals, evecs = np.linalg.eigh(gen)
     evals[-1] = -evals[-1]
     bad = (evecs * evals) @ evecs.conj().T
-    with pytest.raises(dr.GeneratorError):
+    with pytest.raises(dr.GeneratorError, match="generator is not PSD"):
         dr.space_from_matrix(qubit, bad)
+    with pytest.raises(dr.GeneratorError, match="generator does not annihilate the unit"):
+        dr.space_from_matrix(qubit, np.eye(4))
+    # a NaN fails every comparison, so it would pass the PSD and unit checks
+    with pytest.raises(dr.GeneratorError, match="generator is not finite"):
+        dr.space_from_matrix(bk.CyclicGroup(4, (0.0, 1.0, 2.0, 1.0)),
+                             np.array([0.0, np.nan, 2.0, 1.0]))
+    # finite generators whose double commutators overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        huge = bk.MatrixAlgebra(2, (1e200 * SIGMA_Z,))
+        with pytest.raises(dr.GeneratorError, match="generator is not finite"):
+            dr.build_space(huge)
 
 
 # ---------------------------------------------------------------------------
@@ -549,3 +560,12 @@ def test_be_failure_at_time_zero_admits_no_K(qubit, qubit_space):
     assert not report.passed
     assert report.extra["largest_passing_K"] is None
     assert report.flags == ["largest_passing_K=none"]
+
+
+def test_largest_passing_K_on_and_off_the_kernel():
+    # e^{-2Kt} X >= Y fails for every K when Y has mass on the kernel of X;
+    # off it, the bound is -ln(c) / 2t for c = lambda_max(X^{-1/2} Y X^{-1/2})
+    X = np.diag([1.0, 0.0])
+    assert dr._largest_passing_K(X, np.diag([0.0, 1.0]), 1.0, dr.BE_TOL) == -np.inf
+    half = dr._largest_passing_K(X, np.diag([0.5, 0.0]), 1.0, dr.BE_TOL)
+    assert half == pytest.approx(np.log(2.0) / 2.0, rel=1e-15)

@@ -566,6 +566,11 @@ def test_quasilinear_rejects_non_monotone_map(qubit_space):
         el.solve_quasilinear(qubit_space, el.negated_map(), f)
 
 
+def test_curved_map_rejects_negative_beta():
+    with pytest.raises(ValueError, match="beta must be nonnegative"):
+        el.curved_map(-1.0)
+
+
 def test_quasilinear_force_skips_probes(qubit_space):
     # with force=True the negated map skips the probe gate and fails in the
     # solve itself: its Newton steps meet negative curvature, and no damped

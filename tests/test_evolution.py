@@ -446,12 +446,14 @@ def test_weak_derivative_identity_on_trajectory(qubit, qubit_space):
 
 def test_problem_validation(qubit, qubit_space):
     u0 = bk.element(qubit, SIGMA_X)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown form 'wave'"):
         ev.EvolutionProblem(qubit_space, "wave", u0, horizon=1.0, dt=0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="dt and horizon must be positive"):
         ev.EvolutionProblem(qubit_space, "heat", u0, horizon=1.0, dt=-0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown scheme 'rk4'"):
         ev.EvolutionProblem(qubit_space, "heat", u0, horizon=1.0, dt=0.1, scheme="rk4")
+    with pytest.raises(ValueError, match="viscosity must be nonnegative"):
+        ev.EvolutionProblem(qubit_space, "continuity", u0, horizon=1.0, dt=0.1, epsilon=-1.0)
     with pytest.raises(bk.BackendMismatch):
         z2 = dr.build_space(bk.CyclicGroup(2, (0.0, 1.0)))
         ev.EvolutionProblem(z2, "heat", u0, horizon=1.0, dt=0.1)
