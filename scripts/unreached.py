@@ -6,10 +6,10 @@ Usage (from the repository root):
 
 It runs ``tests/`` in this process under ``sys.settrace`` and
 ``threading.settrace``, recording the lines executed in the files of
-``src/ncpde``, and prints ``module:line: source`` for every executable line
-(a line number of some code object's ``co_lines``) that no test ran.  Lines
-run only in a subprocess that a test starts are not seen.  The listing is a
-report, not a gate: the script always exits 0.
+``src/ncpde``, and prints ``src/ncpde/<module>.py:line: source`` for every
+executable line (a line number of some code object's ``co_lines``) that no
+test ran.  Lines run only in a subprocess that a test starts are not seen.
+The listing is a report, not a gate: the script always exits 0.
 """
 
 from __future__ import annotations
