@@ -6,7 +6,6 @@ from .backends import (
     AlgebraError,
     BackendMismatch,
     CyclicGroup,
-    Density,
     Descriptor,
     MatrixAlgebra,
     NCTorus,
@@ -16,7 +15,6 @@ from .backends import (
     WindowOverflow,
     add,
     adjoint,
-    as_density,
     delta,
     element,
     inner_l2,

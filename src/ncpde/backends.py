@@ -77,6 +77,9 @@ _SA_RTOL = 1e-10          # scale-invariant self-adjointness tolerance
 _REP_RTOL = 1e-10         # mass a matrix may carry outside the coefficient window or diagonal
 _CNT_RTOL = 1e-8          # negative-type eigencheck tolerance
 _FRAME_WEIGHT_TOL = 1e-12
+# bound m on |Re|, |Im| of matrix generator entries: L's entries (at most 8 k n m^2)
+# and its squared norms stay finite for every k, n that fit in memory
+_GEN_ENTRY_MAX = 1e50
 
 
 # JSON schema of a coefficient list in the wire form of ``to_pairs``
@@ -206,8 +209,9 @@ class MatrixAlgebra(Descriptor):
         for v in gens:
             if v.shape != (self.dim, self.dim):
                 raise ValueError(f"generator shape {v.shape} != ({self.dim}, {self.dim})")
-            if not np.isfinite(v).all():
-                raise ValueError("matrix generators must be finite")
+            if not np.abs(v.ravel().view(np.float64)).max() <= _GEN_ENTRY_MAX:   # NaN fails too
+                raise ValueError(f"matrix generators must be finite, with entries' real and "
+                                 f"imaginary parts at most {_GEN_ENTRY_MAX:g} in magnitude")
             scale = max(np.linalg.norm(v), 1.0)
             if np.linalg.norm(v - v.conj().T) > _SA_RTOL * scale:
                 raise NotSelfAdjoint("matrix generators must be self-adjoint")
@@ -790,29 +794,6 @@ def operator_norm(a: AlgebraElement) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Density:
-    """A positive functional rho in the dual, identified with an algebra
-    element via f -> tau(rho * f).
-
-    ``witness`` is the smallest eigenvalue of ``represent(element)`` (None
-    when the element is not self-adjoint, e.g. polarized off-diagonal
-    values), computed only by ``witness_data``.  ``leak`` records any L^2
-    mass truncated while assembling the element; ``require_positive_data``,
-    the one positivity gate, checks leak-free densities only.
-    """
-
-    element: AlgebraElement
-    witness: float | None
-    leak: float = 0.0
-
-    def __repr__(self):
-        return f"Density(witness={self.witness}, leak={self.leak:.3g})"
-
-    def trace(self) -> complex:
-        return trace(self.element)
-
-
 def witness_data(desc: Descriptor, A: np.ndarray) -> np.ndarray:
     """Smallest eigenvalue of ``represent`` of each entry of a coefficient
     stack; NaN for an entry that is not self-adjoint."""
@@ -820,12 +801,6 @@ def witness_data(desc: Descriptor, A: np.ndarray) -> np.ndarray:
     wit = np.full(sa.shape, np.nan)
     wit[sa] = desc.rep_eigvalsh(A[sa])[..., 0]
     return wit
-
-
-def as_density(a: AlgebraElement, leak: float = 0.0) -> Density:
-    """``a`` with its positivity witness (None unless self-adjoint)."""
-    wit = float(witness_data(a.backend, a.data))
-    return Density(a, None if math.isnan(wit) else wit, leak)
 
 
 def require_positive_data(desc: Descriptor, A: np.ndarray, witness, leak, what: str) -> None:
@@ -836,11 +811,6 @@ def require_positive_data(desc: Descriptor, A: np.ndarray, witness, leak, what: 
     bad = (leak <= tol * scale_) & (witness < -tol * scale_)
     if np.any(bad):
         raise NotPositive(f"{what}: negative witness {np.min(np.where(bad, witness, np.inf)):.3e}")
-
-
-def require_positive(rho: Density, what: str) -> None:
-    witness = np.nan if rho.witness is None else rho.witness
-    require_positive_data(rho.element.backend, rho.element.data, witness, rho.leak, what)
 
 
 # ---------------------------------------------------------------------------

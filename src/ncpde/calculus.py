@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import backends as bk
-from .backends import AlgebraElement, Density
+from .backends import AlgebraElement
 from .dirichlet import DirichletSpace, _l2_generator, element_data, form_data
 from .reports import Report, check_ge, check_le
 
@@ -171,16 +171,16 @@ def _metric(desc: bk.Descriptor, H: np.ndarray, G: np.ndarray):
     return terms.sum(desc.frame_axis()), leaks.sum(-1)
 
 
-def riemannian_metric(space: DirichletSpace, h: TangentVector, g: TangentVector) -> Density:
-    """Density rho(h, g) = sum_j h_j^* g_j; tau(rho(h, g)) = <h, g>, and on
-    gradients rho(grad a, grad b) is the carre du champ density.  The
-    diagonal pairing rho(h, h) passes ``bk.require_positive``."""
+def riemannian_metric(space: DirichletSpace, h: TangentVector, g: TangentVector) -> AlgebraElement:
+    """The density rho(h, g) = sum_j h_j^* g_j; tau(rho(h, g)) = <h, g>, and
+    on gradients rho(grad a, grad b) is the carre du champ.  The leak-free
+    diagonal pairing rho(h, h) passes ``bk.require_positive_data``."""
     _check_space(h, g)
-    rho, leak = _metric(space.backend, h.data, g.data)
-    rho = bk.as_density(bk.element(space.backend, rho), float(leak))
+    desc = space.backend
+    rho, leak = _metric(desc, h.data, g.data)
     if np.array_equal(h.data, g.data):
-        bk.require_positive(rho, "metric rho(h, h)")
-    return rho
+        bk.require_positive_data(desc, rho, bk.witness_data(desc, rho), leak, "metric rho(h, h)")
+    return bk.element(desc, rho)
 
 
 def random_tangent(space: DirichletSpace, rng: np.random.Generator, *,

@@ -515,16 +515,7 @@ CONFIG_SCHEMA = {
         "command": {"enum": list(COMMANDS)},
         "backend": _BACKEND_SCHEMA,
         "problem": {"type": "object"},
-        "tolerances": {
-            "type": "object",
-            "properties": {
-                "check": {"type": "number", "exclusiveMinimum": 0},
-                "gap": {"type": "number", "exclusiveMinimum": 0},
-            },
-            "additionalProperties": False,
-        },
         "seed": {"type": "integer", "minimum": 0},
-        "out": {"type": "string"},
     },
     "required": ["command", "backend"],
     "additionalProperties": False,
@@ -538,13 +529,11 @@ def run(config: dict, out_dir: str | None = None, quiet: bool = False,
     if tol_override is not None and not 0 < tol_override < math.inf:
         raise ConfigError(f"invalid --tol: {tol_override!r} is not a finite number > 0")
     desc = sz.descriptor_from_json(config["backend"])
-    tols = config.get("tolerances", {})
-    tol = tol_override if tol_override is not None else tols.get("check", 1e-10)
-    gap_tol = tols.get("gap", 1e-8)
+    tol = tol_override if tol_override is not None else 1e-10
     seed = seed_override if seed_override is not None else int(config.get("seed", 0))
     rng = np.random.Generator(np.random.PCG64(seed))
-    out_path = Path(out_dir) if out_dir else (Path(config["out"]) if "out" in config else None)
-    space = build_space(desc, gap_tol=gap_tol)
+    out_path = Path(out_dir) if out_dir else None
+    space = build_space(desc)
     _, handler = COMMANDS[config["command"]]
     result, report, artifacts = handler(space, config.get("problem", {}), rng, tol)
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import backends as bk
-from .backends import AlgebraElement, Density, Descriptor
+from .backends import AlgebraElement, Descriptor
 from .reports import Report, check_ge, check_le
 
 GAP_RTOL = 1e-8       # eigenvalues below GAP_RTOL * lambda_max count as kernel
@@ -75,15 +75,14 @@ class DirichletSpace:
         return self.evals.size
 
 
-def build_space(desc: Descriptor, gap_tol: float = GAP_RTOL) -> DirichletSpace:
-    return space_from_matrix(desc, desc.generator_matrix(), gap_tol)
+def build_space(desc: Descriptor) -> DirichletSpace:
+    return space_from_matrix(desc, desc.generator_matrix())
 
 
-def space_from_matrix(desc: Descriptor, gen: np.ndarray,
-                      gap_tol: float = GAP_RTOL) -> DirichletSpace:
+def space_from_matrix(desc: Descriptor, gen: np.ndarray) -> DirichletSpace:
     """Space around an explicit generator, a (D, D) matrix or a diagonal
     (D,), which must be finite, PSD and annihilate the unit; eigenvalues below
-    ``gap_tol`` times the largest count as kernel."""
+    ``GAP_RTOL`` times the largest count as kernel."""
     gen = np.asarray(gen, dtype=np.complex128)
     if not np.isfinite(gen).all():   # a NaN would fail every comparison below
         raise GeneratorError("generator is not finite")
@@ -100,7 +99,7 @@ def space_from_matrix(desc: Descriptor, gen: np.ndarray,
     scale = max(float(evals[-1]), 1e-300)   # the largest eigenvalue, floored
     if float(evals[0]) < -1e-10 * scale:
         raise GeneratorError(f"generator is not PSD (min eigenvalue {evals[0]:.3e})")
-    space = DirichletSpace(desc, gen, evals, evecs, int(np.sum(evals < gap_tol * scale)))
+    space = DirichletSpace(desc, gen, evals, evecs, int(np.sum(evals < GAP_RTOL * scale)))
     if np.linalg.norm(_l2_generator(space, bk.to_l2(bk.unit(desc)))) > 1e-10 * scale:
         raise GeneratorError("generator does not annihilate the unit")
     return space
@@ -197,17 +196,17 @@ def _gamma(space: DirichletSpace, A: np.ndarray, B: np.ndarray | None = None):
 
 
 def carre_du_champ(space: DirichletSpace, a: AlgebraElement,
-                   b: AlgebraElement | None = None) -> Density:
-    """Density of Gamma(a, b) via the polarized diffusion identity
-    2 Gamma(a, b) = L(a^*) b + a^* L(b) - L(a^* b).  The diagonal call
-    Gamma(a) := Gamma(a, a) passes ``bk.require_positive``: a negative
-    witness there means the generator is not a diffusion."""
-    B = None if b is None else element_data(space, b)
+                   b: AlgebraElement | None = None) -> AlgebraElement:
+    """The density Gamma(a, b) (f -> tau(Gamma(a, b) f)) via the polarized
+    diffusion identity 2 Gamma(a, b) = L(a^*) b + a^* L(b) - L(a^* b).  The
+    leak-free diagonal Gamma(a) := Gamma(a, a) passes ``bk.require_positive_data``:
+    a negative witness there means the generator is not a diffusion."""
+    desc, B = space.backend, None if b is None else element_data(space, b)
     gamma, leak = _gamma(space, element_data(space, a), B)
-    rho = bk.as_density(bk.element(space.backend, gamma), float(leak))
     if b is None or np.array_equal(a.data, b.data):
-        bk.require_positive(rho, "carre du champ Gamma(a) (generator is not a diffusion)")
-    return rho
+        bk.require_positive_data(desc, gamma, bk.witness_data(desc, gamma), leak,
+                                 "carre du champ Gamma(a) (generator is not a diffusion)")
+    return bk.element(desc, gamma)
 
 
 # ---------------------------------------------------------------------------

@@ -151,6 +151,20 @@ def corrupted_space(desc, gen):
     return DirichletSpace(desc, gen, evals, evecs, kernel_dim)
 
 
+def count_rep_eigvalsh(monkeypatch, desc, shift=0.0):
+    """List the stacks passed to ``desc``'s ``rep_eigvalsh`` from now on,
+    whose spectra are moved by ``shift`` (a negative shift corrupts every
+    positivity witness)."""
+    calls, rep_eigvalsh = [], type(desc).rep_eigvalsh
+
+    def counted(self, A):
+        calls.append(np.shape(A))
+        return rep_eigvalsh(self, A) + shift
+
+    monkeypatch.setattr(type(desc), "rep_eigvalsh", counted)
+    return calls
+
+
 def dense_form(space):
     """(generator, eigenbasis) of a space as dense (D, D) matrices, whichever
     form it holds them in: L and the eigenbasis applied to the identity."""
@@ -284,10 +298,10 @@ def full_choi(space, t):
 
 def be_margin(space, K, t, a):
     """min eigenvalue of represent(e^{-2Kt} P_t Gamma(a) - Gamma(P_t a))."""
-    gamma_a = carre_du_champ(space, a).element
+    gamma_a = carre_du_champ(space, a)
     factor = np.exp(min(-2.0 * K * t, 600.0))
     lhs = bk.scale(factor, semigroup_apply(space, t, gamma_a))
-    rhs = carre_du_champ(space, semigroup_apply(space, t, a)).element
+    rhs = carre_du_champ(space, semigroup_apply(space, t, a))
     diff = bk.add(lhs, bk.scale(-1.0, rhs))
     return float(np.linalg.eigvalsh(bk.represent(diff)).min())
 
@@ -297,7 +311,7 @@ def bisect_largest_passing_K(space, K, t_samples, battery, tol=1e-9):
     >= -tol, searched from K within [-2^20, 2^20]; None when even -2^20
     fails.  A battery that never binds returns the 2^20 cap."""
     pairs = [(float(t), a) for t in t_samples for a in battery]
-    scales = [max(bk.norm_l2(carre_du_champ(space, a).element), 1.0)
+    scales = [max(bk.norm_l2(carre_du_champ(space, a)), 1.0)
               for _, a in pairs]
 
     def min_margin(k):

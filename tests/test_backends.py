@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -421,19 +423,19 @@ def _positive_decompose(a):
     represent(a) and mapping each part back through element_from_matrix."""
     evals, vecs = np.linalg.eigh(bk.represent(a))
     parts = [(vecs * np.clip(s * evals, 0, None)) @ vecs.conj().T for s in (1.0, -1.0)]
-    return tuple(bk.as_density(bk.element_from_matrix(a.backend, P)) for P in parts)
+    return tuple(bk.element_from_matrix(a.backend, P) for P in parts)
 
 
 def test_positive_decompose_cyclic_via_fourier(z4):
     rng = make_rng(12)
     a = bk.random_element(z4, rng, self_adjoint=True)
     plus, minus = _positive_decompose(a)
-    assert_elem_close(plus.element - minus.element, a, tol=1e-12)
-    assert plus.witness >= -1e-12
-    assert minus.witness >= -1e-12
+    assert_elem_close(plus - minus, a, tol=1e-12)
+    assert float(bk.witness_data(z4, plus.data)) >= -1e-12
+    assert float(bk.witness_data(z4, minus.data)) >= -1e-12
     # oracle: the positive part in Fourier is the clipped spectrum
     spectrum = np.fft.fft(a.data).real
-    assert np.allclose(np.fft.fft(plus.element.data).real,
+    assert np.allclose(np.fft.fft(plus.data).real,
                        np.clip(spectrum, 0, None), atol=1e-12)
 
 
@@ -442,9 +444,9 @@ def test_positive_decompose_torus_rational_roundtrip():
     rng = make_rng(13)
     a = bk.random_element(t, rng, self_adjoint=True)
     plus, minus = _positive_decompose(a)
-    assert_elem_close(plus.element - minus.element, a, tol=1e-12)
+    assert_elem_close(plus - minus, a, tol=1e-12)
     for d in (plus, minus):
-        assert d.witness >= -1e-10
+        assert float(bk.witness_data(t, d.data)) >= -1e-10
 
 
 def test_positive_decompose_irrational_torus_raises():
@@ -474,21 +476,26 @@ def test_element_from_matrix_window_overflow():
         t.element_from_matrix(np.stack([X, clock2]))
 
 
+def _require_positive(desc, X, what, leak=0.0):
+    """The positivity gate on the coefficients X of one density."""
+    X = np.asarray(X, dtype=np.complex128)
+    bk.require_positive_data(desc, X, bk.witness_data(desc, X), leak, what)
+
+
 def test_require_positive_raises_below_minus_tol_times_scale(qubit):
     tol = bk.positivity_tol(qubit)          # scale max(||a||, 1) is 1 here
-    bk.require_positive(bk.as_density(bk.element(qubit, np.diag([-0.5 * tol, 0.0]))), "a")
+    _require_positive(qubit, np.diag([-0.5 * tol, 0.0]), "a")
     with pytest.raises(bk.NotPositive):
-        bk.require_positive(bk.as_density(bk.element(qubit, np.diag([-2.0 * tol, 0.0]))), "a")
+        _require_positive(qubit, np.diag([-2.0 * tol, 0.0]), "a")
     # scale 100: a witness below -tol but above -100 tol passes
-    bk.require_positive(bk.as_density(bk.element(qubit, np.diag([-50.0 * tol, 100.0]))), "b")
+    _require_positive(qubit, np.diag([-50.0 * tol, 100.0]), "b")
 
 
 def test_require_positive_exempts_leaky_and_witnessless_densities(qubit):
-    a = bk.element(qubit, SIGMA_Z)                  # witness -1
-    bk.require_positive(bk.as_density(a, leak=10.0 * bk.positivity_tol(qubit)), "leaky")
-    offdiag = bk.as_density(bk.element(qubit, [[-1.0, 1.0], [0.0, -1.0]]))
-    assert offdiag.witness is None                  # not self-adjoint
-    bk.require_positive(offdiag, "offdiag")
+    _require_positive(qubit, SIGMA_Z, "leaky", leak=10.0 * bk.positivity_tol(qubit))   # witness -1
+    offdiag = np.array([[-1.0, 1.0], [0.0, -1.0]], dtype=np.complex128)
+    assert math.isnan(float(bk.witness_data(qubit, offdiag)))   # not self-adjoint
+    _require_positive(qubit, offdiag, "offdiag")
 
 
 def test_cyclic_frame_is_computed_once_and_read_only(z5):

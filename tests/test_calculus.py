@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,8 +8,8 @@ from hypothesis import strategies as st
 from ncpde import backends as bk
 from ncpde import calculus as ca
 from ncpde import dirichlet as dr
-from conftest import (SIGMA_X, SIGMA_Y, SIGMA_Z, assert_elem_close, backend_from_spec, dense_form,
-                      make_rng)
+from conftest import (SIGMA_X, SIGMA_Y, SIGMA_Z, assert_elem_close, backend_from_spec,
+                      count_rep_eigvalsh, dense_form, make_rng)
 
 
 def tangent_close(h, g, tol=1e-12, scale=1.0):
@@ -273,15 +275,15 @@ def test_tensor_norm_two_routes_agree(qubit_space, torus3_space, z4_space, z5_sp
 def test_metric_on_gradient_of_u(torus2, torus2_space):
     g = ca.gradient(torus2_space, bk.monomial(torus2, 1, 0))
     rho = ca.riemannian_metric(torus2_space, g, g)
-    assert_elem_close(rho.element, bk.unit(torus2), tol=1e-14)
-    assert rho.trace().real == pytest.approx(1.0)
+    assert_elem_close(rho, bk.unit(torus2), tol=1e-14)
+    assert bk.trace(rho).real == pytest.approx(1.0)
 
 
 def test_metric_with_zero_argument(torus2_space):
     rng = make_rng(73)
     h = ca.random_tangent(torus2_space, rng, radius=1)
     rho = ca.riemannian_metric(torus2_space, h, ca.zero_tangent(torus2_space))
-    assert bk.norm_l2(rho.element) == 0.0
+    assert bk.norm_l2(rho) == 0.0
 
 
 def test_metric_trace_is_tangent_inner_product(
@@ -292,7 +294,7 @@ def test_metric_trace_is_tangent_inner_product(
             h = ca.random_tangent(sp, rng, radius=rad)
             g = ca.random_tangent(sp, rng, radius=rad)
             rho = ca.riemannian_metric(sp, h, g)
-            assert abs(rho.trace() - ca.hilbert_inner(h, g)) <= 1e-10 * (
+            assert abs(bk.trace(rho) - ca.hilbert_inner(h, g)) <= 1e-10 * (
                 1.0 + ca.hilbert_norm(h) * ca.hilbert_norm(g))
 
 
@@ -302,8 +304,26 @@ def test_metric_positive_on_diagonal(qubit_space, torus3_space, z4_space, z5_spa
         for _ in range(20):
             h = ca.random_tangent(sp, rng, radius=rad)
             rho = ca.riemannian_metric(sp, h, h)
-            assert rho.witness is not None
-            assert rho.witness >= -1e-10 * max(bk.norm_l2(rho.element), 1.0)
+            witness = float(bk.witness_data(sp.backend, rho.data))
+            assert not math.isnan(witness)
+            assert witness >= -1e-10 * max(bk.norm_l2(rho), 1.0)
+
+
+def test_only_the_diagonal_metric_computes_a_witness(
+        monkeypatch, qubit_space, torus2_space, z4_space):
+    rng = make_rng(82)
+    for sp in (qubit_space, torus2_space, z4_space):
+        calls = count_rep_eigvalsh(monkeypatch, sp.backend)
+        h, g = (ca.random_tangent(sp, rng) for _ in range(2))
+        ca.riemannian_metric(sp, h, g)
+        assert calls == []                  # rho(h, g): no witness
+        ca.riemannian_metric(sp, h, h)
+        assert len(calls) == 1
+    # a corrupted witness of a leak-free rho(h, h) trips the gate
+    h = ca.random_tangent(qubit_space, rng)
+    count_rep_eigvalsh(monkeypatch, qubit_space.backend, shift=-1e3)
+    with pytest.raises(bk.NotPositive, match="metric rho"):
+        ca.riemannian_metric(qubit_space, h, h)
 
 
 def test_metric_on_simple_tensors_matches_sandwiched_gamma(qubit, qubit_space):
@@ -315,8 +335,8 @@ def test_metric_on_simple_tensors_matches_sandwiched_gamma(qubit, qubit_space):
             qubit_space,
             ca.right_act(ca.gradient(qubit_space, a), b),
             ca.right_act(ca.gradient(qubit_space, c), d),
-        ).element
-        gamma = dr.carre_du_champ(qubit_space, a, c).element
+        )
+        gamma = dr.carre_du_champ(qubit_space, a, c)
         rhs = bk.mul(bk.mul(bk.adjoint(b), gamma), d)
         assert_elem_close(lhs, rhs, tol=1e-11)
 
@@ -327,8 +347,8 @@ def test_metric_on_gradients_is_carre_du_champ(
     for sp, rad in all_spaces(qubit_space, torus3_space, z4_space, z5_space):
         a = bk.random_element(sp.backend, rng, radius=rad)
         b = bk.random_element(sp.backend, rng, radius=rad)
-        rho = ca.riemannian_metric(sp, ca.gradient(sp, a), ca.gradient(sp, b)).element
-        gam = dr.carre_du_champ(sp, a, b).element
+        rho = ca.riemannian_metric(sp, ca.gradient(sp, a), ca.gradient(sp, b))
+        gam = dr.carre_du_champ(sp, a, b)
         assert_elem_close(rho, gam, tol=1e-11)
 
 
@@ -338,11 +358,11 @@ def test_metric_sesquilinearity_and_symmetry(z5_space):
     h = ca.random_tangent(sp, rng)
     g = ca.random_tangent(sp, rng)
     t, s = 1.2 - 0.4j, -0.3 + 2.1j
-    lhs = ca.riemannian_metric(sp, t * h, s * g).element
-    rhs = bk.scale(np.conj(t) * s, ca.riemannian_metric(sp, h, g).element)
+    lhs = ca.riemannian_metric(sp, t * h, s * g)
+    rhs = bk.scale(np.conj(t) * s, ca.riemannian_metric(sp, h, g))
     assert_elem_close(lhs, rhs, tol=1e-12)
-    sym_l = bk.adjoint(ca.riemannian_metric(sp, h, g).element)
-    sym_r = ca.riemannian_metric(sp, g, h).element
+    sym_l = bk.adjoint(ca.riemannian_metric(sp, h, g))
+    sym_r = ca.riemannian_metric(sp, g, h)
     assert_elem_close(sym_l, sym_r, tol=1e-12)
 
 
@@ -353,11 +373,11 @@ def test_metric_right_covariance_and_left_exchange(
         a = bk.random_element(sp.backend, rng, radius=rad)
         h = ca.random_tangent(sp, rng, radius=rad)
         g = ca.random_tangent(sp, rng, radius=rad)
-        cov_l = ca.riemannian_metric(sp, h, ca.right_act(g, a)).element
-        cov_r = bk.mul(ca.riemannian_metric(sp, h, g).element, a)
+        cov_l = ca.riemannian_metric(sp, h, ca.right_act(g, a))
+        cov_r = bk.mul(ca.riemannian_metric(sp, h, g), a)
         assert_elem_close(cov_l, cov_r, tol=1e-11)
-        ex_l = ca.riemannian_metric(sp, ca.left_act(a, h), g).element
-        ex_r = ca.riemannian_metric(sp, h, ca.left_act(bk.adjoint(a), g)).element
+        ex_l = ca.riemannian_metric(sp, ca.left_act(a, h), g)
+        ex_r = ca.riemannian_metric(sp, h, ca.left_act(bk.adjoint(a), g))
         assert_elem_close(ex_l, ex_r, tol=1e-11)
 
 
@@ -377,7 +397,7 @@ def test_metric_nondegeneracy(qubit_space, z4_space):
                 parts[j] = bk.from_l2(sp.backend, e)
                 g = ca.TangentVector(sp, [p.data for p in parts])
                 rho = ca.riemannian_metric(sp, h, g)
-                worst = max(worst, bk.norm_l2(rho.element))
+                worst = max(worst, bk.norm_l2(rho))
         assert worst > 1e-6 * ca.hilbert_norm(h)   # nonzero h pairs nontrivially
 
 
@@ -427,6 +447,6 @@ def test_metric_scaling_property(seed, tre, tim):
     h = ca.random_tangent(sp, rng)
     g = ca.random_tangent(sp, rng)
     t = complex(tre, tim)
-    lhs = ca.riemannian_metric(sp, t * h, g).element
-    rhs = bk.scale(np.conj(t), ca.riemannian_metric(sp, h, g).element)
+    lhs = ca.riemannian_metric(sp, t * h, g)
+    rhs = bk.scale(np.conj(t), ca.riemannian_metric(sp, h, g))
     assert_elem_close(lhs, rhs, tol=1e-11, scale=max(bk.norm_l2(rhs), 1.0))

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -69,6 +70,18 @@ def test_malformed_config_exits_1_without_output(tmp_path, capsys):
     assert code == 1
     assert not out_dir.exists()
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("tolerances", {"check": 1e-6, "gap": 1e-8}), ("out", "artifacts")])
+def test_config_tolerances_and_out_fields_exit_1_naming_the_field(tmp_path, capsys, field, value):
+    # --tol and --out set the check tolerance and the artifact directory
+    config = {"command": "gap", "backend": TORUS_BACKEND, field: value}
+    assert run_main(tmp_path, config) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        "error: invalid config: config: Additional properties are not allowed "
+        f"('{field}' was unexpected)\n")
 
 
 def test_unreadable_config_exits_1(tmp_path, capsys):
@@ -311,16 +324,27 @@ def test_negated_map_quasilinear_exits_1_naming_the_failed_probes(tmp_path, caps
     assert not out_dir.exists()
 
 
+def _qubit_config_with_entries(m):
+    return {"command": "gap", "seed": 1,
+            "backend": {**QUBIT_BACKEND,
+                        "generators": [[[m, 0.0], [0.0, 0.0], [0.0, 0.0], [-m, 0.0]]]}}
+
+
 def test_overflowing_matrix_generator_exits_1_naming_the_generator(tmp_path, capsys):
-    # entries of 1e200 pass validation, but the double commutators overflow
-    config = {"command": "gap", "seed": 1,
-              "backend": {**QUBIT_BACKEND,
-                          "generators": [[[1e200, 0.0], [0.0, 0.0], [0.0, 0.0], [-1e200, 0.0]]]}}
+    # entries of 1e200 are finite, but the double commutators would overflow:
+    # the descriptor rejects them before any arithmetic, so numpy warns of nothing
     out_dir = tmp_path / "out"
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert run_main(tmp_path, config, "--out", str(out_dir)) == 1
-    assert capsys.readouterr().err == "error: generator is not finite\n"
-    assert not out_dir.exists()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_main(tmp_path, _qubit_config_with_entries(1e200), "--out", str(out_dir)) == 1
+        assert capsys.readouterr().err == (
+            "error: matrix generators must be finite, with entries' real and imaginary parts "
+            "at most 1e+50 in magnitude\n")
+        assert not out_dir.exists()
+        # just inside the bound the space is built and its numbers are finite
+        assert run_main(tmp_path, _qubit_config_with_entries(1e50)) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["kernel_dim"] == 2 and 0.0 < out["gap"] < math.inf
 
 
 @pytest.mark.parametrize("config, field", [

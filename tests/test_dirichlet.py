@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from ncpde import backends as bk
 from ncpde import cli
 from ncpde import dirichlet as dr
 from conftest import (SIGMA_X, SIGMA_Z, THETA_IRR, assert_elem_close, backend_from_spec,
-                      bisect_largest_passing_K, corrupted_space, dense_form, full_choi, make_rng)
+                      bisect_largest_passing_K, corrupted_space, count_rep_eigvalsh,
+                      dense_form, full_choi, make_rng)
 
 
 def commutator(a, b):
@@ -118,11 +120,14 @@ def test_space_from_matrix_validation(qubit, qubit_space):
     with pytest.raises(dr.GeneratorError, match="generator is not finite"):
         dr.space_from_matrix(bk.CyclicGroup(4, (0.0, 1.0, 2.0, 1.0)),
                              np.array([0.0, np.nan, 2.0, 1.0]))
-    # finite generators whose double commutators overflow
-    with np.errstate(over="ignore", invalid="ignore"):
-        huge = bk.MatrixAlgebra(2, (1e200 * SIGMA_Z,))
-        with pytest.raises(dr.GeneratorError, match="generator is not finite"):
-            dr.build_space(huge)
+    # finite generators whose double commutators would overflow are refused
+    # by the descriptor; at its bound the space is finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="matrix generators must be finite"):
+            bk.MatrixAlgebra(2, (1e200 * SIGMA_Z,))
+        edge = dr.build_space(bk.MatrixAlgebra(2, (1e50 * SIGMA_Z,)))
+    assert np.isfinite(edge.evals).all() and edge.kernel_dim == 2
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +346,7 @@ def test_form_is_hermitian(z5_space):
 
 def test_carre_du_champ_of_unit_vanishes(torus2_space):
     g = dr.carre_du_champ(torus2_space, bk.unit(torus2_space.backend))
-    assert bk.norm_l2(g.element) <= 1e-14
+    assert bk.norm_l2(g) <= 1e-14
 
 
 def test_carre_du_champ_qubit_sigma_x(qubit, qubit_space):
@@ -349,15 +354,15 @@ def test_carre_du_champ_qubit_sigma_x(qubit, qubit_space):
     da = commutator(SIGMA_Z, SIGMA_X)
     expected = da.conj().T @ da
     g = dr.carre_du_champ(qubit_space, bk.element(qubit, SIGMA_X))
-    assert np.allclose(g.element.data, expected)
-    assert g.trace().real == pytest.approx(
+    assert np.allclose(g.data, expected)
+    assert bk.trace(g).real == pytest.approx(
         dr.dirichlet_form(qubit_space, bk.element(qubit, SIGMA_X)).real)
 
 
 def test_carre_du_champ_torus_u(torus2, torus2_space):
     g = dr.carre_du_champ(torus2_space, bk.monomial(torus2, 1, 0))
-    assert_elem_close(g.element, bk.unit(torus2), tol=1e-14)
-    assert g.trace().real == pytest.approx(1.0)
+    assert_elem_close(g, bk.unit(torus2), tol=1e-14)
+    assert bk.trace(g).real == pytest.approx(1.0)
 
 
 def test_trace_of_gamma_equals_energy(torus2_space, qubit_space, pair3_space, z4_space):
@@ -367,7 +372,7 @@ def test_trace_of_gamma_equals_energy(torus2_space, qubit_space, pair3_space, z4
             a = bk.random_element(sp.backend, rng)   # full window: traces stay exact
             g = dr.carre_du_champ(sp, a)
             e = dr.dirichlet_form(sp, a).real
-            assert abs(g.trace().real - e) <= 1e-10 * (1.0 + abs(e))
+            assert abs(bk.trace(g).real - e) <= 1e-10 * (1.0 + abs(e))
 
 
 def test_gamma_sigma_symmetry(qubit_space, z4_space):
@@ -375,8 +380,8 @@ def test_gamma_sigma_symmetry(qubit_space, z4_space):
     for sp in (qubit_space, z4_space):
         a = bk.random_element(sp.backend, rng)
         b = bk.random_element(sp.backend, rng)
-        lhs = bk.adjoint(dr.carre_du_champ(sp, a, b).element)
-        rhs = dr.carre_du_champ(sp, b, a).element
+        lhs = bk.adjoint(dr.carre_du_champ(sp, a, b))
+        rhs = dr.carre_du_champ(sp, b, a)
         assert_elem_close(lhs, rhs, tol=1e-12)
 
 
@@ -384,8 +389,8 @@ def test_gamma_reality_on_self_adjoint_elements(qubit_space):
     rng = make_rng(45)
     a = bk.random_element(qubit_space.backend, rng, self_adjoint=True)
     b = bk.random_element(qubit_space.backend, rng, self_adjoint=True)
-    lhs = dr.carre_du_champ(qubit_space, a, b).element
-    rhs = dr.carre_du_champ(qubit_space, bk.adjoint(a), bk.adjoint(b)).element
+    lhs = dr.carre_du_champ(qubit_space, a, b)
+    rhs = dr.carre_du_champ(qubit_space, bk.adjoint(a), bk.adjoint(b))
     assert_elem_close(lhs, rhs, tol=1e-12)
 
 
@@ -398,7 +403,7 @@ def test_gamma_complete_positivity_battery(qubit_space, pair3_space):
             acc = bk.zero(sp.backend)
             for j in range(3):
                 for k in range(3):
-                    gjk = dr.carre_du_champ(sp, As[j], As[k]).element
+                    gjk = dr.carre_du_champ(sp, As[j], As[k])
                     acc = acc + bk.mul(bk.mul(bk.adjoint(Bs[j]), gjk), Bs[k])
             wit = np.linalg.eigvalsh(bk.represent(acc)).min()
             assert wit >= -1e-9 * max(bk.norm_l2(acc), 1.0)
@@ -410,6 +415,22 @@ def test_gamma_positivity_enforced(qubit):
     bad = corrupted_space(qubit, gen)
     with pytest.raises(bk.NotPositive):
         dr.carre_du_champ(bad, bk.element(qubit, SIGMA_X))
+
+
+def test_only_the_diagonal_gamma_computes_a_witness(monkeypatch, qubit, torus2_space, z4_space):
+    rng = make_rng(47)
+    bad = corrupted_space(qubit, -dense_form(dr.build_space(qubit))[0])
+    for sp in (torus2_space, z4_space, dr.build_space(qubit)):
+        calls = count_rep_eigvalsh(monkeypatch, sp.backend)
+        a, b = (bk.random_element(sp.backend, rng) for _ in range(2))
+        dr.carre_du_champ(sp, a, b)
+        assert calls == []                  # Gamma(a, b): no witness
+        dr.carre_du_champ(sp, a)
+        dr.carre_du_champ(sp, a, a)
+        assert len(calls) == 2              # one per diagonal call
+    with pytest.raises(bk.NotPositive):     # the gate still reads the one witness
+        dr.carre_du_champ(bad, bk.element(qubit, SIGMA_X))
+    assert len(calls) == 3                  # calls is the qubit's list
 
 
 # ---------------------------------------------------------------------------
