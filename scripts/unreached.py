@@ -1,21 +1,29 @@
-"""Executable lines of ``src/ncpde`` that no test runs.
+"""Executable lines of ``src/ncpde`` that no test runs, and those that no
+CLI traffic runs.
 
 Usage (from the repository root):
 
     python3 scripts/unreached.py
 
-It runs ``tests/`` in this process under ``sys.settrace`` and
-``threading.settrace``, recording the lines executed in the files of
-``src/ncpde``, and prints ``src/ncpde/<module>.py:line: source`` for every
-executable line (a line number of some code object's ``co_lines``) that no
-test ran.  Lines run only in a subprocess that a test starts are not seen.
-The listing is a report, not a gate: the script always exits 0.
+It imports the package, runs ``tests/`` and then runs the CLI traffic in
+this process under ``sys.settrace`` and ``threading.settrace``, recording
+the lines executed in the files of ``src/ncpde``.  The traffic is every
+``corpus/`` config and every pool variant of every workload in
+``perfbench/workloads.py``, each through ``cli.run`` (quiet, artifacts to a
+temporary directory).  For each of the two sections it prints
+``src/ncpde/<module>.py:line: source`` for every executable line (a line
+number of some code object's ``co_lines``) that the import and that section
+left unrun.  Lines run only in a subprocess that a test starts are not
+seen.  The listing is a report, not a gate: the script exits 0 unless a
+CLI run raises.
 """
 
 from __future__ import annotations
 
 import contextlib
+import json
 import sys
+import tempfile
 import threading
 from pathlib import Path
 from types import CodeType
@@ -68,15 +76,38 @@ def unreached(path: Path, ran: set[tuple[str, int]]) -> list[tuple[int, str]]:
             for n in sorted(executable_lines(compile(source, str(path), "exec")) - done)]
 
 
+def cli_configs() -> list[dict]:
+    """The ``corpus/`` configs, then the runs of every pool variant of every
+    workload in ``perfbench/workloads.py``."""
+    configs = [json.loads(path.read_text(encoding="utf-8"))
+               for path in sorted((ROOT / "corpus").glob("*.json"))]
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        from workloads import POOL, WORKLOADS
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    return configs + [run.config for workload in WORKLOADS.values()
+                      for variant in range(POOL) for run in workload.variant(variant)]
+
+
 def main() -> int:
     import pytest
 
     sys.path.insert(0, str(ROOT / "src"))
-    with recording(str(PACKAGE)) as ran:
+    with recording(str(PACKAGE)) as imported:
+        from ncpde import cli
+    with recording(str(PACKAGE)) as tested:
         pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests")])
-    for path in sorted(PACKAGE.glob("*.py")):
-        for line, text in unreached(path, ran):
-            print(f"{path.relative_to(ROOT)}:{line}: {text}")
+    configs = cli_configs()
+    with recording(str(PACKAGE)) as served, tempfile.TemporaryDirectory() as out:
+        for i, config in enumerate(configs):
+            cli.run(config, out_dir=f"{out}/{i}", quiet=True)
+    for title, ran in [("no test runs", tested),
+                       (f"none of the {len(configs)} CLI traffic configs runs", served)]:
+        print(f"# lines that {title}")
+        for path in sorted(PACKAGE.glob("*.py")):
+            for line, text in unreached(path, imported | ran):
+                print(f"{path.relative_to(ROOT)}:{line}: {text}")
     return 0
 
 

@@ -158,10 +158,6 @@ class Descriptor:
         """Battery radius keeping triple products a b b^* leak-free."""
         return None
 
-    def safe_radius(self) -> int | None:
-        """Battery radius keeping pair products leak-free."""
-        return None
-
     def left_multipliers(self, A: np.ndarray) -> np.ndarray:
         """Per frame component, the coefficients by which A acts on the left;
         untwisted actions use A itself, broadcast over the frame axis."""
@@ -460,9 +456,6 @@ class NCTorus(Descriptor):
 
     def default_radius(self) -> int:
         return self.level // 3
-
-    def safe_radius(self) -> int:
-        return max(self.level // 2, 1)
 
 
 def nc_torus_rational(level: int, p: int, q: int) -> NCTorus:

@@ -217,7 +217,8 @@ def calculus_check(space: DirichletSpace, rng: np.random.Generator, battery: int
 
     grad_a, grad_b = desc.derive(A), desc.derive(B)
     grad_a_b = desc.mul_data(grad_a, np.expand_dims(B, desc.frame_axis()))[0]
-    rhs = grad_a_b + desc.mul_data(desc.left_multipliers(A), grad_b)[0]
+    a_grad_b = desc.mul_data(desc.left_multipliers(A), grad_b)[0]
+    rhs = grad_a_b + a_grad_b
     ip, e = inner(grad_a, H), form_data(space, A, B)
     tb, nh2 = inner(grad_a_b, grad_a_b).real, inner(H, H).real
     rho, leak = _metric(desc, H, H)
@@ -226,8 +227,8 @@ def calculus_check(space: DirichletSpace, rng: np.random.Generator, battery: int
     checks = [
         ("generator_factorization", np.linalg.norm(gm.conj().T @ gm - gen)
          / max(np.linalg.norm(gen), 1e-300), 1e-10),
-        ("leibniz", norm(desc.derive(desc.mul_data(A, B)[0]) - rhs).max(-1, initial=0.0)
-         / np.maximum(norm(A) * norm(B), 1.0), 1e-10),
+        ("leibniz", (norm(desc.derive(desc.mul_data(A, B)[0]) - rhs) / np.maximum(
+            norm(grad_a_b) + norm(a_grad_b), 1.0)).max(-1, initial=0.0), 1e-10),
         ("gradient_divergence_adjointness",
          abs(ip - inner(A, desc.codifferential(H))) / np.maximum(abs(ip), 1.0), 1e-10),
         ("energy_identity", abs(inner(grad_a, grad_b) - e) / np.maximum(abs(e), 1.0), 1e-10),

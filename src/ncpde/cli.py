@@ -97,10 +97,7 @@ def _non_finite_path(obj, path: str = "config") -> str | None:
     """Path of the first NaN, infinite or beyond-float-range number in a
     parsed JSON value."""
     if isinstance(obj, (float, int)):
-        try:
-            return None if math.isfinite(obj) else path
-        except OverflowError:   # an int no float can hold
-            return path
+        return None if isinstance(obj, bool) or _number(obj) else path
     if isinstance(obj, dict):
         children = [(f"{path}.{key}", value) for key, value in obj.items()]
     elif isinstance(obj, list) and not (_finite_numbers(obj) or _finite_pair_list(obj)):

@@ -17,12 +17,11 @@ damped Newton on all coefficients at once.  Each Newton step is a
 Jacobian-free conjugate-gradient solve on finite-difference products
 J p = (V(d + e p) - V(d)) / e, one V evaluation per product, stopped at a
 fixed forcing term (Jacobian-free Newton-Krylov) by the same CG loop as
-the linear problem.  A damped fixed-point step serves an iteration whose
-CG meets nonpositive curvature, and one whose Newton step cannot reduce
-the residual.  V is one ``derive``, F and ``codifferential`` of a
-coefficient stack; no matrix of the basis or of the Jacobian is built.
-For a monotone, coercive F the root is unique, so the start decides only
-how many iterations Newton takes.
+the linear problem; an iteration whose CG meets nonpositive curvature, or
+whose Armijo search stagnates, raises.  V is one ``derive``, F and
+``codifferential`` of a coefficient stack; no matrix of the basis or of the
+Jacobian is built.  For a monotone, coercive F the root is unique, so the
+start decides only how many iterations Newton takes.
 
 Solvability gate: in finite dimensions a weak solution exists only for
 right-hand sides orthogonal to the generator kernel.  Kernel mass beyond
@@ -64,12 +63,10 @@ class ConvergenceFailure(bk.AlgebraError):
 @dataclass(frozen=True)
 class NewtonStep:
     """One damped-Newton iteration: infinity-norm residual before the step,
-    accepted step length, whether the step came from the fixed-point
-    fallback, and how many Jacobian-vector products its CG made."""
+    accepted step length, and how many Jacobian-vector products its CG made."""
 
     residual: float
     alpha: float
-    fixed_point: bool = False
     products: int = 0
 
 
@@ -82,7 +79,6 @@ class SolveReport:
     galerkin_dim: int
     kernel_component: float
     flags: list[str] = field(default_factory=list)
-    energy_value: float | None = None
     energy_history: list[float] | None = None
     cg_history: list[float] | None = None    # ||r||^2 of the variational CG, per update
     newton_trace: list[NewtonStep] | None = None
@@ -156,25 +152,24 @@ def minimize_dirichlet_energy(space: DirichletSpace, f: AlgebraElement, *,
     b = bk.to_l2(f_solved)
     n = 2 * b.size   # real dimension
     history = [0.0]   # I(x) of each iterate, -Re<x, b + r> / 2 since A x = b - r
-    x, rr, _ = _cg(lambda p: _l2_generator(space, p), b, CG_RTOL, 4 * n,
-                   lambda x, r: history.append(float(-0.5 * np.vdot(x, b + r).real)))
+    x, rr = _cg(lambda p: _l2_generator(space, p), b, CG_RTOL, 4 * n,
+                lambda x, r: history.append(float(-0.5 * np.vdot(x, b + r).real)))
     if math.sqrt(rr[-1]) > CG_RTOL * math.sqrt(rr[0]):
         raise ConvergenceFailure(f"conjugate gradients stalled at residual {math.sqrt(rr[-1]):.3e}")
     if any(h2 > h1 + 1e-12 * (1 + abs(h1)) for h1, h2 in zip(history, history[1:])):
         flags.append("energy_not_monotone")
     return _linear_report(space, f, f_solved, x, mass, flags, iterations=len(rr) - 1,
-                          galerkin_dim=n, energy_value=history[-1],
-                          energy_history=history, cg_history=rr)
+                          galerkin_dim=n, energy_history=history, cg_history=rr)
 
 
 def _cg(apply: Callable[[np.ndarray], np.ndarray], b: np.ndarray, rtol: float, maxiter: int,
-        each: Callable | None = None) -> tuple[np.ndarray, list[float], bool]:
+        each: Callable | None = None) -> tuple[np.ndarray, list[float]]:
     """Conjugate gradients on A x = b from x = 0 under Re<.,.> (real or
     complex vectors), with A p = ``apply(p)`` returned as a fresh array.
-    Stops once ||r|| <= rtol ||b||, after ``maxiter`` products, or at
-    curvature Re<p, A p> <= 0 (or NaN); ``each(x, r)`` sees every update.
-    Returns the last iterate, ||r||^2 before the first and after every
-    update, and whether the curvature stayed positive."""
+    Stops once ||r|| <= rtol ||b|| or after ``maxiter`` products, and raises
+    ``ConvergenceFailure`` at curvature Re<p, A p> <= 0 (or NaN);
+    ``each(x, r)`` sees every update.  Returns the last iterate and ||r||^2
+    before the first and after every update."""
     x, r, p = np.zeros(b.shape, b.dtype), b.copy(), b.copy()
     rr = [np.vdot(b, b).real]
     stop = rtol * math.sqrt(rr[0])
@@ -185,7 +180,7 @@ def _cg(apply: Callable[[np.ndarray], np.ndarray], b: np.ndarray, rtol: float, m
         Ap = apply(p)
         curvature = np.vdot(p, Ap).real
         if not curvature > 0.0:
-            return x, rr, False
+            raise ConvergenceFailure(f"conjugate gradients met curvature {curvature:.3e} <= 0")
         a = rr[-1] / curvature
         x += a * p
         Ap *= a
@@ -193,7 +188,7 @@ def _cg(apply: Callable[[np.ndarray], np.ndarray], b: np.ndarray, rtol: float, m
         rr.append(np.vdot(r, r).real)
         if each is not None:
             each(x, r)
-    return x, rr, True
+    return x, rr
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +209,8 @@ class NonlinearMap:
     The quasilinear solve assumes that F has a symmetric derivative under
     Re<.,.>, as the gradient of a functional does (identity and curved are
     gradients of convex functionals, negated is -identity): its Newton steps
-    run conjugate gradients on the Galerkin Jacobian, and an iteration where
-    CG meets nonpositive curvature takes a damped fixed-point step instead."""
+    run conjugate gradients on the Galerkin Jacobian, and the solve raises
+    where CG meets nonpositive curvature, as it does for a decreasing F."""
 
     func: Callable[[np.ndarray], np.ndarray]
     name: str
@@ -252,7 +247,7 @@ def negated_map() -> NonlinearMap:
 
 
 def probe_map(space: DirichletSpace, F: NonlinearMap, rng: np.random.Generator,
-              samples: int = PROBE_SAMPLES, *, radius: int | None = None) -> Report:
+              samples: int = PROBE_SAMPLES) -> Report:
     """Statistical verification of monotonicity, growth and coercivity.
 
     h and v of all samples are one ``random_data`` stack (samples, 2, k) +
@@ -262,8 +257,7 @@ def probe_map(space: DirichletSpace, F: NonlinearMap, rng: np.random.Generator,
     margins are reported.
     """
     report = Report(kind="probe-map", extra={"map": F.name, "samples": samples})
-    hv = bk.random_data(space.backend, rng, (samples, 2, tangent_components(space)),
-                        radius=radius)
+    hv = bk.random_data(space.backend, rng, (samples, 2, tangent_components(space)))
     scales = rng.uniform(0.1, 3.0, (samples, 1))
     h, v = hv[:, 0].reshape(samples, -1) * scales, hv[:, 1].reshape(samples, -1)
     Fh = F(h)
@@ -341,8 +335,7 @@ def solve_quasilinear(space: DirichletSpace, F: NonlinearMap, f: AlgebraElement,
     skips the structure probes of F."""
     flags: list[str] = []
     if not force:
-        probe = probe_map(space, F, np.random.default_rng(PROBE_SEED),
-                          radius=space.backend.safe_radius())
+        probe = probe_map(space, F, np.random.default_rng(PROBE_SEED))
         if not probe.passed:
             failed = [c.name for c in probe.checks if not c.passed]
             raise ConvergenceFailure(f"map {F.name} failed structure probes: {failed}")
@@ -371,15 +364,14 @@ def solve_quasilinear(space: DirichletSpace, F: NonlinearMap, f: AlgebraElement,
 
 
 def _newton(V, d: np.ndarray, scale_: float, trace: list[NewtonStep]) -> np.ndarray:
-    """Damped Newton from ``d`` with Armijo backtracking on ||V||^2; falls
-    back to a damped fixed-point step when a Newton step cannot reduce the
-    residual.  Each Newton step solves J s = V(d) by conjugate gradients on
-    finite-difference products J p = (V(d + e p) - V(d)) / e, with
-    e = JV_STEP (1 + ||d||) / ||p||, to FORCING * ||V(d)||; CG needs a
-    symmetric J (see ``NonlinearMap``).  An iteration whose CG meets
-    p.Jp <= 0 takes the fixed-point step; one whose CG has not converged
-    after M = d.size products takes the CG iterate to the line search.
-    Appends one ``NewtonStep`` per iteration to ``trace``."""
+    """Damped Newton from ``d`` with Armijo backtracking on ||V||^2, which
+    raises ``ConvergenceFailure`` once the step length drops below 1e-10.
+    Each step solves J s = V(d) by conjugate gradients on finite-difference
+    products J p = (V(d + e p) - V(d)) / e, with e = JV_STEP (1 + ||d||) / ||p||,
+    to FORCING * ||V(d)||; CG needs a symmetric positive definite J (see
+    ``NonlinearMap``).  An iteration whose CG has not converged after
+    M = d.size products takes the CG iterate to the line search.  Appends
+    one ``NewtonStep`` per iteration to ``trace``."""
     stop = NEWTON_RTOL * scale_
     r = V(d)
     for it in range(MAX_NEWTON + 1):
@@ -391,38 +383,28 @@ def _newton(V, d: np.ndarray, scale_: float, trace: list[NewtonStep]) -> np.ndar
                                      f"iterations (residual {res:.3e})")
         step, products = _krylov_step(V, d, r)
         base = float(r @ r)
-        alpha, fixed_point = 1.0, False
-        while step is not None and alpha >= 1e-10:
+        alpha = 1.0
+        while alpha >= 1e-10:
             trial = d - alpha * step
             rt = V(trial)
             if float(rt @ rt) <= (1.0 - 1e-4 * alpha) * base:
                 break
             alpha *= 0.5
         else:
-            # fixed-point fallback: d <- d - alpha V(d), valid for monotone maps
-            alpha, fixed_point = 0.5, True
-            for _ in range(40):
-                trial = d - alpha * r
-                rt = V(trial)
-                if float(rt @ rt) < base:
-                    break
-                alpha *= 0.5
-            else:
-                raise ConvergenceFailure("Newton and fixed-point steps both stagnated")
+            raise ConvergenceFailure(f"Newton line search stagnated at residual {res:.3e}")
         d, r = trial, rt      # the accepted residual is the next iteration's
-        trace.append(NewtonStep(res, alpha, fixed_point, products))
+        trace.append(NewtonStep(res, alpha, products))
 
 
-def _krylov_step(V, d: np.ndarray, r: np.ndarray) -> tuple[np.ndarray | None, int]:
+def _krylov_step(V, d: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, int]:
     """CG on J s = r = V(d) with finite-difference products of J, and the
-    number of products made; the step is None when CG meets curvature
-    p.Jp <= 0 (or NaN), and the last iterate when d.size products leave it
-    short of the forcing term."""
+    number of products made; the step is the last iterate when d.size
+    products leave it short of the forcing term."""
     e_p = JV_STEP * (1.0 + math.sqrt(d @ d))   # e ||p||
 
     def J(p: np.ndarray) -> np.ndarray:
         e = e_p / math.sqrt(float(p @ p))
         return (V(d + e * p) - r) / e
 
-    s, rr, positive = _cg(J, r, FORCING, d.size)
-    return (s if positive else None), len(rr) - positive
+    s, rr = _cg(J, r, FORCING, d.size)
+    return s, len(rr) - 1

@@ -314,6 +314,27 @@ def test_radius_zero_torus_calculus_check_flags_a_degenerate_battery(tmp_path):
     assert "degenerate battery: triple products need level >= 3 for nonconstant supports" in flags
 
 
+_TRIDIAGONAL_1E6 = [[0.0, 0.0], [1e6, 0.0], [0.0, 0.0], [1e6, 0.0], [0.0, 0.0], [1e6, 0.0],
+                    [0.0, 0.0], [1e6, 0.0], [0.0, 0.0]]
+
+
+@pytest.mark.parametrize("dim, generator", [
+    (2, [[1e6, 0.0], [0.0, 0.0], [0.0, 0.0], [-1e6, 0.0]]),
+    (2, [[1e8, 0.0], [0.0, 0.0], [0.0, 0.0], [-1e8, 0.0]]),
+    (3, _TRIDIAGONAL_1E6),
+], ids=["qubit-1e6", "qubit-1e8", "tridiagonal3-1e6"])
+def test_large_generator_calculus_check_passes_leibniz(tmp_path, dim, generator):
+    # the Leibniz defect is rounding of the terms d(a) b and a d(b), which
+    # grow with the generator: scaled by their size it stays at machine
+    # precision (scaled by ||a|| ||b|| it read 2.6e-10, 2.9e-8 and 2.8e-10)
+    config = {"command": "calculus-check", "seed": 1,
+              "backend": {"kind": "matrix", "dim": dim, "generators": [generator]}}
+    out_dir = tmp_path / "out"
+    assert run_main(tmp_path, config, "--out", str(out_dir), "--quiet") == 0
+    checks = json.loads((out_dir / "report.json").read_text())["checks"]
+    assert next(c for c in checks if c["name"] == "leibniz")["value"] <= 1e-14
+
+
 def test_negated_map_quasilinear_exits_1_naming_the_failed_probes(tmp_path, capsys):
     config = {"command": "solve-quasilinear", "backend": QUBIT_BACKEND, "seed": 1,
               "problem": {"f": [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 0.0]],

@@ -526,8 +526,9 @@ def _be_battery(name):
     else:
         gens = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(2)]
         desc = bk.MatrixAlgebra(3, tuple((g + g.conj().T) / 2.0 for g in gens))
-    battery = [bk.random_element(desc, rng, radius=desc.safe_radius(), self_adjoint=True)
-               for _ in range(3)]
+    # tori draw within half the window, so that pair products stay leak-free
+    radius = max(desc.level // 2, 1) if isinstance(desc, bk.NCTorus) else None
+    battery = [bk.random_element(desc, rng, radius=radius, self_adjoint=True) for _ in range(3)]
     return dr.build_space(desc), battery
 
 

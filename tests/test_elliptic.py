@@ -108,7 +108,7 @@ def test_variational_energy_history_is_the_energy_functional(pair3_space, torus2
         A = co.realify_operator(dense_form(sp)[0])
         b = realify_vector(bk.to_l2(f))
         want = 0.5 * x @ (A @ x) - b @ x
-        assert abs(rep.energy_value - want) <= 1e-12 * max(abs(want), 1.0)
+        assert abs(rep.energy_history[-1] - want) <= 1e-12 * max(abs(want), 1.0)
 
 
 @pytest.mark.parametrize("name", ["qubit", "pair3", "torus2", "z4", "torus8", "cyclic64",
@@ -161,8 +161,7 @@ def test_solver_agreement_battery(qubit_space, torus2_space, z4_space):
 
 
 def test_probe_identity_map(torus2_space):
-    report = el.probe_map(torus2_space, el.identity_map(), make_rng(93),
-                          samples=100, radius=1)
+    report = el.probe_map(torus2_space, el.identity_map(), make_rng(93), samples=100)
     assert report.passed
     by_name = {c.name: c.value for c in report.checks}
     assert by_name["monotonicity_margin"] >= 1.0 - 1e-9
@@ -198,22 +197,22 @@ def counting(F):
 
 def test_probe_applies_the_map_twice_per_sample(torus2_space):
     F, calls = counting(el.identity_map())
-    report = el.probe_map(torus2_space, F, make_rng(93), samples=100, radius=1)
-    want = el.probe_map(torus2_space, el.identity_map(), make_rng(93), samples=100, radius=1)
+    report = el.probe_map(torus2_space, F, make_rng(93), samples=100)
+    want = el.probe_map(torus2_space, el.identity_map(), make_rng(93), samples=100)
     assert report.to_dict() == want.to_dict()
     # once on all h and once on all v, each stacked as (samples, k*D)
     k_dim = tangent_components(torus2_space) * torus2_space.dim
     assert calls == [(100, k_dim)] * 2
 
 
-def loop_probe_draws(space, rng, samples, radius):
+def loop_probe_draws(space, rng, samples):
     """The probe's h and v drawn one ``loop_random_data`` call per frame
     component, h and v of every sample before all the scales, one
     ``uniform`` call each: the reference for the probe's stacked draw."""
     k = tangent_components(space)
 
     def draw():
-        return np.concatenate([loop_random_data(space.backend, rng, radius).reshape(-1)
+        return np.concatenate([loop_random_data(space.backend, rng).reshape(-1)
                                for _ in range(k)])
 
     h = np.empty((samples, k * space.dim), dtype=np.complex128)
@@ -224,10 +223,9 @@ def loop_probe_draws(space, rng, samples, radius):
     return h, v
 
 
-@pytest.mark.parametrize("spec,radius", [(("torus", 3), 1), (("torus", 3), None),
-                                         (("cyclic", 16), None), (("matrix", 3), None)],
-                         ids=["torus3-r1", "torus3", "cyclic16", "matrix3"])
-def test_probe_draws_match_per_call_loop(spec, radius):
+@pytest.mark.parametrize("spec", [("torus", 3), ("cyclic", 16), ("matrix", 3)],
+                         ids=["torus3", "cyclic16", "matrix3"])
+def test_probe_draws_match_per_call_loop(spec):
     # the map sees bit-identical h and v, so the probe report is the one the
     # per-call draws give
     space = build_space(backend_from_spec(spec))
@@ -238,8 +236,8 @@ def test_probe_draws_match_per_call_loop(spec, radius):
         return h
 
     F = dataclasses.replace(el.identity_map(), func=record)
-    el.probe_map(space, F, make_rng(604), samples=20, radius=radius)
-    h, v = loop_probe_draws(space, make_rng(604), 20, radius)
+    el.probe_map(space, F, make_rng(604), samples=20)
+    h, v = loop_probe_draws(space, make_rng(604), 20)
     assert np.array_equal(seen[0], h) and np.array_equal(seen[1], v)
 
 
@@ -252,7 +250,7 @@ def test_probe_draws_its_samples_in_one_call(torus2_space, monkeypatch):
         return random_data(*args, **kwargs)
 
     monkeypatch.setattr(bk, "random_data", counted)
-    el.probe_map(torus2_space, el.identity_map(), make_rng(93), radius=1)
+    el.probe_map(torus2_space, el.identity_map(), make_rng(93))
     assert len(calls) == 1
 
 
@@ -324,7 +322,7 @@ def test_quasilinear_newton_trace(torus2_space):
     trace = rep.newton_trace
     assert len(trace) == rep.iterations > 0
     for s in trace:
-        assert 0.0 < s.alpha <= 1.0 and not s.fixed_point and s.residual > 0.0
+        assert 0.0 < s.alpha <= 1.0 and s.residual > 0.0
 
 
 def test_quasilinear_evaluates_each_accepted_residual_once(torus2_space):
@@ -341,7 +339,7 @@ def test_quasilinear_evaluates_each_accepted_residual_once(torus2_space):
         rep = el.solve_quasilinear(torus2_space, F, f, init=init, force=True)
         want = [(k_dim,)]
         for s in rep.newton_trace:
-            assert not s.fixed_point and s.products >= 1
+            assert s.products >= 1
             want += [(k_dim,)] * (s.products + 1 + round(np.log2(1.0 / s.alpha)))
         assert calls == want + [(k_dim,)]
     assert max(s.products for s in rep.newton_trace) > 1
@@ -363,17 +361,15 @@ def test_krylov_newton_matches_dense_newton(spec, make_map, start):
     want, iterations = loop_dense_newton(V, d0, scale)
     assert np.linalg.norm(root - want) <= 1e-12 * np.linalg.norm(want)
     assert len(trace) == iterations
-    assert not any(s.fixed_point for s in trace)
 
 
 @pytest.mark.parametrize("spec", RESIDUAL_SPECS, ids=[f"{k}{n}" for k, n in RESIDUAL_SPECS])
 def test_negated_map_fails_closed_without_a_dense_step(spec):
-    # J = -I on the Galerkin basis: CG meets p.Jp < 0 on its first product,
-    # so the iteration takes the fixed-point step, which the negated map
-    # cannot take downhill; no dense Jacobian batch (M, k*D) is ever made
+    # J = -I on the Galerkin basis: CG meets p.Jp < 0 on its first product
+    # and raises; no dense Jacobian batch (M, k*D) is ever made
     space = build_space(backend_from_spec(spec))
     F, calls = counting(el.negated_map())
-    with pytest.raises(el.ConvergenceFailure, match="both stagnated"):
+    with pytest.raises(el.ConvergenceFailure, match=r"conjugate gradients met curvature -\S+ <= 0"):
         el.solve_quasilinear(space, F, perp_random(space, make_rng(610)), force=True)
     k_dim = tangent_components(space) * space.dim
     assert set(calls) == {(k_dim,)}   # single vectors only: no batch (M, k*D)
@@ -403,7 +399,7 @@ def test_krylov_step_stops_at_the_forcing_term_or_gives_up():
     with pytest.raises(el.ConvergenceFailure, match=f"in {el.MAX_NEWTON} iterations"):
         el._newton(V, np.zeros(2), 1.0, trace)
     assert len(trace) == el.MAX_NEWTON
-    assert all(s.products == 2 and not s.fixed_point for s in trace)
+    assert all(s.products == 2 for s in trace)
 
 
 def test_cg_solves_hermitian_and_symmetric_positive_systems():
@@ -419,10 +415,10 @@ def test_cg_solves_hermitian_and_symmetric_positive_systems():
                (Q @ np.diag(np.linspace(1.0, 50.0, n)) @ Q.T, rng.standard_normal(n))]
     for A, b in systems:
         seen = []
-        x, rr, positive = el._cg(lambda p: A @ p, b, 1e-13, 4 * n,
-                                 lambda x, r: seen.append((x.copy(), r.copy())))
+        x, rr = el._cg(lambda p: A @ p, b, 1e-13, 4 * n,
+                       lambda x, r: seen.append((x.copy(), r.copy())))
         want = np.linalg.solve(A, b)
-        assert positive and x.dtype == b.dtype
+        assert x.dtype == b.dtype
         assert np.linalg.norm(x - want) <= 1e-11 * np.linalg.norm(want)
         assert len(seen) == len(rr) - 1 and np.array_equal(seen[-1][0], x)
         assert rr[0] == np.vdot(b, b).real and np.sqrt(rr[-1]) <= 1e-13 * np.linalg.norm(b)
@@ -436,20 +432,25 @@ def test_cg_stops_at_nonpositive_curvature_and_at_its_cap():
     n = 16
     Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
     b = rng.standard_normal(n)
-    # indefinite: CG on the whole space must meet p.Ap <= 0 before it converges
+    # indefinite: CG on the whole space must meet p.Ap <= 0 before it
+    # converges, and raises naming the curvature it met
     A = Q @ np.diag(np.linspace(-1.0, 10.0, n)) @ Q.T
     products = []
-    x, rr, positive = el._cg(lambda p: products.append(1) or A @ p, b, 1e-13, 4 * n)
-    assert not positive and len(products) == len(rr) <= n
-    assert np.sqrt(rr[-1]) > 1e-13 * np.linalg.norm(b)
-    # a NaN product stops it the same way, before any update
-    x, rr, positive = el._cg(lambda p: np.full_like(p, np.nan), b, 1e-13, 4 * n)
-    assert not positive and rr == [b @ b] and not x.any()
+    with pytest.raises(el.ConvergenceFailure, match=r"conjugate gradients met curvature \S+ <= 0"):
+        el._cg(lambda p: products.append(1) or A @ p, b, 1e-13, 4 * n)
+    assert len(products) <= n
+    with pytest.raises(el.ConvergenceFailure, match=r"met curvature -1\.000e\+00 <= 0$"):
+        el._cg(lambda p: np.diag([1.0, -1.0]) @ p, np.array([0.0, 1.0]), 1e-13, 4)
+    # a NaN product raises the same way, on the first product
+    products.clear()
+    with pytest.raises(el.ConvergenceFailure, match="met curvature nan <= 0"):
+        el._cg(lambda p: products.append(1) or np.full_like(p, np.nan), b, 1e-13, 4 * n)
+    assert len(products) == 1
     # maxiter products at most: a spread spectrum leaves CG short after 3
     A = Q @ np.diag(np.linspace(1.0, 1e3, n)) @ Q.T
     products.clear()
-    x, rr, positive = el._cg(lambda p: products.append(1) or A @ p, b, 1e-13, 3)
-    assert positive and len(products) == 3 and len(rr) == 4
+    x, rr = el._cg(lambda p: products.append(1) or A @ p, b, 1e-13, 3)
+    assert len(products) == 3 and len(rr) == 4
     assert np.sqrt(rr[-1]) > 1e-13 * np.linalg.norm(b)
 
 
@@ -478,19 +479,23 @@ def test_krylov_step_solves_to_one_part_in_a_million():
     assert abs(products - exact) <= 1
 
 
-def test_newton_falls_back_to_fixed_point_steps():
-    # a staircase: the finite-difference Jacobian is 0, so no Newton step
-    # moves, while the map rises by 1 per unit; fixed-point steps of length
-    # r/2 take the residual from -100.5 to -0.5 (7 steps, exact in binary),
-    # where no step of the stair changes it
+def test_newton_raises_when_the_line_search_stagnates():
+    # V(d) = 1 + d + 10|d| from 0: the finite-difference Jacobian is 11, so
+    # CG converges to the step s = 1/11 on its one product, but every trial
+    # d - alpha s raises |V| to 1 + 9 alpha / 11; the search halves alpha
+    # from 1 to 2^-33, the last length >= 1e-10, and raises
+    calls = []
+
     def V(d):
-        return np.floor(d) - 100.5
+        calls.append(d.copy())
+        return 1.0 + d + 10.0 * np.abs(d)
 
     trace = []
-    with pytest.raises(el.ConvergenceFailure, match="both stagnated"):
-        el._newton(V, np.zeros(1), 100.5, trace)
-    assert [s.residual for s in trace] == [100.5, 50.5, 25.5, 12.5, 6.5, 3.5, 1.5]
-    assert all(s.fixed_point and s.alpha == 0.5 for s in trace)
+    with pytest.raises(el.ConvergenceFailure,
+                       match=r"Newton line search stagnated at residual 1\.000e\+00"):
+        el._newton(V, np.zeros(1), 1.0, trace)
+    assert trace == []
+    assert len(calls) == 1 + 1 + 34   # V(d), one product, 34 trials
 
 
 def test_quasilinear_identity_reduces_to_poisson(torus2, torus2_space):
@@ -540,7 +545,6 @@ def test_quasilinear_uniqueness_across_restarts(spec, beta):
         diff = base.solution - other.solution
         assert bk.norm_l2(diff) <= 1e-8
         assert np.sqrt(dirichlet_form(space, diff).real) <= 1e-8
-        assert not any(s.fixed_point for s in base.newton_trace + other.newton_trace)
 
 
 def test_quasilinear_multimode_rhs(qubit_space, z4_space):
@@ -573,9 +577,8 @@ def test_curved_map_rejects_negative_beta():
 
 def test_quasilinear_force_skips_probes(qubit_space):
     # with force=True the negated map skips the probe gate and fails in the
-    # solve itself: its Newton steps meet negative curvature, and no damped
-    # fixed-point step lowers the residual of a decreasing map
+    # solve itself: the CG of its first Newton step meets negative curvature
     rng = make_rng(99)
     f = perp_random(qubit_space, rng)
-    with pytest.raises(el.ConvergenceFailure, match="both stagnated"):
+    with pytest.raises(el.ConvergenceFailure, match=r"conjugate gradients met curvature -\S+ <= 0"):
         el.solve_quasilinear(qubit_space, el.negated_map(), f, force=True)

@@ -27,3 +27,11 @@ def test_untaken_branch_is_the_one_line_unreached(tmp_path):
     assert sys.gettrace() is before
     assert {line for name, line in ran if name == str(path)} == {1, 2, 4}
     assert unreached.unreached(path, ran) == [(3, "return -1")]
+
+
+def test_cli_traffic_is_the_corpus_and_every_workload_pool():
+    # 11 corpus configs, then 6 pool variants of the four workloads' 7, 4,
+    # 7 and 8 runs
+    configs = unreached.cli_configs()
+    assert len(configs) == 11 + 156
+    assert all(isinstance(config["command"], str) for config in configs)
