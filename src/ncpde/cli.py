@@ -3,19 +3,16 @@
 Usage:  ncpde --config cfg.json [--out DIR] [--seed N] [--tol X] [--quiet]
 
 The JSON config carries the command, the backend descriptor and the
-per-command problem payload; it is validated against a strict schema
-(unknown fields, non-finite numbers and integers beyond float range are
-rejected) before any computation.  A valid config is accepted in one walk
-over the schemas' Draft 2020-12 keywords, in which a non-finite number fails
-its type; only a rejected config imports jsonschema, whose stock validator
-words the message, or else ``_non_finite_path``.  As in Draft 2020-12, a
-bool is not a number and an integer-valued float such as 1.0 is an integer;
-each integer field is read through int(), so it runs as its int twin.  All
-randomized batteries are drawn from numpy's PCG64 generator seeded from the
-config (command-line --seed overrides), so identical config + seed
-reproduces bit-identical JSON output on a given platform/BLAS.  Exit codes:
-0 success with all checks passed, 2 completed with check failures (reports
-still written), 1 errors.
+per-command problem payload.  Before any computation one walk over its
+schemas' Draft 2020-12 keywords judges it (unknown fields, non-finite numbers
+and integers beyond float range fail) and words its first fault in that
+keyword's stock message, e.g. "1.5 is not of type 'integer'".  A bool is not
+a number and an integer-valued float such as 1.0 is an integer, read through
+int() so it runs as its int twin.  All randomized batteries are drawn from
+numpy's PCG64 generator seeded from the config (command-line --seed
+overrides), so identical config + seed reproduces bit-identical JSON output
+on a given platform/BLAS.  Exit codes: 0 success with all checks passed, 2
+completed with check failures (reports still written), 1 errors.
 """
 
 from __future__ import annotations
@@ -77,40 +74,6 @@ class ConfigError(Exception):
     pass
 
 
-def _finite_numbers(obj) -> bool:
-    """Whether ``obj`` is a list of JSON numbers (not bools) finite as one float64 array."""
-    if type(obj) is not list or not set(map(type, obj)) <= {float, int}:
-        return False
-    try:
-        return bool(np.isfinite(np.array(obj, dtype=np.float64)).all())
-    except OverflowError:   # an int beyond float range
-        return False
-
-
-def _finite_pair_list(obj) -> bool:
-    """Whether ``obj`` is a list of ``[re, im]`` lists whose numbers pass ``_finite_numbers``."""
-    return (type(obj) is list and set(map(type, obj)) <= {list} and set(map(len, obj)) <= {2}
-            and _finite_numbers(list(itertools.chain.from_iterable(obj))))
-
-
-def _non_finite_path(obj, path: str = "config") -> str | None:
-    """Path of the first NaN, infinite or beyond-float-range number in a
-    parsed JSON value."""
-    if isinstance(obj, (float, int)):
-        return None if isinstance(obj, bool) or _number(obj) else path
-    if isinstance(obj, dict):
-        children = [(f"{path}.{key}", value) for key, value in obj.items()]
-    elif isinstance(obj, list) and not (_finite_numbers(obj) or _finite_pair_list(obj)):
-        children = [(f"{path}[{i}]", value) for i, value in enumerate(obj)]
-    else:
-        return None
-    for child_path, value in children:
-        found = _non_finite_path(value, child_path)
-        if found is not None:
-            return found
-    return None
-
-
 def _number(x) -> bool:
     """Whether ``x`` is a JSON number (a bool is not) that float64 holds
     finitely: NaN, an infinity or an integer beyond float range is not one."""
@@ -129,75 +92,109 @@ _TYPES = {
     "null": lambda x: x is None,
     "number": _number,
     "object": lambda x: isinstance(x, dict),
-    "string": lambda x: isinstance(x, str),
 }
 
 
-def _items(x, items, schema) -> bool:
-    if not isinstance(x, list):
-        return True
-    # a pair or number list finite as one float64 array passes in one array pass
-    if ((items is _PAIRS["items"] and _finite_pair_list(x))
-            or (items == {"type": "number"} and _finite_numbers(x))):
-        return True
-    return all(_valid(v, items) for v in x)
+def _first_fault(children):
+    # True when every (key, value, schema) child passes, else the first fault
+    for key, value, schema in children:
+        fault = _valid(value, schema)
+        if fault is not None:
+            fault[0] = (f"[{key}]" if isinstance(key, int) else f".{key}") + fault[0]
+            return fault
+    return True
+
+
+def _items(x, items, schema):
+    # a number list, or a list of [re, im] number pairs, whose numbers (not
+    # bools) are finite as one float64 array passes in one array pass
+    pairs = items is _PAIRS["items"] and set(map(type, x)) <= {list} and set(map(len, x)) <= {2}
+    flat = list(itertools.chain.from_iterable(x)) if pairs else x
+    if (pairs or items == {"type": "number"}) and set(map(type, flat)) <= {float, int}:
+        try:
+            if np.isfinite(np.array(flat, dtype=np.float64)).all():
+                return True
+        except OverflowError:   # an int beyond float range
+            pass
+    return _first_fault((i, v, items) for i, v in enumerate(x))
+
+
+def _one_of(x, branches, schema):
+    faults = [_valid(x, b) for b in branches]
+    passed = [b for b, fault in zip(branches, faults) if fault is None]
+    if passed:
+        return len(passed) == 1 or (lambda: f"{x!r} is valid under each of "
+                                    f"{', '.join(map(repr, passed[1:] + passed[:1]))}")
+    # blame the branch whose const a property of x matches (the backend kind),
+    # else the only one that x fails inside or as a number no float64 holds
+    chosen = [f for b, f in zip(branches, faults) if isinstance(x, dict) and any(
+        x.get(k) == sub["const"] for k, sub in b.get("properties", {}).items() if "const" in sub)]
+    chosen = chosen or [f for f in faults if f[0] or f[2]() is None]
+    return chosen[0] if len(chosen) == 1 else (
+        lambda: f"{x!r} is not valid under any of the given schemas")
+
+
+def _none_unexpected(names):
+    return not names or (lambda: "Additional properties are not allowed ({} {} unexpected)".format(
+        ", ".join(map(repr, sorted(names, key=str))), "was" if len(names) == 1 else "were"))
 
 
 # the Draft 2020-12 keywords of the config schemas, each (instance, value,
-# schema) -> whether the instance passes it; every additionalProperties of
-# these schemas is false, and every enum and const a string, on which == is
-# JSON equality
+# schema) -> True when the instance passes, else the fault below it or a call
+# wording its failure in the keyword's stock message (None: a number of the
+# type that no float64 holds).  Every additionalProperties is false, every
+# enum and const a string (== is JSON equality), and a keyword of one instance
+# type follows a "type" of that type in its schema, so none meets another type
 _KEYWORDS = {
-    "additionalProperties": lambda x, extra, s: (
-        not isinstance(x, dict) or x.keys() <= s.get("properties", {}).keys()),
-    "const": lambda x, value, s: x == value,
-    "enum": lambda x, values, s: x in values,
-    "exclusiveMinimum": lambda x, low, s: not _number(x) or x > low,
+    "additionalProperties": lambda x, extra, s: _none_unexpected(
+        x.keys() - s.get("properties", {}).keys()),
+    "const": lambda x, value, s: x == value or (lambda: f"{value!r} was expected"),
+    "enum": lambda x, values, s: x in values or (lambda: f"{x!r} is not one of {values!r}"),
+    "exclusiveMinimum": lambda x, low, s: x > low or (
+        lambda: f"{x!r} is less than or equal to the minimum of {low!r}"),
     "items": _items,
-    "maxItems": lambda x, n, s: not isinstance(x, list) or len(x) <= n,
-    "maximum": lambda x, high, s: not _number(x) or x <= high,
-    "minItems": lambda x, n, s: not isinstance(x, list) or len(x) >= n,
-    "minimum": lambda x, low, s: not _number(x) or x >= low,
-    "oneOf": lambda x, branches, s: sum(_valid(x, b) for b in branches) == 1,
-    "properties": lambda x, props, s: not isinstance(x, dict) or all(
-        _valid(x[key], sub) for key, sub in props.items() if key in x),
-    "required": lambda x, names, s: not isinstance(x, dict) or all(k in x for k in names),
-    "type": lambda x, name, s: _TYPES[name](x),
+    "maxItems": lambda x, n, s: len(x) <= n or (lambda: f"{x!r} is too long"),
+    "maximum": lambda x, high, s: x <= high or (
+        lambda: f"{x!r} is greater than the maximum of {high!r}"),
+    "minItems": lambda x, n, s: len(x) >= n or (
+        lambda: f"{x!r} {'should be non-empty' if n == 1 else 'is too short'}"),
+    "minimum": lambda x, low, s: x >= low or (
+        lambda: f"{x!r} is less than the minimum of {low!r}"),
+    "oneOf": _one_of,
+    "properties": lambda x, props, s: _first_fault(
+        (key, value, props[key]) for key, value in x.items() if key in props),
+    "required": lambda x, names, s: all(k in x for k in names) or (
+        lambda: f"{next(k for k in names if k not in x)!r} is a required property"),
+    "type": lambda x, name, s: _TYPES[name](x) or (lambda: None if isinstance(
+        x, {"number": (int, float), "integer": int}.get(name, ())) and not isinstance(x, bool)
+        else f"{x!r} is not of type {name!r}"),
 }
 
 
-def _valid(x, schema: dict) -> bool:
-    return all(_KEYWORDS[key](x, value, schema) for key, value in schema.items())
+def _valid(x, schema: dict):
+    """None when ``x`` passes ``schema``, else its first fault (keywords in the
+    schema's order, members in the instance's): ``[path below x, built as the
+    walk returns, keyword, the call that words its failure]``."""
+    for key, value in schema.items():
+        verdict = _KEYWORDS[key](x, value, schema)
+        if verdict is not True:
+            return ["", key, verdict] if callable(verdict) else verdict
+    return None
 
 
-def _accepts(config) -> bool:
-    """Whether stock jsonschema and ``_non_finite_path`` both pass ``config``:
-    one walk, no message, in which a number no float64 holds fails its type."""
-    return (_valid(config, CONFIG_SCHEMA)
-            and _valid(config.get("problem", {}), COMMANDS[config["command"]][0]))
+def _invalid(path: str, message: str | None) -> ConfigError:
+    # None for a number that no float64 holds
+    return ConfigError(f"invalid config: {path}: {message}" if message is not None
+                       else f"invalid config: {path} is not a finite number")
 
 
 def validate_config(config: dict) -> None:
-    """Raise ConfigError naming the first fault of ``config``, if it has one."""
-    if _accepts(config):
-        return
-    # only a rejection is worded, by stock jsonschema: imported here, so that
-    # accepting a config never pays for it
-    from jsonschema import Draft202012Validator
-    from jsonschema.exceptions import best_match
-
-    error = best_match(Draft202012Validator(CONFIG_SCHEMA).iter_errors(config))
-    where = "config"
-    if error is None:
-        schema = COMMANDS[config["command"]][0]
-        error = best_match(Draft202012Validator(schema).iter_errors(config.get("problem", {})))
-        where = "config.problem"
-    if error is not None:
-        path = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in error.absolute_path)
-        raise ConfigError(f"invalid config: {where}{path}: {error.message}")
-    bad = _non_finite_path(config)
-    if bad is not None:
-        raise ConfigError(f"invalid config: {bad} is not a finite number")
+    """Raise ConfigError naming the first fault of ``config``, if it has one;
+    its problem is checked against its command's schema once the rest passes."""
+    fault = _valid(config, CONFIG_SCHEMA) or _first_fault(
+        [("problem", config.get("problem", {}), COMMANDS[config["command"]][0])])
+    if fault is not True:
+        raise _invalid("config" + fault[0], fault[2]())
 
 
 def _dump_json(obj: dict) -> str:
@@ -355,8 +352,8 @@ def _parse_flow(space, flow_cfg):
     k, D = tangent_components(space), space.dim
     for i, vec in enumerate(flow_cfg["vectors"]):
         if len(vec) != k or any(len(c) != D for c in vec):
-            raise ConfigError(f"invalid config: config.problem.flow.vectors[{i}]: expected "
-                              f"{k} components of {D} coefficient pairs each")
+            raise _invalid(f"config.problem.flow.vectors[{i}]",
+                           f"expected {k} components of {D} coefficient pairs each")
     shape = (k,) + space.backend.shape()
     return times, [TangentVector(space, bk.from_pairs(vec, shape)) for vec in flow_cfg["vectors"]]
 
@@ -364,7 +361,7 @@ def _parse_flow(space, flow_cfg):
 def _cmd_evolve(space, problem, rng, tol):
     if problem["form"] == "heat" and ("epsilon" in problem or problem.get("flow") is not None):
         field = "epsilon" if "epsilon" in problem else "flow"
-        raise ConfigError(f"invalid config: config.problem.{field}: not a field of the heat form")
+        raise _invalid(f"config.problem.{field}", "not a field of the heat form")
     u0 = sz.element_data_from_json(space.backend, problem["u0"])
     flow_times, flow = _parse_flow(space, problem.get("flow"))
     source_cfg = problem.get("source")

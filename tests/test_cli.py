@@ -443,9 +443,10 @@ def _pair_field_config(field, pairs):
     return {"command": "evolve", "backend": QUBIT_BACKEND, "problem": problem}
 
 
-# the stderr lines of the validator that checked every number through jsonschema
+# each malformed pair list's stderr line: its first fault in document order,
+# worded as stock jsonschema words that keyword
 _MALFORMED_PAIR_MESSAGES = [
-    ("f", "ragged", "config.problem.f[2]: [0.0, 0.0, 0.0] is too long"),
+    ("f", "ragged", "config.problem.f[1]: [0.0] is too short"),
     ("f", "short", "config.problem.f[1]: [1.0] is too short"),
     ("f", "long", "config.problem.f[1]: [0.0, 0.0, 0.0] is too long"),
     ("f", "string", "config.problem.f[1][0]: '1.0' is not of type 'number'"),
@@ -455,7 +456,7 @@ _MALFORMED_PAIR_MESSAGES = [
     ("f", "inf", "config.problem.f[1][1] is not a finite number"),
     ("f", "pair-not-list", "config.problem.f[1]: 1.0 is not of type 'array'"),
     ("f", "not-list", "config.problem.f: {'re': 1.0} is not of type 'array'"),
-    ("u0", "ragged", "config.problem.u0[2]: [0.0, 0.0, 0.0] is too long"),
+    ("u0", "ragged", "config.problem.u0[1]: [0.0] is too short"),
     ("u0", "short", "config.problem.u0[1]: [1.0] is too short"),
     ("u0", "long", "config.problem.u0[1]: [0.0, 0.0, 0.0] is too long"),
     ("u0", "string", "config.problem.u0[1][0]: '1.0' is not of type 'number'"),
@@ -530,50 +531,72 @@ def test_malformed_pair_list_exits_1_with_its_message(tmp_path, capsys, field, c
     assert not out_dir.exists()
 
 
-def _slow_non_finite_path(obj, path="config"):
-    """Reference walk: every number of every list, one at a time."""
+def _slow_non_finite_paths(obj, path="config"):
+    """Reference walk: the path of every NaN, infinite or beyond-float-range
+    number, in document order, one number at a time."""
     if isinstance(obj, (float, int)):
         try:
-            return None if math.isfinite(float(obj)) else path
+            finite = math.isfinite(float(obj))
         except OverflowError:
-            return path
+            finite = False
+        if not finite:
+            yield path
+        return
     children = (obj.items() if isinstance(obj, dict)
                 else enumerate(obj) if isinstance(obj, list) else ())
     for key, value in children:
-        child = f"{path}.{key}" if isinstance(obj, dict) else f"{path}[{key}]"
-        found = _slow_non_finite_path(value, child)
-        if found is not None:
-            return found
-    return None
+        yield from _slow_non_finite_paths(
+            value, f"{path}.{key}" if isinstance(obj, dict) else f"{path}[{key}]")
 
 
-def _stock_message(config):
-    """The rejection stock jsonschema and the number-by-number walk word for
-    ``config``, None for a valid one."""
-    error = best_match(Draft202012Validator(cli.CONFIG_SCHEMA).iter_errors(config))
+def _stock_errors(config):
+    """Stock jsonschema's errors of ``config`` against the config schema or,
+    with none there, against its command's problem schema, each error paired
+    with the path it names; the errors of a oneOf's branches (its context)
+    follow it."""
+    errors = list(Draft202012Validator(cli.CONFIG_SCHEMA).iter_errors(config))
     where = "config"
-    if error is None:
+    if not errors:
         schema = cli.COMMANDS[config["command"]][0]
-        error = best_match(Draft202012Validator(schema).iter_errors(config.get("problem", {})))
+        errors = list(Draft202012Validator(schema).iter_errors(config.get("problem", {})))
         where = "config.problem"
-    if error is not None:
-        path = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in error.absolute_path)
-        return f"invalid config: {where}{path}: {error.message}"
-    bad = _slow_non_finite_path(config)
-    return None if bad is None else f"invalid config: {bad} is not a finite number"
+
+    def named(errors):
+        for error in errors:
+            keys = error.absolute_path
+            yield where + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys), error
+            yield from named(error.context)
+
+    return list(named(errors)), best_match(errors)
 
 
 def _assert_verdict_matches_stock(config):
-    # the walker accepts exactly what stock jsonschema plus the finiteness
-    # check accept, and a rejection carries stock jsonschema's message
-    message = _stock_message(config)
-    assert cli._accepts(config) is (message is None)
-    if message is None:
+    # the walk accepts exactly what stock jsonschema plus the finiteness
+    # check accept; its first fault is at a path stock jsonschema names, or a
+    # number no float64 holds, and where stock's best match names the same
+    # path and keyword the message is stock's word for word
+    errors, best = _stock_errors(config)
+    non_finite = list(_slow_non_finite_paths(config))
+    where, fault = "config", cli._valid(config, cli.CONFIG_SCHEMA)
+    if fault is None:
+        schema = cli.COMMANDS[config["command"]][0]
+        where, fault = "config.problem", cli._valid(config.get("problem", {}), schema)
+    assert (fault is None) is (not errors and not non_finite)
+    if fault is None:
         cli.validate_config(config)
-    else:
-        with pytest.raises(cli.ConfigError) as info:
-            cli.validate_config(config)
-        assert str(info.value) == message
+        return
+    path, keyword, message = where + fault[0], fault[1], fault[2]()
+    with pytest.raises(cli.ConfigError) as info:
+        cli.validate_config(config)
+    if message is None:
+        assert path in non_finite
+        assert str(info.value) == f"invalid config: {path} is not a finite number"
+        return
+    assert str(info.value) == f"invalid config: {path}: {message}"
+    assert path in {named for named, _ in errors}
+    best_path = next(named for named, error in errors if error is best)
+    if (best_path, best.validator) == (path, keyword):
+        assert message == best.message
 
 
 _json_numbers = st.one_of(st.floats(), st.integers(min_value=-10**400, max_value=10**400))
@@ -598,7 +621,6 @@ def test_pair_list_validation_matches_stock_jsonschema(payload):
     for command, problem in problems:
         _assert_verdict_matches_stock(
             {"command": command, "backend": QUBIT_BACKEND, "problem": problem})
-    assert cli._non_finite_path(payload) == _slow_non_finite_path(payload)
 
 
 _ZERO_QUBIT = [[0.0, 0.0]] * 4
@@ -624,7 +646,6 @@ def test_number_list_validation_matches_stock_jsonschema(payload):
     ]
     for config in configs:
         _assert_verdict_matches_stock(config)
-        assert cli._non_finite_path(config) == _slow_non_finite_path(config)
 
 
 _DROP = object()   # a mutation that deletes the value at its path
@@ -689,7 +710,8 @@ def test_walker_verdict_matches_stock_jsonschema_on_mutated_corpus(config):
 
 
 def test_valid_config_runs_without_importing_jsonschema(tmp_path):
-    # jsonschema words rejections only: a valid config never imports it
+    # jsonschema is the tests' oracle only: neither a valid nor a rejected
+    # config imports it
     bad = json.loads((CORPUS[0].parent / "torus_gap.json").read_text())
     bad["unexpected"] = 1
     (tmp_path / "bad.json").write_text(json.dumps(bad), encoding="utf-8")
@@ -699,13 +721,90 @@ def test_valid_config_runs_without_importing_jsonschema(tmp_path):
         f"config = json.loads(open({str(CORPUS[0].parent / 'torus_gap.json')!r}).read())\n"
         f"assert cli.run(config, out_dir={str(tmp_path / 'out')!r}, quiet=True) == 0\n"
         "assert 'jsonschema' not in sys.modules\n"
-        f"sys.exit(cli.main(['--config', {str(tmp_path / 'bad.json')!r}]))\n")
+        f"code = cli.main(['--config', {str(tmp_path / 'bad.json')!r}])\n"
+        "assert 'jsonschema' not in sys.modules\n"
+        "sys.exit(code)\n")
     src = str(Path(cli.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr == ("error: invalid config: config: Additional properties are not "
                            "allowed ('unexpected' was unexpected)\n")
+
+
+_QUBIT_HEAT = {"form": "heat", "u0": [[1.0, 0.0]] * 4, "horizon": 0.2, "dt": 0.1}
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"command": "evolve", "backend": QUBIT_BACKEND, "problem": {**_QUBIT_HEAT, "dt": 0}},
+     "config.problem.dt: 0 is less than or equal to the minimum of 0"),
+    ({"command": "markov-check", "backend": QUBIT_BACKEND, "problem": {"t_samples": []}},
+     "config.problem.t_samples: [] should be non-empty"),
+    ({"command": "markov-check", "backend": QUBIT_BACKEND,
+      "problem": {"t_samples": [1.0], "battery": 1}},
+     "config.problem.battery: 1 is less than the minimum of 2"),
+    ({"command": "solve-poisson", "backend": QUBIT_BACKEND,
+      "problem": {"f": _GOOD_QUBIT, "method": "dense"}},
+     "config.problem.method: 'dense' is not one of ['both', 'spectral', 'variational']"),
+    ({"command": "be-check", "backend": QUBIT_BACKEND, "problem": {"t_samples": [1.0]}},
+     "config.problem: 'K' is a required property"),
+    ({"command": "gap", "backend": TORUS_BACKEND, "out": "a", "tolerances": {}},
+     "config: Additional properties are not allowed ('out', 'tolerances' were unexpected)"),
+    # the kind selects the backend's branch; no kind selects none
+    ({"command": "gap", "backend": {**TORUS_BACKEND, "level": 0}},
+     "config.backend.level: 0 is less than the minimum of 1"),
+    ({"command": "gap", "backend": {"level": 3, "theta": 0.5}},
+     "config.backend: {'level': 3, 'theta': 0.5} is not valid under any of the given schemas"),
+], ids=["exclusiveMinimum", "minItems", "minimum", "enum", "required", "additionalProperties",
+        "oneOf-kind", "oneOf-none"])
+def test_config_fault_exits_1_with_its_keywords_stock_message(tmp_path, capsys, config, message):
+    out_dir = tmp_path / "out"
+    assert run_main(tmp_path, config, "--out", str(out_dir)) == 1
+    assert capsys.readouterr().err == f"error: invalid config: {message}\n"
+    assert not out_dir.exists()
+
+
+def _subschemas(schema):
+    """``schema`` and every schema inside it."""
+    yield schema
+    inner = [*schema.get("properties", {}).values(), *schema.get("oneOf", [])]
+    for sub in inner + ([schema["items"]] if "items" in schema else []):
+        yield from _subschemas(sub)
+
+
+# the keywords that read one instance type, by the "type" they must follow
+_TYPED_KEYWORDS = {"array": {"items", "minItems", "maxItems"},
+                   "object": {"properties", "required", "additionalProperties"},
+                   "number": {"minimum", "maximum", "exclusiveMinimum"}}
+_TYPED_KEYWORDS["integer"] = _TYPED_KEYWORDS["number"]
+
+
+def test_config_schemas_keep_the_walks_assumptions():
+    # an unknown keyword or type would raise KeyError in the walk; it tests ==
+    # for enum and const, treats additionalProperties as false, words maxItems
+    # as "too long" only, and stops at a failed "type" before a keyword that
+    # reads one instance type could meet another
+    roots = [cli.CONFIG_SCHEMA, *(schema for schema, _ in cli.COMMANDS.values()),
+             *(cls.json_schema for cls in bk.BACKENDS)]
+    for schema in (sub for root in roots for sub in _subschemas(root)):
+        assert schema.keys() <= cli._KEYWORDS.keys(), schema
+        assert schema.get("type", "null") in cli._TYPES
+        assert schema.get("additionalProperties", False) is False
+        assert all(isinstance(v, str) for v in [*schema.get("enum", []), schema.get("const", "")])
+        assert schema.get("maxItems", 1) > 0
+        typed = schema.keys() & set().union(*_TYPED_KEYWORDS.values())
+        if typed:
+            assert next(iter(schema)) == "type" and typed <= _TYPED_KEYWORDS[schema["type"]], schema
+
+
+@pytest.mark.parametrize("instance, schema", [
+    (1, {"oneOf": [{"type": "number"}, {"type": "integer"}, {"enum": [1]}]}),
+    (1.5, {"oneOf": [{"type": "integer"}, {"type": "null"}]}),
+], ids=["three-pass", "none-pass"])
+def test_one_of_message_is_stock_jsonschemas(instance, schema):
+    path, keyword, message = cli._valid(instance, schema)
+    assert (path, keyword) == ("", "oneOf")
+    assert message() == best_match(Draft202012Validator(schema).iter_errors(instance)).message
 
 
 @pytest.mark.parametrize("grid, field", [
@@ -807,7 +906,7 @@ def test_restarts_beyond_100_exit_1_naming_restarts(tmp_path, capsys, restarts):
     assert "config.problem.restarts" in capsys.readouterr().err
     assert not out_dir.exists()
     config["problem"]["restarts"] = 100
-    assert cli._accepts(config)
+    cli.validate_config(config)
 
 
 @pytest.mark.parametrize("name", ["qubit_markov", "torus13_be"])
