@@ -126,10 +126,11 @@ def _one_of(x, branches, schema):
         return len(passed) == 1 or (lambda: f"{x!r} is valid under each of "
                                     f"{', '.join(map(repr, passed[1:] + passed[:1]))}")
     # blame the branch whose const a property of x matches (the backend kind),
-    # else the only one that x fails inside or as a number no float64 holds
+    # else the only one that x fails neither by its type nor a required property
     chosen = [f for b, f in zip(branches, faults) if isinstance(x, dict) and any(
         x.get(k) == sub["const"] for k, sub in b.get("properties", {}).items() if "const" in sub)]
-    chosen = chosen or [f for f in faults if f[0] or f[2]() is None]
+    chosen = chosen or [f for f in faults
+                        if f[0] or f[1] not in ("type", "required") or f[2]() is None]
     return chosen[0] if len(chosen) == 1 else (
         lambda: f"{x!r} is not valid under any of the given schemas")
 

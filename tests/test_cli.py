@@ -755,8 +755,15 @@ _QUBIT_HEAT = {"form": "heat", "u0": [[1.0, 0.0]] * 4, "horizon": 0.2, "dt": 0.1
      "config.backend.level: 0 is less than the minimum of 1"),
     ({"command": "gap", "backend": {"level": 3, "theta": 0.5}},
      "config.backend: {'level': 3, 'theta': 0.5} is not valid under any of the given schemas"),
+    # without a kind, the branch whose type and required properties the value has
+    ({"command": "evolve", "backend": QUBIT_BACKEND, "problem": {
+        **_QUBIT_HEAT, "form": "continuity", "epsilon": 0.1,
+        "flow": {"times": [0.0, 0.2], "vectors": [[_ZERO_QUBIT]] * 2, "unknown": 1}}},
+     "config.problem.flow: Additional properties are not allowed ('unknown' was unexpected)"),
+    ({"command": "calculus-check", "backend": QUBIT_BACKEND, "problem": {"radius": -1}},
+     "config.problem.radius: -1 is less than the minimum of 0"),
 ], ids=["exclusiveMinimum", "minItems", "minimum", "enum", "required", "additionalProperties",
-        "oneOf-kind", "oneOf-none"])
+        "oneOf-kind", "oneOf-none", "oneOf-flow", "oneOf-radius"])
 def test_config_fault_exits_1_with_its_keywords_stock_message(tmp_path, capsys, config, message):
     out_dir = tmp_path / "out"
     assert run_main(tmp_path, config, "--out", str(out_dir)) == 1
