@@ -524,11 +524,9 @@ class CyclicGroup(Descriptor):
         mu = -np.fft.fft(l).real / self.order
         mu[0] = 0.0
         mu[np.abs(mu) < _FRAME_WEIGHT_TOL * max(1.0, max(l))] = 0.0
-        mu.setflags(write=False)
         active = tuple(np.flatnonzero(mu > 0.0).tolist())
         ks, g = np.array(active, dtype=int), np.arange(self.order)
         chars = np.exp(2j * np.pi * ks[:, None] * g / self.order)
-        object.__setattr__(self, "_frame", (active, mu))
         for name, arr in (
             ("_chars", chars),
             ("_psis", 1j * np.sqrt(mu[ks] / 2.0)[:, None] * (chars - 1.0)),
@@ -592,11 +590,6 @@ class CyclicGroup(Descriptor):
 
     def generator_matrix(self) -> np.ndarray:
         return np.asarray(self.lengths, dtype=np.complex128)
-
-    def frame(self) -> tuple[tuple[int, ...], np.ndarray]:
-        """Active dual indices k (mu_k > 0, symmetric under k -> q-k) and the
-        full weight vector mu (read-only), computed once at construction."""
-        return self._frame
 
     def psis(self) -> np.ndarray:
         return self._psis

@@ -21,6 +21,7 @@ import argparse
 import itertools
 import json
 import math
+import reprlib
 import sys
 from pathlib import Path
 
@@ -31,7 +32,6 @@ from . import serialize as sz
 from .calculus import TangentVector, calculus_check, gradient, tangent_components
 from .dirichlet import bakry_emery_check, build_space, markov_check, poincare_constant
 from .elliptic import (
-    NoSolution,
     curved_map,
     identity_map,
     minimize_dirichlet_energy,
@@ -43,7 +43,10 @@ from .evolution import EvolutionProblem, solve_evolution
 from .reports import Report, check_ge, check_le
 
 _PAIRS = bk.PAIRS_SCHEMA
-_BACKEND_SCHEMA = {"oneOf": [cls.json_schema for cls in bk.BACKENDS]}
+# a missing or unknown kind is named ahead of the branches that it selects
+_BACKEND_SCHEMA = {"type": "object", "required": ["kind"],
+                   "properties": {"kind": {"enum": [cls.kind for cls in bk.BACKENDS]}},
+                   "oneOf": [cls.json_schema for cls in bk.BACKENDS]}
 
 _FLOW_SCHEMA = {
     "oneOf": [
@@ -132,7 +135,7 @@ def _one_of(x, branches, schema):
     chosen = chosen or [f for f in faults
                         if f[0] or f[1] not in ("type", "required") or f[2]() is None]
     return chosen[0] if len(chosen) == 1 else (
-        lambda: f"{x!r} is not valid under any of the given schemas")
+        lambda: f"{reprlib.repr(x)} is not valid under any of the given schemas")
 
 
 def _none_unexpected(names):
@@ -196,6 +199,20 @@ def validate_config(config: dict) -> None:
         [("problem", config.get("problem", {}), COMMANDS[config["command"]][0])])
     if fault is not True:
         raise _invalid("config" + fault[0], fault[2]())
+
+
+def _counted(path: str, pairs: list, D: int, k: int | None = None) -> list:
+    # the one count rule of a config's coefficient lists: D [re, im] pairs or,
+    # given k (a sampled flow's vector), k components of D pairs each
+    if len(pairs) != D if k is None else [len(c) for c in pairs] != [D] * k:
+        raise _invalid(path, f"expected {D} coefficient pairs" if k is None
+                       else f"expected {k} components of {D} coefficient pairs each")
+    return pairs
+
+
+def _element(space, pairs: list, field: str) -> bk.AlgebraElement:
+    return sz.element_data_from_json(space.backend,
+                                     _counted(f"config.problem.{field}", pairs, space.dim))
 
 
 def _dump_json(obj: dict) -> str:
@@ -286,7 +303,7 @@ def _cmd_be(space, problem, rng, tol):
 
 
 def _cmd_poisson(space, problem, rng, tol):
-    f = sz.element_data_from_json(space.backend, problem["f"])
+    f = _element(space, problem["f"], "f")
     method = problem.get("method", "both")
     project = problem.get("project_kernel", False)
     report = Report(kind="solve-poisson", extra={"method": method})
@@ -319,7 +336,7 @@ def _make_map(map_cfg: dict):
 
 
 def _cmd_quasilinear(space, problem, rng, tol):
-    f = sz.element_data_from_json(space.backend, problem["f"])
+    f = _element(space, problem["f"], "f")
     F = _make_map(problem["map"])
     project = problem.get("project_kernel", False)
     base = solve_quasilinear(space, F, f, project_kernel=project)
@@ -346,30 +363,26 @@ def _parse_flow(space, flow_cfg):
     if flow_cfg is None:
         return None, None
     if "constant_gradient_of" in flow_cfg:
-        el = sz.element_data_from_json(space.backend, flow_cfg["constant_gradient_of"])
+        el = _element(space, flow_cfg["constant_gradient_of"], "flow.constant_gradient_of")
         h = flow_cfg.get("scale", 1.0) * gradient(space, el)
         return [0.0], [h]
-    times = [float(t) for t in flow_cfg["times"]]
-    k, D = tangent_components(space), space.dim
-    for i, vec in enumerate(flow_cfg["vectors"]):
-        if len(vec) != k or any(len(c) != D for c in vec):
-            raise _invalid(f"config.problem.flow.vectors[{i}]",
-                           f"expected {k} components of {D} coefficient pairs each")
-    shape = (k,) + space.backend.shape()
-    return times, [TangentVector(space, bk.from_pairs(vec, shape)) for vec in flow_cfg["vectors"]]
+    k = tangent_components(space)
+    vectors = [_counted(f"config.problem.flow.vectors[{i}]", vec, space.dim, k)
+               for i, vec in enumerate(flow_cfg["vectors"])]
+    return [float(t) for t in flow_cfg["times"]], [
+        TangentVector(space, bk.from_pairs(vec, (k,) + space.backend.shape())) for vec in vectors]
 
 
 def _cmd_evolve(space, problem, rng, tol):
     if problem["form"] == "heat" and ("epsilon" in problem or problem.get("flow") is not None):
         field = "epsilon" if "epsilon" in problem else "flow"
         raise _invalid(f"config.problem.{field}", "not a field of the heat form")
-    u0 = sz.element_data_from_json(space.backend, problem["u0"])
+    u0 = _element(space, problem["u0"], "u0")
     flow_times, flow = _parse_flow(space, problem.get("flow"))
     source_cfg = problem.get("source")
-    source_times = source = None
-    if source_cfg is not None:
-        source_times = [float(t) for t in source_cfg["times"]]
-        source = [sz.element_data_from_json(space.backend, e) for e in source_cfg["elements"]]
+    source_times, source = (None, None) if source_cfg is None else (
+        [float(t) for t in source_cfg["times"]],
+        [_element(space, e, f"source.elements[{i}]") for i, e in enumerate(source_cfg["elements"])])
     prob = EvolutionProblem(
         space=space,
         form=problem["form"],
@@ -523,6 +536,8 @@ def run(config: dict, out_dir: str | None = None, quiet: bool = False,
     validate_config(config)
     if tol_override is not None and not 0 < tol_override < math.inf:
         raise ConfigError(f"invalid --tol: {tol_override!r} is not a finite number > 0")
+    for i, pairs in enumerate(config["backend"].get("generators", ())):   # a matrix backend's
+        _counted(f"config.backend.generators[{i}]", pairs, int(config["backend"]["dim"]) ** 2)
     desc = sz.descriptor_from_json(config["backend"])
     tol = tol_override if tol_override is not None else 1e-10
     seed = seed_override if seed_override is not None else int(config.get("seed", 0))
@@ -561,7 +576,7 @@ def main(argv=None) -> int:
     try:
         return run(config, out_dir=args.out, quiet=args.quiet,
                    seed_override=args.seed, tol_override=args.tol)
-    except (ConfigError, bk.AlgebraError, NoSolution, ValueError) as exc:
+    except (ConfigError, bk.AlgebraError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

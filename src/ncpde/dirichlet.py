@@ -9,11 +9,12 @@ generator acting on L^2(tau) coordinates (its ``generator_matrix``):
 * cyclic group -- multiplication of the coefficient function by the
                   length, (L f)(g) = l(g) f(g).
 
-``space_from_matrix`` alone chooses how a space holds L: a diagonal L as
-its (D,) diagonal with the sorting permutation as eigenbasis, any other as a
-(D, D) matrix with the eigenvectors of ``eigh``; ``_l2_generator``,
-``_eigen_coords`` and ``_from_eigen`` hide the form from every consumer
-(a dense L is ``_l2_generator`` applied to the identity).
+``space_from_matrix`` alone checks that L is self-adjoint, by one test
+||L - L^*|| <= 1e-10 ||L|| for both forms, and alone chooses how a space
+holds L: a diagonal L as its (D,) diagonal with the sorting permutation as
+eigenbasis, any other as a (D, D) matrix with the eigenvectors of ``eigh``;
+``_l2_generator``, ``_eigen_coords`` and ``_from_eigen`` hide the form from
+every consumer (a dense L is ``_l2_generator`` applied to the identity).
 The associated quadratic form is E(a, b) = <a, L b>, the semigroup is
 exp(-t L) in eigen-coordinates, and the carre du champ density
 is recovered from the diffusion identity
@@ -81,11 +82,14 @@ def build_space(desc: Descriptor) -> DirichletSpace:
 
 def space_from_matrix(desc: Descriptor, gen: np.ndarray) -> DirichletSpace:
     """Space around an explicit generator, a (D, D) matrix or a diagonal
-    (D,), which must be finite, PSD and annihilate the unit; eigenvalues below
-    ``GAP_RTOL`` times the largest count as kernel."""
+    (D,), which must be finite, self-adjoint, PSD and annihilate the unit;
+    eigenvalues below ``GAP_RTOL`` times the largest count as kernel."""
     gen = np.asarray(gen, dtype=np.complex128)
     if not np.isfinite(gen).all():   # a NaN would fail every comparison below
         raise GeneratorError("generator is not finite")
+    # the transpose of a (D,) diagonal is itself: one test for both forms
+    if np.linalg.norm(gen - gen.conj().T) > 1e-10 * np.linalg.norm(gen):
+        raise GeneratorError("generator is not self-adjoint")
     diag = gen if gen.ndim == 1 else np.diagonal(gen)
     if np.count_nonzero(gen) == np.count_nonzero(diag):   # the one choice of form
         gen = diag.copy()
@@ -93,9 +97,6 @@ def space_from_matrix(desc: Descriptor, gen: np.ndarray) -> DirichletSpace:
         evals = gen.real[evecs]
     else:
         evals, evecs = np.linalg.eigh(gen)
-        recon = (evecs * evals) @ evecs.conj().T
-        if np.linalg.norm(recon - gen) > 1e-10 * max(np.linalg.norm(gen), 1e-300):
-            raise GeneratorError("eigensystem does not reconstruct the generator")
     scale = max(float(evals[-1]), 1e-300)   # the largest eigenvalue, floored
     if float(evals[0]) < -1e-10 * scale:
         raise GeneratorError(f"generator is not PSD (min eigenvalue {evals[0]:.3e})")

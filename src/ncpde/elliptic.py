@@ -50,11 +50,6 @@ from .reports import Report, check_ge, check_le
 class NoSolution(bk.AlgebraError):
     """The right-hand side has kernel mass beyond tolerance."""
 
-    def __init__(self, mass: float, tol: float):
-        super().__init__(f"kernel component {mass:.3e} exceeds tolerance {tol:.3e}")
-        self.mass = mass
-        self.tol = tol
-
 
 class ConvergenceFailure(bk.AlgebraError):
     pass
@@ -104,7 +99,7 @@ def _gate_kernel(space: DirichletSpace, f: AlgebraElement, project: bool,
     tol = KERNEL_RTOL * max(np.linalg.norm(c), 1e-300)
     if not (mass <= tol):      # NaN mass fails the gate
         if not project:
-            raise NoSolution(mass, tol)
+            raise NoSolution(f"kernel component {mass:.3e} exceeds tolerance {tol:.3e}")
         f = bk.from_l2(space.backend, project_off_kernel(space, c))
         flags.append(f"projected_kernel_mass={mass:.6e}")
     return f, mass

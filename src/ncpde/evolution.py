@@ -97,19 +97,18 @@ class EvolutionProblem:
         if not bk.same_backend(self.u0.backend, self.space.backend):
             raise bk.BackendMismatch("initial value backend mismatch")
         if self.form == "continuity" and self.flow is None:
-            self.flow = [zero_tangent(self.space)]
-        # sample times default to an even spread over [0, horizon]
-        for name in ("flow", "source"):
+            self.flow, self.flow_times = [zero_tangent(self.space)], [0.0]
+        for name in ("flow", "source"):   # samples come with their times
             samples, times = getattr(self, name), getattr(self, f"{name}_times")
             if samples is None:
                 continue
-            if times is None:
-                times = list(np.linspace(0.0, self.horizon, len(samples)))
-                setattr(self, f"{name}_times", times)
-            if len(times) == 0 or len(times) != len(samples):
-                raise ValueError(f"{name} has {len(times)} times for {len(samples)} samples")
+            count = 0 if times is None else len(times)
+            if count == 0 or count != len(samples):
+                raise ValueError(f"{name} has {count} times for {len(samples)} samples")
             if not np.all(np.diff(times) > 0):
                 raise ValueError(f"{name} times must be strictly increasing")
+        if abs(self.n_steps() * self.dt - self.horizon) > 1e-9 * self.horizon:
+            raise ValueError("horizon must be an integer number of steps")
 
     def n_steps(self) -> int:
         return int(round(self.horizon / self.dt))
@@ -134,8 +133,6 @@ def flow_at(problem: EvolutionProblem, t: float) -> TangentVector:
 
 
 def source_at(problem: EvolutionProblem, t: float) -> np.ndarray:
-    if problem.source is None:
-        return np.zeros(problem.space.dim, dtype=complex)
     i, j, w = _interp_weights(problem.source_times, t)
     return (1.0 - w) * bk.to_l2(problem.source[i]) + w * bk.to_l2(problem.source[j])
 
@@ -284,8 +281,6 @@ def solve_evolution(problem: EvolutionProblem, rng: np.random.Generator | None =
                     probes: int = 8) -> EvolutionResult:
     space = problem.space
     n = problem.n_steps()
-    if abs(n * problem.dt - problem.horizon) > 1e-9 * problem.horizon:
-        raise ValueError("horizon must be an integer number of steps")
     D = space.dim
     unit = bk.to_l2(bk.unit(space.backend))
     certs = default_certificates(problem)

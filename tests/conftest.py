@@ -461,6 +461,8 @@ def _real_form(problem, t):
 
 
 def _real_source(problem, t):
+    if problem.source is None:
+        return np.zeros(2 * problem.space.dim)
     return realify_vector(ev.source_at(problem, t))
 
 

@@ -407,15 +407,14 @@ def test_metric_nondegeneracy(qubit_space, z4_space):
 
 
 def test_cyclic_frame_weights_reproduce_length(z4, z5):
+    # |psi_k(g)|^2 = mu_k (1 - cos(2 pi k g / q)), whose sum over the frame is l(g)
     for desc in (z4, z5):
-        active, mu = desc.frame()
-        g = np.arange(desc.order)
-        recon = np.zeros(desc.order)
-        for k in range(1, desc.order):
-            recon += mu[k] * (1.0 - np.cos(2 * np.pi * k * g / desc.order))
-        assert np.allclose(recon, desc.lengths, atol=1e-12)
-        assert all(mu[k] > 0 for k in active)
-        assert set(active) == {(desc.order - k) % desc.order for k in active}
+        psis = desc.psis()
+        assert np.allclose((np.abs(psis) ** 2).sum(0), desc.lengths, atol=1e-12)
+        assert np.all(np.abs(psis).max(1) > 0)   # no component with mu_k = 0
+        # the frame is closed under k -> q - k, whose multiplier is -conj(psi_k)
+        partners = -psis.conj()
+        assert all(np.abs(psis - p).max(1).min() <= 1e-12 for p in partners)
 
 
 def test_cyclic_component_energies_sum_to_form(z4, z4_space, z5, z5_space):

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import reprlib
 import subprocess
 import sys
 import warnings
@@ -262,6 +263,22 @@ def test_project_kernel_solve_passes_its_checks(tmp_path, capsys, command, extra
     report = json.loads((out_dir / "report.json").read_text())
     flags = [flag for key, value in report.items() if key.startswith("flags") for flag in value]
     assert "projected_kernel_mass=3.000000e-01" in flags
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("solve-poisson", {"method": "both"}),
+    ("solve-quasilinear", {"map": {"name": "identity"}}),
+])
+def test_kernel_mass_without_projection_exits_1(tmp_path, capsys, command, extra):
+    # el.NoSolution is an AlgebraError, so main catches it without listing it
+    t = bk.NCTorus(1, THETA_IRR)
+    f = bk.monomial(t, 1, 0) + bk.scale(0.3, bk.unit(t))
+    config = {"command": command, "backend": t.to_json(),
+              "problem": {"f": sz.element_to_json(f)["data"], **extra}}
+    out_dir = tmp_path / "out"
+    assert run_main(tmp_path, config, "--out", str(out_dir)) == 1
+    assert capsys.readouterr().err.startswith("error: kernel component 3.000e-01 exceeds tolerance")
+    assert not out_dir.exists()
 
 
 def test_empty_frame_calculus_check_passes_with_every_identity_zero(tmp_path):
@@ -596,7 +613,12 @@ def _assert_verdict_matches_stock(config):
     assert path in {named for named, _ in errors}
     best_path = next(named for named, error in errors if error is best)
     if (best_path, best.validator) == (path, keyword):
-        assert message == best.message
+        # an unmatched oneOf words its value by reprlib.repr, which cuts a long
+        # one short where stock repeats it whole
+        stock = best.message
+        if stock.endswith(" is not valid under any of the given schemas"):
+            stock = stock.replace(repr(best.instance), reprlib.repr(best.instance), 1)
+        assert message == stock
 
 
 _json_numbers = st.one_of(st.floats(), st.integers(min_value=-10**400, max_value=10**400))
@@ -750,11 +772,19 @@ _QUBIT_HEAT = {"form": "heat", "u0": [[1.0, 0.0]] * 4, "horizon": 0.2, "dt": 0.1
      "config.problem: 'K' is a required property"),
     ({"command": "gap", "backend": TORUS_BACKEND, "out": "a", "tolerances": {}},
      "config: Additional properties are not allowed ('out', 'tolerances' were unexpected)"),
-    # the kind selects the backend's branch; no kind selects none
+    # the kind selects the backend's branch; a missing or unknown kind is
+    # named before the branches, however long the backend
     ({"command": "gap", "backend": {**TORUS_BACKEND, "level": 0}},
      "config.backend.level: 0 is less than the minimum of 1"),
-    ({"command": "gap", "backend": {"level": 3, "theta": 0.5}},
-     "config.backend: {'level': 3, 'theta': 0.5} is not valid under any of the given schemas"),
+    ({"command": "gap", "backend": {"order": 64, "lengths": [0.0] * 64}},
+     "config.backend: 'kind' is a required property"),
+    ({"command": "gap", "backend": {"kind": "sphere", "level": 3}},
+     "config.backend.kind: 'sphere' is not one of ['matrix', 'nc_torus', 'cyclic']"),
+    # a value that no branch takes is named in a shortened repr
+    ({"command": "evolve", "backend": QUBIT_BACKEND, "problem": {
+        **_QUBIT_HEAT, "source": {"times": [0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3]}}},
+     "config.problem.source: {'times': [0.0, 0.05, 0.1, 0.15, 0.2, 0.25, ...]} "
+     "is not valid under any of the given schemas"),
     # without a kind, the branch whose type and required properties the value has
     ({"command": "evolve", "backend": QUBIT_BACKEND, "problem": {
         **_QUBIT_HEAT, "form": "continuity", "epsilon": 0.1,
@@ -763,8 +793,41 @@ _QUBIT_HEAT = {"form": "heat", "u0": [[1.0, 0.0]] * 4, "horizon": 0.2, "dt": 0.1
     ({"command": "calculus-check", "backend": QUBIT_BACKEND, "problem": {"radius": -1}},
      "config.problem.radius: -1 is less than the minimum of 0"),
 ], ids=["exclusiveMinimum", "minItems", "minimum", "enum", "required", "additionalProperties",
-        "oneOf-kind", "oneOf-none", "oneOf-flow", "oneOf-radius"])
+        "oneOf-kind", "kind-required", "kind-enum", "oneOf-none", "oneOf-flow", "oneOf-radius"])
 def test_config_fault_exits_1_with_its_keywords_stock_message(tmp_path, capsys, config, message):
+    out_dir = tmp_path / "out"
+    assert run_main(tmp_path, config, "--out", str(out_dir)) == 1
+    assert capsys.readouterr().err == f"error: invalid config: {message}\n"
+    assert not out_dir.exists()
+
+
+_QUBIT_CONTINUITY = {**_QUBIT_HEAT, "form": "continuity", "epsilon": 0.1}
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"command": "solve-poisson", "backend": QUBIT_BACKEND, "problem": {"f": _ZERO_QUBIT[:3]}},
+     "config.problem.f: expected 4 coefficient pairs"),
+    ({"command": "solve-quasilinear", "backend": QUBIT_BACKEND,
+      "problem": {"f": _ZERO_QUBIT * 2, "map": {"name": "identity"}}},
+     "config.problem.f: expected 4 coefficient pairs"),
+    ({"command": "evolve", "backend": QUBIT_BACKEND, "problem": {**_QUBIT_HEAT, "u0": []}},
+     "config.problem.u0: expected 4 coefficient pairs"),
+    ({"command": "evolve", "backend": QUBIT_BACKEND, "problem": {
+        **_QUBIT_CONTINUITY, "flow": {"constant_gradient_of": _ZERO_QUBIT[:1]}}},
+     "config.problem.flow.constant_gradient_of: expected 4 coefficient pairs"),
+    ({"command": "evolve", "backend": QUBIT_BACKEND, "problem": {
+        **_QUBIT_CONTINUITY, "flow": {"times": [0.0, 0.2], "vectors": [[_ZERO_QUBIT], []]}}},
+     "config.problem.flow.vectors[1]: expected 1 components of 4 coefficient pairs each"),
+    ({"command": "evolve", "backend": QUBIT_BACKEND, "problem": {
+        **_QUBIT_HEAT, "source": {"times": [0.0, 0.2], "elements": [_ZERO_QUBIT, _ZERO_QUBIT[:2]]}}},
+     "config.problem.source.elements[1]: expected 4 coefficient pairs"),
+    ({"command": "describe", "backend": {"kind": "matrix", "dim": 3, "generators": [
+        [[1.0, 0.0]] * 9, _ZERO_QUBIT]}},
+     "config.backend.generators[1]: expected 9 coefficient pairs"),
+], ids=["poisson-f", "quasilinear-f", "u0", "constant-flow", "flow-vector", "source-element",
+        "generator"])
+def test_coefficient_count_exits_1_naming_the_field(tmp_path, capsys, config, message):
+    # one count rule for every coefficient list, not numpy's reshape error
     out_dir = tmp_path / "out"
     assert run_main(tmp_path, config, "--out", str(out_dir)) == 1
     assert capsys.readouterr().err == f"error: invalid config: {message}\n"

@@ -130,6 +130,20 @@ def test_space_from_matrix_validation(qubit, qubit_space):
     assert np.isfinite(edge.evals).all() and edge.kernel_dim == 2
 
 
+@pytest.mark.parametrize("form", ["diagonal", "dense-diagonal", "dense"])
+def test_non_self_adjoint_generator_is_refused_in_both_forms(qubit, qubit_space, form):
+    # eigh reads one triangle and the diagonal form only the real parts, so
+    # without the check each of these would build a space from another generator
+    z4 = bk.CyclicGroup(4, (0.0, 1.0, 2.0, 1.0))
+    complex_diag = np.array([0.0, 1.0 + 1.0j, 2.0, 1.0 + 1.0j])
+    skewed = dense_form(qubit_space)[0].copy()
+    skewed[0, 1] += 0.5
+    desc, gen = {"diagonal": (z4, complex_diag), "dense-diagonal": (z4, np.diag(complex_diag)),
+                 "dense": (qubit, skewed)}[form]
+    with pytest.raises(dr.GeneratorError, match="generator is not self-adjoint"):
+        dr.space_from_matrix(desc, gen)
+
+
 # ---------------------------------------------------------------------------
 # Semigroup
 # ---------------------------------------------------------------------------

@@ -200,8 +200,9 @@ def _inverse_steps(problem, states):
     dt, cn = problem.dt, problem.scheme == "crank-nicolson"
     weight = 0.5 * dt if cn else dt
     times = dt * np.arange(problem.n_steps() + 1)
-    b = [ev.source_at(problem, t) for t in times]
     eye = np.eye(states.shape[1])
+    b = (np.zeros_like(states) if problem.source is None
+         else [ev.source_at(problem, t) for t in times])
     out = []
     for k in range(problem.n_steps()):
         lhs_inv = np.linalg.inv(eye + weight * ev.form_matrix(problem, times[k + 1]))
@@ -457,10 +458,16 @@ def test_problem_validation(qubit, qubit_space):
     with pytest.raises(bk.BackendMismatch):
         z2 = dr.build_space(bk.CyclicGroup(2, (0.0, 1.0)))
         ev.EvolutionProblem(z2, "heat", u0, horizon=1.0, dt=0.1)
+    # samples come with their times: none are spread for them
+    h = ca.gradient(qubit_space, u0)
+    with pytest.raises(ValueError, match="flow has 0 times for 2 samples"):
+        ev.EvolutionProblem(qubit_space, "continuity", u0, horizon=1.0, dt=0.1,
+                            epsilon=0.1, flow=[h, h])
+    with pytest.raises(ValueError, match="source has 0 times for 1 samples"):
+        ev.EvolutionProblem(qubit_space, "heat", u0, horizon=1.0, dt=0.1, source=[u0])
 
 
 def test_horizon_must_be_step_multiple(qubit, qubit_space):
-    prob = ev.EvolutionProblem(qubit_space, "heat", bk.element(qubit, SIGMA_X),
-                               horizon=1.0, dt=0.3)
-    with pytest.raises(ValueError):
-        ev.solve_evolution(prob)
+    with pytest.raises(ValueError, match="horizon must be an integer number of steps"):
+        ev.EvolutionProblem(qubit_space, "heat", bk.element(qubit, SIGMA_X),
+                            horizon=1.0, dt=0.3)
