@@ -21,11 +21,15 @@ the rest of the package):
 * ``CyclicGroup``    -- length-q complex vector f(0..q-1); f acts by
   convolution, the unit is the delta at 0.
 
-Products on the torus window are truncated back onto |n|,|m| <= N.
-``mul_with_loss`` reports the L^2 mass of the discarded modes, so callers
-that need exact algebra can insist on leak-free supports.  Traces and L^2
-inner products of products are always exact: the (0,0) mode is never
-truncated.
+A torus product is one matmul over the bounding box of the support of A,
+not one pass per mode: B is twisted and shifted once per box column, the
+columns are summed by ``A_box @ Y``, and one row-shifted slab per box row
+is added onto the grid of all exponents.  Products are truncated back onto
+the window |n|,|m| <= N; ``mul_with_loss`` reports the L^2 mass of the
+discarded modes (exactly 0.0 when every mode outside the window is a sum
+of exact zeros), so callers that need exact algebra can insist on
+leak-free supports.  Traces and L^2 inner products of products are always
+exact: the (0,0) mode is never truncated.
 
 Positivity statements are delegated to ``represent``.  For matrices this is
 the identity, for cyclic groups the circulant (regular) representation, for
@@ -33,7 +37,8 @@ a torus with reduced rational theta = p/q the clock-and-shift homomorphism
 into M_q, and for irrational theta the window compression of the left
 regular action, which is flagged approximate: it witnesses positivity but
 is not multiplicative near the window boundary.  Witnesses read its spectrum
-through ``rep_eigvalsh``; cyclic products and spectra come from the DFT.
+through ``rep_eigvalsh``; cyclic products, spectra and operator norms come
+from the DFT.
 """
 
 from __future__ import annotations
@@ -103,8 +108,9 @@ class Descriptor:
     ``shape``, ``to_json``/``from_json`` with the tag ``kind`` and schema
     ``json_schema``; ``unit_data``, ``mul_data`` (product and truncated L^2
     mass), ``adjoint_data`` and ``lmul`` (the matrix of x -> A x);
-    ``rep_dim``, ``represent``, ``rep_eigvalsh``, ``element_from_matrix``,
-    ``choi_min`` (least Choi eigenvalue of P_t); ``generator_matrix``
+    ``rep_dim``, ``represent``, ``rep_eigvalsh``, ``rep_norm`` (operator
+    norms of ``represent``), ``element_from_matrix``, ``choi_min`` (least
+    Choi eigenvalue of P_t); ``generator_matrix``
     ((D, D), or the (D,) diagonal of a diagonal generator); and the tangent
     frame: ``psis`` (``frame_size()`` derivations as coefficient multipliers)
     or ``frame_size``, ``derive`` and ``codifferential``; ``involution`` (J).
@@ -136,6 +142,10 @@ class Descriptor:
     def rep_eigvalsh(self, A: np.ndarray) -> np.ndarray:
         """Ascending eigenvalues of ``represent`` of each self-adjoint entry."""
         return np.linalg.eigvalsh(self.represent(A))
+
+    def rep_norm(self, A: np.ndarray) -> np.ndarray:
+        """Operator norm (largest singular value) of ``represent`` of each entry."""
+        return np.linalg.norm(self.represent(A), 2, axis=(-2, -1))
 
     def choi_min(self, semigroup: Callable[[np.ndarray], np.ndarray]) -> float | None:
         """Least eigenvalue of the Choi matrix of P_t (``semigroup`` maps
@@ -357,17 +367,28 @@ class NCTorus(Descriptor):
         return data
 
     def mul_data(self, A, B) -> tuple[np.ndarray, np.ndarray]:
-        # (U^p V^r)(U^n' V^m') = e^{2 pi i theta r n'} U^{p+n'} V^{r+m'}, one
-        # shifted block per mode (p, r) in the union of the supports of A
+        # (U^p V^r)(U^n' V^m') = e^{2 pi i theta r n'} U^{p+n'} V^{r+m'} over the
+        # P x R bounding box of the union of the supports of A: Y[r] is B
+        # twisted by e^{2 pi i theta r n'} and shifted r columns right, one
+        # matmul A_box @ Y sums over r, and row p of the result lands p rows down
         N = self.level
         W = 2 * N + 1
-        ns = np.arange(-N, N + 1)
-        phase = np.exp(2j * np.pi * self.theta * ns[:, None] * ns)[:, :, None]   # [r, n', 1]
         lead = np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
         out = np.zeros(lead + (4 * N + 1, 4 * N + 1), dtype=np.complex128)
-        support = np.any(A != 0.0, axis=tuple(range(A.ndim - 2)))
-        for ip, ir in zip(*np.nonzero(support)):
-            out[..., ip : ip + W, ir : ir + W] += A[..., ip, ir, None, None] * (phase[ir] * B)
+        rows, cols = np.nonzero(np.any(A != 0.0, axis=tuple(range(A.ndim - 2))))
+        if rows.size:
+            p0, r0 = rows.min(), cols.min()
+            P, R = rows.max() + 1 - p0, cols.max() + 1 - r0
+            rs, ns = np.arange(r0 - N, r0 - N + R), np.arange(-N, N + 1)
+            twisted = (np.exp(2j * np.pi * self.theta * rs[:, None, None] * ns[:, None])
+                       * B[..., None, :, :])                         # [..., r, n', m']
+            Y = np.zeros(twisted.shape[:-1] + (W + R - 1,), dtype=np.complex128)
+            for r in range(R):
+                Y[..., r, :, r : r + W] = twisted[..., r, :, :]
+            slabs = (A[..., p0 : p0 + P, r0 : r0 + R] @ Y.reshape(Y.shape[:-2] + (-1,))
+                     ).reshape(lead + (P, W, W + R - 1))
+            for p in range(P):
+                out[..., p0 + p : p0 + p + W, r0 : r0 + W + R - 1] += slabs[..., p, :, :]
         window = out[..., N : 3 * N + 1, N : 3 * N + 1].copy()
         out[..., N : 3 * N + 1, N : 3 * N + 1] = 0.0
         return window, np.linalg.norm(out, axis=(-2, -1))
@@ -407,13 +428,12 @@ class NCTorus(Descriptor):
     def represent(self, A) -> np.ndarray:
         if self.rational is None:
             return self.lmul(A)
-        # clock and shift: U^n V^m -> w^{j n} at (j, j+m mod q)
+        # clock and shift: U^n V^m -> w^{j n} at (j, j+m mod q); the 0/1 fold
+        # sums the columns m of each residue s = m mod q, entry (j, s) goes to (j, j+s mod q)
         q = self.rational[1]
-        ns = np.arange(-self.level, self.level + 1)
-        js = np.arange(q)[:, None]
-        out = np.zeros(A.shape[:-2] + (q, q), dtype=np.complex128)
-        np.add.at(out, (..., js, (js + ns) % q), self._clock_phases(ns) @ A)
-        return out
+        ns, js = np.arange(-self.level, self.level + 1), np.arange(q)
+        fold = (ns[:, None] % q == js).astype(np.complex128)
+        return (self._clock_phases(ns) @ A @ fold)[..., js[:, None], (js - js[:, None]) % q]
 
     def element_from_matrix(self, X) -> np.ndarray:
         """Rational theta needs an injective window (2N+1 <= q) and raises
@@ -573,6 +593,10 @@ class CyclicGroup(Descriptor):
 
     def rep_eigvalsh(self, A) -> np.ndarray:
         return np.sort(np.fft.fft(A).real, axis=-1)
+
+    def rep_norm(self, A) -> np.ndarray:
+        # a circulant is normal: its singular values are the moduli of fft(A)
+        return np.abs(np.fft.fft(A)).max(-1)
 
     def element_from_matrix(self, X) -> np.ndarray:
         return X[..., :, 0]
@@ -772,7 +796,7 @@ def element_from_matrix(desc: Descriptor, X: np.ndarray) -> AlgebraElement:
 def operator_norm(a: AlgebraElement) -> float:
     """Largest singular value of the representation (approximate for the
     compressed irrational-torus representation)."""
-    return float(np.linalg.norm(represent(a), 2))
+    return float(a.backend.rep_norm(a.data))
 
 
 # ---------------------------------------------------------------------------

@@ -200,7 +200,10 @@ def calculus_check(space: DirichletSpace, rng: np.random.Generator, battery: int
     """The identities of this module, each as its worst case over ``battery``
     random triples (a, b, h) drawn as one ``random_data`` stack
     (battery, 2 + k) + shape: a, b, then the k components of h.  The metric
-    rho(h, h) of the whole stack passes ``bk.require_positive_data``."""
+    rho(h, h) of the whole stack passes ``bk.require_positive_data``.
+    ``generator_factorization`` is div o grad = L, ``codifferential`` of
+    ``derive`` of the (D, *shape) identity stack against L on the identity,
+    the frame operators every solver runs."""
     desc = space.backend
     norm = functools.partial(bk.norm_data, desc)
     report = Report(kind="calculus-check", extra={"battery": battery, "radius": radius})
@@ -208,7 +211,9 @@ def calculus_check(space: DirichletSpace, rng: np.random.Generator, battery: int
     if radius == 0 and desc.default_radius() is not None:
         report.flags.append(
             "degenerate battery: triple products need level >= 3 for nonconstant supports")
-    gm, gen = gradient_matrix(space), _l2_generator(space, np.eye(space.dim)).T
+    eye = np.eye(space.dim, dtype=np.complex128)
+    div_grad = desc.codifferential(desc.derive(eye.reshape((space.dim,) + desc.shape())))
+    gen = _l2_generator(space, eye)   # row j is L e_j, as is row j of div_grad
     z = bk.random_data(desc, rng, (battery, 2 + tangent_components(space)), radius=radius)
     A, B, H = z[:, 0], z[:, 1], z[:, 2:]
 
@@ -225,7 +230,7 @@ def calculus_check(space: DirichletSpace, rng: np.random.Generator, battery: int
     witness = bk.witness_data(desc, rho)
     bk.require_positive_data(desc, rho, witness, leak, "metric rho(h, h)")
     checks = [
-        ("generator_factorization", np.linalg.norm(gm.conj().T @ gm - gen)
+        ("generator_factorization", np.linalg.norm(bk.l2_coords(desc, div_grad) - gen)
          / max(np.linalg.norm(gen), 1e-300), 1e-10),
         ("leibniz", (norm(desc.derive(desc.mul_data(A, B)[0]) - rhs) / np.maximum(
             norm(grad_a_b) + norm(a_grad_b), 1.0)).max(-1, initial=0.0), 1e-10),

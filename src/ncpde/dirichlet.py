@@ -268,7 +268,7 @@ def markov_check(space: DirichletSpace, t_samples, rng: np.random.Generator,
     even, odd = probes[: battery - 1 : 2], probes[1::2]
     pair_scale = np.maximum(bk.norm_data(desc, even) * bk.norm_data(desc, odd), 1e-300)
     # operator norms of the probes, for the contraction check at every t
-    na = np.linalg.norm(desc.represent(probes), 2, axis=(-2, -1)) if desc.rep_is_exact() else None
+    na = desc.rep_norm(probes) if desc.rep_is_exact() else None
     for t in map(float, t_samples):
         unitality = np.linalg.norm(_semigroup(space, t, one) - one)
         report.checks.append(check_le(f"unitality[t={t:g}]", unitality, tol))
@@ -276,7 +276,7 @@ def markov_check(space: DirichletSpace, t_samples, rng: np.random.Generator,
         moved = _semigroup(space, t, probes)
 
         if na is not None:
-            nt = np.linalg.norm(desc.represent(moved), 2, axis=(-2, -1))
+            nt = desc.rep_norm(moved)
             ratio = np.max(nt[na > 0] / na[na > 0], initial=0.0)   # zero probes are skipped
             report.checks.append(check_le(f"contraction[t={t:g}]", ratio - 1.0, tol))
         else:

@@ -94,6 +94,9 @@ class EvolutionProblem:
             raise ValueError(f"horizon / dt = {self.horizon!r} / {self.dt!r} is too many steps")
         if self.epsilon < 0:
             raise ValueError("viscosity must be nonnegative")
+        if self.form == "heat" and (self.epsilon != 0 or self.flow is not None):
+            field = "epsilon" if self.epsilon != 0 else "flow"
+            raise ValueError(f"{field} is not a field of the heat form")
         if not bk.same_backend(self.u0.backend, self.space.backend):
             raise bk.BackendMismatch("initial value backend mismatch")
         if self.form == "continuity" and self.flow is None:

@@ -199,6 +199,24 @@ def test_clock_shift_oracle_on_random_window_safe_products():
         assert np.abs(lhs - rhs).max() <= 1e-12 * max(np.abs(rhs).max(), 1.0)
 
 
+@pytest.mark.parametrize("level, p, q", [(2, 1, 3), (3, 1, 2), (4, 2, 5), (2, 3, 7), (1, 0, 1)])
+def test_clock_shift_represent_is_the_sum_of_clock_shift_monomials(level, p, q):
+    # oracle: sum over the window of A[n, m] C^n S^m, built from matrix
+    # powers; a window wider than q sends several exponents to one residue
+    t = bk.nc_torus_rational(level, p, q)
+    C = np.diag(np.exp(2j * np.pi * p * np.arange(q) / q))
+    S = np.roll(np.eye(q), 1, axis=1)
+    A = bk.random_data(t, make_rng(3), (3,))
+    want = np.zeros((3, q, q), dtype=complex)
+    for n in range(-level, level + 1):
+        for m in range(-level, level + 1):
+            mono = np.linalg.matrix_power(C, n % q) @ np.linalg.matrix_power(S, m % q)
+            want += A[:, n + level, m + level, None, None] * mono
+    got = t.represent(A)
+    assert got.shape == (3, q, q)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def test_adjoint_sigma_x_self_adjoint(qubit):
     assert_elem_close(bk.adjoint(bk.element(qubit, SIGMA_X)), bk.element(qubit, SIGMA_X))
 
@@ -381,6 +399,17 @@ def test_cyclic_spectrum_matches_eigvalsh_of_the_circulant(q):
     assert np.all(np.abs(got - want) <= 1e-12 * scale_)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 7, 16, 33, 64])
+def test_cyclic_operator_norm_matches_the_circulants_two_norm(q):
+    # a circulant is normal: its largest singular value is max |fft(a)|
+    desc = word_length_group(q)
+    A = _cplx(make_rng(q + 3), (6, q)) * np.logspace(-3, 3, 6)[:, None]
+    got, want = desc.rep_norm(A), np.linalg.norm(desc.represent(A), 2, axis=(-2, -1))
+    assert got.shape == (6,)
+    assert np.all(np.abs(got - want) <= 1e-12 * want)
+    assert bk.operator_norm(bk.element(desc, A[0])) == got[0]
+
+
 @pytest.mark.parametrize("q", CYCLIC_ORDERS)
 def test_cyclic_witness_is_nan_off_the_self_adjoint_entries(q):
     desc = word_length_group(q)
@@ -546,6 +575,57 @@ def test_torus_product_matches_twisted_sum(level, kind, radius):
     want, want_loss = loop_torus_mul(t, A, B)
     assert np.linalg.norm(window - want) <= 1e-14 * np.linalg.norm(want)
     assert abs(loss - want_loss) <= 1e-12 * want_loss
+
+
+def _assert_product_matches_loop(t, A, B):
+    """``mul_data`` of two stacks against ``loop_torus_mul`` on every entry of
+    their broadcast; where the loop drops no mass the loss is exactly 0.0."""
+    window, loss = t.mul_data(A, B)
+    lead = np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
+    assert window.shape == lead + t.shape() and loss.shape == lead
+    A, B = (np.broadcast_to(X, lead + t.shape()) for X in (A, B))
+    for ix in np.ndindex(lead):
+        want, want_loss = loop_torus_mul(t, A[ix], B[ix])
+        assert np.linalg.norm(window[ix] - want) <= 1e-14 * np.linalg.norm(want)
+        if want_loss == 0.0:
+            assert loss[ix] == 0.0
+        else:
+            assert abs(loss[ix] - want_loss) <= 1e-12 * want_loss
+
+
+# the stacks calculus_check and the carre du champ multiply: a battery of
+# tangent stacks by a battery of elements, each way round, and a battery by one element
+@pytest.mark.parametrize("lead_a, lead_b", [((3, 2), (3, 1)), ((3, 1), (3, 2)), ((3,), ()),
+                                            ((), (3,))],
+                         ids=["bk-by-b1", "b1-by-bk", "b-by-one", "one-by-b"])
+@pytest.mark.parametrize("radius", [None, 1], ids=["dense", "radius1"])
+@pytest.mark.parametrize("kind", ["torus", "rational"])
+@pytest.mark.parametrize("level", [1, 3, 6])
+def test_stacked_torus_product_matches_twisted_sum(level, kind, radius, lead_a, lead_b):
+    t = backend_from_spec((kind, level))
+    rng = make_rng(21)
+    _assert_product_matches_loop(t, bk.random_data(t, rng, lead_a, radius=radius),
+                                 bk.random_data(t, rng, lead_b, radius=radius))
+
+
+@pytest.mark.parametrize("support", [
+    [[(-2, 1)], [(2, -2)], [(-2, 1), (2, -2)]],   # far apart: a box of mostly zeros
+    [[(4, 4)]], [[(4, -4)]], [[(-4, 4)]], [[(-4, -4)]],   # one corner mode
+    [[]],                                         # A = 0
+], ids=["far-apart", "corner++", "corner+-", "corner-+", "corner--", "zero"])
+@pytest.mark.parametrize("kind", ["torus", "rational"])
+def test_torus_product_of_non_box_support_matches_twisted_sum(kind, support):
+    # a radius-1 B keeps the far-apart product leak-free and pushes mass of
+    # every corner product out of the level-4 window
+    t = backend_from_spec((kind, 4))
+    rng = make_rng(22)
+    A = np.zeros((len(support),) + t.shape(), dtype=complex)
+    for entry, modes in zip(A, support):
+        for n, m in modes:
+            entry[n + 4, m + 4] = complex(*rng.standard_normal(2))
+    B = bk.random_data(t, rng, (len(support),), radius=1)
+    _assert_product_matches_loop(t, A, B)
+    _assert_product_matches_loop(t, A, B[0])
 
 
 @pytest.mark.parametrize("eps", [1e-6, 1e-8, 1e-10, 1e-12])

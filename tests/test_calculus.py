@@ -122,6 +122,22 @@ def test_generator_factorization(qubit_space, pair3_space, torus2_space, z4_spac
         assert rel <= 1e-10
 
 
+def test_calculus_check_factorization_is_the_defect_of_div_grad(qubit_space, pair3_space,
+                                                                 torus2_space, z5_space):
+    # calculus_check reads div o grad off derive and codifferential; against a
+    # space holding 2 L its relative defect is ||L - 2L|| / ||2L|| = 1/2, as the
+    # gradient-matrix oracle says, and against L itself both are at rounding
+    for sp in (qubit_space, pair3_space, torus2_space, z5_space):
+        doubled = dr.space_from_matrix(sp.backend, 2.0 * sp.generator)
+        for space, want in ((sp, 0.0), (doubled, 0.5)):
+            report = ca.calculus_check(space, make_rng(63), battery=2)
+            check = next(c for c in report.checks if c.name == "generator_factorization")
+            gm, gen = ca.gradient_matrix(space), dense_form(space)[0]
+            oracle = np.linalg.norm(gm.conj().T @ gm - gen) / np.linalg.norm(gen)
+            assert abs(check.value - want) <= 1e-14 and abs(oracle - want) <= 1e-14
+            assert check.passed == (want == 0.0)
+
+
 def test_energy_identity(qubit_space, torus3_space, z4_space, z5_space):
     rng = make_rng(62)
     for sp, _ in all_spaces(qubit_space, torus3_space, z4_space, z5_space):

@@ -931,10 +931,12 @@ def test_malformed_flow_vector_exits_1_naming_field_and_shape(tmp_path, capsys, 
     ({"epsilon": 0.0}, "epsilon"),
     ({"flow": {"constant_gradient_of": _ZERO_QUBIT}}, "flow"),
     ({"flow": {"times": [0.0, 1.0], "vectors": [[_ZERO_QUBIT]] * 2}}, "flow"),
+    ({"epsilon": 5.0, "flow": {"constant_gradient_of": _ZERO_QUBIT}}, "epsilon"),
     ({"flow": None}, None),
-], ids=["epsilon", "epsilon-zero", "constant-flow", "sampled-flow", "null-flow"])
+], ids=["epsilon", "epsilon-zero", "constant-flow", "sampled-flow", "both", "null-flow"])
 def test_heat_problem_rejects_epsilon_and_flow(tmp_path, capsys, extra, field):
-    # the heat form reads neither, so a run that took them would ignore them
+    # the heat form reads neither, so a run that took them would ignore them;
+    # the CLI names the field before EvolutionProblem would refuse it
     config = json.loads((CORPUS[0].parent / "qubit_heat.json").read_text())
     config["problem"].update(extra)
     out_dir = tmp_path / "out"

@@ -467,6 +467,21 @@ def test_problem_validation(qubit, qubit_space):
         ev.EvolutionProblem(qubit_space, "heat", u0, horizon=1.0, dt=0.1, source=[u0])
 
 
+@pytest.mark.parametrize("extra, field", [
+    ({"epsilon": 5.0}, "epsilon"),
+    ({"flow": "gradient", "flow_times": [0.0]}, "flow"),
+    ({"epsilon": 5.0, "flow": "gradient", "flow_times": [0.0]}, "epsilon"),
+], ids=["epsilon", "flow", "both"])
+def test_heat_problem_refuses_epsilon_and_flow(qubit, qubit_space, extra, field):
+    # the heat form reads neither: a heat problem that took them would step
+    # exactly as one without them
+    u0 = bk.element(qubit, SIGMA_X)
+    if "flow" in extra:
+        extra = dict(extra, flow=[ca.gradient(qubit_space, u0)])
+    with pytest.raises(ValueError, match=f"^{field} is not a field of the heat form$"):
+        ev.EvolutionProblem(qubit_space, "heat", u0, horizon=0.2, dt=0.1, **extra)
+
+
 def test_horizon_must_be_step_multiple(qubit, qubit_space):
     with pytest.raises(ValueError, match="horizon must be an integer number of steps"):
         ev.EvolutionProblem(qubit_space, "heat", bk.element(qubit, SIGMA_X),
