@@ -536,6 +536,8 @@ def run(config: dict, out_dir: str | None = None, quiet: bool = False,
     validate_config(config)
     if tol_override is not None and not 0 < tol_override < math.inf:
         raise ConfigError(f"invalid --tol: {tol_override!r} is not a finite number > 0")
+    if seed_override is not None and not seed_override >= 0:
+        raise ConfigError(f"invalid --seed: {seed_override!r} is not an integer >= 0")
     for i, pairs in enumerate(config["backend"].get("generators", ())):   # a matrix backend's
         _counted(f"config.backend.generators[{i}]", pairs, int(config["backend"]["dim"]) ** 2)
     desc = sz.descriptor_from_json(config["backend"])

@@ -25,10 +25,12 @@ start decides only how many iterations Newton takes.
 
 Solvability gate: in finite dimensions a weak solution exists only for
 right-hand sides orthogonal to the generator kernel.  Kernel mass beyond
-tolerance is a hard error unless the caller opts into projection, in
-which case the discarded mass is recorded on the report and the residuals
-are measured against the projected right-hand side.  Residuals are
-relative to ||f|| as given.
+tolerance is a hard error unless the caller opts into projection, which
+records the discarded mass and solves for b, f projected (else b = f).
+Residuals, relative to ||f|| as given: strong ||S u - b||, S u = L u with L
+as stored for Poisson and div F(grad u) for the quasilinear solve; weak
+max_j |<v_j, div F(grad u) - b>| over the full eigenbasis v, kernel
+included, with div F(grad u) by ``derive`` and ``codifferential``.
 """
 
 from __future__ import annotations
@@ -41,7 +43,8 @@ import numpy as np
 
 from . import backends as bk
 from .backends import AlgebraElement
-from .calculus import divergence, gradient, tangent_components
+# gradient stays bound here: perfbench/tests/test_tracing.py reads it in this namespace
+from .calculus import gradient, tangent_components  # noqa: F401
 from .dirichlet import (DirichletSpace, _eigen_coords, _from_eigen, _l2_generator,
                         kernel_component, project_off_kernel)
 from .reports import Report, check_ge, check_le
@@ -69,7 +72,7 @@ class NewtonStep:
 class SolveReport:
     solution: AlgebraElement
     residual_weak: float
-    residual_strong: float | None
+    residual_strong: float
     iterations: int
     galerkin_dim: int
     kernel_component: float
@@ -91,49 +94,44 @@ PROBE_TOL = 1e-9              # slack of every structure-probe check
 
 
 def _gate_kernel(space: DirichletSpace, f: AlgebraElement, project: bool,
-                 flags: list[str]) -> tuple[AlgebraElement, float]:
-    """The right-hand side actually solved for (f itself, or f projected off
-    the kernel when ``project``) and the kernel mass of f."""
-    c = bk.to_l2(f)
-    mass = kernel_component(space, c)
-    tol = KERNEL_RTOL * max(np.linalg.norm(c), 1e-300)
+                 flags: list[str]) -> tuple[np.ndarray, float]:
+    """L^2 coordinates b of the right-hand side solved for (f, or f projected
+    off the kernel when ``project``) and the kernel mass of f."""
+    b = bk.to_l2(f)
+    mass = kernel_component(space, b)
+    tol = KERNEL_RTOL * max(np.linalg.norm(b), 1e-300)
     if not (mass <= tol):      # NaN mass fails the gate
         if not project:
             raise NoSolution(f"kernel component {mass:.3e} exceeds tolerance {tol:.3e}")
-        f = bk.from_l2(space.backend, project_off_kernel(space, c))
+        b = project_off_kernel(space, b)
         flags.append(f"projected_kernel_mass={mass:.6e}")
-    return f, mass
+    return b, mass
 
 
-def _weak_residual(space: DirichletSpace, div_F: np.ndarray, f: AlgebraElement) -> float:
-    """max_k |<F(grad u), grad w_k> - <f, w_k>| over the full eigenbasis of
-    the domain (kernel included), from div F(grad u) on L^2 coordinates."""
-    # <F(grad u), grad w> = <div F(grad u), w> since div is the adjoint
-    return float(np.abs(_eigen_coords(space, div_F - bk.to_l2(f))).max())
-
-
-def _linear_report(space: DirichletSpace, f: AlgebraElement, f_solved: AlgebraElement,
-                   u: np.ndarray, mass: float, flags: list[str], **fields) -> SolveReport:
-    """Report on the L^2 coordinates u of a solution of div(grad u) = f_solved,
-    with residuals relative to ||f|| as given."""
-    sol = bk.from_l2(space.backend, u)
+def _solve_report(space: DirichletSpace, f: AlgebraElement, b: np.ndarray, u: np.ndarray,
+                  image: np.ndarray, div_F: np.ndarray, mass: float, flags: list[str],
+                  **fields) -> SolveReport:
+    """Report on u solving for b, all on L^2 coordinates: strong residual ||image - b||
+    for image = L u as stored (Poisson) or div F(grad u) (quasilinear); weak residual
+    max_j |<v_j, div_F - b>| = max_j |<F(grad u), grad v_j> - <b, v_j>| over the full
+    eigenbasis, kernel included, for div_F = div F(grad u) by ``derive`` and
+    ``codifferential``; both relative to ||f|| as given."""
     fscale = max(bk.norm_l2(f), 1e-300)
-    strong = np.linalg.norm(_l2_generator(space, u) - bk.to_l2(f_solved))
-    weak = _weak_residual(space, bk.to_l2(divergence(space, gradient(space, sol))), f_solved)
-    return SolveReport(solution=sol, residual_weak=weak / fscale,
-                       residual_strong=float(strong / fscale), kernel_component=mass,
-                       flags=flags, **fields)
+    return SolveReport(solution=bk.from_l2(space.backend, u), kernel_component=mass, flags=flags,
+                       residual_weak=float(np.abs(_eigen_coords(space, div_F - b)).max()) / fscale,
+                       residual_strong=float(np.linalg.norm(image - b) / fscale), **fields)
 
 
 def solve_poisson(space: DirichletSpace, f: AlgebraElement, *,
                   project_kernel: bool = False) -> SolveReport:
     """Spectral solution of div(grad u) = f on the kernel complement."""
     flags: list[str] = []
-    f_solved, mass = _gate_kernel(space, f, project_kernel, flags)
+    b, mass = _gate_kernel(space, f, project_kernel, flags)
     perp, lam = slice(space.kernel_dim, None), space.evals[space.kernel_dim:]
-    u = _from_eigen(space, _eigen_coords(space, bk.to_l2(f_solved), perp) / lam, perp)
-    return _linear_report(space, f, f_solved, u, mass, flags,
-                          iterations=0, galerkin_dim=int(lam.size))
+    u = _from_eigen(space, _eigen_coords(space, b, perp) / lam, perp)
+    return _solve_report(space, f, b, u, _l2_generator(space, u),
+                         _div_F_grad(space, identity_map(), u), mass, flags,
+                         iterations=0, galerkin_dim=int(lam.size))
 
 
 def minimize_dirichlet_energy(space: DirichletSpace, f: AlgebraElement, *,
@@ -143,8 +141,7 @@ def minimize_dirichlet_energy(space: DirichletSpace, f: AlgebraElement, *,
     on the realified 2D-dimensional system, with the generator applied as
     stored (d^* L d is real for Hermitian L); independent of the eigensystem."""
     flags: list[str] = []
-    f_solved, mass = _gate_kernel(space, f, project_kernel, flags)
-    b = bk.to_l2(f_solved)
+    b, mass = _gate_kernel(space, f, project_kernel, flags)
     n = 2 * b.size   # real dimension
     history = [0.0]   # I(x) of each iterate, -Re<x, b + r> / 2 since A x = b - r
     x, rr = _cg(lambda p: _l2_generator(space, p), b, CG_RTOL, 4 * n,
@@ -153,8 +150,9 @@ def minimize_dirichlet_energy(space: DirichletSpace, f: AlgebraElement, *,
         raise ConvergenceFailure(f"conjugate gradients stalled at residual {math.sqrt(rr[-1]):.3e}")
     if any(h2 > h1 + 1e-12 * (1 + abs(h1)) for h1, h2 in zip(history, history[1:])):
         flags.append("energy_not_monotone")
-    return _linear_report(space, f, f_solved, x, mass, flags, iterations=len(rr) - 1,
-                          galerkin_dim=n, energy_history=history, cg_history=rr)
+    return _solve_report(space, f, b, x, _l2_generator(space, x),
+                         _div_F_grad(space, identity_map(), x), mass, flags, galerkin_dim=n,
+                         iterations=len(rr) - 1, energy_history=history, cg_history=rr)
 
 
 def _cg(apply: Callable[[np.ndarray], np.ndarray], b: np.ndarray, rtol: float, maxiter: int,
@@ -334,9 +332,9 @@ def solve_quasilinear(space: DirichletSpace, F: NonlinearMap, f: AlgebraElement,
         if not probe.passed:
             failed = [c.name for c in probe.checks if not c.passed]
             raise ConvergenceFailure(f"map {F.name} failed structure probes: {failed}")
-    f_solved, mass = _gate_kernel(space, f, project_kernel, flags)
+    b, mass = _gate_kernel(space, f, project_kernel, flags)
     M = 2 * (space.dim - space.kernel_dim)
-    rhs = _to_galerkin(space, bk.to_l2(f_solved))   # Re<f, w_k>
+    rhs = _to_galerkin(space, b)   # Re<b, w_k>
     d = np.zeros(M) if init is None else np.array(init, dtype=float)
     if d.shape != (M,):
         raise ValueError(f"initial guess has shape {d.shape}, expected ({M},)")
@@ -344,18 +342,8 @@ def solve_quasilinear(space: DirichletSpace, F: NonlinearMap, f: AlgebraElement,
     d = _newton(galerkin_residual(space, F, rhs), d, max(np.linalg.norm(rhs), 1e-300), trace)
     u = _from_galerkin(space, d)
     div_F = _div_F_grad(space, F, u)
-    fscale = max(bk.norm_l2(f), 1e-300)
-    strong = np.linalg.norm(div_F - bk.to_l2(f_solved)) / fscale
-    return SolveReport(
-        solution=bk.from_l2(space.backend, u),
-        residual_weak=_weak_residual(space, div_F, f_solved) / fscale,
-        residual_strong=float(strong),
-        iterations=len(trace),
-        galerkin_dim=M,
-        kernel_component=mass,
-        flags=flags,
-        newton_trace=trace,
-    )
+    return _solve_report(space, f, b, u, div_F, div_F, mass, flags, iterations=len(trace),
+                         galerkin_dim=M, newton_trace=trace)
 
 
 def _newton(V, d: np.ndarray, scale_: float, trace: list[NewtonStep]) -> np.ndarray:

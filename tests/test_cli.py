@@ -1346,3 +1346,11 @@ def test_tol_override_must_be_finite_and_positive(tmp_path, capsys, tol):
     config = json.loads((CORPUS[0].parent / "torus_gap.json").read_text())
     assert run_main(tmp_path, config, "--quiet", f"--tol={tol}") == 1
     assert "--tol" in capsys.readouterr().err
+
+
+def test_seed_override_must_be_nonnegative(tmp_path, capsys):
+    config = json.loads((CORPUS[0].parent / "torus_gap.json").read_text())
+    out = tmp_path / "out"
+    assert run_main(tmp_path, config, "--quiet", "--seed=-1", "--out", str(out)) == 1
+    assert capsys.readouterr().err == "error: invalid --seed: -1 is not an integer >= 0\n"
+    assert not out.exists()

@@ -7,7 +7,7 @@ from ncpde import backends as bk
 from ncpde import coords as co
 from ncpde import elliptic as el
 from ncpde.calculus import gradient_matrix, tangent_components
-from ncpde.dirichlet import build_space, project_off_kernel
+from ncpde.dirichlet import _l2_generator, build_space, project_off_kernel
 from conftest import (
     SIGMA_X,
     assert_elem_close,
@@ -561,6 +561,66 @@ def test_quasilinear_weak_residual_against_full_basis(torus2, torus2_space):
     U = bk.monomial(torus2, 1, 0)
     with pytest.raises(el.NoSolution):
         el.solve_quasilinear(torus2_space, el.curved_map(1.0), bk.unit(torus2) + U)
+
+
+REPORT_SPECS = [("matrix", 3), ("torus", 3), ("cyclic", 16)]
+REPORT_MAPS = {"identity": el.identity_map, "curved": lambda: el.curved_map(0.7)}
+
+
+def _report_of(space, F, f, b, u, poisson):
+    """``_solve_report`` fed as the solves feed it: L u as stored is the
+    strong image of the Poisson routes, div F(grad u) that of the
+    quasilinear solve."""
+    div_F = el._div_F_grad(space, F, u)
+    image = _l2_generator(space, u) if poisson else div_F
+    return el._solve_report(space, f, b, u, image, div_F, 0.0, [],
+                            iterations=0, galerkin_dim=0)
+
+
+@pytest.mark.parametrize("spec", REPORT_SPECS, ids=[f"{k}{n}" for k, n in REPORT_SPECS])
+def test_solve_report_residuals_against_dense_oracle(spec):
+    # a random u that solves nothing and a b heavy in the kernel, so a weak
+    # residual that skipped the kernel, or a scale other than ||f||, shows
+    space = build_space(backend_from_spec(spec))
+    assert space.kernel_dim >= 1
+    L, V = dense_form(space)
+    gm = gradient_matrix(space)
+    rng = make_rng(620)
+    f = bk.random_element(space.backend, rng)
+    u = bk.to_l2(bk.random_element(space.backend, rng))
+    # ||div F(grad u)|| <= 2 ||gm||^2 ||u|| for both maps
+    heavy = 10.0 * (1.0 + 2.0 * np.linalg.norm(gm, 2) ** 2 * np.linalg.norm(u))
+    b = bk.to_l2(bk.random_element(space.backend, rng)) + heavy * V[:, 0]
+    fnorm = bk.norm_l2(f)
+    cases = [("poisson", el.identity_map(), True)]
+    cases += [(f"quasilinear-{name}", make(), False) for name, make in REPORT_MAPS.items()]
+    for name, F, poisson in cases:
+        div_F = gm.conj().T @ F(gm @ u)
+        image = L @ u if poisson else div_F
+        weak = np.abs(V.conj().T @ (div_F - b))
+        assert weak.argmax() < space.kernel_dim, name
+        rep = _report_of(space, F, f, b, u, poisson)
+        assert rep.residual_strong == pytest.approx(np.linalg.norm(image - b) / fnorm, rel=1e-12), name
+        assert rep.residual_weak == pytest.approx(weak.max() / fnorm, rel=1e-12), name
+        assert_elem_close(rep.solution, bk.from_l2(space.backend, u))
+
+
+@pytest.mark.parametrize("project", [False, True], ids=["gated", "projected"])
+@pytest.mark.parametrize("spec", REPORT_SPECS, ids=[f"{k}{n}" for k, n in REPORT_SPECS])
+def test_every_solve_reports_through_solve_report(spec, project):
+    space = build_space(backend_from_spec(spec))
+    rng = make_rng(621)
+    f = bk.random_element(space.backend, rng) if project else perp_random(space, rng)
+    b = project_off_kernel(space, bk.to_l2(f)) if project else bk.to_l2(f)
+    identity = el.identity_map()
+    reports = [(el.solve_poisson(space, f, project_kernel=project), identity, True),
+               (el.minimize_dirichlet_energy(space, f, project_kernel=project), identity, True)]
+    reports += [(el.solve_quasilinear(space, make(), f, project_kernel=project), make(), False)
+                for make in REPORT_MAPS.values()]
+    for rep, F, poisson in reports:
+        want = _report_of(space, F, f, b, bk.to_l2(rep.solution), poisson)
+        assert (rep.residual_strong, rep.residual_weak) == (want.residual_strong, want.residual_weak)
+        assert bool(rep.flags) == project
 
 
 def test_quasilinear_rejects_non_monotone_map(qubit_space):

@@ -13,12 +13,14 @@ SRC = Path(ncpde.__file__).parent
 
 # the paper's objects (the product, which the benchmark sweep times, the
 # involution *, the Dirichlet form E, the carre du champ Gamma, the generator
-# L, J, the module action, the metric rho, the energy tensor norm), the trace
-# pairing and operator norm the oracles check, the constructors of elements,
-# backends and operators, and the gradient matrix: the operator-assembly
-# oracle whose gm^H gm = L the acceptance and operator-matrix tests check
+# L, J, the module action, the metric rho, the energy tensor norm, and the
+# divergence, the Hilbert adjoint of grad, which the calculus tests state
+# their identities with), the trace pairing and operator norm the oracles
+# check, the constructors of elements, backends and operators, and the
+# gradient matrix: the operator-assembly oracle whose gm^H gm = L the
+# acceptance and operator-matrix tests check
 CALLED_FROM_OUTSIDE = {
-    "adjoint", "carre_du_champ", "delta", "dirichlet_form", "element_from_json",
+    "adjoint", "carre_du_champ", "delta", "dirichlet_form", "divergence", "element_from_json",
     "generator_apply", "gradient_matrix", "inner_l2", "involution_j", "module_act",
     "monomial", "mul",
     "nc_torus_rational", "operator_norm", "random_element", "random_tangent",
